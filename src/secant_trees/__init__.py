@@ -18,6 +18,7 @@ from .bijections import (
     tripling_map,
 )
 from .distributions import (
+    BrokenInvariantError,
     EntringerTriangle,
     JointMatrix,
     OddSizeError,

@@ -191,6 +191,7 @@ class MapReport:
             "image": self.image,
             "injective": self.injective,
             "transport_ok": self.transport_ok,
+            "covers_codomain": self.covers_codomain,
         }
 
 

@@ -516,13 +516,6 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     return 0 if report.overall == "pass" else 1
 
 
-def _default_threads() -> int:
-    env = os.environ.get("STC_THREADS")
-    if env is not None:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="secant-trees",
@@ -563,9 +556,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if hasattr(args, "threads"):
+        if args.threads is not None and args.threads < 1:
+            parser.error(f"--threads must be >= 1, got {args.threads}")
         env = os.environ.get("STC_THREADS")
         if env is not None:
-            args.threads = max(1, int(env))
+            try:
+                args.threads = int(env)
+            except ValueError:
+                parser.error(f"STC_THREADS must be an integer, got {env!r}")
+            if args.threads < 1:
+                parser.error(f"STC_THREADS must be >= 1, got {env!r}")
         elif args.threads is None:
             args.threads = os.cpu_count() or 1
     if args.command == "enumerate":

@@ -16,6 +16,8 @@ trees) stays within a modest memory budget.
 from __future__ import annotations
 
 import multiprocessing
+import os
+from bisect import bisect_left, bisect_right
 from typing import Iterable, Sequence
 
 from .trees import alternating_permutations, word_stats
@@ -27,6 +29,10 @@ class OddSizeError(ValueError):
 
 class UnknownCellError(ValueError):
     """An operation required a cell value that is not known."""
+
+
+class BrokenInvariantError(RuntimeError):
+    """A counted distribution contradicts a structural fact about the trees."""
 
 
 def _check_even(two_n: int) -> None:
@@ -190,91 +196,153 @@ def _count_joint_serial(two_n: int, prefix: Sequence[int] = ()) -> dict[tuple[in
     """Count (eoc, pom) pairs over all trees whose projection starts with
     *prefix*.
 
-    This is the enumeration backtracker of
-    :func:`secant_trees.trees.alternating_permutations` fused with the word
-    statistics of :func:`secant_trees.trees.word_stats`, with all buffers
-    reused across words; the test suite pins the two code paths against each
-    other exhaustively at small sizes.
+    A backtracker over the down-up words that keeps the min-tree of the
+    current prefix -- its right spine and the ``left``/``right`` child
+    arrays -- up to date as letters are pushed.  A push pops the spine
+    entries larger than the new letter; backtracking restores the few slots
+    it overwrote, so no word rebuilds its tree.  Branching stops once three
+    letters ``a < b < c`` are left: the last two letters of an even-length
+    down-up word are forced (the larger, then the smaller), so the
+    completions are exactly ``(a, c, b)`` when ``a`` is below the letter
+    before it and ``(b, c, a)`` when ``b`` is.  Every completed word is
+    counted from the definitions: eoc by walking its minimal chain, pom as
+    the larger neighbour of ``2n``.  The test suite pins the counts against
+    :func:`secant_trees.trees.alternating_permutations` composed with
+    :func:`secant_trees.trees.word_stats` for the whole stream and for every
+    first-letter part.
     """
     n = two_n
+    k0 = len(prefix)
+    if k0 >= n - 2:
+        # The prefix leaves at most one word (always so at 2n = 2): count it
+        # with the reference statistics, which also validate the prefix.
+        counts: dict[tuple[int, int], int] = {}
+        for word in alternating_permutations(n, prefix):
+            s = word_stats(word)
+            counts[(s.eoc, s.pom)] = 1
+        return counts
+    if len(set(prefix)) != k0 or not all(1 <= v <= n for v in prefix):
+        raise ValueError(f"bad prefix {prefix!r}")
+
+    free = list(range(1, n + 1))  # letters not yet placed, ascending
     word = [0] * n
-    used = bytearray(n + 1)
+    spine = [0] * n  # spine[:h] is the right spine of the min-tree, ascending
     left = [0] * (n + 1)
     right = [0] * (n + 1)
-    counts: dict[tuple[int, int], int] = {}
+    stride = n + 1
+    tally = [0] * (stride * stride)  # tally[eoc * stride + pom]
+    last = n - 4  # the last position chosen by branching
 
-    k0 = len(prefix)
-    for i, v in enumerate(prefix):
-        if not 1 <= v <= n or used[v]:
-            raise ValueError(f"bad prefix {prefix!r}")
-        if i > 0 and ((i % 2 == 1) != (v < word[i - 1])):
-            return counts
-        word[i] = v
-        used[v] = 1
-    if k0 == n:
-        s = word_stats(word)
-        counts[(s.eoc, s.pom)] = 1
-        return counts
-
-    pos = k0
-    val = 0
-    while pos >= k0:
-        if pos == 0:
-            lo, hi = 1, n
-        elif pos & 1:
-            lo, hi = 1, word[pos - 1] - 1
+    def branch(pos: int, h: int, pom: int) -> None:
+        # pom is 0 until the letter after n is placed.
+        prev = word[pos - 1] if pos else 0
+        if pos & 1:
+            lo, hi = 0, bisect_left(free, prev)
         else:
-            lo, hi = word[pos - 1] + 1, n
-        v = val + 1 if val + 1 > lo else lo
-        while v <= hi and used[v]:
-            v += 1
-        if v > hi:
-            pos -= 1
-            if pos >= k0:
-                val = word[pos]
-                used[val] = 0
-            continue
-        word[pos] = v
-        used[v] = 1
-        if pos == n - 1:
-            # Word complete: min-tree via the spine stack, then the two
-            # statistics.  right[x] is cleared at push time because the
-            # arrays persist across words.
-            stack = []
-            for x in word:
-                last = 0
-                while stack and stack[-1] > x:
-                    last = stack.pop()
-                left[x] = last
-                right[x] = 0
-                if stack:
-                    right[stack[-1]] = x
-                stack.append(x)
-            i = word.index(n)
-            if i == 0:
-                pom = word[1]
-            else:
-                a, b = word[i - 1], word[i + 1]
-                pom = a if a > b else b
-            c = 1
-            while True:
-                l, r = left[c], right[c]
-                nxt = (l if l < r else r) if l and r else (l or r)
-                if left[nxt] == 0 and right[nxt] == 0:
-                    eoc = nxt
+            lo, hi = bisect_right(free, prev), len(free)
+        if pos < k0:
+            i = bisect_left(free, prefix[pos])
+            if not lo <= i < hi:
+                return
+            lo, hi = i, i + 1
+
+        if pos < last:
+            for i in range(lo, hi):
+                v = free.pop(i)
+                word[pos] = v
+                if pos & 1:
+                    # Descent: v pops the spine entries above it, the lowest
+                    # of which becomes its left child.
+                    p = bisect_right(spine, v, 0, h)
+                    below = spine[p]
+                    left[v] = below
+                    right[v] = 0
+                    if p:
+                        right[spine[p - 1]] = v
+                    spine[p] = v
+                    if prev == n:  # v is the right neighbour of n
+                        branch(pos + 1, p + 1, max(v, word[pos - 2]) if pos > 1 else v)
+                    else:
+                        branch(pos + 1, p + 1, pom)
+                    spine[p] = below
+                    if p:
+                        right[spine[p - 1]] = below
+                else:
+                    # Ascent: v hangs as right child of the spine top.  The
+                    # slot it takes may hold an entry an ancestor popped.
+                    left[v] = right[v] = 0
+                    if h:
+                        right[spine[h - 1]] = v
+                    popped = spine[h]
+                    spine[h] = v
+                    branch(pos + 1, h + 1, pom)
+                    spine[h] = popped
+                    if h:
+                        right[spine[h - 1]] = 0
+                free.insert(i, v)
+            return
+
+        # pos == last is an ascent (or the first letter): push v, then write
+        # the at most two completions t, c, s of the remaining a < b < c.
+        popped = spine[h]
+        for i in range(lo, hi):
+            v = free.pop(i)
+            a, b, c = free
+            left[v] = right[v] = 0
+            if h:
+                right[spine[h - 1]] = v
+            spine[h] = v
+            left[c] = right[c] = 0
+            for t, s in ((a, b), (b, a)):
+                if t > v:
                     break
-                c = nxt
-            key = (eoc, pom)
-            if key in counts:
-                counts[key] += 1
-            else:
-                counts[key] = 1
-            used[v] = 0
-            val = v
-        else:
-            pos += 1
-            val = 0
-    return counts
+                p = bisect_right(spine, t, 0, h + 1)
+                left[t] = spine[p]
+                if p:
+                    right[spine[p - 1]] = t
+                right[s] = 0
+                if s > t:
+                    # s pops only c.
+                    right[t] = s
+                    left[s] = c
+                    q = p
+                else:
+                    # s pops c, t and the spine entries above it.
+                    right[t] = c
+                    q = bisect_right(spine, s, 0, p)
+                    left[s] = spine[q] if q < p else t
+                    if q:
+                        right[spine[q - 1]] = s
+                # eoc: follow the smaller (or only) child down to a leaf.
+                x = 1
+                while True:
+                    l, r = left[x], right[x]
+                    x = (l if l < r else r) if l and r else (l or r)
+                    if not (left[x] or right[x]):
+                        break
+                if pom:
+                    k = pom
+                elif v == n:
+                    k = t if t > prev else prev
+                else:
+                    k = b  # c == n, flanked by t and s
+                tally[x * stride + k] += 1
+                if q:
+                    right[spine[q - 1]] = spine[q]
+                if p:
+                    right[spine[p - 1]] = spine[p]
+            if h:
+                right[spine[h - 1]] = 0
+            free.insert(i, v)
+        spine[h] = popped
+
+    branch(0, 0, 0)
+    return {
+        (m, k): tally[m * stride + k]
+        for m in range(stride)
+        for k in range(stride)
+        if tally[m * stride + k]
+    }
 
 
 def _count_joint_part(args: tuple[int, int]) -> dict[tuple[int, int], int]:
@@ -282,18 +350,27 @@ def _count_joint_part(args: tuple[int, int]) -> dict[tuple[int, int], int]:
     return _count_joint_serial(two_n, prefix=(first,))
 
 
+def _pool_size(processes: int, parts: int, cores: int | None) -> int:
+    """Workers worth starting: no more than asked for, than there are parts
+    to hand out, or than there are cores (``None`` when unknown counts as 1).
+    """
+    return max(1, min(processes, parts, cores or 1))
+
+
 def joint_matrix_bruteforce(two_n: int, processes: int = 1) -> JointMatrix:
     """Count every tree of size *two_n* into a fully-known joint matrix.
 
     With ``processes > 1`` the enumeration is partitioned by the first letter
-    of the projection and reduced over a process pool; the merge is plain
-    integer addition, so the result is identical to the serial run.
+    of the projection and reduced over a process pool of at most one worker
+    per part and per core; the merge is plain integer addition, so the
+    result is identical to the serial run.
     """
     _check_even(two_n)
-    if processes > 1 and two_n >= 8:
-        # Words start with a letter >= 2 (the first step is a descent).
+    # Words start with a letter >= 2 (the first step is a descent).
+    workers = _pool_size(processes, two_n - 1, os.cpu_count())
+    if workers > 1 and two_n >= 8:
         parts_args = [(two_n, w0) for w0 in range(2, two_n + 1)]
-        with multiprocessing.Pool(processes) as pool:
+        with multiprocessing.Pool(workers) as pool:
             parts = pool.map(_count_joint_part, parts_args)
         counts: dict[tuple[int, int], int] = {}
         for part in parts:
@@ -397,9 +474,17 @@ def entringer_bruteforce(n_max: int) -> EntringerTriangle:
     for n in range(2, n_max + 1):
         raw = ent_distribution(n)
         if n % 2 == 0:
-            assert raw[n - 1] == 0  # label n cannot be a one-child node
+            if raw[n - 1]:
+                raise BrokenInvariantError(
+                    f"{raw[n - 1]} trees of size {n} have the maximum label "
+                    "rightmost, but it cannot be the one-child node"
+                )
             rows[n] = raw[: n - 1]
         else:
-            assert raw[0] == 0  # the root cannot be rightmost for odd n >= 3
+            if raw[0]:
+                raise BrokenInvariantError(
+                    f"{raw[0]} trees of odd size {n} have the root rightmost, "
+                    "but the root has a right subtree"
+                )
             rows[n] = tuple(reversed(raw[1:]))
     return EntringerTriangle(rows)

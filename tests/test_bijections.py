@@ -6,6 +6,7 @@ import pytest
 
 from secant_trees.bijections import (
     MAP_VERIFIERS,
+    MapReport,
     PreconditionError,
     entringer_map,
     first_row_map,
@@ -108,7 +109,17 @@ def test_map_report_json_shape():
         "image": 3,
         "injective": True,
         "transport_ok": True,
+        "covers_codomain": True,
     }
+
+
+def test_map_report_json_shows_coverage_failure():
+    report = MapReport(map="tripling_map", two_n=4, domain=1, image=2,
+                       covers_codomain=False)
+    blob = report.to_json_dict()
+    assert not report.ok
+    assert blob["covers_codomain"] is False
+    assert blob["injective"] is True and blob["transport_ok"] is True
 
 
 # ---------------------------------------------------------------------- #

@@ -201,6 +201,28 @@ def test_threads_env_overrides_flag(capsys, monkeypatch):
     assert code == 0 and out.startswith("m\\k")
 
 
+@pytest.mark.parametrize("value", ["abc", "1.5", "", "0", "-2"])
+def test_bad_threads_env_is_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("STC_THREADS", value)
+    with pytest.raises(SystemExit) as exc:
+        main(["matrix", "--two-n", "4"])
+    assert exc.value.code == 2
+    assert "STC_THREADS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("env", [None, "1"])
+@pytest.mark.parametrize("value", ["abc", "0", "-2"])
+def test_bad_threads_flag_is_usage_error(capsys, monkeypatch, value, env):
+    if env is None:
+        monkeypatch.delenv("STC_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("STC_THREADS", env)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--two-n-max", "4", "--threads", value])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
 def test_verify_report_failure_rendering():
     from secant_trees.cli import CheckRow, VerifyReport
 

@@ -1,13 +1,18 @@
 """Brute-force joint matrices, marginals, differences, rightmost-label rows."""
 
 import json
+from collections import Counter
 
 import pytest
 
+from secant_trees import distributions
 from secant_trees.distributions import (
+    BrokenInvariantError,
     JointMatrix,
     OddSizeError,
     UnknownCellError,
+    _count_joint_serial,
+    _pool_size,
     delta_k,
     delta_m,
     ent_distribution,
@@ -16,6 +21,7 @@ from secant_trees.distributions import (
     marginals,
 )
 from secant_trees.recurrence import entringer_triangle
+from secant_trees.trees import alternating_permutations, word_stats
 from secant_trees.reference_tables import (
     REFERENCE_JOINT,
     REFERENCE_TOTALS,
@@ -114,6 +120,49 @@ def test_parallel_counting_matches_serial(brute):
 
 
 # ---------------------------------------------------------------------- #
+# the fused counter against the plain composition                         #
+# ---------------------------------------------------------------------- #
+
+
+def _composed_counts(two_n, prefix=()):
+    return Counter(
+        (s.eoc, s.pom) for s in map(word_stats, alternating_permutations(two_n, prefix))
+    )
+
+
+@pytest.mark.parametrize("two_n", [2, 4, 6, 8, 10])
+def test_counter_equals_composition(two_n):
+    whole = Counter()
+    for first in range(1, two_n + 1):
+        part = _composed_counts(two_n, (first,))
+        assert _count_joint_serial(two_n, (first,)) == part
+        whole += part
+    # Every word has exactly one first letter, so the parts sum to the stream.
+    assert sum(whole.values()) == sum(1 for _ in alternating_permutations(two_n))
+    assert _count_joint_serial(two_n) == whole
+
+
+def test_counter_long_prefixes_equal_composition():
+    for prefix in [(5, 2), (6, 1, 4), (6, 1, 4, 2), (6, 1, 4, 2, 5, 3), (3, 4)]:
+        assert _count_joint_serial(6, prefix) == _composed_counts(6, prefix)
+
+
+@pytest.mark.parametrize("two_n, prefix", [(8, (9,)), (8, (0,)), (8, (5, 5)), (2, (3,))])
+def test_counter_rejects_bad_prefix(two_n, prefix):
+    with pytest.raises(ValueError):
+        _count_joint_serial(two_n, prefix)
+
+
+def test_pool_size_is_capped():
+    assert _pool_size(1, 11, 8) == 1
+    assert _pool_size(64, 11, 128) == 11  # one worker per first-letter part
+    assert _pool_size(64, 11, 2) == 2  # one worker per core
+    assert _pool_size(3, 11, 8) == 3
+    assert _pool_size(4, 11, None) == 1
+    assert _pool_size(0, 11, 8) == 1
+
+
+# ---------------------------------------------------------------------- #
 # serialization                                                           #
 # ---------------------------------------------------------------------- #
 
@@ -179,3 +228,15 @@ def test_entringer_bruteforce_matches_reference_rows():
 
 def test_entringer_bruteforce_matches_rule_both_parities():
     assert entringer_bruteforce(9) == entringer_triangle(9)
+
+
+@pytest.mark.parametrize("n_max, bad", [(4, (1, 1, 1, 1)), (5, (1, 2, 3, 4, 5))])
+def test_entringer_bruteforce_raises_on_broken_invariant(monkeypatch, n_max, bad):
+    real = distributions.ent_distribution
+    monkeypatch.setattr(
+        distributions,
+        "ent_distribution",
+        lambda n: bad if n == n_max else real(n),
+    )
+    with pytest.raises(BrokenInvariantError):
+        entringer_bruteforce(n_max)
