@@ -14,16 +14,20 @@ Together these explain why the first row, first column, rightmost column and
 bottom row of the joint matrices repeat previous-size marginals, and why the
 next-to-rightmost column is three times the rightmost.  Every constructed
 tree is fully re-validated; the exhaustive harness below certifies
-injectivity, codomain coverage and statistic transport at small sizes.
+injectivity, codomain coverage and statistic transport at small sizes.  It
+builds only candidate trees for each domain (words with a forced prefix or
+suffix) and certifies that it met the whole domain by counting it against a
+margin of the brute-force joint matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .trees import IncTree, enumerate_trees
+from .distributions import JointMatrix, joint_matrix_bruteforce
 from .recurrence import tree_count
+from .trees import IncTree, alternating_permutations, tree_from_perm
 
 
 class PreconditionError(ValueError):
@@ -159,6 +163,82 @@ def entringer_map(t: IncTree) -> IncTree:
 # -- exhaustive verification ---------------------------------------------------
 
 
+def _ends_with_top_pair(two_n: int) -> Iterator[tuple[int, ...]]:
+    """The words ``(*u, 2n, 2n-1)`` for every down-up word ``u`` of size 2n-2."""
+    for u in alternating_permutations(two_n - 2):
+        yield (*u, two_n, two_n - 1)
+
+
+def _max_before_last(two_n: int) -> Iterator[tuple[int, ...]]:
+    """The down-up words with 2n in position 2n-1: ``(*u, 2n, j)`` for every
+    last letter ``j`` and every down-up word ``u`` on the other letters.
+
+    ``j = 1`` is left out: the rightmost node 1 is then the root, whose only
+    child is 2, not 2n, at every size >= 4.
+    """
+    words = list(alternating_permutations(two_n - 2))
+    for j in range(2, two_n):
+        for u in words:
+            yield (*(x + (x >= j) for x in u), two_n, j)
+
+
+@dataclass(frozen=True)
+class MapDomain:
+    """Where the domain of a map lives at each size 2n.
+
+    ``words(2n)`` streams candidate words that include the projection of
+    every tree in the domain, and perhaps others; ``contains`` is the exact
+    precondition on a tree, which filters them; ``margin`` reads the size of
+    the domain off the brute-force joint matrix, so that a stream missing a
+    domain tree shows at run time instead of being assumed away.
+    """
+
+    words: Callable[[int], Iterable[tuple[int, ...]]]
+    contains: Callable[[IncTree], bool]
+    margin: Callable[[JointMatrix], int]
+
+
+# The candidate words follow from the map docstrings.  eoc = 2: the leaf 2
+# hangs off the root, so the word starts (2, 1).  pom = 1: it starts (2n, 1).
+# pom = 2n-1: node 2n-1 can only carry 2n, so it is the one-child node and the
+# word ends (2n, 2n-1).  eoc = 2n: 2n is the left child of the rightmost node.
+_POM_TOP = MapDomain(
+    _ends_with_top_pair,
+    lambda t: t.pom() == t.n - 1,
+    lambda M: M.col_sums()[-1],  # column k = 2n-1
+)
+MAP_DOMAINS: dict[str, MapDomain] = {
+    "first_row_map": MapDomain(
+        lambda two_n: alternating_permutations(two_n, (2, 1)),
+        lambda t: t.eoc() == 2,
+        lambda M: M.row_sums()[0],  # row m = 2
+    ),
+    "rightmost_column_map": _POM_TOP,
+    "tripling_map": _POM_TOP,
+    "pom1_map": MapDomain(
+        lambda two_n: alternating_permutations(two_n, (two_n, 1)),
+        lambda t: t.pom() == 1,
+        lambda M: M.col_sums()[0],  # column k = 1
+    ),
+    "entringer_map": MapDomain(
+        _max_before_last,
+        lambda t: t.eoc() == t.n,
+        lambda M: M.row_sums()[-1],  # row m = 2n
+    ),
+}
+
+
+def domain_trees(name: str, two_n: int) -> Iterator[IncTree]:
+    """The trees of even size *two_n* >= 4 in the domain of the map *name*:
+    its candidate words, built and filtered by its precondition."""
+    _require(two_n % 2 == 0 and two_n >= 4, "need an even size >= 4")
+    domain = MAP_DOMAINS[name]
+    for word in domain.words(two_n):
+        t = tree_from_perm(word)
+        if domain.contains(t):
+            yield t
+
+
 @dataclass
 class MapReport:
     """Outcome of running one map over its whole domain at one size."""
@@ -169,6 +249,7 @@ class MapReport:
     image: int
     collisions: list = field(default_factory=list)
     transport_failures: list = field(default_factory=list)
+    covers_domain: bool = True
     covers_codomain: bool = True
 
     @property
@@ -181,7 +262,12 @@ class MapReport:
 
     @property
     def ok(self) -> bool:
-        return self.injective and self.transport_ok and self.covers_codomain
+        return (
+            self.injective
+            and self.transport_ok
+            and self.covers_domain
+            and self.covers_codomain
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -191,6 +277,7 @@ class MapReport:
             "image": self.image,
             "injective": self.injective,
             "transport_ok": self.transport_ok,
+            "covers_domain": self.covers_domain,
             "covers_codomain": self.covers_codomain,
         }
 
@@ -198,16 +285,13 @@ class MapReport:
 def _run_size_reducing(
     name: str,
     two_n: int,
-    in_domain: Callable[[IncTree], bool],
     apply_map: Callable[[IncTree], IncTree],
     transport: Callable[[IncTree, IncTree], bool],
 ) -> MapReport:
     """Harness for the four maps landing in the full set of size 2n-2."""
     report = MapReport(map=name, two_n=two_n, domain=0, image=0)
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for t in enumerate_trees(two_n):
-        if not in_domain(t):
-            continue
+    for t in domain_trees(name, two_n):
         report.domain += 1
         out = apply_map(t)
         key = out.projection()
@@ -219,6 +303,8 @@ def _run_size_reducing(
         if not transport(t, out):
             report.transport_failures.append(src)
     report.image = len(seen)
+    M = joint_matrix_bruteforce(two_n)
+    report.covers_domain = report.domain == MAP_DOMAINS[name].margin(M)
     # Images are validated trees of size 2n-2, so injectivity plus the count
     # of that whole codomain certifies a bijection onto it.
     report.covers_codomain = report.image == tree_count(two_n - 2)
@@ -229,7 +315,6 @@ def verify_first_row_map(two_n: int) -> MapReport:
     return _run_size_reducing(
         "first_row_map",
         two_n,
-        lambda t: t.eoc() == 2,
         first_row_map,
         lambda t, out: out.pom() == t.pom() - 2,
     )
@@ -239,7 +324,6 @@ def verify_rightmost_column_map(two_n: int) -> MapReport:
     return _run_size_reducing(
         "rightmost_column_map",
         two_n,
-        lambda t: t.pom() == two_n - 1,
         rightmost_column_map,
         lambda t, out: out.eoc() == t.eoc(),
     )
@@ -249,7 +333,6 @@ def verify_pom1_map(two_n: int) -> MapReport:
     return _run_size_reducing(
         "pom1_map",
         two_n,
-        lambda t: t.pom() == 1,
         pom1_map,
         lambda t, out: out.eoc() == t.eoc() - 1,
     )
@@ -259,7 +342,6 @@ def verify_entringer_map(two_n: int) -> MapReport:
     return _run_size_reducing(
         "entringer_map",
         two_n,
-        lambda t: t.eoc() == two_n,
         entringer_map,
         lambda t, out: out.ent() == t.pom() - 1,
     )
@@ -267,32 +349,32 @@ def verify_entringer_map(two_n: int) -> MapReport:
 
 def verify_tripling_map(two_n: int) -> MapReport:
     """Tripling lands inside size 2n: check the three images are distinct,
-    carry pom = 2n-2, preserve eoc below 2n-2, and exactly cover the
-    pom = 2n-2 trees."""
+    carry pom = 2n-2 and preserve eoc below 2n-2.  Distinct images with
+    pom = 2n-2 as many as column k = 2n-2 of the brute-force matrix are all
+    the trees with pom = 2n-2."""
     report = MapReport(map="tripling_map", two_n=two_n, domain=0, image=0)
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-    target: set[tuple[int, ...]] = set()
-    for t in enumerate_trees(two_n):
-        pom = t.pom()
-        if pom == two_n - 2:
-            target.add(t.projection())
-        if pom != two_n - 1:
-            continue
+    on_target = 0
+    for t in domain_trees("tripling_map", two_n):
         report.domain += 1
         src = t.projection()
         eoc = t.eoc()
         for out in tripling_map(t):
             key = out.projection()
+            pom_ok = out.pom() == two_n - 2
             if key in seen:
                 report.collisions.append((seen[key], src, key))
             else:
                 seen[key] = src
-            if out.pom() != two_n - 2:
+                on_target += pom_ok
+            if not pom_ok:
                 report.transport_failures.append(src)
             elif eoc < two_n - 2 and out.eoc() != eoc:
                 report.transport_failures.append(src)
     report.image = len(seen)
-    report.covers_codomain = set(seen) == target
+    M = joint_matrix_bruteforce(two_n)
+    report.covers_domain = report.domain == MAP_DOMAINS["tripling_map"].margin(M)
+    report.covers_codomain = on_target == M.col_sums()[-2]  # column k = 2n-2
     return report
 
 

@@ -22,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
@@ -81,6 +82,7 @@ class CheckRow:
     check: str
     parameter: str
     failures: list = field(default_factory=list)
+    seconds: float = 0.0  # wall time spent producing this row
 
     @property
     def status(self) -> str:
@@ -104,6 +106,7 @@ class VerifyReport:
                     "parameter": r.parameter,
                     "status": r.status,
                     "first_counterexample": r.failures[0] if r.failures else None,
+                    "seconds": r.seconds,
                 }
                 for r in self.rows
             ],
@@ -387,13 +390,24 @@ CHECK_FUNCTIONS: dict[str, Callable[[_VerifyContext, int], Iterator[CheckRow]]] 
 def run_checks(
     two_n_max: int, checks: Iterable[str] = DEFAULT_CHECKS, processes: int = 1
 ) -> VerifyReport:
-    """Run the selected check suites up to *two_n_max* on fresh data."""
+    """Run the selected check suites up to *two_n_max* on fresh data.
+
+    Each row records the wall time its check spent producing it, including
+    any brute-force matrix it was the first to need.
+    """
     ctx = _VerifyContext(processes=processes)
     report = VerifyReport()
     for name in checks:
         if name not in CHECK_FUNCTIONS:
             raise ValueError(f"unknown check {name!r}")
-        report.rows.extend(CHECK_FUNCTIONS[name](ctx, two_n_max))
+        rows = CHECK_FUNCTIONS[name](ctx, two_n_max)
+        while True:
+            start = time.perf_counter()
+            row = next(rows, None)
+            if row is None:
+                break
+            row.seconds = time.perf_counter() - start
+            report.rows.append(row)
     return report
 
 

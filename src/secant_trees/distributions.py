@@ -40,6 +40,24 @@ def _check_even(two_n: int) -> None:
         raise OddSizeError(f"size must be a positive even integer, got {two_n}")
 
 
+_METHODS = ("brute", "recurrence", "hybrid")
+_CELL_TYPES = {int, type(None)}
+
+
+def _is_count(v: object) -> bool:
+    return type(v) is int and v >= 0
+
+
+def _margins_agree(lines: Iterable[Sequence[int | None]], sums: Sequence[int]) -> bool:
+    """Each sum equals its line when the line is fully known, and is no
+    smaller than the known part otherwise."""
+    for line, total in zip(lines, sums):
+        known = sum(filter(None, line))  # skips the None and the 0 cells
+        if known > total or (known != total and None not in line):
+            return False
+    return True
+
+
 class JointMatrix:
     """Counts of trees of size ``two_n`` by ``(eoc, pom) = (m, k)``.
 
@@ -160,13 +178,49 @@ class JointMatrix:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "JointMatrix":
-        M = cls(data["two_n"], data["method"])
-        entries = data["entries"]
-        if len(entries) != M.two_n - 1 or any(len(r) != M.two_n - 1 for r in entries):
+        """Inverse of :meth:`to_json_dict`.
+
+        Raises :class:`ValueError` unless *data* has that exact shape: an
+        even ``two_n >= 2``, a known ``method``, a square grid of counts or
+        ``None``, and margins that sum to ``total`` and agree with the cells
+        (equal to a fully known line, no smaller than the known part of any
+        other line).
+        """
+        if not isinstance(data, dict):
+            raise ValueError(f"a matrix blob is a dict, got {type(data).__name__}")
+        two_n = data.get("two_n")
+        if type(two_n) is not int:
+            raise OddSizeError(f"size must be a positive even integer, got {two_n!r}")
+        _check_even(two_n)
+        if data.get("method") not in _METHODS:
+            raise ValueError(f"method must be one of {_METHODS}, got {data.get('method')!r}")
+        if data.get("m_range") != [2, two_n] or data.get("k_range") != [1, two_n - 1]:
+            raise ValueError(f"m_range and k_range must be [2, {two_n}] and [1, {two_n - 1}]")
+        # The grid is checked before the matrix is allocated, so a huge
+        # two_n costs no more memory than the entries it came with.
+        width = two_n - 1
+        entries = data.get("entries")
+        if not (
+            isinstance(entries, list)
+            and len(entries) == width
+            and all(isinstance(r, list) and len(r) == width for r in entries)
+        ):
             raise ValueError("entries must be a (2n-1) x (2n-1) grid")
+        for m, row in enumerate(entries, 2):
+            if not set(map(type, row)) <= _CELL_TYPES or min(filter(None, row), default=0) < 0:
+                raise ValueError(f"row m={m} of the entries holds more than counts and nulls")
+        M = cls(two_n, data["method"])
         M._cells = [list(row) for row in entries]
+        rows, cols, total = data.get("row_sums"), data.get("col_sums"), data.get("total")
+        for name, sums in (("row_sums", rows), ("col_sums", cols)):
+            if not (isinstance(sums, list) and len(sums) == width and all(map(_is_count, sums))):
+                raise ValueError(f"{name} must be a list of {width} counts")
+        if not _is_count(total) or sum(rows) != total or sum(cols) != total:
+            raise ValueError(f"total {total!r} is not the sum of the row and column sums")
+        if not (_margins_agree(M._cells, rows) and _margins_agree(zip(*M._cells), cols)):
+            raise ValueError("row_sums or col_sums disagree with the entries")
         if not M.is_complete():
-            M.attach_margins(data["row_sums"], data["col_sums"], data["total"])
+            M.attach_margins(rows, cols, total)
         return M
 
     def to_csv(self) -> str:

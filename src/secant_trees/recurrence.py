@@ -27,7 +27,12 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .distributions import EntringerTriangle, JointMatrix, _check_even
+from .distributions import (
+    BrokenInvariantError,
+    EntringerTriangle,
+    JointMatrix,
+    _check_even,
+)
 
 
 class MissingPredecessorError(ValueError):
@@ -127,7 +132,7 @@ def _fill(M: JointMatrix, m: int, k: int, value: int) -> None:
         raise NegativeCellError(f"cell ({m},{k}) of M_{M.two_n} came out {value}")
     old = M.cell(m, k)
     if old is not None and old != value:
-        raise NegativeCellError(
+        raise BrokenInvariantError(
             f"cell ({m},{k}) of M_{M.two_n} filled twice with {old} != {value}"
         )
     M.set(m, k, value)

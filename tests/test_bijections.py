@@ -1,13 +1,17 @@
 """Constructive maps: spot cases, preconditions, exhaustive verification."""
 
+import dataclasses
 from collections import Counter
 
 import pytest
 
+from secant_trees import bijections
 from secant_trees.bijections import (
+    MAP_DOMAINS,
     MAP_VERIFIERS,
     MapReport,
     PreconditionError,
+    domain_trees,
     entringer_map,
     first_row_map,
     pom1_map,
@@ -95,6 +99,68 @@ def test_maps_verify_exhaustively(name, two_n):
     assert report.domain > 0
 
 
+# Each domain from its definition, independent of the candidate streams.
+DOMAIN_DEFINITIONS = {
+    "first_row_map": lambda t: t.eoc() == 2,
+    "rightmost_column_map": lambda t: t.pom() == t.n - 1,
+    "tripling_map": lambda t: t.pom() == t.n - 1,
+    "pom1_map": lambda t: t.pom() == 1,
+    "entringer_map": lambda t: t.eoc() == t.n,
+}
+
+
+@pytest.mark.parametrize("two_n", (4, 6, 8))
+@pytest.mark.parametrize("name", sorted(MAP_VERIFIERS))
+def test_domain_stream_yields_exactly_the_domain(name, two_n):
+    got = [t.projection() for t in domain_trees(name, two_n)]
+    want = {
+        t.projection() for t in enumerate_trees(two_n) if DOMAIN_DEFINITIONS[name](t)
+    }
+    assert len(got) == len(set(got))
+    assert set(got) == want
+
+
+@pytest.mark.parametrize("two_n", (2, 7))
+@pytest.mark.parametrize("name", sorted(MAP_VERIFIERS))
+def test_verifiers_reject_sizes_without_a_map(name, two_n):
+    with pytest.raises(PreconditionError):
+        MAP_VERIFIERS[name](two_n)
+
+
+@pytest.mark.parametrize("name", sorted(MAP_VERIFIERS))
+def test_stream_missing_a_domain_word_fails(name, monkeypatch):
+    domain = MAP_DOMAINS[name]
+
+    def short(two_n):
+        words = iter(domain.words(two_n))
+        for word in words:
+            if domain.contains(tree_from_perm(word)):
+                break  # drop the first domain word
+            yield word
+        yield from words
+
+    monkeypatch.setitem(MAP_DOMAINS, name, dataclasses.replace(domain, words=short))
+    report = MAP_VERIFIERS[name](6)
+    assert report.covers_domain is False
+    assert report.ok is False
+    assert report.to_json_dict()["covers_domain"] is False
+
+
+def test_tripling_images_short_of_the_column_fail(monkeypatch):
+    real = bijections.joint_matrix_bruteforce
+
+    def one_more_pom_four(two_n):
+        M = real(two_n)
+        M.set(2, two_n - 2, M.get(2, two_n - 2) + 1)
+        return M
+
+    monkeypatch.setattr(bijections, "joint_matrix_bruteforce", one_more_pom_four)
+    report = verify_tripling_map(6)
+    assert report.image == 15
+    assert report.covers_codomain is False and report.covers_domain is True
+    assert report.injective and report.transport_ok and not report.ok
+
+
 def test_tripling_images_triple_the_domain():
     report = verify_tripling_map(6)
     assert report.domain == 5 and report.image == 15
@@ -109,6 +175,7 @@ def test_map_report_json_shape():
         "image": 3,
         "injective": True,
         "transport_ok": True,
+        "covers_domain": True,
         "covers_codomain": True,
     }
 
@@ -120,6 +187,13 @@ def test_map_report_json_shows_coverage_failure():
     assert not report.ok
     assert blob["covers_codomain"] is False
     assert blob["injective"] is True and blob["transport_ok"] is True
+
+
+def test_map_report_json_shows_domain_failure():
+    report = MapReport(map="first_row_map", two_n=4, domain=0, image=1,
+                       covers_domain=False)
+    assert not report.ok
+    assert report.to_json_dict()["covers_domain"] is False
 
 
 # ---------------------------------------------------------------------- #

@@ -172,6 +172,9 @@ def test_verify_json_output(capsys):
     blob = json.loads(out)
     assert blob["overall"] == "pass"
     assert all(row["status"] == "pass" for row in blob["rows"])
+    assert all(
+        isinstance(row["seconds"], float) and row["seconds"] >= 0 for row in blob["rows"]
+    )
 
 
 def test_verify_rejects_unknown_check():

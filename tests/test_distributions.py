@@ -1,9 +1,12 @@
 """Brute-force joint matrices, marginals, differences, rightmost-label rows."""
 
+import copy
 import json
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secant_trees import distributions
 from secant_trees.distributions import (
@@ -20,7 +23,7 @@ from secant_trees.distributions import (
     joint_matrix_bruteforce,
     marginals,
 )
-from secant_trees.recurrence import entringer_triangle
+from secant_trees.recurrence import RecurrenceEngine, entringer_triangle
 from secant_trees.trees import alternating_permutations, word_stats
 from secant_trees.reference_tables import (
     REFERENCE_JOINT,
@@ -183,6 +186,108 @@ def test_partial_matrix_json_keeps_null_cells():
     assert blob["entries"][0] == [None, None, 1]
     R = JointMatrix.from_json_dict(blob)
     assert not R.known(3, 1) and R.total() == 5
+
+
+_BLOBS: dict = {}
+_ENGINE = RecurrenceEngine()
+MATRICES = st.one_of(
+    st.tuples(st.just("brute"), st.sampled_from(range(2, 11, 2))),
+    st.tuples(st.just("recurrence"), st.sampled_from(range(2, 31, 2))),
+)
+NOT_COUNTS = st.one_of(
+    st.booleans(), st.integers(max_value=-1), st.floats(), st.text(), st.lists(st.integers())
+)
+
+
+def _blob(kind: str, two_n: int) -> dict:
+    """A fresh JSON-parsed copy of a brute or recurrence matrix."""
+    if (kind, two_n) not in _BLOBS:
+        M = joint_matrix_bruteforce(two_n) if kind == "brute" else _ENGINE.assemble(two_n)
+        _BLOBS[kind, two_n] = json.loads(json.dumps(M.to_json_dict()))
+    return copy.deepcopy(_BLOBS[kind, two_n])
+
+
+@settings(deadline=None)
+@given(MATRICES)
+def test_matrix_json_round_trip_property(matrix):
+    blob = _blob(*matrix)
+    assert JointMatrix.from_json_dict(blob).to_json_dict() == blob
+
+
+@st.composite
+def corrupted_blobs(draw) -> dict:
+    """A matrix blob with one field made invalid or inconsistent."""
+    kind, two_n = draw(MATRICES)
+    blob = _blob(kind, two_n)
+    width = two_n - 1
+    cell = st.tuples(st.integers(0, width - 1), st.integers(0, width - 1))
+    fields = ["two_n", "method", "entry type", "margin", "total", "shape", "missing"]
+    if kind == "brute":
+        fields.append("entry value")  # a complete grid pins every cell
+    what = draw(st.sampled_from(fields))
+    if what == "two_n":
+        blob["two_n"] = draw(
+            st.one_of(
+                st.integers().filter(lambda v: v != two_n),
+                st.floats(),
+                st.booleans(),
+                st.text(),
+                st.none(),
+            )
+        )
+    elif what == "method":
+        blob["method"] = draw(st.text().filter(lambda v: v not in ("brute", "recurrence", "hybrid")))
+    elif what == "entry type":
+        i, j = draw(cell)
+        blob["entries"][i][j] = draw(NOT_COUNTS)
+    elif what == "entry value":
+        i, j = draw(cell)
+        blob["entries"][i][j] += draw(st.integers(1, 10))
+    elif what == "margin":
+        name = draw(st.sampled_from(["row_sums", "col_sums"]))
+        i = draw(st.integers(0, width - 1))
+        blob[name][i] = draw(
+            st.one_of(NOT_COUNTS, st.integers(0, 10 ** 6).filter(lambda v: v != blob[name][i]))
+        )
+    elif what == "total":
+        blob["total"] = draw(
+            st.one_of(NOT_COUNTS, st.integers(0, 10 ** 6).filter(lambda v: v != blob["total"]))
+        )
+    elif what == "shape":
+        i = draw(st.integers(0, width - 1))
+        if draw(st.booleans()):
+            del blob["entries"][i]
+        else:
+            blob["entries"][i].append(0)
+    else:
+        del blob[draw(st.sampled_from(sorted(blob)))]
+    return blob
+
+
+@settings(deadline=None)
+@given(corrupted_blobs())
+def test_matrix_json_rejects_corruption(blob):
+    with pytest.raises(ValueError):
+        JointMatrix.from_json_dict(blob)
+
+
+def test_matrix_json_rejects_bools_equal_to_the_counts():
+    # M_4 has cell (2,3) = 1, row sums (1, 3, 1) and column sums (1, 3, 1).
+    for field, index in (("entries", None), ("row_sums", 0), ("col_sums", 2)):
+        blob = _blob("brute", 4)
+        if index is None:
+            blob["entries"][0][2] = True
+        else:
+            blob[field][index] = True
+        with pytest.raises(ValueError):
+            JointMatrix.from_json_dict(blob)
+
+
+def test_matrix_json_huge_size_fails_before_allocating():
+    blob = _blob("brute", 4)
+    blob.update(two_n=10 ** 12, m_range=[2, 10 ** 12], k_range=[1, 10 ** 12 - 1])
+    with pytest.raises(ValueError, match="grid"):
+        JointMatrix.from_json_dict(blob)
 
 
 def test_matrix_csv(brute):

@@ -3,7 +3,7 @@ border, symmetry, and equivalence with the enumeration oracle."""
 
 import pytest
 
-from secant_trees.distributions import JointMatrix
+from secant_trees.distributions import BrokenInvariantError, JointMatrix
 from secant_trees.recurrence import (
     MissingPredecessorError,
     MissingUpperError,
@@ -127,6 +127,14 @@ def test_upper_triangle_flags_negative_cells():
 # ---------------------------------------------------------------------- #
 # lower border                                                            #
 # ---------------------------------------------------------------------- #
+
+
+def test_lower_border_flags_a_cell_filled_twice():
+    eng, prev, prev_cs = _engine_parts(8)
+    up = upper_triangle(8, prev, prev_cs)
+    up.set(3, 1, up.get(2, 3) + 1)  # the first column must mirror the first row
+    with pytest.raises(BrokenInvariantError, match=r"\(3,1\) of M_8 filled twice"):
+        lower_border(8, up, eng.entringer_row(6))
 
 
 def test_lower_border_examples():
