@@ -16,6 +16,7 @@ from .bijections import (
     pom1_map,
     rightmost_column_map,
     tripling_map,
+    verify_map,
 )
 from .distributions import (
     BrokenInvariantError,
@@ -23,8 +24,6 @@ from .distributions import (
     JointMatrix,
     OddSizeError,
     UnknownCellError,
-    delta_k,
-    delta_m,
     ent_distribution,
     entringer_bruteforce,
     joint_matrix_bruteforce,

@@ -13,11 +13,13 @@ with the statistic shifted), transporting a statistic in a stated way:
 Together these explain why the first row, first column, rightmost column and
 bottom row of the joint matrices repeat previous-size marginals, and why the
 next-to-rightmost column is three times the rightmost.  Every constructed
-tree is fully re-validated; the exhaustive harness below certifies
-injectivity, codomain coverage and statistic transport at small sizes.  It
-builds only candidate trees for each domain (words with a forced prefix or
-suffix) and certifies that it met the whole domain by counting it against a
-margin of the brute-force joint matrix.
+tree is fully re-validated.  One harness, ``verify_map``, certifies each
+map at small sizes: injectivity, statistic transport, and coverage of domain
+and codomain.  It builds only candidate trees for each domain (words with a
+forced prefix or suffix, ``MAP_DOMAINS``) and counts the domain and the
+codomain against the brute-force joint matrix of the same size, which the
+caller passes in: ``verify`` shares the one it counted for its other checks,
+and each ``MAP_VERIFIERS`` entry counts its own.
 """
 
 from __future__ import annotations
@@ -37,6 +39,10 @@ class PreconditionError(ValueError):
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise PreconditionError(message)
+
+
+def _check_size(n: int) -> None:
+    _require(n % 2 == 0 and n >= 4, "need an even size >= 4")
 
 
 def _relabel(t: IncTree, sigma: Sequence[int], n_new: int) -> IncTree:
@@ -64,7 +70,7 @@ def first_row_map(t: IncTree) -> IncTree:
     The leaf 2 hangs off the root, so the root's other child (always node 3)
     becomes the new root; pom drops by exactly 2.
     """
-    _require(t.n % 2 == 0 and t.n >= 4, "need an even size >= 4")
+    _check_size(t.n)
     _require(t.eoc() == 2, "the minimal chain must end at the leaf 2")
     sigma = [0] * (t.n + 1)
     for v in range(3, t.n + 1):
@@ -78,7 +84,7 @@ def rightmost_column_map(t: IncTree) -> IncTree:
     2n-1 is forced to be the one-child node carrying the leaf 2n, and it
     hangs as a right child; no relabelling is needed and eoc is preserved.
     """
-    _require(t.n % 2 == 0 and t.n >= 4, "need an even size >= 4")
+    _check_size(t.n)
     _require(t.pom() == t.n - 1, "the maximum leaf must hang off node 2n-1")
     sigma = list(range(t.n + 1))
     sigma[t.n] = 0
@@ -96,7 +102,7 @@ def tripling_map(t: IncTree) -> tuple[IncTree, IncTree, IncTree]:
     distinct and exhaust the trees with pom = 2n-2.
     """
     n = t.n
-    _require(n % 2 == 0 and n >= 4, "need an even size >= 4")
+    _check_size(n)
     _require(t.pom() == n - 1, "the maximum leaf must hang off node 2n-1")
 
     sigma = list(range(n + 1))
@@ -130,7 +136,7 @@ def pom1_map(t: IncTree) -> IncTree:
     The root's other child (always node 2) becomes the new root and eoc
     drops by exactly 1.
     """
-    _require(t.n % 2 == 0 and t.n >= 4, "need an even size >= 4")
+    _check_size(t.n)
     _require(t.pom() == 1, "the maximum leaf must hang off the root")
     sigma = [0] * (t.n + 1)
     for v in range(2, t.n):
@@ -147,7 +153,7 @@ def entringer_map(t: IncTree) -> IncTree:
     The rightmost label of the result is k - 1.
     """
     n = t.n
-    _require(n % 2 == 0 and n >= 4, "need an even size >= 4")
+    _check_size(n)
     chain = t.minimal_chain()
     _require(chain[-1] == n, "the minimal chain must end at the leaf 2n")
     sigma = [0] * (n + 1)
@@ -184,46 +190,80 @@ def _max_before_last(two_n: int) -> Iterator[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class MapDomain:
-    """Where the domain of a map lives at each size 2n.
+    """A map with its domain and codomain at each size 2n.
 
     ``words(2n)`` streams candidate words that include the projection of
     every tree in the domain, and perhaps others; ``contains`` is the exact
     precondition on a tree, which filters them; ``margin`` reads the size of
     the domain off the brute-force joint matrix, so that a stream missing a
     domain tree shows at run time instead of being assumed away.
+
+    ``images`` applies the map.  ``transport(s, out)`` checks an image
+    against ``s = statistic(t)`` of its source, computed once per tree.
+    The codomain is the images passing ``lands``, and ``target`` reads its
+    size off the same matrix; by default it is every tree of size 2n-2.
     """
 
     words: Callable[[int], Iterable[tuple[int, ...]]]
     contains: Callable[[IncTree], bool]
     margin: Callable[[JointMatrix], int]
+    images: Callable[[IncTree], tuple[IncTree, ...]]
+    statistic: Callable[[IncTree], int]
+    transport: Callable[[int, IncTree], bool]
+    lands: Callable[[IncTree], bool] = lambda out: True
+    target: Callable[[JointMatrix], int] = lambda M: tree_count(M.two_n - 2)
 
 
 # The candidate words follow from the map docstrings.  eoc = 2: the leaf 2
 # hangs off the root, so the word starts (2, 1).  pom = 1: it starts (2n, 1).
 # pom = 2n-1: node 2n-1 can only carry 2n, so it is the one-child node and the
 # word ends (2n, 2n-1).  eoc = 2n: 2n is the left child of the rightmost node.
-_POM_TOP = MapDomain(
-    _ends_with_top_pair,
-    lambda t: t.pom() == t.n - 1,
-    lambda M: M.col_sums()[-1],  # column k = 2n-1
+_POM_TOP = dict(
+    words=_ends_with_top_pair,
+    contains=lambda t: t.pom() == t.n - 1,
+    margin=lambda M: M.col_sums()[-1],  # column k = 2n-1
 )
 MAP_DOMAINS: dict[str, MapDomain] = {
     "first_row_map": MapDomain(
-        lambda two_n: alternating_permutations(two_n, (2, 1)),
-        lambda t: t.eoc() == 2,
-        lambda M: M.row_sums()[0],  # row m = 2
+        words=lambda two_n: alternating_permutations(two_n, (2, 1)),
+        contains=lambda t: t.eoc() == 2,
+        margin=lambda M: M.row_sums()[0],  # row m = 2
+        images=lambda t: (first_row_map(t),),
+        statistic=IncTree.pom,
+        transport=lambda pom, out: out.pom() == pom - 2,
     ),
-    "rightmost_column_map": _POM_TOP,
-    "tripling_map": _POM_TOP,
+    "rightmost_column_map": MapDomain(
+        **_POM_TOP,
+        images=lambda t: (rightmost_column_map(t),),
+        statistic=IncTree.eoc,
+        transport=lambda eoc, out: out.eoc() == eoc,
+    ),
+    # Three images each with pom = 2n-2, keeping eoc below 2n-2; as many
+    # distinct ones as column k = 2n-2 are all the trees with pom = 2n-2.
+    "tripling_map": MapDomain(
+        **_POM_TOP,
+        images=tripling_map,
+        statistic=IncTree.eoc,
+        transport=lambda eoc, out: out.pom() == out.n - 2
+        and (eoc >= out.n - 2 or out.eoc() == eoc),
+        lands=lambda out: out.pom() == out.n - 2,
+        target=lambda M: M.col_sums()[-2],  # column k = 2n-2
+    ),
     "pom1_map": MapDomain(
-        lambda two_n: alternating_permutations(two_n, (two_n, 1)),
-        lambda t: t.pom() == 1,
-        lambda M: M.col_sums()[0],  # column k = 1
+        words=lambda two_n: alternating_permutations(two_n, (two_n, 1)),
+        contains=lambda t: t.pom() == 1,
+        margin=lambda M: M.col_sums()[0],  # column k = 1
+        images=lambda t: (pom1_map(t),),
+        statistic=IncTree.eoc,
+        transport=lambda eoc, out: out.eoc() == eoc - 1,
     ),
     "entringer_map": MapDomain(
-        _max_before_last,
-        lambda t: t.eoc() == t.n,
-        lambda M: M.row_sums()[-1],  # row m = 2n
+        words=_max_before_last,
+        contains=lambda t: t.eoc() == t.n,
+        margin=lambda M: M.row_sums()[-1],  # row m = 2n
+        images=lambda t: (entringer_map(t),),
+        statistic=IncTree.pom,
+        transport=lambda pom, out: out.ent() == pom - 1,
     ),
 }
 
@@ -231,7 +271,7 @@ MAP_DOMAINS: dict[str, MapDomain] = {
 def domain_trees(name: str, two_n: int) -> Iterator[IncTree]:
     """The trees of even size *two_n* >= 4 in the domain of the map *name*:
     its candidate words, built and filtered by its precondition."""
-    _require(two_n % 2 == 0 and two_n >= 4, "need an even size >= 4")
+    _check_size(two_n)
     domain = MAP_DOMAINS[name]
     for word in domain.words(two_n):
         t = tree_from_perm(word)
@@ -282,100 +322,67 @@ class MapReport:
         }
 
 
-def _run_size_reducing(
-    name: str,
-    two_n: int,
-    apply_map: Callable[[IncTree], IncTree],
-    transport: Callable[[IncTree, IncTree], bool],
-) -> MapReport:
-    """Harness for the four maps landing in the full set of size 2n-2."""
+def verify_map(name: str, two_n: int, counts: JointMatrix) -> MapReport:
+    """Run the map *name* over its whole domain at size *two_n* and certify
+    it against *counts*, the brute-force joint matrix of that size.
+
+    Images are validated trees, so distinct images landing in the codomain,
+    as many as the codomain holds, certify that the map covers it.
+    """
+    _check_size(two_n)
+    if counts.two_n != two_n:
+        raise ValueError(f"counts are for 2n = {counts.two_n}, not {two_n}")
+    domain = MAP_DOMAINS[name]
     report = MapReport(map=name, two_n=two_n, domain=0, image=0)
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}
+    landed = 0
     for t in domain_trees(name, two_n):
         report.domain += 1
-        out = apply_map(t)
-        key = out.projection()
         src = t.projection()
-        if key in seen:
-            report.collisions.append((seen[key], src, key))
-        else:
-            seen[key] = src
-        if not transport(t, out):
-            report.transport_failures.append(src)
-    report.image = len(seen)
-    M = joint_matrix_bruteforce(two_n)
-    report.covers_domain = report.domain == MAP_DOMAINS[name].margin(M)
-    # Images are validated trees of size 2n-2, so injectivity plus the count
-    # of that whole codomain certifies a bijection onto it.
-    report.covers_codomain = report.image == tree_count(two_n - 2)
-    return report
-
-
-def verify_first_row_map(two_n: int) -> MapReport:
-    return _run_size_reducing(
-        "first_row_map",
-        two_n,
-        first_row_map,
-        lambda t, out: out.pom() == t.pom() - 2,
-    )
-
-
-def verify_rightmost_column_map(two_n: int) -> MapReport:
-    return _run_size_reducing(
-        "rightmost_column_map",
-        two_n,
-        rightmost_column_map,
-        lambda t, out: out.eoc() == t.eoc(),
-    )
-
-
-def verify_pom1_map(two_n: int) -> MapReport:
-    return _run_size_reducing(
-        "pom1_map",
-        two_n,
-        pom1_map,
-        lambda t, out: out.eoc() == t.eoc() - 1,
-    )
-
-
-def verify_entringer_map(two_n: int) -> MapReport:
-    return _run_size_reducing(
-        "entringer_map",
-        two_n,
-        entringer_map,
-        lambda t, out: out.ent() == t.pom() - 1,
-    )
-
-
-def verify_tripling_map(two_n: int) -> MapReport:
-    """Tripling lands inside size 2n: check the three images are distinct,
-    carry pom = 2n-2 and preserve eoc below 2n-2.  Distinct images with
-    pom = 2n-2 as many as column k = 2n-2 of the brute-force matrix are all
-    the trees with pom = 2n-2."""
-    report = MapReport(map="tripling_map", two_n=two_n, domain=0, image=0)
-    seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-    on_target = 0
-    for t in domain_trees("tripling_map", two_n):
-        report.domain += 1
-        src = t.projection()
-        eoc = t.eoc()
-        for out in tripling_map(t):
+        stat = domain.statistic(t)
+        for out in domain.images(t):
             key = out.projection()
-            pom_ok = out.pom() == two_n - 2
             if key in seen:
                 report.collisions.append((seen[key], src, key))
             else:
                 seen[key] = src
-                on_target += pom_ok
-            if not pom_ok:
-                report.transport_failures.append(src)
-            elif eoc < two_n - 2 and out.eoc() != eoc:
+                landed += domain.lands(out)
+            if not domain.transport(stat, out):
                 report.transport_failures.append(src)
     report.image = len(seen)
-    M = joint_matrix_bruteforce(two_n)
-    report.covers_domain = report.domain == MAP_DOMAINS["tripling_map"].margin(M)
-    report.covers_codomain = on_target == M.col_sums()[-2]  # column k = 2n-2
+    report.covers_domain = report.domain == domain.margin(counts)
+    report.covers_codomain = landed == domain.target(counts)
     return report
+
+
+# Standalone verifiers: each counts its own brute-force matrix.  The size is
+# checked first, or joint_matrix_bruteforce would reject an odd one with
+# OddSizeError instead of PreconditionError.
+
+
+def verify_first_row_map(two_n: int) -> MapReport:
+    _check_size(two_n)
+    return verify_map("first_row_map", two_n, joint_matrix_bruteforce(two_n))
+
+
+def verify_rightmost_column_map(two_n: int) -> MapReport:
+    _check_size(two_n)
+    return verify_map("rightmost_column_map", two_n, joint_matrix_bruteforce(two_n))
+
+
+def verify_tripling_map(two_n: int) -> MapReport:
+    _check_size(two_n)
+    return verify_map("tripling_map", two_n, joint_matrix_bruteforce(two_n))
+
+
+def verify_pom1_map(two_n: int) -> MapReport:
+    _check_size(two_n)
+    return verify_map("pom1_map", two_n, joint_matrix_bruteforce(two_n))
+
+
+def verify_entringer_map(two_n: int) -> MapReport:
+    _check_size(two_n)
+    return verify_map("entringer_map", two_n, joint_matrix_bruteforce(two_n))
 
 
 MAP_VERIFIERS: dict[str, Callable[[int], MapReport]] = {

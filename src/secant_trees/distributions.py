@@ -449,16 +449,6 @@ def marginals(M: JointMatrix) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     return rows, cols, sum(rows)
 
 
-def delta_m(M: JointMatrix, m: int, k: int) -> int:
-    """First partial difference in the eoc index: f(m+1, k) - f(m, k)."""
-    return M.get(m + 1, k) - M.get(m, k)
-
-
-def delta_k(M: JointMatrix, m: int, k: int) -> int:
-    """First partial difference in the pom index: f(m, k+1) - f(m, k)."""
-    return M.get(m, k + 1) - M.get(m, k)
-
-
 # -- the rightmost-node statistic -------------------------------------------------
 
 

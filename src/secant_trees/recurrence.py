@@ -329,6 +329,8 @@ class RecurrenceEngine:
         return filled
 
     def _assemble_no_fill(self, two_n: int) -> JointMatrix:
+        if two_n not in self._matrices and two_n >= 4:
+            self.entringer_row(two_n - 2)  # build the triangle once, not per size
         for s in range(2, two_n + 1, 2):
             if s in self._matrices:
                 continue

@@ -1,11 +1,11 @@
 """Constructive maps: spot cases, preconditions, exhaustive verification."""
 
 import dataclasses
+import inspect
 from collections import Counter
 
 import pytest
 
-from secant_trees import bijections
 from secant_trees.bijections import (
     MAP_DOMAINS,
     MAP_VERIFIERS,
@@ -17,8 +17,10 @@ from secant_trees.bijections import (
     pom1_map,
     rightmost_column_map,
     tripling_map,
+    verify_map,
     verify_tripling_map,
 )
+from secant_trees.distributions import joint_matrix_bruteforce
 from secant_trees.trees import enumerate_trees, tree_from_perm
 
 
@@ -93,10 +95,11 @@ def test_preconditions_rejected():
 
 @pytest.mark.parametrize("two_n", (4, 6, 8))
 @pytest.mark.parametrize("name", sorted(MAP_VERIFIERS))
-def test_maps_verify_exhaustively(name, two_n):
+def test_maps_verify_exhaustively(name, two_n, brute):
     report = MAP_VERIFIERS[name](two_n)
     assert report.ok, report
     assert report.domain > 0
+    assert verify_map(name, two_n, brute(two_n)) == report  # a shared count
 
 
 # Each domain from its definition, independent of the candidate streams.
@@ -125,6 +128,8 @@ def test_domain_stream_yields_exactly_the_domain(name, two_n):
 def test_verifiers_reject_sizes_without_a_map(name, two_n):
     with pytest.raises(PreconditionError):
         MAP_VERIFIERS[name](two_n)
+    with pytest.raises(PreconditionError):
+        verify_map(name, two_n, object())  # before it reads the counts
 
 
 @pytest.mark.parametrize("name", sorted(MAP_VERIFIERS))
@@ -146,19 +151,51 @@ def test_stream_missing_a_domain_word_fails(name, monkeypatch):
     assert report.to_json_dict()["covers_domain"] is False
 
 
-def test_tripling_images_short_of_the_column_fail(monkeypatch):
-    real = bijections.joint_matrix_bruteforce
+def test_verify_map_rejects_counts_of_another_size(brute):
+    with pytest.raises(ValueError, match="2n = 8"):
+        verify_map("first_row_map", 6, brute(8))
 
-    def one_more_pom_four(two_n):
-        M = real(two_n)
-        M.set(2, two_n - 2, M.get(2, two_n - 2) + 1)
-        return M
 
-    monkeypatch.setattr(bijections, "joint_matrix_bruteforce", one_more_pom_four)
-    report = verify_tripling_map(6)
+def test_verifiers_are_distinct_named_functions():
+    # The benchmark tracer wraps each verifier under its __name__.
+    fns = list(MAP_VERIFIERS.values())
+    assert all(inspect.isfunction(fn) for fn in fns)
+    assert len({fn.__name__ for fn in fns}) == len(fns)
+
+
+@pytest.mark.parametrize("name", sorted(MAP_VERIFIERS))
+def test_images_of_another_domain_tree_fail_transport(name, monkeypatch, brute):
+    # Each tree gets the images of the next one: still a bijection onto the
+    # codomain, but the statistic no longer follows its own source.
+    domain = MAP_DOMAINS[name]
+    trees = list(domain_trees(name, 8))
+    nxt = {t.projection(): u for t, u in zip(trees, trees[1:] + trees[:1])}
+    shifted = dataclasses.replace(
+        domain, images=lambda t: domain.images(nxt[t.projection()])
+    )
+    monkeypatch.setitem(MAP_DOMAINS, name, shifted)
+    report = verify_map(name, 8, brute(8))
+    assert report.injective and report.covers_domain and report.covers_codomain
+    assert report.transport_failures and not report.ok
+
+
+def test_tripling_images_short_of_the_column_fail():
+    M = joint_matrix_bruteforce(6)
+    M.set(2, 4, M.get(2, 4) + 1)  # one more tree with pom = 2n-2
+    report = verify_map("tripling_map", 6, M)
     assert report.image == 15
     assert report.covers_codomain is False and report.covers_domain is True
     assert report.injective and report.transport_ok and not report.ok
+
+
+def test_domain_short_of_the_margin_fails():
+    M = joint_matrix_bruteforce(6)
+    M.set(2, 3, M.get(2, 3) + 1)  # one more tree with eoc = 2
+    report = verify_map("first_row_map", 6, M)
+    assert report.domain == report.image == 5
+    assert report.covers_domain is False and report.covers_codomain is True
+    assert report.injective and report.transport_ok and not report.ok
+    assert report.to_json_dict()["covers_domain"] is False
 
 
 def test_tripling_images_triple_the_domain():

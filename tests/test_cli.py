@@ -1,9 +1,11 @@
 """Command-line surface: outputs, formats, exit codes."""
 
 import json
+from collections import Counter
 
 import pytest
 
+from secant_trees import bijections, cli
 from secant_trees.cli import main, render_matrix_text, run_checks
 from secant_trees.distributions import JointMatrix
 from secant_trees.recurrence import assemble
@@ -195,6 +197,21 @@ def test_run_checks_rows_have_parameters():
     assert [r.parameter for r in report.rows] == [
         "p=1 order=8", "p=2 order=8", "p=3 order=8", "p=4 order=8",
     ]
+
+
+def test_verify_counts_each_size_once(monkeypatch, brute):
+    calls = Counter()
+
+    def counting(two_n, processes=None):
+        calls[two_n] += 1
+        return brute(two_n)  # the session's matrix, so size 12 is not recounted
+
+    monkeypatch.setattr(cli, "joint_matrix_bruteforce", counting)
+    monkeypatch.setattr(bijections, "joint_matrix_bruteforce", counting)
+    report = run_checks(12, ("tables", "bijection"))
+    assert report.overall == "pass"
+    assert [r.check for r in report.rows].count("bijection") == 4
+    assert calls == {two_n: 1 for two_n in range(2, 13, 2)}
 
 
 def test_threads_env_overrides_flag(capsys, monkeypatch):

@@ -16,8 +16,6 @@ from secant_trees.distributions import (
     UnknownCellError,
     _count_joint_serial,
     _pool_size,
-    delta_k,
-    delta_m,
     ent_distribution,
     entringer_bruteforce,
     joint_matrix_bruteforce,
@@ -92,12 +90,12 @@ def test_out_of_box_reads_are_zero(brute):
 def test_delta_examples(brute):
     M8, M6, M4 = brute(8), brute(6), brute(4)
     # second difference down the first top row hits -4 times the smaller size
-    dd = delta_m(M8, 3, 5) - delta_m(M8, 2, 5)
+    dd = (M8.get(4, 5) - M8.get(3, 5)) - (M8.get(3, 5) - M8.get(2, 5))
     assert dd == 101 - 126 + 21 == -4
     assert dd == -4 * M6.get(2, 3)
-    assert delta_k(M4, 3, 1) == 1
+    assert M4.get(3, 2) - M4.get(3, 1) == 1
     for k in range(1, 8):
-        assert delta_m(M8, 8, k) == -M8.get(8, k)
+        assert M8.get(9, k) - M8.get(8, k) == -M8.get(8, k)
 
 
 def test_oddsize_rejected():
