@@ -2,8 +2,10 @@
 Exact generating functions for the upper triangles
 ==================================================
 
-All series arithmetic is exact rational: truncated multivariate Taylor
-series with Fraction coefficients.  Three functions matter here:
+All series arithmetic is exact: truncated multivariate series stored as
+EGF coefficients (Taylor coefficient times the factorials of the exponents),
+which stay Python ints for every counting series.  Three functions matter
+here:
 
 * sec y = 1/cos y packs the secant numbers;
 * cos(x-y)/cos^2(x+y) packs the first top rows of every matrix;

@@ -38,6 +38,7 @@ from .recurrence import (
     check_symmetry,
     entringer_triangle,
     secant_numbers,
+    tree_count,
 )
 from .reference_tables import REFERENCE_JOINT, REFERENCE_TOTALS
 from .series import (
@@ -52,6 +53,10 @@ from .series import (
     sec_series,
 )
 from .trees import alternating_permutations, enumerate_trees
+
+# Largest size counted by brute force: E_14 = 199,360,981 trees take minutes,
+# E_16 = 19,391,512,145 would take hours.
+BRUTE_MAX_TWO_N = 14
 
 DEFAULT_CHECKS = ("tables", "marginal", "r1", "r2", "symmetry")
 ALL_CHECKS = (
@@ -464,7 +469,17 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cap_brute_force(parser: argparse.ArgumentParser, flag: str, two_n: int) -> None:
+    if two_n > BRUTE_MAX_TWO_N:
+        parser.error(
+            f"{flag} {two_n} needs brute force over {tree_count(two_n):,} trees; "
+            f"the brute-force cap is {BRUTE_MAX_TWO_N}"
+        )
+
+
 def _cmd_matrix(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    if args.method != "recurrence" and args.two_n % 2 == 0:  # odd sizes fail below
+        _cap_brute_force(parser, "--two-n", args.two_n)
     try:
         if args.method == "brute":
             M = joint_matrix_bruteforce(args.two_n, processes=args.threads)
@@ -518,6 +533,7 @@ def _cmd_series(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.two_n_max < 4 or args.two_n_max % 2:
         parser.error(f"--two-n-max must be even and >= 4, got {args.two_n_max}")
+    _cap_brute_force(parser, "--two-n-max", args.two_n_max)
     checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
     for c in checks:
         if c not in CHECK_FUNCTIONS:

@@ -120,8 +120,8 @@ class IncTree:
             if arr[0] != 0:
                 raise BadLabelsError(f"{name}[0] must be the unused sentinel 0")
             for v in arr:
-                if not isinstance(v, int) or v < 0 or v > n:
-                    raise BadLabelsError(f"{name} entry {v!r} outside 0..{n}")
+                if type(v) is not int or v < 0 or v > n:
+                    raise BadLabelsError(f"{name} entry {v!r} is not a label in 0..{n}")
 
         if self.parent[1] != 0:
             raise InconsistentError("node 1 must be the root (no parent)")
@@ -267,16 +267,20 @@ class IncTree:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "IncTree":
+        """Inverse of :meth:`to_json_dict`; any malformed blob raises
+        :class:`BadLabelsError` or another :class:`TreeError`."""
+        if not isinstance(data, dict):
+            raise BadLabelsError(f"tree JSON must be an object, got {type(data).__name__}")
+        missing = {"n", "parent", "left", "right"} - data.keys()
+        if missing:
+            raise BadLabelsError(f"tree JSON misses {sorted(missing)}")
         n = data["n"]
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:
             raise BadLabelsError(f"bad size {n!r}")
-        if not (len(data["parent"]) == len(data["left"]) == len(data["right"]) == n):
-            raise BadLabelsError("arrays must have length n")
-        return cls(
-            (0, *data["parent"]),
-            (0, *data["left"]),
-            (0, *data["right"]),
-        )
+        arrays = [data[name] for name in ("parent", "left", "right")]
+        if not all(isinstance(a, list) and len(a) == n for a in arrays):
+            raise BadLabelsError("parent, left and right must be lists of length n")
+        return cls(*((0, *a) for a in arrays))
 
     # -- dunder ----------------------------------------------------------------
 

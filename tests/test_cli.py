@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from secant_trees import bijections, cli
+from secant_trees import bijections, cli, distributions
 from secant_trees.cli import main, render_matrix_text, run_checks
 from secant_trees.distributions import JointMatrix
 from secant_trees.recurrence import assemble
@@ -156,6 +156,13 @@ def test_series_query_errors():
     assert exc.value.code == 2
 
 
+def test_series_negative_exponent_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["series", "--target", "sec", "--order", "4", "--query", "-1"])
+    assert exc.value.code == 2
+    assert "negative exponent" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------- #
 # verify                                                                  #
 # ---------------------------------------------------------------------- #
@@ -189,6 +196,33 @@ def test_verify_rejects_odd_bound():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--two-n-max", "7"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["matrix", "--two-n", "16"],
+        ["matrix", "--method", "hybrid", "--two-n", "16"],
+        ["verify", "--two-n-max", "16"],
+    ],
+)
+def test_brute_force_above_the_cap_fails_fast(argv, capsys, monkeypatch):
+    def refuse(two_n, processes=None):
+        raise AssertionError(f"brute force started at 2n = {two_n}")
+
+    monkeypatch.setattr(cli, "joint_matrix_bruteforce", refuse)
+    monkeypatch.setattr(distributions, "joint_matrix_bruteforce", refuse)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--threads", "1"])
+    assert exc.value.code == 2
+    assert cli.BRUTE_MAX_TWO_N == 14
+    assert "19,391,512,145 trees" in capsys.readouterr().err
+
+
+def test_recurrence_matrix_is_not_capped(capsys):
+    code, out = run(capsys, "matrix", "--method", "recurrence", "--two-n", "16",
+                    "--format", "json")
+    assert code == 0 and json.loads(out)["total"] == 19391512145
 
 
 def test_run_checks_rows_have_parameters():

@@ -1,6 +1,7 @@
 """Exact series ring, trig constructors, and the generating-function routes."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -70,6 +71,55 @@ def test_invert_is_two_sided(s):
     assert unit.invert().invert() == unit
 
 
+def all_exponents(num_vars, order):
+    return [e for e in product(range(order + 1), repeat=num_vars) if sum(e) <= order]
+
+
+def taylor_product(a, b):
+    """Plain Taylor convolution of two series over ``taylor_coefficient``."""
+    order = min(a.order, b.order)
+    out = {e: Fraction(0) for e in all_exponents(a.num_vars, order)}
+    for ea in out:
+        for eb in out:
+            e = tuple(x + y for x, y in zip(ea, eb))
+            if e in out:
+                out[e] += a.taylor_coefficient(ea) * b.taylor_coefficient(eb)
+    return out
+
+
+ANY_ARITY = st.integers(1, 3).flatmap(
+    lambda nv: st.integers(0, 4).flatmap(
+        lambda order: st.tuples(series_strategy(nv, order), series_strategy(nv, order))
+    )
+)
+
+
+@given(ANY_ARITY)
+@settings(max_examples=60, deadline=None)
+def test_egf_ring_matches_taylor_reference(pair):
+    a, b = pair
+    nv, order = a.num_vars, a.order
+    exps = all_exponents(nv, order)
+    prod_ab = a * b
+    assert {e: prod_ab.taylor_coefficient(e) for e in exps} == taylor_product(a, b)
+    unit = a + TriSeries.constant(7, nv, order)  # push the constant away from 0
+    one = {e: Fraction(int(not any(e))) for e in exps}
+    assert taylor_product(unit, unit.invert()) == one
+    if order:
+        for var in range(nv):
+            d = a.partial_derivative(var)
+            for e in all_exponents(nv, order - 1):
+                up = tuple(x + (v == var) for v, x in enumerate(e))
+                assert d.taylor_coefficient(e) == (e[var] + 1) * a.taylor_coefficient(up)
+
+
+def test_counting_series_have_int_egf_coefficients():
+    series = [sec_series(20), omega(6), omega1(8), *(omega_p(p, 6) for p in range(1, 5))]
+    for s in series:
+        for e in all_exponents(s.num_vars, s.order):
+            assert type(s.egf_coefficient(e)) is int, (s, e)
+
+
 # ---------------------------------------------------------------------- #
 # basic operations                                                        #
 # ---------------------------------------------------------------------- #
@@ -130,6 +180,17 @@ def test_egf_extraction_and_order_errors():
     assert s.taylor_coefficient((0,)) == 1
     with pytest.raises(OutOfOrderError):
         s.egf_coefficient((7,))
+
+
+def test_negative_or_non_int_exponent_is_rejected():
+    s = sec_series(4)
+    for lookup in (s.egf_coefficient, s.taylor_coefficient):
+        with pytest.raises(OutOfOrderError):
+            lookup((-1,))
+    with pytest.raises(OutOfOrderError):
+        omega(4).egf_coefficient((2, -1, 1))
+    with pytest.raises(TypeError):
+        s.egf_coefficient((2.5,))
 
 
 def test_dump_format():

@@ -4,6 +4,8 @@ import json
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secant_trees.trees import (
     BadArityError,
@@ -13,6 +15,7 @@ from secant_trees.trees import (
     NotAlternatingError,
     NotIncreasingError,
     StatUndefinedError,
+    TreeError,
     alternating_permutations,
     enumerate_trees,
     is_alternating,
@@ -213,3 +216,74 @@ def test_json_round_trip():
 def test_json_dict_shape():
     d = tree_from_perm((2, 1)).to_json_dict()
     assert d == {"n": 2, "parent": [0, 1], "left": [2, 0], "right": [0, 0]}
+
+
+WORDS = {n: list(alternating_permutations(n)) for n in range(1, 9)}
+TREES = st.integers(1, 8).flatmap(lambda n: st.sampled_from(WORDS[n])).map(tree_from_perm)
+ARRAYS = ("parent", "left", "right")
+NOT_LABELS = st.one_of(
+    st.booleans(), st.integers(max_value=-1), st.floats(), st.text(), st.none(), st.lists(st.integers())
+)
+
+
+@given(TREES)
+def test_tree_json_round_trip_property(tree):
+    blob = json.loads(json.dumps(tree.to_json_dict()))
+    assert IncTree.from_json_dict(blob) == tree
+
+
+@st.composite
+def corrupted_tree_blobs(draw) -> dict:
+    """A tree blob with one field made invalid or inconsistent."""
+    tree = draw(TREES)
+    n = tree.n
+    blob = tree.to_json_dict()
+    what = draw(st.sampled_from(["n", "entry", "length", "array", "missing"]))
+    name = draw(st.sampled_from(ARRAYS))
+    if what == "n":
+        blob["n"] = draw(
+            st.one_of(
+                st.integers().filter(lambda v: v != n),
+                st.booleans(),
+                st.floats(),
+                st.text(),
+                st.none(),
+            )
+        )
+    elif what == "entry":
+        i = draw(st.integers(0, n - 1))
+        old = blob[name][i]
+        blob[name][i] = draw(
+            st.one_of(NOT_LABELS, st.integers(n + 1), st.integers(0, n).filter(lambda v: v != old))
+        )
+    elif what == "length":
+        if draw(st.booleans()):
+            del blob[name][draw(st.integers(0, n - 1))]
+        else:
+            blob[name].append(0)
+    elif what == "array":
+        blob[name] = draw(st.one_of(st.none(), st.integers(), st.text(), st.tuples(st.integers())))
+    else:
+        del blob[draw(st.sampled_from(sorted(blob)))]
+    return blob
+
+
+@settings(deadline=None)
+@given(corrupted_tree_blobs())
+def test_tree_json_rejects_corruption(blob):
+    with pytest.raises(TreeError):
+        IncTree.from_json_dict(blob)
+
+
+def test_tree_json_rejects_malformed_blobs():
+    good = tree_from_perm((2, 1)).to_json_dict()
+    bad = [
+        {"n": True, "parent": [0], "left": [0], "right": [0]},
+        {**good, "parent": [False, 1]},
+        {key: good[key] for key in ("n", "parent", "left")},
+        [good],
+        None,
+    ]
+    for blob in bad:
+        with pytest.raises(BadLabelsError):
+            IncTree.from_json_dict(blob)
