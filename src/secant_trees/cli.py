@@ -485,7 +485,9 @@ def _cmd_matrix(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
             M = joint_matrix_bruteforce(args.two_n, processes=args.threads)
         else:
             M = RecurrenceEngine().assemble(
-                args.two_n, fill_interior=(args.method == "hybrid")
+                args.two_n,
+                fill_interior=(args.method == "hybrid"),
+                processes=args.threads,
             )
     except OddSizeError as exc:
         parser.error(str(exc))
@@ -498,10 +500,11 @@ def _cmd_matrix(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     return 0
 
 
-def _cmd_entringer(args: argparse.Namespace) -> int:
+def _cmd_entringer(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.method == "rule":
         tri = entringer_triangle(args.n_max)
     else:
+        _cap_brute_force(parser, "--n-max", args.n_max)
         tri = entringer_bruteforce(args.n_max)
     for n in range(2, args.n_max + 1):
         print(" ".join(map(str, tri.row(n))))
@@ -607,7 +610,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "entringer":
         if args.n_max < 2:
             parser.error("--n-max must be >= 2")
-        return _cmd_entringer(args)
+        return _cmd_entringer(args, parser)
     if args.command == "series":
         if args.order < 0:
             parser.error("--order must be >= 0")

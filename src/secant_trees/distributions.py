@@ -455,15 +455,58 @@ def marginals(M: JointMatrix) -> tuple[tuple[int, ...], tuple[int, ...], int]:
 def ent_distribution(n: int) -> tuple[int, ...]:
     """Entry j-1 counts trees of size n whose rightmost node is labelled j.
 
-    Defined for every size n >= 2, odd sizes included; the rightmost label is
-    simply the last letter of the projection, so this is a single pass over
-    the enumeration.
+    Defined for every size n >= 2, odd sizes included.  The rightmost label
+    is the last letter of the projection, so no tree is built: a backtracker
+    over the down-up words keeps the free letters sorted, takes each
+    position's candidates by bisecting against the letter before it (odd
+    0-based positions descend, even ones ascend), and pops a letter on the
+    way down and re-inserts it on the way back.  Branching stops once three
+    letters ``a < b < c`` are left after the letter ``v`` at position n-4,
+    where the tails are forced.  For even n the last three slots descend,
+    ascend and descend, so ``c`` is in the middle: ``(a, c, b)`` completes
+    the word when ``a < v`` and ``(b, c, a)`` when ``b < v``.  For odd n they
+    ascend, descend and ascend, so ``a`` is in the middle: ``(b, a, c)`` when
+    ``b > v`` and ``(c, a, b)`` when ``c > v``.  Every word is still counted
+    one at a time; no Entringer number feeds the count.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     counts = [0] * (n + 1)
-    for word in alternating_permutations(n):
-        counts[word[-1]] += 1
+    if n < 4:
+        for word in alternating_permutations(n):
+            counts[word[-1]] += 1
+        return tuple(counts[1:])
+
+    free = list(range(1, n + 1))  # letters not yet placed, ascending
+    last = n - 4  # the last position chosen by branching
+    even = n % 2 == 0
+
+    def branch(pos: int, prev: int) -> None:
+        if pos & 1:
+            lo, hi = 0, bisect_left(free, prev)
+        else:
+            lo, hi = bisect_right(free, prev), len(free)
+        if pos < last:
+            for i in range(lo, hi):
+                v = free.pop(i)
+                branch(pos + 1, v)
+                free.insert(i, v)
+            return
+        for i in range(lo, hi):
+            v = free.pop(i)
+            a, b, c = free
+            if even:
+                if a < v:
+                    counts[b] += 1
+                    if b < v:
+                        counts[a] += 1
+            elif c > v:
+                counts[b] += 1
+                if b > v:
+                    counts[c] += 1
+            free.insert(i, v)
+
+    branch(0, 0)
     return tuple(counts[1:])
 
 

@@ -304,12 +304,15 @@ class RecurrenceEngine:
                     self._col_sums[s] = column_sums(s, prev)
         return self._col_sums[two_n]
 
-    def assemble(self, two_n: int, fill_interior: bool = False) -> JointMatrix:
+    def assemble(
+        self, two_n: int, fill_interior: bool = False, processes: int = 1
+    ) -> JointMatrix:
         """Run the induction up to *two_n*; see the module docstring.
 
         Without *fill_interior* the result is method="recurrence" and the
         interior lower-triangle cells are Unknown.  With it, those cells are
-        taken from the brute-force oracle and the method tag reads "hybrid".
+        taken from the brute-force oracle, counted over *processes* workers,
+        and the method tag reads "hybrid".
         """
         _check_even(two_n)
         base = self._assemble_no_fill(two_n)
@@ -322,7 +325,7 @@ class RecurrenceEngine:
             filled.set(m, k, v)
         missing = base.unknown_cells()
         if missing:
-            brute = joint_matrix_bruteforce(two_n)
+            brute = joint_matrix_bruteforce(two_n, processes=processes)
             for m, k in missing:
                 filled.set(m, k, brute.get(m, k))
         filled.attach_margins(base.row_sums(), base.col_sums(), base.total())
@@ -352,6 +355,8 @@ class RecurrenceEngine:
         return self._matrices[two_n]
 
 
-def assemble(two_n: int, fill_interior: bool = False) -> JointMatrix:
+def assemble(two_n: int, fill_interior: bool = False, processes: int = 1) -> JointMatrix:
     """One-shot induction from size 2 up to *two_n* with a fresh engine."""
-    return RecurrenceEngine().assemble(two_n, fill_interior=fill_interior)
+    return RecurrenceEngine().assemble(
+        two_n, fill_interior=fill_interior, processes=processes
+    )

@@ -124,6 +124,27 @@ def test_entringer_brute_agrees(capsys):
     assert by_rule == by_force
 
 
+def _refuse_ent_distribution(n):
+    raise AssertionError(f"words of size {n} enumerated")
+
+
+def test_entringer_brute_above_the_cap_fails_fast(capsys, monkeypatch):
+    monkeypatch.setattr(distributions, "ent_distribution", _refuse_ent_distribution)
+    with pytest.raises(SystemExit) as exc:
+        main(["entringer", "--n-max", "15", "--method", "brute"])
+    assert exc.value.code == 2
+    assert "--n-max 15 needs brute force over 1,903,757,312 trees" in (
+        capsys.readouterr().err
+    )
+
+
+def test_entringer_rule_is_not_capped(capsys, monkeypatch):
+    monkeypatch.setattr(distributions, "ent_distribution", _refuse_ent_distribution)
+    code, out = run(capsys, "entringer", "--n-max", "15", "--method", "rule")
+    assert code == 0
+    assert sum(map(int, out.splitlines()[-1].split())) == 1903757312
+
+
 # ---------------------------------------------------------------------- #
 # series                                                                  #
 # ---------------------------------------------------------------------- #
@@ -223,6 +244,21 @@ def test_recurrence_matrix_is_not_capped(capsys):
     code, out = run(capsys, "matrix", "--method", "recurrence", "--two-n", "16",
                     "--format", "json")
     assert code == 0 and json.loads(out)["total"] == 19391512145
+
+
+def test_hybrid_matrix_honours_threads(capsys, monkeypatch):
+    calls = []
+    real = distributions.joint_matrix_bruteforce
+
+    def recording(two_n, processes=1):
+        calls.append((two_n, processes))
+        return real(two_n)
+
+    monkeypatch.delenv("STC_THREADS", raising=False)
+    monkeypatch.setattr(distributions, "joint_matrix_bruteforce", recording)
+    code, _ = run(capsys, "matrix", "--method", "hybrid", "--two-n", "8",
+                  "--threads", "2")
+    assert code == 0 and calls == [(8, 2)]
 
 
 def test_run_checks_rows_have_parameters():

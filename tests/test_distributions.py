@@ -314,6 +314,13 @@ def test_ent_distribution_examples():
     assert ent_distribution(6) == (16, 16, 14, 10, 5, 0)
 
 
+@pytest.mark.parametrize("n", range(2, 11))
+def test_ent_counter_equals_last_letters(n):
+    # Both parities of the forced tails, and the short words counted directly.
+    last = Counter(word[-1] for word in alternating_permutations(n))
+    assert ent_distribution(n) == tuple(last[j] for j in range(1, n + 1))
+
+
 def test_bottom_row_is_previous_rightmost_distribution(brute):
     # f_{2n}(2n, k) counts label k-1 as the rightmost of size 2n-2
     for two_n in (4, 6, 8, 10):
