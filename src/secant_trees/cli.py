@@ -469,10 +469,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cap_brute_force(parser: argparse.ArgumentParser, flag: str, two_n: int) -> None:
-    if two_n > BRUTE_MAX_TWO_N:
+def _cap_brute_force(parser: argparse.ArgumentParser, flag: str, n: int) -> None:
+    if n > BRUTE_MAX_TWO_N:
         parser.error(
-            f"{flag} {two_n} needs brute force over {tree_count(two_n):,} trees; "
+            f"{flag} {n} needs brute force over {tree_count(n):,} trees; "
             f"the brute-force cap is {BRUTE_MAX_TWO_N}"
         )
 

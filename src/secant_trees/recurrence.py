@@ -355,8 +355,6 @@ class RecurrenceEngine:
         return self._matrices[two_n]
 
 
-def assemble(two_n: int, fill_interior: bool = False, processes: int = 1) -> JointMatrix:
+def assemble(two_n: int, fill_interior: bool = False) -> JointMatrix:
     """One-shot induction from size 2 up to *two_n* with a fresh engine."""
-    return RecurrenceEngine().assemble(
-        two_n, fill_interior=fill_interior, processes=processes
-    )
+    return RecurrenceEngine().assemble(two_n, fill_interior=fill_interior)
