@@ -78,6 +78,19 @@ class JointMatrix:
         self._col_sums: tuple[int, ...] | None = None
         self._total: int | None = None
 
+    @classmethod
+    def _adopt(cls, two_n: int, method: str, rows: list[list[int | None]]) -> "JointMatrix":
+        """Package-internal: a matrix that takes over *rows* without copying.
+
+        Row ``m`` sits at index ``m - 2`` and cell ``k`` at ``k - 1``; the
+        adopted list stays reachable as ``_cells``, which the recurrence
+        engine reads and writes directly.
+        """
+        M = cls.__new__(cls)
+        M.two_n, M.method, M._cells = two_n, method, rows
+        M._row_sums = M._col_sums = M._total = None
+        return M
+
     # -- index helpers ------------------------------------------------------
 
     @property
@@ -209,8 +222,7 @@ class JointMatrix:
         for m, row in enumerate(entries, 2):
             if not set(map(type, row)) <= _CELL_TYPES or min(filter(None, row), default=0) < 0:
                 raise ValueError(f"row m={m} of the entries holds more than counts and nulls")
-        M = cls(two_n, data["method"])
-        M._cells = [list(row) for row in entries]
+        M = cls._adopt(two_n, data["method"], [list(row) for row in entries])
         rows, cols, total = data.get("row_sums"), data.get("col_sums"), data.get("total")
         for name, sums in (("row_sums", rows), ("col_sums", cols)):
             if not (isinstance(sums, list) and len(sums) == width and all(map(_is_count, sums))):

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from . import distributions
 from .distributions import (
     BrokenInvariantError,
     EntringerTriangle,
@@ -124,18 +125,108 @@ def column_sums(two_n: int, prev: Sequence[int] | None = None) -> tuple[int, ...
     return tuple(cs)
 
 
-# -- upper triangle -------------------------------------------------------------
+# -- the row cores --------------------------------------------------------------
+#
+# Both cores work on plain rows: rows[m - 2][k - 1] is cell (m, k), None while
+# unknown, the layout of JointMatrix._cells.  Every written cell must be a
+# count, and a cell written twice must agree with itself.
 
 
-def _fill(M: JointMatrix, m: int, k: int, value: int) -> None:
+def _put(rows: list[list[int | None]], two_n: int, m: int, k: int, value: int) -> None:
     if value < 0:
-        raise NegativeCellError(f"cell ({m},{k}) of M_{M.two_n} came out {value}")
-    old = M.cell(m, k)
+        raise NegativeCellError(f"cell ({m},{k}) of M_{two_n} came out {value}")
+    row = rows[m - 2]
+    old = row[k - 1]
     if old is not None and old != value:
         raise BrokenInvariantError(
-            f"cell ({m},{k}) of M_{M.two_n} filled twice with {old} != {value}"
+            f"cell ({m},{k}) of M_{two_n} filled twice with {old} != {value}"
         )
-    M.set(m, k, value)
+    row[k - 1] = value
+
+
+def _upper_rows(
+    two_n: int, prev: list[list[int | None]], prev_cs: Sequence[int], rule: str
+) -> list[list[int | None]]:
+    """Rows of M_{2n} with the upper triangle filled from the rows *prev* of
+    M_{2n-2} and its column sums; every other cell is None."""
+    top = two_n - 1  # also the length of a row
+    rows: list[list[int | None]] = [[None] * top for _ in range(top)]
+
+    # First top row: f(2, k) = previous column sum at k-2.
+    for k in range(3, top + 1):
+        _put(rows, two_n, 2, k, prev_cs[k - 3])
+    # Second top row: three times the first.
+    for k in range(4, top + 1):
+        _put(rows, two_n, 3, k, 3 * prev_cs[k - 3])
+    # Rightmost column: f(m, 2n-1) = previous column sum at m-1; the next to
+    # rightmost column is three times it.  Both cross the top rows.
+    for m in range(2, two_n - 1):
+        _put(rows, two_n, m, top, prev_cs[m - 2])
+    for m in range(2, two_n - 2):
+        _put(rows, two_n, m, top - 1, 3 * prev_cs[m - 2])
+
+    if rule == "column":
+        # f(m, k) = 2 f(m, k+1) - f(m, k+2) - 4 f_{2n-2}(m, k), right to left.
+        for i in range(2, top - 3):
+            row, p = rows[i], prev[i]
+            near, far = row[top - 2], row[top - 1]
+            for j in range(top - 3, i + 1, -1):
+                v = 2 * near - far - 4 * p[j]
+                if v < 0:
+                    raise NegativeCellError(f"cell ({i + 2},{j + 1}) of M_{two_n} came out {v}")
+                row[j] = v
+                near, far = v, near
+    else:
+        # f(m, k) = 2 f(m-1, k) - f(m-2, k) - 4 f_{2n-2}(m-2, k-2), top down.
+        for j in range(4, top - 2):
+            near, far = rows[1][j], rows[0][j]
+            for i in range(2, j - 1):
+                v = 2 * near - far - 4 * prev[i - 2][j - 2]
+                if v < 0:
+                    raise NegativeCellError(f"cell ({i + 2},{j + 1}) of M_{two_n} came out {v}")
+                rows[i][j] = v
+                near, far = v, near
+    return rows
+
+
+def _lower_rows(two_n: int, rows: list[list[int | None]], ent_row: Sequence[int]) -> None:
+    """Add the lower-triangle border and the zero diagonal to *rows*, whose
+    upper triangle is filled; a cell already present must agree."""
+    top = two_n - 1
+    first = rows[0]
+    # First column mirrors the first row: f(k, 1) = f(2, k).
+    for m in range(3, top + 1):
+        _put(rows, two_n, m, 1, first[m - 1])
+    # Structural zeros: eoc = 2 forces 2 adjacent to the root leaving no room
+    # for pom = 1; the chain cannot end at 2n when 2n hangs off the root or
+    # off the one-child node 2n-1.
+    _put(rows, two_n, 2, 1, 0)
+    _put(rows, two_n, two_n, 1, 0)
+    _put(rows, two_n, two_n, top, 0)
+    # Bottom row from the Entringer row of size 2n-2.
+    for k in range(2, two_n - 1):
+        _put(rows, two_n, two_n, k, ent_row[k - 2])
+    # Subdiagonal: seed f(3, 2) = 2 f(3, 1), then the crossing identity
+    # f(k+1, k) = f(k, k-1) + f(k, k+1) - f(k-1, k).
+    _put(rows, two_n, 3, 2, 2 * rows[1][0])
+    for k in range(3, two_n - 1):
+        row = rows[k - 2]
+        _put(rows, two_n, k + 1, k, row[k - 2] + row[k] - rows[k - 3][k - 1])
+    # Diagonal cells are structurally zero: the chain-end leaf has no
+    # children, so it is never the parent of 2n.
+    for m in range(2, two_n):
+        _put(rows, two_n, m, m, 0)
+
+
+def _require_upper(rows: list[list[int | None]], two_n: int, error: type[ValueError]) -> None:
+    """Raise *error* at the first cell 2 <= m < k <= 2n-1 that *rows* leave unknown."""
+    for m in range(2, two_n - 1):
+        line = rows[m - 2][m:]
+        if None in line:
+            raise error(f"upper cell ({m},{m + 1 + line.index(None)}) of M_{two_n} is unknown")
+
+
+# -- upper triangle -------------------------------------------------------------
 
 
 def upper_triangle(
@@ -156,46 +247,15 @@ def upper_triangle(
         raise ValueError("the upper triangle induction starts at size 4")
     if prev.two_n != two_n - 2:
         raise MissingPredecessorError(f"need the size-{two_n - 2} matrix, got {prev.two_n}")
-    for pm in range(2, two_n - 2):
-        for pk in range(pm + 1, two_n - 1):
-            if not prev.known(pm, pk):
-                raise MissingPredecessorError(
-                    f"upper cell ({pm},{pk}) of M_{two_n - 2} is unknown"
-                )
+    _require_upper(prev._cells, two_n - 2, MissingPredecessorError)
     if len(prev_col_sums) != two_n - 3:
         raise MissingPredecessorError(
             f"need {two_n - 3} column sums for size {two_n - 2}"
         )
     if rule not in ("column", "row"):
         raise ValueError(f"rule must be 'column' or 'row', got {rule!r}")
-
-    M = JointMatrix(two_n, method="recurrence")
-    top = two_n - 1
-
-    # First top row: f(2, k) = previous column sum at k-2.
-    for k in range(3, top + 1):
-        _fill(M, 2, k, prev_col_sums[k - 3])
-    # Second top row: three times the first.
-    for k in range(4, top + 1):
-        _fill(M, 3, k, 3 * M.get(2, k))
-    # Rightmost column: f(m, 2n-1) = previous column sum at m-1.
-    for m in range(2, two_n - 1):
-        _fill(M, m, top, prev_col_sums[m - 2])
-    # Next to rightmost column: three times the rightmost.
-    for m in range(2, two_n - 2):
-        _fill(M, m, top - 1, 3 * M.get(m, top))
-
-    if rule == "column":
-        for m in range(4, two_n - 2):
-            for k in range(two_n - 3, m, -1):
-                v = 2 * M.get(m, k + 1) - M.get(m, k + 2) - 4 * prev.get(m, k)
-                _fill(M, m, k, v)
-    else:
-        for k in range(5, two_n - 2):
-            for m in range(4, k):
-                v = 2 * M.get(m - 1, k) - M.get(m - 2, k) - 4 * prev.get(m - 2, k - 2)
-                _fill(M, m, k, v)
-    return M
+    rows = _upper_rows(two_n, prev._cells, prev_col_sums, rule)
+    return JointMatrix._adopt(two_n, "recurrence", rows)
 
 
 # -- lower-triangle border --------------------------------------------------------
@@ -209,9 +269,10 @@ def lower_border(
     Fills the first column (mirror of the first row), the bottom row (the
     Entringer row of size 2n-2 shifted by one), the three structurally-zero
     corners (2,1), (2n,1) and (2n,2n-1), the subdiagonal seed
-    f(3,2) = 2 f(3,1), and the rest of the subdiagonal through the crossing
-    identity.  *ent_row* must be the triangle row of size 2n-2 (entries
-    j = 1 .. 2n-3).
+    f(3,2) = 2 f(3,1), the rest of the subdiagonal through the crossing
+    identity, and the zero diagonal.  A cell already present in *upper* must
+    agree with its fill.  *ent_row* must be the triangle row of size 2n-2
+    (entries j = 1 .. 2n-3).
     """
     _check_even(two_n)
     if two_n < 4:
@@ -220,35 +281,10 @@ def lower_border(
         raise MissingUpperError(f"need the size-{two_n} upper triangle")
     if len(ent_row) != two_n - 3:
         raise MissingUpperError(f"need the length-{two_n - 3} triangle row of size {two_n - 2}")
-
-    M = JointMatrix(two_n, method="recurrence")
-    for m, k, v in upper.known_cells():
-        M.set(m, k, v)
-    for m in range(2, two_n):
-        for k in range(m + 1, two_n):
-            if not M.known(m, k):
-                raise MissingUpperError(f"upper cell ({m},{k}) of M_{two_n} is unknown")
-
-    top = two_n - 1
-
-    # First column mirrors the first row: f(k, 1) = f(2, k).
-    for m in range(3, top + 1):
-        _fill(M, m, 1, M.get(2, m))
-    # Structural zeros: eoc = 2 forces 2 adjacent to the root leaving no room
-    # for pom = 1; the chain cannot end at 2n when 2n hangs off the root or
-    # off the one-child node 2n-1.
-    _fill(M, 2, 1, 0)
-    _fill(M, two_n, 1, 0)
-    _fill(M, two_n, top, 0)
-    # Bottom row from the Entringer row of size 2n-2.
-    for k in range(2, two_n - 1):
-        _fill(M, two_n, k, ent_row[k - 2])
-    # Subdiagonal: seed then crossing identity.
-    _fill(M, 3, 2, 2 * M.get(3, 1))
-    for k in range(3, two_n - 1):
-        v = M.get(k, k - 1) + M.get(k, k + 1) - M.get(k - 1, k)
-        _fill(M, k + 1, k, v)
-    return M
+    _require_upper(upper._cells, two_n, MissingUpperError)
+    rows = [list(row) for row in upper._cells]
+    _lower_rows(two_n, rows, ent_row)
+    return JointMatrix._adopt(two_n, "recurrence", rows)
 
 
 # -- symmetry -------------------------------------------------------------------
@@ -312,22 +348,28 @@ class RecurrenceEngine:
         Without *fill_interior* the result is method="recurrence" and the
         interior lower-triangle cells are Unknown.  With it, those cells are
         taken from the brute-force oracle, counted over *processes* workers,
-        and the method tag reads "hybrid".
+        and the method tag reads "hybrid".  The oracle must first agree with
+        every recurrence-known cell and both margins, or
+        :class:`BrokenInvariantError` names the first disagreement.
         """
         _check_even(two_n)
         base = self._assemble_no_fill(two_n)
         if not fill_interior:
             return base
-        from .distributions import joint_matrix_bruteforce
-
-        filled = JointMatrix(two_n, method="hybrid")
-        for m, k, v in base.known_cells():
-            filled.set(m, k, v)
-        missing = base.unknown_cells()
-        if missing:
-            brute = joint_matrix_bruteforce(two_n, processes=processes)
-            for m, k in missing:
-                filled.set(m, k, brute.get(m, k))
+        rows = [list(row) for row in base._cells]
+        if not base.is_complete():
+            brute = distributions.joint_matrix_bruteforce(two_n, processes=processes)
+            for m, (row, counted) in enumerate(zip(rows, brute._cells), 2):
+                for j, (v, c) in enumerate(zip(row, counted)):
+                    if v is None:
+                        row[j] = c
+                    elif v != c:
+                        raise BrokenInvariantError(
+                            f"cell ({m},{j + 1}) of M_{two_n}: recurrence {v} != brute force {c}"
+                        )
+            if (base.row_sums(), base.col_sums()) != (brute.row_sums(), brute.col_sums()):
+                raise BrokenInvariantError(f"the margins of M_{two_n} disagree with brute force")
+        filled = JointMatrix._adopt(two_n, "hybrid", rows)
         filled.attach_margins(base.row_sums(), base.col_sums(), base.total())
         return filled
 
@@ -338,18 +380,15 @@ class RecurrenceEngine:
             if s in self._matrices:
                 continue
             if s == 2:
-                M = JointMatrix(2, method="recurrence")
-                M.set(2, 1, 1)
+                M = JointMatrix._adopt(2, "recurrence", [[1]])
                 M.attach_margins((1,), (1,), 1)
             else:
-                prev = self._matrices[s - 2]
+                rows = _upper_rows(
+                    s, self._matrices[s - 2]._cells, self.column_sums(s - 2), "column"
+                )
+                _lower_rows(s, rows, self.entringer_row(s - 2))
                 cs = self.column_sums(s)
-                up = upper_triangle(s, prev, self.column_sums(s - 2))
-                M = lower_border(s, up, self.entringer_row(s - 2))
-                # Diagonal cells are structurally zero: the chain-end leaf
-                # has no children, so it is never the parent of 2n.
-                for m in range(2, s):
-                    _fill(M, m, m, 0)
+                M = JointMatrix._adopt(s, "recurrence", rows)
                 M.attach_margins(cs, cs, sum(cs))
             self._matrices[s] = M
         return self._matrices[two_n]

@@ -8,7 +8,7 @@ import pytest
 from secant_trees import bijections, cli, distributions
 from secant_trees.cli import main, render_matrix_text, run_checks
 from secant_trees.distributions import JointMatrix
-from secant_trees.recurrence import assemble
+from secant_trees.recurrence import assemble, tree_count
 
 
 def run(capsys, *argv):
@@ -241,9 +241,14 @@ def test_brute_force_above_the_cap_fails_fast(argv, capsys, monkeypatch):
 
 
 def test_recurrence_matrix_is_not_capped(capsys):
-    code, out = run(capsys, "matrix", "--method", "recurrence", "--two-n", "16",
-                    "--format", "json")
-    assert code == 0 and json.loads(out)["total"] == 19391512145
+    for two_n in (16, 120):
+        code, out = run(capsys, "matrix", "--method", "recurrence", "--two-n", str(two_n),
+                        "--format", "json")
+        blob = json.loads(out)
+        assert code == 0 and blob["total"] == tree_count(two_n)
+        M = JointMatrix.from_json_dict(blob)
+        assert M.to_json_dict() == blob == assemble(two_n).to_json_dict()
+    assert tree_count(16) == 19391512145
 
 
 def test_hybrid_matrix_honours_threads(capsys, monkeypatch):

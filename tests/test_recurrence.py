@@ -1,8 +1,12 @@
 """Analytic engine: triangle rule, marginal induction, triangle fills,
 border, symmetry, and equivalence with the enumeration oracle."""
 
+import hashlib
+import json
+
 import pytest
 
+from secant_trees import distributions
 from secant_trees.distributions import BrokenInvariantError, JointMatrix
 from secant_trees.recurrence import (
     MissingPredecessorError,
@@ -97,7 +101,7 @@ def test_upper_triangle_examples():
     assert upper_triangle(4, prev, prev_cs).get(2, 3) == 1
 
 
-@pytest.mark.parametrize("two_n", (4, 6, 8, 10, 12))
+@pytest.mark.parametrize("two_n", (4, 6, 8, 10, 12, 24, 40))
 def test_filling_order_independence(two_n):
     eng, prev, prev_cs = _engine_parts(two_n)
     by_column = upper_triangle(two_n, prev, prev_cs, rule="column")
@@ -112,6 +116,13 @@ def test_upper_triangle_rejects_incomplete_predecessor():
     eng, prev, _ = _engine_parts(8)
     with pytest.raises(MissingPredecessorError):
         upper_triangle(8, prev, (1, 2))
+
+
+def test_upper_triangle_flags_a_boundary_cell_filled_twice():
+    # (2,7) is both the last cell of the first row and the top of the
+    # rightmost column; the column sums are no longer symmetric.
+    with pytest.raises(BrokenInvariantError, match=r"\(2,7\) of M_8 filled twice"):
+        upper_triangle(8, assemble(6), (5, 15, 21, 15, 6))
 
 
 def test_upper_triangle_flags_negative_cells():
@@ -135,6 +146,15 @@ def test_lower_border_flags_a_cell_filled_twice():
     up.set(3, 1, up.get(2, 3) + 1)  # the first column must mirror the first row
     with pytest.raises(BrokenInvariantError, match=r"\(3,1\) of M_8 filled twice"):
         lower_border(8, up, eng.entringer_row(6))
+
+
+def test_lower_border_flags_a_negative_entringer_entry():
+    eng, prev, prev_cs = _engine_parts(8)
+    up = upper_triangle(8, prev, prev_cs)
+    row = list(eng.entringer_row(6))
+    row[2] = -1  # lands on the bottom-row cell (8,4)
+    with pytest.raises(NegativeCellError, match=r"\(8,4\) of M_8"):
+        lower_border(8, up, row)
 
 
 def test_lower_border_examples():
@@ -184,6 +204,44 @@ def test_assemble_fill_interior_equals_oracle(brute):
     H = assemble(8, fill_interior=True)
     assert H.method == "hybrid"
     assert H.same_counts(brute(8))
+
+
+@pytest.mark.parametrize(
+    "cell, message",
+    [
+        ((4, 5), r"cell \(4,5\) of M_8: recurrence"),  # known to the recurrence
+        ((7, 3), r"margins of M_8 disagree"),  # interior: only the margins see it
+    ],
+    ids=("known", "interior"),
+)
+def test_hybrid_rejects_an_oracle_that_contradicts_the_recurrence(cell, message, monkeypatch):
+    real = distributions.joint_matrix_bruteforce
+
+    def corrupted(two_n, processes=1):
+        M = real(two_n)
+        M.set(*cell, M.get(*cell) + 1)
+        return M
+
+    monkeypatch.setattr(distributions, "joint_matrix_bruteforce", corrupted)
+    with pytest.raises(BrokenInvariantError, match=message):
+        assemble(8, fill_interior=True)
+
+
+# sha256 of json.dumps(assemble(2n).to_json_dict(), sort_keys=True), computed
+# with the earlier per-cell induction, so they pin the row-list engine to it:
+# every cell, every unknown cell and both margins.
+ASSEMBLE_DIGESTS = {
+    40: "41a3b8af59fba7fd953c440e5ca027b6979fdd9c9bc7e2f080fb1c53eff424dc",
+    80: "ff9f3f0a0ac45f973784a0645da04dc76df374f1a0718f4b5545584e1f83a3c9",
+    120: "3ee5dde25c9733bc17030e7a5c6e9c8c363d233bee7f06322f0d49185d0bcc59",
+}
+
+
+def test_assemble_is_pinned_at_large_sizes():
+    eng = RecurrenceEngine()
+    for two_n, digest in ASSEMBLE_DIGESTS.items():
+        blob = json.dumps(eng.assemble(two_n).to_json_dict(), sort_keys=True)
+        assert hashlib.sha256(blob.encode()).hexdigest() == digest, two_n
 
 
 def test_engine_caches_are_consistent():
