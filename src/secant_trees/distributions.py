@@ -8,19 +8,23 @@ every cell known, while matrices built by the analytic engine in
 :mod:`secant_trees.recurrence` may leave interior cells of the lower triangle
 unknown -- those are first-class ``None`` cells, never silently zero.
 
-Everything here counts by streaming the enumeration of
-:mod:`secant_trees.trees`; nothing is materialized, so size 12 (2,702,765
-trees) stays within a modest memory budget.
+The joint counter grows every tree by inserting its labels in increasing
+order and carries eoc and the rightmost node along, so it builds no word and
+no tree object; the rightmost-label counter backtracks over the down-up
+words in place.  Nothing is materialized, so size 14 (199,360,981 trees)
+stays within a modest memory budget.
 """
 
 from __future__ import annotations
 
+import logging
 import multiprocessing
 import os
+import time
 from bisect import bisect_left, bisect_right
 from typing import Iterable, Sequence
 
-from .trees import alternating_permutations, word_stats
+from .trees import alternating_permutations
 
 
 class OddSizeError(ValueError):
@@ -257,163 +261,125 @@ class JointMatrix:
 
 # -- brute-force counting --------------------------------------------------------
 
+log = logging.getLogger(__name__)
 
-def _count_joint_serial(two_n: int, prefix: Sequence[int] = ()) -> dict[tuple[int, int], int]:
-    """Count (eoc, pom) pairs over all trees whose projection starts with
-    *prefix*.
+# Parts of the count, and of a pooled run: the six placements of labels 2 and
+# 3, each written (side of 2 under the root, parent of 3, side of 3 under it)
+# with side 0 for left and 1 for right.
+_PARTS = ((0, 1, 1), (0, 2, 0), (0, 2, 1), (1, 1, 0), (1, 2, 0), (1, 2, 1))
+_LOG_MIN_TWO_N = 12  # parts of smaller sizes finish too fast to be worth a line
 
-    A backtracker over the down-up words that keeps the min-tree of the
-    current prefix -- its right spine and the ``left``/``right`` child
-    arrays -- up to date as letters are pushed.  A push pops the spine
-    entries larger than the new letter; backtracking restores the few slots
-    it overwrote, so no word rebuilds its tree.  Branching stops once three
-    letters ``a < b < c`` are left: the last two letters of an even-length
-    down-up word are forced (the larger, then the smaller), so the
-    completions are exactly ``(a, c, b)`` when ``a`` is below the letter
-    before it and ``(b, c, a)`` when ``b`` is.  Every completed word is
-    counted from the definitions: eoc by walking its minimal chain, pom as
-    the larger neighbour of ``2n``.  The test suite pins the counts against
-    :func:`secant_trees.trees.alternating_permutations` composed with
-    :func:`secant_trees.trees.word_stats` for the whole stream and for every
-    first-letter part.
+
+def _count_joint_part(args: tuple[int, tuple[int, int, int]]) -> dict[tuple[int, int], int]:
+    """Count (eoc, pom) pairs over the trees of size ``2n >= 4`` whose labels
+    2 and 3 sit as the part in *args* says.
+
+    Every complete increasing tree arises exactly once by inserting the
+    labels 4, 5, ..., 2n in increasing order into the tree on labels 1..3,
+    because removing the largest label always leaves a leaf.  The state of a
+    partial tree is its list of leaves, its list of *open* nodes (exactly one
+    child) other than ``R``, ``R`` itself (the end of the right chain from
+    the root), whether ``R`` is open (then it has a left child only, as the
+    one-child node of every complete tree of even size must) and ``eoc`` (the
+    end of the minimal chain, always a leaf).  Label ``L`` either fills the free slot of an open node or
+    opens a leaf on its left or on its right, and each move updates the
+    statistics in O(1): ``eoc`` becomes ``L`` exactly when ``L`` hangs under
+    the ``eoc`` leaf (a filled slot never changes the chain, because the child
+    already there is smaller), ``R`` becomes ``L`` exactly when ``L`` becomes
+    the right child of ``R``, and pom is the node that receives ``2n``.  A
+    branch is pruned once the open nodes other than an open ``R`` outnumber the
+    labels still to place; every surviving branch then completes.  The last
+    two labels are placed inline: every surviving place of ``2n - 1`` leaves
+    exactly one place for ``2n``, so no call is made per tree.
     """
-    n = two_n
-    k0 = len(prefix)
-    if k0 >= n - 2:
-        # The prefix leaves at most one word (always so at 2n = 2): count it
-        # with the reference statistics, which also validate the prefix.
-        counts: dict[tuple[int, int], int] = {}
-        for word in alternating_permutations(n, prefix):
-            s = word_stats(word)
-            counts[(s.eoc, s.pom)] = 1
-        return counts
-    if len(set(prefix)) != k0 or not all(1 <= v <= n for v in prefix):
-        raise ValueError(f"bad prefix {prefix!r}")
-
-    free = list(range(1, n + 1))  # letters not yet placed, ascending
-    word = [0] * n
-    spine = [0] * n  # spine[:h] is the right spine of the min-tree, ascending
-    left = [0] * (n + 1)
-    right = [0] * (n + 1)
-    stride = n + 1
+    two_n, (side2, parent3, side3) = args
+    t0 = time.perf_counter()
+    left, right = children = [0] * 4, [0] * 4
+    children[side2][1] = 2
+    children[side3][parent3] = 3
+    R = 1
+    while right[R]:
+        R = right[R]
+    eoc = 3 if parent3 == 2 else 2
+    leaves = [v for v in (1, 2, 3) if not (left[v] or right[v])]
+    opens = [v for v in (1, 2) if (left[v] == 0) != (right[v] == 0) and v != R]
+    stride = two_n + 1
     tally = [0] * (stride * stride)  # tally[eoc * stride + pom]
-    last = n - 4  # the last position chosen by branching
+    last = two_n - 1
 
-    def branch(pos: int, h: int, pom: int) -> None:
-        # pom is 0 until the letter after n is placed.
-        prev = word[pos - 1] if pos else 0
-        if pos & 1:
-            lo, hi = 0, bisect_left(free, prev)
-        else:
-            lo, hi = bisect_right(free, prev), len(free)
-        if pos < k0:
-            i = bisect_left(free, prefix[pos])
-            if not lo <= i < hi:
-                return
-            lo, hi = i, i + 1
-
-        if pos < last:
-            for i in range(lo, hi):
-                v = free.pop(i)
-                word[pos] = v
-                if pos & 1:
-                    # Descent: v pops the spine entries above it, the lowest
-                    # of which becomes its left child.
-                    p = bisect_right(spine, v, 0, h)
-                    below = spine[p]
-                    left[v] = below
-                    right[v] = 0
-                    if p:
-                        right[spine[p - 1]] = v
-                    spine[p] = v
-                    if prev == n:  # v is the right neighbour of n
-                        branch(pos + 1, p + 1, max(v, word[pos - 2]) if pos > 1 else v)
+    def grow(L: int, R: int, r_open: bool, eoc: int) -> None:
+        # Place the labels L, L+1, ..., 2n; opens never counts an open R.
+        n_open = len(opens)
+        if L >= last:
+            if L == two_n:
+                # Only at 2n = 4, where the part has placed 2n - 1 already.
+                if opens:
+                    tally[eoc * stride + opens[0]] += 1
+                else:
+                    tally[(L if R == eoc else eoc) * stride + R] += 1
+            elif not r_open:
+                # One open X: 2n - 1 fills X and 2n opens R on the left, or
+                # 2n - 1 opens R on the left and 2n fills X.
+                X = opens[0]
+                tally[(two_n if R == eoc else eoc) * stride + R] += 1
+                tally[(L if R == eoc else eoc) * stride + X] += 1
+            elif n_open:
+                # Open X and Z: 2n - 1 fills one, 2n the other.
+                X, Z = opens
+                tally[eoc * stride + Z] += 1
+                tally[eoc * stride + X] += 1
+            else:
+                # 2n - 1 fills R and 2n opens it on the left, or 2n - 1 opens
+                # a leaf Y on either side and 2n fills Y.
+                tally[eoc * stride + L] += 1
+                for Y in leaves:
+                    if Y == eoc:
+                        tally[L * stride + Y] += 2
                     else:
-                        branch(pos + 1, p + 1, pom)
-                    spine[p] = below
-                    if p:
-                        right[spine[p - 1]] = below
-                else:
-                    # Ascent: v hangs as right child of the spine top.  The
-                    # slot it takes may hold an entry an ancestor popped.
-                    left[v] = right[v] = 0
-                    if h:
-                        right[spine[h - 1]] = v
-                    popped = spine[h]
-                    spine[h] = v
-                    branch(pos + 1, h + 1, pom)
-                    spine[h] = popped
-                    if h:
-                        right[spine[h - 1]] = 0
-                free.insert(i, v)
+                        tally[eoc * stride + Y] += 2
             return
+        rem = two_n - L  # labels to place after L
+        nxt = L + 1
+        leaves.append(L)
+        for i in range(n_open):
+            X = opens.pop(i)
+            grow(nxt, R, r_open, eoc)
+            opens.insert(i, X)
+        if r_open and n_open <= rem:
+            grow(nxt, L, False, eoc)
+        leaves.pop()
+        may_open = n_open < rem
+        for j, Y in enumerate(leaves):
+            leaves[j] = L
+            e = L if Y == eoc else eoc
+            if Y == R:
+                if n_open <= rem:
+                    grow(nxt, R, True, e)
+                if may_open:
+                    opens.append(Y)
+                    grow(nxt, L, False, e)
+                    opens.pop()
+            elif may_open:
+                opens.append(Y)
+                grow(nxt, R, r_open, e)
+                grow(nxt, R, r_open, e)
+                opens.pop()
+            leaves[j] = Y
 
-        # pos == last is an ascent (or the first letter): push v, then write
-        # the at most two completions t, c, s of the remaining a < b < c.
-        popped = spine[h]
-        for i in range(lo, hi):
-            v = free.pop(i)
-            a, b, c = free
-            left[v] = right[v] = 0
-            if h:
-                right[spine[h - 1]] = v
-            spine[h] = v
-            left[c] = right[c] = 0
-            for t, s in ((a, b), (b, a)):
-                if t > v:
-                    break
-                p = bisect_right(spine, t, 0, h + 1)
-                left[t] = spine[p]
-                if p:
-                    right[spine[p - 1]] = t
-                right[s] = 0
-                if s > t:
-                    # s pops only c.
-                    right[t] = s
-                    left[s] = c
-                    q = p
-                else:
-                    # s pops c, t and the spine entries above it.
-                    right[t] = c
-                    q = bisect_right(spine, s, 0, p)
-                    left[s] = spine[q] if q < p else t
-                    if q:
-                        right[spine[q - 1]] = s
-                # eoc: follow the smaller (or only) child down to a leaf.
-                x = 1
-                while True:
-                    l, r = left[x], right[x]
-                    x = (l if l < r else r) if l and r else (l or r)
-                    if not (left[x] or right[x]):
-                        break
-                if pom:
-                    k = pom
-                elif v == n:
-                    k = t if t > prev else prev
-                else:
-                    k = b  # c == n, flanked by t and s
-                tally[x * stride + k] += 1
-                if q:
-                    right[spine[q - 1]] = spine[q]
-                if p:
-                    right[spine[p - 1]] = spine[p]
-            if h:
-                right[spine[h - 1]] = 0
-            free.insert(i, v)
-        spine[h] = popped
-
-    branch(0, 0, 0)
-    return {
+    if len(opens) <= two_n - 3:
+        grow(4, R, left[R] != 0, eoc)
+    counts = {
         (m, k): tally[m * stride + k]
         for m in range(stride)
         for k in range(stride)
         if tally[m * stride + k]
     }
-
-
-def _count_joint_part(args: tuple[int, int]) -> dict[tuple[int, int], int]:
-    two_n, first = args
-    return _count_joint_serial(two_n, prefix=(first,))
+    if two_n >= _LOG_MIN_TWO_N:
+        log.info(
+            "M_%d part %s: %d trees in %.2f s",
+            two_n, args[1], sum(counts.values()), time.perf_counter() - t0,
+        )
+    return counts
 
 
 def _pool_size(processes: int, parts: int, cores: int | None) -> int:
@@ -426,24 +392,29 @@ def _pool_size(processes: int, parts: int, cores: int | None) -> int:
 def joint_matrix_bruteforce(two_n: int, processes: int = 1) -> JointMatrix:
     """Count every tree of size *two_n* into a fully-known joint matrix.
 
-    With ``processes > 1`` the enumeration is partitioned by the first letter
-    of the projection and reduced over a process pool of at most one worker
-    per part and per core; the merge is plain integer addition, so the
-    result is identical to the serial run.
+    The trees are grown label by label (see :func:`_count_joint_part`) in six
+    parts, one per placement of labels 2 and 3.  With ``processes > 1`` and
+    ``two_n >= 8`` the parts are counted over a process pool of at most one
+    worker per part and per core; the merge is plain integer addition in
+    both cases, so the result is identical to the serial run.  Each part
+    logs its tree count and time at INFO on this module's logger from
+    ``two_n = 12`` up.
     """
     _check_even(two_n)
-    # Words start with a letter >= 2 (the first step is a descent).
-    workers = _pool_size(processes, two_n - 1, os.cpu_count())
-    if workers > 1 and two_n >= 8:
-        parts_args = [(two_n, w0) for w0 in range(2, two_n + 1)]
-        with multiprocessing.Pool(workers) as pool:
-            parts = pool.map(_count_joint_part, parts_args)
-        counts: dict[tuple[int, int], int] = {}
+    counts: dict[tuple[int, int], int] = {}
+    if two_n == 2:
+        counts[(2, 1)] = 1  # the one tree: the root with 2 as its left child
+    else:
+        args = [(two_n, part) for part in _PARTS]
+        workers = _pool_size(processes, len(_PARTS), os.cpu_count())
+        if workers > 1 and two_n >= 8:
+            with multiprocessing.Pool(workers) as pool:
+                parts = pool.map(_count_joint_part, args)
+        else:
+            parts = map(_count_joint_part, args)
         for part in parts:
             for key, c in part.items():
                 counts[key] = counts.get(key, 0) + c
-    else:
-        counts = _count_joint_serial(two_n)
 
     M = JointMatrix(two_n, method="brute")
     for m in range(2, two_n + 1):

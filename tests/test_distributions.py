@@ -2,6 +2,7 @@
 
 import copy
 import json
+import logging
 from collections import Counter
 
 import pytest
@@ -14,15 +15,16 @@ from secant_trees.distributions import (
     JointMatrix,
     OddSizeError,
     UnknownCellError,
-    _count_joint_serial,
+    _PARTS,
+    _count_joint_part,
     _pool_size,
     ent_distribution,
     entringer_bruteforce,
     joint_matrix_bruteforce,
     marginals,
 )
-from secant_trees.recurrence import RecurrenceEngine, entringer_triangle
-from secant_trees.trees import alternating_permutations, word_stats
+from secant_trees.recurrence import RecurrenceEngine, assemble, entringer_triangle, tree_count
+from secant_trees.trees import alternating_permutations, tree_from_perm, word_stats
 from secant_trees.reference_tables import (
     REFERENCE_JOINT,
     REFERENCE_TOTALS,
@@ -35,7 +37,9 @@ from secant_trees.reference_tables import (
 # ---------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("two_n", sorted(REFERENCE_JOINT))
+# Brute force at 2n = 14 is not a tier-1 cost; the table at 14 is checked
+# against the recurrence below instead.
+@pytest.mark.parametrize("two_n", [t for t in sorted(REFERENCE_JOINT) if t <= 12])
 def test_brute_matches_reference_tables(two_n, brute):
     M = brute(two_n)
     golden = REFERENCE_JOINT[two_n]
@@ -43,6 +47,16 @@ def test_brute_matches_reference_tables(two_n, brute):
         for k in range(1, two_n):
             assert M.get(m, k) == golden[m - 2][k - 1], (m, k)
     assert M.total() == REFERENCE_TOTALS[two_n]
+
+
+def test_reference_m14_agrees_with_the_recurrence():
+    golden = REFERENCE_JOINT[14]
+    A = assemble(14)
+    for m, k, v in A.known_cells():
+        assert golden[m - 2][k - 1] == v, (m, k)
+    assert A.row_sums() == tuple(map(sum, golden))
+    assert A.col_sums() == tuple(map(sum, zip(*golden)))
+    assert REFERENCE_TOTALS[14] == sum(map(sum, golden)) == tree_count(14) == 199360981
 
 
 def test_size_two_matrix(brute):
@@ -118,45 +132,62 @@ def test_unknown_cells_are_first_class():
 
 def test_parallel_counting_matches_serial(brute):
     assert joint_matrix_bruteforce(8, processes=2).same_counts(brute(8))
+    assert joint_matrix_bruteforce(10, processes=2).same_counts(brute(10))
+
+
+def test_parts_log_their_progress(monkeypatch, caplog):
+    caplog.set_level(logging.INFO, logger=distributions.__name__)
+    joint_matrix_bruteforce(8)
+    assert not caplog.records  # below the size worth a progress line
+    monkeypatch.setattr(distributions, "_LOG_MIN_TWO_N", 8)
+    joint_matrix_bruteforce(8)
+    assert len(caplog.records) == len(_PARTS)
+    trees = 0
+    for part, record in zip(_PARTS, caplog.records):
+        assert record.levelno == logging.INFO
+        assert record.args[:2] == (8, part)
+        trees += record.args[2]
+    assert trees == 1385
 
 
 # ---------------------------------------------------------------------- #
-# the fused counter against the plain composition                         #
+# the grown counter against the plain composition                         #
 # ---------------------------------------------------------------------- #
 
 
-def _composed_counts(two_n, prefix=()):
-    return Counter(
-        (s.eoc, s.pom) for s in map(word_stats, alternating_permutations(two_n, prefix))
-    )
+def _part_of(word):
+    """(side of 2 under the root, parent of 3, side of 3) in the tree of *word*."""
+    t = tree_from_perm(word)
+    p3 = t.parent[3]
+    return (int(t.right[1] == 2), p3, int(t.right[p3] == 3))
 
 
 @pytest.mark.parametrize("two_n", [2, 4, 6, 8, 10])
-def test_counter_equals_composition(two_n):
+def test_counter_equals_composition(two_n, brute):
     whole = Counter()
-    for first in range(1, two_n + 1):
-        part = _composed_counts(two_n, (first,))
-        assert _count_joint_serial(two_n, (first,)) == part
-        whole += part
-    # Every word has exactly one first letter, so the parts sum to the stream.
-    assert sum(whole.values()) == sum(1 for _ in alternating_permutations(two_n))
-    assert _count_joint_serial(two_n) == whole
-
-
-def test_counter_long_prefixes_equal_composition():
-    for prefix in [(5, 2), (6, 1, 4), (6, 1, 4, 2), (6, 1, 4, 2, 5, 3), (3, 4)]:
-        assert _count_joint_serial(6, prefix) == _composed_counts(6, prefix)
-
-
-@pytest.mark.parametrize("two_n, prefix", [(8, (9,)), (8, (0,)), (8, (5, 5)), (2, (3,))])
-def test_counter_rejects_bad_prefix(two_n, prefix):
-    with pytest.raises(ValueError):
-        _count_joint_serial(two_n, prefix)
+    by_part = {part: Counter() for part in _PARTS}
+    for word in alternating_permutations(two_n):
+        s = word_stats(word)
+        whole[(s.eoc, s.pom)] += 1
+        if two_n > 2:
+            by_part[_part_of(word)][(s.eoc, s.pom)] += 1
+    counted = brute(two_n)
+    assert {(m, k): v for m, k, v in counted.known_cells() if v} == whole
+    if two_n == 2:
+        return
+    parts = Counter()
+    for part in _PARTS:
+        got = _count_joint_part((two_n, part))
+        assert got == by_part[part], part
+        parts.update(got)
+    # Every tree places labels 2 and 3 in exactly one way (by_part would
+    # have raised KeyError on a seventh), so the parts sum to the whole.
+    assert parts == whole
 
 
 def test_pool_size_is_capped():
     assert _pool_size(1, 11, 8) == 1
-    assert _pool_size(64, 11, 128) == 11  # one worker per first-letter part
+    assert _pool_size(64, 11, 128) == 11  # one worker per part
     assert _pool_size(64, 11, 2) == 2  # one worker per core
     assert _pool_size(3, 11, 8) == 3
     assert _pool_size(4, 11, None) == 1
