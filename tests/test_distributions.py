@@ -1,6 +1,7 @@
 """Brute-force joint matrices, marginals, differences, rightmost-label rows."""
 
 import copy
+import functools
 import json
 import logging
 from collections import Counter
@@ -162,8 +163,9 @@ def _part_of(word):
     return (int(t.right[1] == 2), p3, int(t.right[p3] == 3))
 
 
-@pytest.mark.parametrize("two_n", [2, 4, 6, 8, 10])
-def test_counter_equals_composition(two_n, brute):
+@functools.lru_cache(maxsize=None)
+def _composed_counts(two_n):
+    """(eoc, pom) counts of all words of length *two_n*, whole and by part."""
     whole = Counter()
     by_part = {part: Counter() for part in _PARTS}
     for word in alternating_permutations(two_n):
@@ -171,18 +173,30 @@ def test_counter_equals_composition(two_n, brute):
         whole[(s.eoc, s.pom)] += 1
         if two_n > 2:
             by_part[_part_of(word)][(s.eoc, s.pom)] += 1
+    return whole, by_part
+
+
+@pytest.mark.parametrize("two_n", [2, 4, 6, 8, 10])
+def test_counter_equals_composition(two_n, brute):
+    whole, _ = _composed_counts(two_n)
     counted = brute(two_n)
     assert {(m, k): v for m, k, v in counted.known_cells() if v} == whole
-    if two_n == 2:
-        return
-    parts = Counter()
-    for part in _PARTS:
-        got = _count_joint_part((two_n, part))
-        assert got == by_part[part], part
-        parts.update(got)
-    # Every tree places labels 2 and 3 in exactly one way (by_part would
-    # have raised KeyError on a seventh), so the parts sum to the whole.
-    assert parts == whole
+
+
+def test_counter_long_prefixes_equal_composition():
+    # Each part fixes where labels 2 and 3 hang, the tree-side analogue of a
+    # fixed word prefix: the counter restricted to it must match the words
+    # restricted the same way.
+    for two_n in (4, 6, 8, 10):
+        whole, by_part = _composed_counts(two_n)
+        parts = Counter()
+        for part in _PARTS:
+            got = _count_joint_part((two_n, part))
+            assert got == by_part[part], (two_n, part)
+            parts.update(got)
+        # Every tree places labels 2 and 3 in exactly one way (by_part would
+        # have raised KeyError on a seventh), so the parts sum to the whole.
+        assert parts == whole, two_n
 
 
 def test_pool_size_is_capped():
