@@ -9,7 +9,7 @@ number, and the row sums equal the column sums shifted by one (eoc and
 1 + pom are equidistributed).
 """
 
-from secant_trees import joint_matrix_bruteforce, marginals
+from secant_trees import joint_matrix_bruteforce
 from secant_trees.cli import render_matrix_text
 
 for two_n in (2, 4, 6, 8):
@@ -18,7 +18,7 @@ for two_n in (2, 4, 6, 8):
     print(render_matrix_text(M))
 
 M8 = joint_matrix_bruteforce(8)
-rows, cols, total = marginals(M8)
+rows, cols, total = M8.row_sums(), M8.col_sums(), M8.total()
 print("size 8 row sums:   ", rows)
 print("size 8 column sums:", cols)
 print("total:", total)

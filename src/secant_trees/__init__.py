@@ -27,26 +27,19 @@ from .distributions import (
     ent_distribution,
     entringer_bruteforce,
     joint_matrix_bruteforce,
-    marginals,
 )
 from .recurrence import (
-    MissingPredecessorError,
-    MissingUpperError,
     NegativeCellError,
     RecurrenceEngine,
     assemble,
     check_symmetry,
-    column_sums,
     entringer_triangle,
-    lower_border,
     secant_numbers,
     tree_count,
-    upper_triangle,
 )
 from .series import (
     NotAPoupardSolutionError,
     OutOfOrderError,
-    PoupardGrid,
     TriSeries,
     VarMismatchError,
     ZeroConstantTermError,

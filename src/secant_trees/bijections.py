@@ -16,7 +16,7 @@ next-to-rightmost column is three times the rightmost.  Every constructed
 tree is fully re-validated.  One harness, ``verify_map``, certifies each
 map at small sizes: injectivity, statistic transport, and coverage of domain
 and codomain.  It builds only candidate trees for each domain (words with a
-forced prefix or suffix, ``MAP_DOMAINS``) and counts the domain and the
+forced start or end, ``MAP_DOMAINS``) and counts the domain and the
 codomain against the brute-force joint matrix of the same size, which the
 caller passes in: ``verify`` shares the one it counted for its other checks,
 and each ``MAP_VERIFIERS`` entry counts its own.
@@ -169,6 +169,18 @@ def entringer_map(t: IncTree) -> IncTree:
 # -- exhaustive verification ---------------------------------------------------
 
 
+def _starts_with_two_one(two_n: int) -> Iterator[tuple[int, ...]]:
+    """The words ``(2, 1, *u)`` for every down-up word ``u`` on 3 .. 2n."""
+    for u in alternating_permutations(two_n - 2):
+        yield (2, 1, *(x + 2 for x in u))
+
+
+def _starts_with_top_one(two_n: int) -> Iterator[tuple[int, ...]]:
+    """The words ``(2n, 1, *u)`` for every down-up word ``u`` on 2 .. 2n-1."""
+    for u in alternating_permutations(two_n - 2):
+        yield (two_n, 1, *(x + 1 for x in u))
+
+
 def _ends_with_top_pair(two_n: int) -> Iterator[tuple[int, ...]]:
     """The words ``(*u, 2n, 2n-1)`` for every down-up word ``u`` of size 2n-2."""
     for u in alternating_permutations(two_n - 2):
@@ -225,7 +237,7 @@ _POM_TOP = dict(
 )
 MAP_DOMAINS: dict[str, MapDomain] = {
     "first_row_map": MapDomain(
-        words=lambda two_n: alternating_permutations(two_n, (2, 1)),
+        words=_starts_with_two_one,
         contains=lambda t: t.eoc() == 2,
         margin=lambda M: M.row_sums()[0],  # row m = 2
         images=lambda t: (first_row_map(t),),
@@ -250,7 +262,7 @@ MAP_DOMAINS: dict[str, MapDomain] = {
         target=lambda M: M.col_sums()[-2],  # column k = 2n-2
     ),
     "pom1_map": MapDomain(
-        words=lambda two_n: alternating_permutations(two_n, (two_n, 1)),
+        words=_starts_with_top_one,
         contains=lambda t: t.pom() == 1,
         margin=lambda M: M.col_sums()[0],  # column k = 1
         images=lambda t: (pom1_map(t),),

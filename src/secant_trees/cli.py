@@ -604,6 +604,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "enumerate":
         if args.n < 1:
             parser.error("--n must be >= 1")
+        _cap_brute_force(parser, "--n", args.n)
         return _cmd_enumerate(args)
     if args.command == "matrix":
         return _cmd_matrix(args, parser)

@@ -268,6 +268,10 @@ log = logging.getLogger(__name__)
 # with side 0 for left and 1 for right.
 _PARTS = ((0, 1, 1), (0, 2, 0), (0, 2, 1), (1, 1, 0), (1, 2, 0), (1, 2, 1))
 _LOG_MIN_TWO_N = 12  # parts of smaller sizes finish too fast to be worth a line
+# Smallest size counted over a pool.  Measured on 2 cores, serial against two
+# workers: 0.001 s against 0.023 s at 2n = 8, 0.016 s against 0.034 s at 10,
+# 0.62 s against 0.60 s at 12 and 49 s against 25 s at 14.
+_POOL_MIN_TWO_N = 12
 
 
 def _count_joint_part(args: tuple[int, tuple[int, int, int]]) -> dict[tuple[int, int], int]:
@@ -394,7 +398,7 @@ def joint_matrix_bruteforce(two_n: int, processes: int = 1) -> JointMatrix:
 
     The trees are grown label by label (see :func:`_count_joint_part`) in six
     parts, one per placement of labels 2 and 3.  With ``processes > 1`` and
-    ``two_n >= 8`` the parts are counted over a process pool of at most one
+    ``two_n >= 12`` the parts are counted over a process pool of at most one
     worker per part and per core; the merge is plain integer addition in
     both cases, so the result is identical to the serial run.  Each part
     logs its tree count and time at INFO on this module's logger from
@@ -407,7 +411,7 @@ def joint_matrix_bruteforce(two_n: int, processes: int = 1) -> JointMatrix:
     else:
         args = [(two_n, part) for part in _PARTS]
         workers = _pool_size(processes, len(_PARTS), os.cpu_count())
-        if workers > 1 and two_n >= 8:
+        if workers > 1 and two_n >= _POOL_MIN_TWO_N:
             with multiprocessing.Pool(workers) as pool:
                 parts = pool.map(_count_joint_part, args)
         else:
@@ -421,15 +425,6 @@ def joint_matrix_bruteforce(two_n: int, processes: int = 1) -> JointMatrix:
         for k in range(1, two_n):
             M.set(m, k, counts.get((m, k), 0))
     return M
-
-
-def marginals(M: JointMatrix) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """(row sums by m, column sums by k, total); requires all cells known."""
-    if not M.is_complete():
-        raise UnknownCellError("marginals need a fully-known matrix")
-    rows = M.row_sums()
-    cols = M.col_sums()
-    return rows, cols, sum(rows)
 
 
 # -- the rightmost-node statistic -------------------------------------------------

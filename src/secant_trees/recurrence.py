@@ -12,11 +12,15 @@ first, the rightmost column equals the previous column sums, and the next to
 rightmost column is three times the rightmost.  Marginals obey the same
 second-difference law, seeded by f(., 1) = E_{2n-2} and f(., 2) = 3 E_{2n-2}.
 
-That machinery fills the whole upper triangle (m < k) by induction on n.  Of
-the lower triangle only the border is analytically reachable: the first
-column mirrors the first row, the bottom row is a shifted row of the
-Entringer triangle, the subdiagonal starts from f(3, 2) = 2 f(3, 1) and
-propagates through the crossing identity
+:class:`RecurrenceEngine` is the one way to run the induction on n.  The
+boundary identities and the column rule, sweeping each row right to left,
+fill the whole upper triangle (m < k).  The row rule needs no second fill:
+on the same boundary a top-down row-order fill would equal the column fill
+exactly when the column-filled matrix satisfies the row rule, and the test
+suite checks that law on it.  Of the lower triangle only the border is
+analytically reachable: the first column mirrors the first row, the bottom
+row is a shifted row of the Entringer triangle, the subdiagonal starts from
+f(3, 2) = 2 f(3, 1) and propagates through the crossing identity
 f(k+1, k) = f(k, k-1) + f(k, k+1) - f(k-1, k).  Interior lower-triangle
 cells stay Unknown here -- only the brute-force oracle can produce them.
 
@@ -34,14 +38,6 @@ from .distributions import (
     JointMatrix,
     _check_even,
 )
-
-
-class MissingPredecessorError(ValueError):
-    """The induction needs data from size 2n-2 that was not supplied."""
-
-
-class MissingUpperError(ValueError):
-    """The lower border needs upper-triangle cells that are not known."""
 
 
 class NegativeCellError(ValueError):
@@ -97,34 +93,6 @@ def secant_numbers(two_n_max: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-# -- marginals by induction ----------------------------------------------------
-
-
-def column_sums(two_n: int, prev: Sequence[int] | None = None) -> tuple[int, ...]:
-    """Column sums f_{2n}(., k) for k = 1 .. 2n-1, from those of size 2n-2.
-
-    Seeds: f(., 1) = E_{2n-2} and f(., 2) = 3 E_{2n-2}; the rest follow from
-    the second-difference law on column sums.  The row sums are the same
-    tuple, because f(m, .) = f(., m-1).
-    """
-    _check_even(two_n)
-    if two_n == 2:
-        return (1,)
-    if prev is None or len(prev) != two_n - 3:
-        raise MissingPredecessorError(
-            f"column sums for {two_n} need the {two_n - 3} column sums of {two_n - 2}"
-        )
-    total_prev = sum(prev)
-    cs = [0] * (two_n - 1)
-    cs[0] = total_prev
-    cs[1] = 3 * total_prev
-    for k in range(1, two_n - 2):
-        cs[k + 1] = 2 * cs[k] - cs[k - 1] - 4 * prev[k - 1]
-        if cs[k + 1] < 0:
-            raise NegativeCellError(f"column sum at k={k + 2} of M_{two_n} is negative")
-    return tuple(cs)
-
-
 # -- the row cores --------------------------------------------------------------
 #
 # Both cores work on plain rows: rows[m - 2][k - 1] is cell (m, k), None while
@@ -145,7 +113,7 @@ def _put(rows: list[list[int | None]], two_n: int, m: int, k: int, value: int) -
 
 
 def _upper_rows(
-    two_n: int, prev: list[list[int | None]], prev_cs: Sequence[int], rule: str
+    two_n: int, prev: list[list[int | None]], prev_cs: Sequence[int]
 ) -> list[list[int | None]]:
     """Rows of M_{2n} with the upper triangle filled from the rows *prev* of
     M_{2n-2} and its column sums; every other cell is None."""
@@ -165,27 +133,17 @@ def _upper_rows(
     for m in range(2, two_n - 2):
         _put(rows, two_n, m, top - 1, 3 * prev_cs[m - 2])
 
-    if rule == "column":
-        # f(m, k) = 2 f(m, k+1) - f(m, k+2) - 4 f_{2n-2}(m, k), right to left.
-        for i in range(2, top - 3):
-            row, p = rows[i], prev[i]
-            near, far = row[top - 2], row[top - 1]
-            for j in range(top - 3, i + 1, -1):
-                v = 2 * near - far - 4 * p[j]
-                if v < 0:
-                    raise NegativeCellError(f"cell ({i + 2},{j + 1}) of M_{two_n} came out {v}")
-                row[j] = v
-                near, far = v, near
-    else:
-        # f(m, k) = 2 f(m-1, k) - f(m-2, k) - 4 f_{2n-2}(m-2, k-2), top down.
-        for j in range(4, top - 2):
-            near, far = rows[1][j], rows[0][j]
-            for i in range(2, j - 1):
-                v = 2 * near - far - 4 * prev[i - 2][j - 2]
-                if v < 0:
-                    raise NegativeCellError(f"cell ({i + 2},{j + 1}) of M_{two_n} came out {v}")
-                rows[i][j] = v
-                near, far = v, near
+    # Column rule: f(m, k) = 2 f(m, k+1) - f(m, k+2) - 4 f_{2n-2}(m, k),
+    # each row right to left.
+    for i in range(2, top - 3):
+        row, p = rows[i], prev[i]
+        near, far = row[top - 2], row[top - 1]
+        for j in range(top - 3, i + 1, -1):
+            v = 2 * near - far - 4 * p[j]
+            if v < 0:
+                raise NegativeCellError(f"cell ({i + 2},{j + 1}) of M_{two_n} came out {v}")
+            row[j] = v
+            near, far = v, near
     return rows
 
 
@@ -216,75 +174,6 @@ def _lower_rows(two_n: int, rows: list[list[int | None]], ent_row: Sequence[int]
     # children, so it is never the parent of 2n.
     for m in range(2, two_n):
         _put(rows, two_n, m, m, 0)
-
-
-def _require_upper(rows: list[list[int | None]], two_n: int, error: type[ValueError]) -> None:
-    """Raise *error* at the first cell 2 <= m < k <= 2n-1 that *rows* leave unknown."""
-    for m in range(2, two_n - 1):
-        line = rows[m - 2][m:]
-        if None in line:
-            raise error(f"upper cell ({m},{m + 1 + line.index(None)}) of M_{two_n} is unknown")
-
-
-# -- upper triangle -------------------------------------------------------------
-
-
-def upper_triangle(
-    two_n: int,
-    prev: JointMatrix,
-    prev_col_sums: Sequence[int],
-    rule: str = "column",
-) -> JointMatrix:
-    """Fill every cell with 2 <= m < k <= 2n-1; all other cells stay Unknown.
-
-    Boundary identities give the two top rows and two rightmost columns; the
-    remaining cells follow the chosen second-difference rule: ``"column"``
-    sweeps each row right to left, ``"row"`` sweeps each column top to
-    bottom.  The two orders provably agree and the test suite checks it.
-    """
-    _check_even(two_n)
-    if two_n < 4:
-        raise ValueError("the upper triangle induction starts at size 4")
-    if prev.two_n != two_n - 2:
-        raise MissingPredecessorError(f"need the size-{two_n - 2} matrix, got {prev.two_n}")
-    _require_upper(prev._cells, two_n - 2, MissingPredecessorError)
-    if len(prev_col_sums) != two_n - 3:
-        raise MissingPredecessorError(
-            f"need {two_n - 3} column sums for size {two_n - 2}"
-        )
-    if rule not in ("column", "row"):
-        raise ValueError(f"rule must be 'column' or 'row', got {rule!r}")
-    rows = _upper_rows(two_n, prev._cells, prev_col_sums, rule)
-    return JointMatrix._adopt(two_n, "recurrence", rows)
-
-
-# -- lower-triangle border --------------------------------------------------------
-
-
-def lower_border(
-    two_n: int, upper: JointMatrix, ent_row: Sequence[int]
-) -> JointMatrix:
-    """Return a copy of *upper* with the analytically-known border added.
-
-    Fills the first column (mirror of the first row), the bottom row (the
-    Entringer row of size 2n-2 shifted by one), the three structurally-zero
-    corners (2,1), (2n,1) and (2n,2n-1), the subdiagonal seed
-    f(3,2) = 2 f(3,1), the rest of the subdiagonal through the crossing
-    identity, and the zero diagonal.  A cell already present in *upper* must
-    agree with its fill.  *ent_row* must be the triangle row of size 2n-2
-    (entries j = 1 .. 2n-3).
-    """
-    _check_even(two_n)
-    if two_n < 4:
-        raise ValueError("the border construction starts at size 4")
-    if upper.two_n != two_n:
-        raise MissingUpperError(f"need the size-{two_n} upper triangle")
-    if len(ent_row) != two_n - 3:
-        raise MissingUpperError(f"need the length-{two_n - 3} triangle row of size {two_n - 2}")
-    _require_upper(upper._cells, two_n, MissingUpperError)
-    rows = [list(row) for row in upper._cells]
-    _lower_rows(two_n, rows, ent_row)
-    return JointMatrix._adopt(two_n, "recurrence", rows)
 
 
 # -- symmetry -------------------------------------------------------------------
@@ -322,7 +211,7 @@ class RecurrenceEngine:
     """
 
     def __init__(self) -> None:
-        self._col_sums: dict[int, tuple[int, ...]] = {}
+        self._col_sums: dict[int, tuple[int, ...]] = {2: (1,)}
         self._matrices: dict[int, JointMatrix] = {}
         self._triangle: EntringerTriangle | None = None
 
@@ -332,13 +221,25 @@ class RecurrenceEngine:
         return self._triangle.row(n)
 
     def column_sums(self, two_n: int) -> tuple[int, ...]:
+        """Column sums f_{2n}(., k) for k = 1 .. 2n-1, by induction from size 2.
+
+        Seeds: f(., 1) = E_{2n-2} and f(., 2) = 3 E_{2n-2}; the rest follow
+        from the second-difference law on column sums.  The row sums are the
+        same tuple, because f(m, .) = f(., m-1).
+        """
         _check_even(two_n)
-        if two_n not in self._col_sums:
-            for s in range(2, two_n + 1, 2):
-                if s not in self._col_sums:
-                    prev = self._col_sums[s - 2] if s > 2 else None
-                    self._col_sums[s] = column_sums(s, prev)
-        return self._col_sums[two_n]
+        sums = self._col_sums  # holds every size from 2 up to its largest
+        for s in range(max(sums) + 2, two_n + 1, 2):
+            prev = sums[s - 2]
+            total = sum(prev)
+            cs = [total, 3 * total] + [0] * (s - 3)
+            for k in range(1, s - 2):
+                v = 2 * cs[k] - cs[k - 1] - 4 * prev[k - 1]
+                if v < 0:
+                    raise NegativeCellError(f"column sum at k={k + 2} of M_{s} is negative")
+                cs[k + 1] = v
+            sums[s] = tuple(cs)
+        return sums[two_n]
 
     def assemble(
         self, two_n: int, fill_interior: bool = False, processes: int = 1
@@ -384,7 +285,7 @@ class RecurrenceEngine:
                 M.attach_margins((1,), (1,), 1)
             else:
                 rows = _upper_rows(
-                    s, self._matrices[s - 2]._cells, self.column_sums(s - 2), "column"
+                    s, self._matrices[s - 2]._cells, self.column_sums(s - 2)
                 )
                 _lower_rows(s, rows, self.entringer_row(s - 2))
                 cs = self.column_sums(s)

@@ -432,40 +432,14 @@ def exponents_to_cell(i: int, j: int, q: int) -> tuple[int, int, int]:
 # -- Poupard grids ---------------------------------------------------------------------
 
 
-class PoupardGrid:
-    """A finite grid of values indexed by (i, j), i, j >= 0.
-
-    The support may be triangular (everything with i + j bounded); checks
-    only fire where all four stencil cells are present.
-    """
-
-    def __init__(self, entries: Mapping[tuple[int, int], int | Fraction]):
-        self.entries = dict(entries)
-
-    def has(self, i: int, j: int) -> bool:
-        return (i, j) in self.entries
-
-    def get(self, i: int, j: int):
-        return self.entries[(i, j)]
-
-    @classmethod
-    def from_series(cls, series2: TriSeries, max_sum: int) -> "PoupardGrid":
-        """EGF coefficients of a two-variable series on i + j <= max_sum."""
-        entries = {}
-        for i in range(max_sum + 1):
-            for j in range(max_sum + 1 - i):
-                entries[(i, j)] = series2.egf_coefficient((i, j))
-        return cls(entries)
-
-
 def omega_grid_from_counts(
     p: int, max_sum: int, counts: Callable[[int], "object"]
-) -> PoupardGrid:
+) -> dict[tuple[int, int], int]:
     """The grid of upper-triangle row p sliced out of joint matrices.
 
     ``counts(two_n)`` must return a matrix with the ``get(m, k)`` accessor;
-    entry (i, j) is 0 when i + j and p share parity, else the count
-    f_{p+i+j+3}(p+1, p+j+2).  Covers i + j <= max_sum.
+    the grid maps (i, j) to 0 when i + j and p share parity, else to the
+    count f_{p+i+j+3}(p+1, p+j+2).  Covers i + j <= max_sum.
     """
     if p < 1:
         raise ValueError(f"need p >= 1, got {p}")
@@ -480,24 +454,29 @@ def omega_grid_from_counts(
                 if two_n not in cache:
                     cache[two_n] = counts(two_n)
                 entries[(i, j)] = cache[two_n].get(p + 1, p + j + 2)
-    return PoupardGrid(entries)
+    return entries
 
 
-def poupard_check(grid: PoupardGrid) -> list[tuple[tuple[int, int], int | Fraction]]:
+def poupard_check(
+    grid: Mapping[tuple[int, int], int | Fraction]
+) -> list[tuple[tuple[int, int], int | Fraction]]:
     """Nonzero residuals of g[i,j+2] - 2 g[i+1,j+1] + g[i+2,j] + 4 g[i,j].
 
-    Returns one ((i, j), residual) pair per violated stencil position;
-    an empty list certifies the Poupard property on the given support.
+    *grid* maps (i, j), i, j >= 0, to a value; its support may be triangular
+    (everything with i + j bounded), and the stencil only fires where all
+    four of its cells are present.  Returns one ((i, j), residual) pair per
+    violated stencil position; an empty list certifies the Poupard property
+    on the given support.
     """
     bad = []
-    for (i, j) in sorted(grid.entries):
-        if not (grid.has(i, j + 2) and grid.has(i + 1, j + 1) and grid.has(i + 2, j)):
+    for (i, j) in sorted(grid):
+        if not ((i, j + 2) in grid and (i + 1, j + 1) in grid and (i + 2, j) in grid):
             continue
         r = (
-            grid.get(i, j + 2)
-            - 2 * grid.get(i + 1, j + 1)
-            + grid.get(i + 2, j)
-            + 4 * grid.get(i, j)
+            grid[i, j + 2]
+            - 2 * grid[i + 1, j + 1]
+            + grid[i + 2, j]
+            + 4 * grid[i, j]
         )
         if r:
             bad.append(((i, j), r))

@@ -21,7 +21,10 @@ Three statistics live here:
 
 Trees are stored as label-indexed dense arrays (``parent``, ``left``,
 ``right``; entry 0 means "none"), so every statistic is computed by direct
-label arithmetic.  Alternating permutations are plain tuples of ints.
+label arithmetic.  Alternating permutations are plain tuples of ints, and
+``alternating_permutations`` streams all of one size in lexicographic order;
+a caller that wants only the words with a fixed start or end builds them
+from the words of a smaller size, as the bijection domains do.
 """
 
 from __future__ import annotations
@@ -348,36 +351,15 @@ def tree_from_perm(word: Sequence[int]) -> IncTree:
     return IncTree(parent, left, right, validate=False)
 
 
-def alternating_permutations(
-    n: int, prefix: Sequence[int] = ()
-) -> Iterator[tuple[int, ...]]:
-    """Yield every down-up alternating permutation of 1..n, lexicographically.
-
-    *prefix* restricts the stream to words starting with the given letters
-    (the letters must themselves be a legal start); this is the partition
-    hook for parallel reductions over the enumeration.
-    """
+def alternating_permutations(n: int) -> Iterator[tuple[int, ...]]:
+    """Yield every down-up alternating permutation of 1..n, lexicographically."""
     if n < 1:
         raise ValueError(f"size must be >= 1, got {n}")
     word = [0] * n
     used = bytearray(n + 1)
-    k = len(prefix)
-    if k > n:
-        raise ValueError("prefix longer than the word")
-    for i, v in enumerate(prefix):
-        if not 1 <= v <= n or used[v]:
-            raise ValueError(f"bad prefix {prefix!r}")
-        if i > 0 and ((i % 2 == 1) != (v < word[i - 1])):
-            return  # no completions: prefix already breaks alternation
-        word[i] = v
-        used[v] = 1
-    if k == n:
-        yield tuple(word)
-        return
-
-    pos = k
+    pos = 0
     val = 0  # last value tried at the current position, 0 = none yet
-    while pos >= k:
+    while pos >= 0:
         if pos == 0:
             lo, hi = 1, n
         elif pos % 2 == 1:
@@ -389,7 +371,7 @@ def alternating_permutations(
             v += 1
         if v > hi:
             pos -= 1
-            if pos >= k:
+            if pos >= 0:
                 val = word[pos]
                 used[val] = 0
             continue
@@ -404,13 +386,13 @@ def alternating_permutations(
             val = 0
 
 
-def enumerate_trees(n: int, prefix: Sequence[int] = ()) -> Iterator[IncTree]:
+def enumerate_trees(n: int) -> Iterator[IncTree]:
     """Yield every complete increasing tree of size n exactly once.
 
     Trees come out in lexicographic order of their projection; the count is
     the secant number for even n and the tangent number for odd n.
     """
-    for word in alternating_permutations(n, prefix):
+    for word in alternating_permutations(n):
         yield tree_from_perm(word)
 
 

@@ -21,7 +21,7 @@ from secant_trees.bijections import (
     verify_tripling_map,
 )
 from secant_trees.distributions import joint_matrix_bruteforce
-from secant_trees.trees import enumerate_trees, tree_from_perm
+from secant_trees.trees import alternating_permutations, enumerate_trees, tree_from_perm
 
 
 # ---------------------------------------------------------------------- #
@@ -121,6 +121,17 @@ def test_domain_stream_yields_exactly_the_domain(name, two_n):
     }
     assert len(got) == len(set(got))
     assert set(got) == want
+
+
+def test_fixed_start_streams_equal_the_filtered_word_stream():
+    # The words starting (2, 1) or (2n, 1) are built from the words of size
+    # 2n-2; they are exactly the full stream's words with that start, in its
+    # lexicographic order.
+    for two_n in (4, 6, 8, 10):
+        words = list(alternating_permutations(two_n))
+        for name, first in (("first_row_map", 2), ("pom1_map", two_n)):
+            want = [w for w in words if w[:2] == (first, 1)]
+            assert list(MAP_DOMAINS[name].words(two_n)) == want, (name, two_n)
 
 
 @pytest.mark.parametrize("two_n", (2, 7))

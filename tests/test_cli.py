@@ -1,6 +1,8 @@
 """Command-line surface: outputs, formats, exit codes."""
 
 import json
+import multiprocessing
+import os
 from collections import Counter
 
 import pytest
@@ -46,6 +48,17 @@ def test_enumerate_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["enumerate", "--n", "0"])
     assert exc.value.code == 2
+
+
+def test_enumerate_above_the_cap_fails_fast(capsys, monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"words of size {n} enumerated")
+
+    monkeypatch.setattr(cli, "alternating_permutations", refuse)
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--n", "15"])
+    assert exc.value.code == 2
+    assert "--n 15 needs brute force over 1,903,757,312 trees" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------- #
@@ -264,6 +277,17 @@ def test_hybrid_matrix_honours_threads(capsys, monkeypatch):
     code, _ = run(capsys, "matrix", "--method", "hybrid", "--two-n", "8",
                   "--threads", "2")
     assert code == 0 and calls == [(8, 2)]
+
+
+def test_verify_below_size_twelve_starts_no_pool(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.delenv("STC_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # two workers on any machine
+    monkeypatch.setattr(multiprocessing, "Pool", refuse)
+    code, out = run(capsys, "verify", "--two-n-max", "10", "--threads", "2")
+    assert code == 0 and out.endswith("overall: pass\n")
 
 
 def test_run_checks_rows_have_parameters():

@@ -1,5 +1,8 @@
 """Analytic engine: triangle rule, marginal induction, triangle fills,
-border, symmetry, and equivalence with the enumeration oracle."""
+border, symmetry, and equivalence with the enumeration oracle.
+
+Every fill goes through ``RecurrenceEngine.assemble``; a corrupt input is
+injected by patching the engine's ``column_sums`` or ``entringer_row``."""
 
 import hashlib
 import json
@@ -9,18 +12,13 @@ import pytest
 from secant_trees import distributions
 from secant_trees.distributions import BrokenInvariantError, JointMatrix
 from secant_trees.recurrence import (
-    MissingPredecessorError,
-    MissingUpperError,
     NegativeCellError,
     RecurrenceEngine,
     assemble,
     check_symmetry,
-    column_sums,
     entringer_triangle,
-    lower_border,
     secant_numbers,
     tree_count,
-    upper_triangle,
 )
 from secant_trees.reference_tables import (
     REFERENCE_TRIANGLE,
@@ -62,23 +60,19 @@ def test_tree_count_small():
 
 
 def test_column_sums_base_case():
-    assert column_sums(2) == (1,)
+    assert RecurrenceEngine().column_sums(2) == (1,)
 
 
 def test_column_sums_examples():
-    cs8 = RecurrenceEngine().column_sums(8)
-    assert cs8 == (61, 183, 285, 327, 285, 183, 61)
-    cs10 = column_sums(10, prev=cs8)
+    eng = RecurrenceEngine()
+    cs10 = eng.column_sums(10)
     assert cs10 == (1385, 4155, 6681, 8475, 9129, 8475, 6681, 4155, 1385)
+    cs8 = eng.column_sums(8)
+    assert cs8 == (61, 183, 285, 327, 285, 183, 61)
     # one induction step by hand: 2 * 4155 - 1385 - 4 * 61
     assert cs10[2] == 2 * cs10[1] - cs10[0] - 4 * cs8[0] == 6681
-
-
-def test_column_sums_need_predecessor():
-    with pytest.raises(MissingPredecessorError):
-        column_sums(10)
-    with pytest.raises(MissingPredecessorError):
-        column_sums(10, prev=(1, 2, 3))
+    # a fresh engine asked for 8 alone builds the same sums
+    assert RecurrenceEngine().column_sums(8) == cs8
 
 
 # ---------------------------------------------------------------------- #
@@ -86,53 +80,58 @@ def test_column_sums_need_predecessor():
 # ---------------------------------------------------------------------- #
 
 
-def _engine_parts(two_n):
+def _corrupted_engine(monkeypatch, method, size, corrupt):
+    """An engine that has assembled M_{size} and then answers *method*(size)
+    with corrupt(true answer) -- so only the next size sees the corruption."""
     eng = RecurrenceEngine()
-    prev = eng.assemble(two_n - 2)
-    return eng, prev, eng.column_sums(two_n - 2)
+    eng.assemble(size)
+    real = getattr(eng, method)
+    monkeypatch.setattr(
+        eng, method, lambda n: corrupt(real(n)) if n == size else real(n)
+    )
+    return eng
 
 
 def test_upper_triangle_examples():
-    eng, prev, prev_cs = _engine_parts(8)
-    up = upper_triangle(8, prev, prev_cs)
+    eng = RecurrenceEngine()
+    up, prev = eng.assemble(8), eng.assemble(6)
     assert up.get(4, 5) == 2 * 63 - 21 - 4 * prev.get(4, 5) == 101
     assert up.get(2, 5) == 21
-    eng, prev, prev_cs = _engine_parts(4)
-    assert upper_triangle(4, prev, prev_cs).get(2, 3) == 1
+    assert eng.assemble(4).get(2, 3) == 1
 
 
 @pytest.mark.parametrize("two_n", (4, 6, 8, 10, 12, 24, 40))
 def test_filling_order_independence(two_n):
-    eng, prev, prev_cs = _engine_parts(two_n)
-    by_column = upper_triangle(two_n, prev, prev_cs, rule="column")
-    by_row = upper_triangle(two_n, prev, prev_cs, rule="row")
-    assert by_column.same_counts(by_row)
+    # A top-down row-order fill, from the same boundary cells, computes
+    # f(m+2, k) = 2 f(m+1, k) - f(m, k) - 4 f_{2n-2}(m, k-2) at every
+    # 2 <= m <= k-3, 5 <= k <= 2n-3.  It equals the column-order fill
+    # exactly when the column-filled matrix has a zero row-rule residual at
+    # each of those cells.
+    eng = RecurrenceEngine()
+    M, P = eng.assemble(two_n), eng.assemble(two_n - 2)
+    cells = [(m, k) for k in range(5, two_n - 2) for m in range(2, k - 2)]
+    assert len(cells) == (two_n >= 8) * (two_n - 7) * (two_n - 6) // 2
+    for m, k in cells:
+        residual = M.get(m + 2, k) - 2 * M.get(m + 1, k) + M.get(m, k) + 4 * P.get(m, k - 2)
+        assert residual == 0, (m, k)
 
 
-def test_upper_triangle_rejects_incomplete_predecessor():
-    partial = JointMatrix(6, method="recurrence")
-    with pytest.raises(MissingPredecessorError):
-        upper_triangle(8, partial, (5, 15, 21, 15, 5))
-    eng, prev, _ = _engine_parts(8)
-    with pytest.raises(MissingPredecessorError):
-        upper_triangle(8, prev, (1, 2))
-
-
-def test_upper_triangle_flags_a_boundary_cell_filled_twice():
+def test_upper_triangle_flags_a_boundary_cell_filled_twice(monkeypatch):
     # (2,7) is both the last cell of the first row and the top of the
     # rightmost column; the column sums are no longer symmetric.
+    eng = _corrupted_engine(monkeypatch, "column_sums", 6, lambda cs: (*cs[:-1], cs[-1] + 1))
     with pytest.raises(BrokenInvariantError, match=r"\(2,7\) of M_8 filled twice"):
-        upper_triangle(8, assemble(6), (5, 15, 21, 15, 6))
+        eng.assemble(8)
 
 
-def test_upper_triangle_flags_negative_cells():
-    eng, prev, prev_cs = _engine_parts(8)
-    corrupt = JointMatrix(6, method="recurrence")
-    for m, k, v in prev.known_cells():
-        corrupt.set(m, k, v)
-    corrupt.set(4, 5, 10 ** 6)  # forces the interior fill negative
-    with pytest.raises(NegativeCellError):
-        upper_triangle(8, corrupt, prev_cs)
+def test_upper_triangle_flags_negative_cells(monkeypatch):
+    # The middle column sum of M_6 reaches only the first two rows and the
+    # row m = 4 boundary of M_8, so zeroing it leaves every boundary
+    # consistent and drives the first column-rule cell of that row negative:
+    # 2 * 0 - 0 - 4 f_6(4, 5) = -4.
+    eng = _corrupted_engine(monkeypatch, "column_sums", 6, lambda cs: (*cs[:2], 0, *cs[3:]))
+    with pytest.raises(NegativeCellError, match=r"cell \(4,5\) of M_8 came out -4"):
+        eng.assemble(8)
 
 
 # ---------------------------------------------------------------------- #
@@ -140,41 +139,18 @@ def test_upper_triangle_flags_negative_cells():
 # ---------------------------------------------------------------------- #
 
 
-def test_lower_border_flags_a_cell_filled_twice():
-    eng, prev, prev_cs = _engine_parts(8)
-    up = upper_triangle(8, prev, prev_cs)
-    up.set(3, 1, up.get(2, 3) + 1)  # the first column must mirror the first row
-    with pytest.raises(BrokenInvariantError, match=r"\(3,1\) of M_8 filled twice"):
-        lower_border(8, up, eng.entringer_row(6))
-
-
-def test_lower_border_flags_a_negative_entringer_entry():
-    eng, prev, prev_cs = _engine_parts(8)
-    up = upper_triangle(8, prev, prev_cs)
-    row = list(eng.entringer_row(6))
-    row[2] = -1  # lands on the bottom-row cell (8,4)
+def test_lower_border_flags_a_negative_entringer_entry(monkeypatch):
+    # entry 3 of the size-6 row lands on the bottom-row cell (8,4)
+    eng = _corrupted_engine(monkeypatch, "entringer_row", 6, lambda row: (*row[:2], -1, *row[3:]))
     with pytest.raises(NegativeCellError, match=r"\(8,4\) of M_8"):
-        lower_border(8, up, row)
+        eng.assemble(8)
 
 
 def test_lower_border_examples():
-    eng, prev, prev_cs = _engine_parts(8)
-    up = upper_triangle(8, prev, prev_cs)
-    M = lower_border(8, up, eng.entringer_row(6))
+    M = assemble(8)
     assert M.get(4, 3) == M.get(3, 2) + M.get(3, 4) - M.get(2, 3) == 50
     assert M.get(8, 4) == 14
     assert M.get(3, 2) == 2 * M.get(3, 1) == 10
-
-
-def test_lower_border_needs_full_upper():
-    eng, prev, prev_cs = _engine_parts(8)
-    up = upper_triangle(8, prev, prev_cs)
-    hole = JointMatrix(8, method="recurrence")
-    for m, k, v in up.known_cells():
-        if (m, k) != (4, 5):
-            hole.set(m, k, v)
-    with pytest.raises(MissingUpperError):
-        lower_border(8, hole, eng.entringer_row(6))
 
 
 # ---------------------------------------------------------------------- #

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from secant_trees.series import (
     NotAPoupardSolutionError,
     OutOfOrderError,
-    PoupardGrid,
     TriSeries,
     VarMismatchError,
     ZeroConstantTermError,
@@ -281,7 +280,7 @@ def test_omega_p_matches_oracle_slices(brute):
         max_sum = 7 - p  # keeps the sliced sizes at 10 or below
         wp = omega_p(p, max_sum)
         grid = omega_grid_from_counts(p, max_sum, brute)
-        for (i, j), want in grid.entries.items():
+        for (i, j), want in grid.items():
             assert wp.egf_coefficient((i, j)) == want, (p, i, j)
 
 
@@ -310,11 +309,11 @@ def test_row_identities():
 
 
 def test_poupard_stencil_example():
-    grid = PoupardGrid({(0, 0): 1, (0, 1): 0, (0, 2): 1, (1, 0): 0,
-                        (1, 1): 3, (2, 0): 1})
+    grid = {(0, 0): 1, (0, 1): 0, (0, 2): 1, (1, 0): 0,
+            (1, 1): 3, (2, 0): 1}
     assert poupard_check(grid) == []  # 1 - 2*3 + 1 + 4*1 = 0
-    assert poupard_check(PoupardGrid({(i, j): 0 for i in range(4) for j in range(4)})) == []
-    broken = PoupardGrid({(0, 0): 1, (0, 2): 1, (1, 1): 0, (2, 0): 1})
+    assert poupard_check({(i, j): 0 for i in range(4) for j in range(4)}) == []
+    broken = {(0, 0): 1, (0, 2): 1, (1, 1): 0, (2, 0): 1}
     assert poupard_check(broken) == [((0, 0), 6)]
 
 

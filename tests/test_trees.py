@@ -130,16 +130,6 @@ def test_enumeration_is_lexicographic_and_duplicate_free():
     assert words == sorted(set(words))
 
 
-def test_enumeration_prefix_partition():
-    full = list(alternating_permutations(6))
-    parts = []
-    for first in range(1, 7):
-        parts.extend(alternating_permutations(6, prefix=(first,)))
-    assert sorted(parts) == full
-    # a prefix that cannot start an alternating word yields nothing
-    assert list(alternating_permutations(6, prefix=(1,))) == []
-
-
 # ---------------------------------------------------------------------- #
 # minimal chain and the three statistics                                  #
 # ---------------------------------------------------------------------- #
