@@ -2,15 +2,16 @@
 border, symmetry, and equivalence with the enumeration oracle.
 
 Every fill goes through ``RecurrenceEngine.assemble``; a corrupt input is
-injected by patching the engine's ``column_sums`` or ``entringer_row``."""
+injected by patching the engine's ``column_sums`` or ``entringer_row``, or
+the module's ``_upper_rows``."""
 
 import hashlib
 import json
 
 import pytest
 
-from secant_trees import distributions
-from secant_trees.distributions import BrokenInvariantError, JointMatrix
+from secant_trees import distributions, recurrence
+from secant_trees.distributions import BrokenInvariantError, JointMatrix, OddSizeError
 from secant_trees.recurrence import (
     NegativeCellError,
     RecurrenceEngine,
@@ -75,6 +76,21 @@ def test_column_sums_examples():
     assert RecurrenceEngine().column_sums(8) == cs8
 
 
+def test_column_sums_need_predecessor():
+    # A fresh engine derives every predecessor from size 2 on its own, and
+    # the step to 10 reads the size-8 sums: a changed predecessor changes it.
+    eng = RecurrenceEngine()
+    cs10 = eng.column_sums(10)
+    assert [eng.column_sums(s) for s in (4, 6, 8)] == [
+        (1, 3, 1), (5, 15, 21, 15, 5), (61, 183, 285, 327, 285, 183, 61)
+    ]
+    seeded = RecurrenceEngine()
+    seeded._col_sums = {2: (1,), 8: (62, 183, 285, 327, 285, 183, 61)}
+    assert seeded.column_sums(10) != cs10
+    with pytest.raises(OddSizeError):
+        eng.column_sums(9)
+
+
 # ---------------------------------------------------------------------- #
 # upper triangle                                                          #
 # ---------------------------------------------------------------------- #
@@ -137,6 +153,22 @@ def test_upper_triangle_flags_negative_cells(monkeypatch):
 # ---------------------------------------------------------------------- #
 # lower border                                                            #
 # ---------------------------------------------------------------------- #
+
+
+def test_lower_border_flags_a_cell_filled_twice(monkeypatch):
+    # The first column must mirror the first row; an upper fill that has
+    # already written a different (3,1) is caught when the border writes it.
+    real = recurrence._upper_rows
+
+    def upper_with_a_stray_cell(two_n, prev, prev_cs):
+        rows = real(two_n, prev, prev_cs)
+        if two_n == 8:
+            rows[1][0] = rows[0][2] + 1
+        return rows
+
+    monkeypatch.setattr(recurrence, "_upper_rows", upper_with_a_stray_cell)
+    with pytest.raises(BrokenInvariantError, match=r"\(3,1\) of M_8 filled twice"):
+        RecurrenceEngine().assemble(8)
 
 
 def test_lower_border_flags_a_negative_entringer_entry(monkeypatch):
