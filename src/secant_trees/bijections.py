@@ -15,11 +15,14 @@ bottom row of the joint matrices repeat previous-size marginals, and why the
 next-to-rightmost column is three times the rightmost.  Every constructed
 tree is fully re-validated.  One harness, ``verify_map``, certifies each
 map at small sizes: injectivity, statistic transport, and coverage of domain
-and codomain.  It builds only candidate trees for each domain (words with a
-forced start or end, ``MAP_DOMAINS``) and counts the domain and the
-codomain against the brute-force joint matrix of the same size, which the
-caller passes in: ``verify`` shares the one it counted for its other checks,
-and each ``MAP_VERIFIERS`` entry counts its own.
+and codomain.  It builds a tree only for each word of a domain
+(``MAP_DOMAINS``: the words with a forced start or end, and for eoc = 2n
+the words grown from the trees of size 2n-2 whose minimal chain reaches
+their rightmost node), still filters each by the map's precondition, and
+counts the domain and the codomain against the brute-force joint matrix of
+the same size, which the caller passes in: ``verify`` shares the one it
+counted for its other checks, and each ``MAP_VERIFIERS`` entry counts its
+own.  Sources are keyed by their words and images by their projections.
 """
 
 from __future__ import annotations
@@ -46,7 +49,8 @@ def _check_size(n: int) -> None:
 
 
 def _relabel(t: IncTree, sigma: Sequence[int], n_new: int) -> IncTree:
-    """Rebuild *t* under the label map *sigma* (0 deletes a node).
+    """Rebuild *t* under the label map *sigma* (0 deletes a node; sigma[0]
+    must be 0, so that "none" stays "none").
 
     Links to deleted nodes vanish; the result is fully validated.
     """
@@ -55,12 +59,10 @@ def _relabel(t: IncTree, sigma: Sequence[int], n_new: int) -> IncTree:
     right = [0] * (n_new + 1)
     for v_old in range(1, t.n + 1):
         v = sigma[v_old]
-        if v == 0:
-            continue
-        p, l, r = t.parent[v_old], t.left[v_old], t.right[v_old]
-        parent[v] = sigma[p] if p else 0
-        left[v] = sigma[l] if l else 0
-        right[v] = sigma[r] if r else 0
+        if v:
+            parent[v] = sigma[t.parent[v_old]]
+            left[v] = sigma[t.left[v_old]]
+            right[v] = sigma[t.right[v_old]]
     return IncTree(parent, left, right)
 
 
@@ -188,27 +190,35 @@ def _ends_with_top_pair(two_n: int) -> Iterator[tuple[int, ...]]:
 
 
 def _max_before_last(two_n: int) -> Iterator[tuple[int, ...]]:
-    """The down-up words with 2n in position 2n-1: ``(*u, 2n, j)`` for every
-    last letter ``j`` and every down-up word ``u`` on the other letters.
+    """The words ``(*u^j, 2n, j)`` of the trees with eoc = 2n, each once.
 
-    ``j = 1`` is left out: the rightmost node 1 is then the root, whose only
-    child is 2, not 2n, at every size >= 4.
+    ``u`` runs over the down-up words of size 2n-2 and ``u^j`` relabels
+    ``x -> x + (x >= j)``.  In the tree of the word, ``j`` is the rightmost
+    node with the only child 2n, and it hangs as the right child of
+    ``u_last``, the rightmost node of ``u``, whose left child is
+    ``left_u[u_last]`` shifted.  So the minimal chain ends at 2n exactly when
+    the chain of ``u`` passes through ``u_last`` and then turns to ``j``,
+    which is smaller than the shifted left child: ``u_last < j <=
+    left_u[u_last]``.
     """
-    words = list(alternating_permutations(two_n - 2))
-    for j in range(2, two_n):
-        for u in words:
-            yield (*(x + (x >= j) for x in u), two_n, j)
+    for u in alternating_permutations(two_n - 2):
+        t = tree_from_perm(u)
+        last = u[-1]
+        if last in t.minimal_chain():
+            for j in range(last + 1, t.left[last] + 1):
+                yield (*(x + (x >= j) for x in u), two_n, j)
 
 
 @dataclass(frozen=True)
 class MapDomain:
     """A map with its domain and codomain at each size 2n.
 
-    ``words(2n)`` streams candidate words that include the projection of
-    every tree in the domain, and perhaps others; ``contains`` is the exact
-    precondition on a tree, which filters them; ``margin`` reads the size of
-    the domain off the brute-force joint matrix, so that a stream missing a
-    domain tree shows at run time instead of being assumed away.
+    ``words(2n)`` streams the projections of the trees in the domain, each
+    once; every stream here is exact, but ``contains``, the precondition on
+    a tree, still filters each candidate, and ``margin`` reads the size of
+    the domain off the brute-force joint matrix, so that a stream that
+    misses a domain tree or yields a stray word shows at run time instead
+    of being assumed away.
 
     ``images`` applies the map.  ``transport(s, out)`` checks an image
     against ``s = statistic(t)`` of its source, computed once per tree.
@@ -229,7 +239,8 @@ class MapDomain:
 # The candidate words follow from the map docstrings.  eoc = 2: the leaf 2
 # hangs off the root, so the word starts (2, 1).  pom = 1: it starts (2n, 1).
 # pom = 2n-1: node 2n-1 can only carry 2n, so it is the one-child node and the
-# word ends (2n, 2n-1).  eoc = 2n: 2n is the left child of the rightmost node.
+# word ends (2n, 2n-1).  eoc = 2n: 2n is the left child of the rightmost node,
+# which the minimal chain reaches (see _max_before_last).
 _POM_TOP = dict(
     words=_ends_with_top_pair,
     contains=lambda t: t.pom() == t.n - 1,
@@ -280,15 +291,22 @@ MAP_DOMAINS: dict[str, MapDomain] = {
 }
 
 
-def domain_trees(name: str, two_n: int) -> Iterator[IncTree]:
-    """The trees of even size *two_n* >= 4 in the domain of the map *name*:
-    its candidate words, built and filtered by its precondition."""
+def _domain_words(name: str, two_n: int) -> Iterator[tuple[tuple[int, ...], IncTree]]:
+    """``(word, tree)`` for each tree of even size *two_n* >= 4 in the domain
+    of the map *name*: its candidate words, built and filtered by its
+    precondition.  The word is the tree's projection."""
     _check_size(two_n)
     domain = MAP_DOMAINS[name]
     for word in domain.words(two_n):
         t = tree_from_perm(word)
         if domain.contains(t):
-            yield t
+            yield word, t
+
+
+def domain_trees(name: str, two_n: int) -> Iterator[IncTree]:
+    """The trees of even size *two_n* >= 4 in the domain of the map *name*."""
+    for _, t in _domain_words(name, two_n):
+        yield t
 
 
 @dataclass
@@ -348,9 +366,8 @@ def verify_map(name: str, two_n: int, counts: JointMatrix) -> MapReport:
     report = MapReport(map=name, two_n=two_n, domain=0, image=0)
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}
     landed = 0
-    for t in domain_trees(name, two_n):
+    for src, t in _domain_words(name, two_n):
         report.domain += 1
-        src = t.projection()
         stat = domain.statistic(t)
         for out in domain.images(t):
             key = out.projection()

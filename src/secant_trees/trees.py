@@ -68,16 +68,23 @@ class StatRecord(NamedTuple):
 
 
 def is_alternating(word: Sequence[int]) -> bool:
-    """True iff *word* is a permutation of 1..n with w1 > w2 < w3 > w4 < ..."""
+    """True iff *word* is a permutation of 1..n with w1 > w2 < w3 > w4 < ...
+
+    Letters must be exactly ``int``: ``True`` or ``2.0`` equal a label but
+    are not one.
+    """
     n = len(word)
-    if n < 1 or sorted(word) != list(range(1, n + 1)):
+    if n < 1 or list(map(type, word)).count(int) != n:
         return False
-    for i in range(1, n):
-        if i % 2 == 1:
-            if word[i] >= word[i - 1]:
-                return False
-        elif word[i] <= word[i - 1]:
+    if sorted(word) != list(range(1, n + 1)):
+        return False
+    prev = word[0]
+    down = True
+    for x in word[1:]:
+        if (x >= prev) if down else (x <= prev):
             return False
+        prev = x
+        down = not down
     return True
 
 
@@ -115,49 +122,50 @@ class IncTree:
 
     def _validate(self) -> None:
         n = self.n
+        parent, left, right = self.parent, self.left, self.right
         if n < 1:
             raise BadLabelsError("tree must have at least one node")
-        if not (len(self.left) == len(self.right) == n + 1):
+        if not (len(left) == len(right) == n + 1):
             raise BadLabelsError("parent/left/right maps must all cover labels 1..n")
-        for arr, name in ((self.parent, "parent"), (self.left, "left"), (self.right, "right")):
-            if arr[0] != 0:
-                raise BadLabelsError(f"{name}[0] must be the unused sentinel 0")
-            for v in arr:
-                if type(v) is not int or v < 0 or v > n:
-                    raise BadLabelsError(f"{name} entry {v!r} is not a label in 0..{n}")
+        # C-level passes over all entries; the loop only names a bad one.
+        labels = parent + left + right
+        if list(map(type, labels)).count(int) != len(labels) or min(labels) < 0 or max(labels) > n:
+            for arr, name in ((parent, "parent"), (left, "left"), (right, "right")):
+                for v in arr:
+                    if type(v) is not int or v < 0 or v > n:
+                        raise BadLabelsError(f"{name} entry {v!r} is not a label in 0..{n}")
+        if parent[0] or left[0] or right[0]:
+            raise BadLabelsError("parent[0], left[0] and right[0] must be the unused sentinel 0")
 
-        if self.parent[1] != 0:
-            raise InconsistentError("node 1 must be the root (no parent)")
-        for v in range(2, n + 1):
-            if self.parent[v] == 0:
-                raise InconsistentError(f"node {v} has no parent but is not the root")
-
+        # parent[0] = 0, so exactly two zeros: the sentinel and the root 1.
+        if parent[1] != 0 or parent.count(0) != 2:
+            raise InconsistentError("node 1 must be the only node without a parent")
         # Child labels strictly exceed the parent label.
         for v in range(2, n + 1):
-            if self.parent[v] >= v:
+            if parent[v] >= v:
                 raise NotIncreasingError(
-                    f"node {v} hangs below {self.parent[v]}, which is not smaller"
+                    f"node {v} hangs below {parent[v]}, which is not smaller"
                 )
 
-        # Mutual consistency of the three maps.
+        # The child maps list every node but the root exactly once, each
+        # below its own parent: parent rebuilt from them must match, and they
+        # hold n - 1 links, so n + 3 zeros with the two sentinels.  Nodes with
+        # exactly one child are collected for the arity check.
+        rebuilt = [0] * (n + 1)
+        single = []
         for p in range(1, n + 1):
-            for c in (self.left[p], self.right[p]):
-                if c and self.parent[c] != p:
-                    raise InconsistentError(
-                        f"{c} is listed as a child of {p} but parent[{c}] = {self.parent[c]}"
-                    )
-            if self.left[p] and self.left[p] == self.right[p]:
-                raise InconsistentError(f"{self.left[p]} is both children of {p}")
-        for v in range(2, n + 1):
-            p = self.parent[v]
-            if self.left[p] != v and self.right[p] != v:
-                raise InconsistentError(
-                    f"parent[{v}] = {p} but {v} is neither child of {p}"
-                )
+            l, r = left[p], right[p]
+            rebuilt[l] = rebuilt[r] = p
+            if (l == 0) != (r == 0):
+                single.append(p)
+        rebuilt[0] = 0
+        if rebuilt != list(parent) or left.count(0) + right.count(0) != n + 3:
+            raise InconsistentError(
+                "left/right do not list each non-root node once, as a child of its parent"
+            )
 
         # Arity: leaves and binary nodes, plus the single left-only node for
         # even n, which must sit at the rightmost position.
-        single = [v for v in range(1, n + 1) if (self.left[v] == 0) != (self.right[v] == 0)]
         if n % 2 == 1:
             if single:
                 raise BadArityError(
@@ -169,9 +177,9 @@ class IncTree:
                     f"even size {n} needs exactly one one-child node, found {single}"
                 )
             oc = single[0]
-            if self.left[oc] == 0:
+            if left[oc] == 0:
                 raise BadArityError(f"one-child node {oc} must carry a left child")
-            if self.projection()[-1] != oc:
+            if self.ent() != oc:
                 raise BadArityError(
                     f"one-child node {oc} is not the rightmost node"
                 )
@@ -205,19 +213,19 @@ class IncTree:
         each right subtree strictly right, so the abscissa order is exactly
         the in-order traversal.
         """
+        left, right = self.left, self.right
         out: list[int] = []
-        # Iterative in-order: (node, visited-left?) stack.
-        stack: list[tuple[int, bool]] = [(1, False)]
-        while stack:
-            v, done_left = stack.pop()
-            if not done_left and self.left[v]:
-                stack.append((v, True))
-                stack.append((self.left[v], False))
-                continue
+        stack: list[int] = []
+        v = 1
+        while True:
+            while v:
+                stack.append(v)
+                v = left[v]
+            if not stack:
+                return tuple(out)
+            v = stack.pop()
             out.append(v)
-            if self.right[v]:
-                stack.append((self.right[v], False))
-        return tuple(out)
+            v = right[v]
 
     # -- statistics ---------------------------------------------------------
 
@@ -228,18 +236,15 @@ class IncTree:
         walking; the chain ends at the first leaf reached.  The single-node
         tree has the one-element chain (1,).
         """
+        left, right = self.left, self.right
         chain = [1]
         v = 1
         while True:
-            l, r = self.left[v], self.right[v]
+            l, r = left[v], right[v]
             if l == 0 and r == 0:
-                break
-            nxt = min(l, r) if l and r else (l or r)
-            chain.append(nxt)
-            if self.is_leaf(nxt):
-                break
-            v = nxt
-        return tuple(chain)
+                return tuple(chain)
+            v = (l if l < r else r) if l and r else (l or r)
+            chain.append(v)
 
     def eoc(self) -> int:
         if self.n == 1:
@@ -252,7 +257,13 @@ class IncTree:
         return self.parent[self.n]
 
     def ent(self) -> int:
-        return self.projection()[-1]
+        """The rightmost node: the end of the path of right children from
+        the root, so the last letter of the projection."""
+        right = self.right
+        v = 1
+        while right[v]:
+            v = right[v]
+        return v
 
     def stats(self) -> StatRecord:
         return StatRecord(self.eoc(), self.pom(), self.ent())
@@ -317,15 +328,15 @@ def _child_arrays_from_word(word: Sequence[int]) -> tuple[list[int], list[int]]:
     n = len(word)
     left = [0] * (n + 1)
     right = [0] * (n + 1)
-    stack: list[int] = []
+    stack = [0]  # 0 sits below every letter; right[0] collects the roots
     for x in word:
         last = 0
-        while stack and stack[-1] > x:
+        while stack[-1] > x:
             last = stack.pop()
         left[x] = last
-        if stack:
-            right[stack[-1]] = x
+        right[stack[-1]] = x
         stack.append(x)
+    right[0] = 0
     return left, right
 
 
@@ -342,10 +353,8 @@ def tree_from_perm(word: Sequence[int]) -> IncTree:
     n = len(word)
     parent = [0] * (n + 1)
     for p in range(1, n + 1):
-        if left[p]:
-            parent[left[p]] = p
-        if right[p]:
-            parent[right[p]] = p
+        parent[left[p]] = parent[right[p]] = p
+    parent[0] = 0
     # Alternation of the word is exactly completeness of the tree, so the
     # expensive re-validation is skipped.
     return IncTree(parent, left, right, validate=False)

@@ -21,7 +21,13 @@ from secant_trees.bijections import (
     verify_tripling_map,
 )
 from secant_trees.distributions import joint_matrix_bruteforce
-from secant_trees.trees import alternating_permutations, enumerate_trees, tree_from_perm
+from secant_trees.recurrence import tree_count
+from secant_trees.trees import (
+    alternating_permutations,
+    enumerate_trees,
+    tree_from_perm,
+    word_stats,
+)
 
 
 # ---------------------------------------------------------------------- #
@@ -132,6 +138,16 @@ def test_fixed_start_streams_equal_the_filtered_word_stream():
         for name, first in (("first_row_map", 2), ("pom1_map", two_n)):
             want = [w for w in words if w[:2] == (first, 1)]
             assert list(MAP_DOMAINS[name].words(two_n)) == want, (name, two_n)
+
+
+def test_entringer_stream_is_exactly_the_domain():
+    # Only the words of trees with eoc = 2n, each once: one per tree of
+    # size 2n-2.
+    for two_n in (4, 6, 8, 10):
+        got = list(MAP_DOMAINS["entringer_map"].words(two_n))
+        want = {w for w in alternating_permutations(two_n) if word_stats(w).eoc == two_n}
+        assert len(got) == len(set(got)) == tree_count(two_n - 2), two_n
+        assert set(got) == want, two_n
 
 
 @pytest.mark.parametrize("two_n", (2, 7))

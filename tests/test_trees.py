@@ -102,17 +102,23 @@ def test_tree_from_perm_matches_explicit_tree():
 
 
 def test_tree_from_perm_rejects_non_alternating():
-    for bad in ((1, 2), (2, 1, 3, 4), (1, 1), (3, 2, 1)):
+    # Letters are exactly ints: True and 2.0 compare equal to labels.
+    for bad in ((1, 2), (2, 1, 3, 4), (1, 1), (3, 2, 1), (2, True), (2.0, 1.0), (3, 1.0, 2)):
+        assert not is_alternating(bad)
         with pytest.raises(NotAlternatingError):
             tree_from_perm(bad)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_projection_round_trip_exhaustive(n):
-    for t in enumerate_trees(n):
-        word = t.projection()
+    # Every word's tree projects back onto it, ends at its last letter and
+    # passes full validation.
+    for word in alternating_permutations(n):
         assert is_alternating(word)
-        assert tree_from_perm(word) == t
+        t = tree_from_perm(word)
+        assert t.projection() == word
+        assert t.ent() == word[-1]
+        assert IncTree(t.parent, t.left, t.right) == t
 
 
 # ---------------------------------------------------------------------- #
