@@ -10,9 +10,11 @@ unknown -- those are first-class ``None`` cells, never silently zero.
 
 The joint counter grows every tree by inserting its labels in increasing
 order and carries eoc and the rightmost node along, so it builds no word and
-no tree object; the rightmost-label counter backtracks over the down-up
-words in place.  Nothing is materialized, so size 14 (199,360,981 trees)
-stays within a modest memory budget.
+no tree object.  A leaf other than the rightmost node opened on its left or
+on its right gives twins that agree in every later move and statistic, so
+each pair is walked once with weight 2.  The rightmost-label counter
+backtracks over the down-up words in place.  Nothing is materialized, so
+size 14 (199,360,981 trees) stays within a modest memory budget.
 """
 
 from __future__ import annotations
@@ -268,9 +270,11 @@ log = logging.getLogger(__name__)
 # with side 0 for left and 1 for right.
 _PARTS = ((0, 1, 1), (0, 2, 0), (0, 2, 1), (1, 1, 0), (1, 2, 0), (1, 2, 1))
 _LOG_MIN_TWO_N = 12  # parts of smaller sizes finish too fast to be worth a line
-# Smallest size counted over a pool.  Measured on 2 cores, serial against two
-# workers: 0.001 s against 0.023 s at 2n = 8, 0.016 s against 0.034 s at 10,
-# 0.62 s against 0.60 s at 12 and 49 s against 25 s at 14.
+# Smallest size counted over a pool.  Measured on 2 cores (Python 3.11),
+# medians of serial against two workers: 0.0006 s against 0.016 s at 2n = 8,
+# 0.006 s against 0.024 s at 10 (9 runs each), 0.16 s against 0.12 s at 12
+# (25 alternating pairs, the pool faster in 24) and 7.0 s against 4.6 s at 14
+# (7 runs each).
 _POOL_MIN_TWO_N = 12
 
 
@@ -285,16 +289,30 @@ def _count_joint_part(args: tuple[int, tuple[int, int, int]]) -> dict[tuple[int,
     child) other than ``R``, ``R`` itself (the end of the right chain from
     the root), whether ``R`` is open (then it has a left child only, as the
     one-child node of every complete tree of even size must) and ``eoc`` (the
-    end of the minimal chain, always a leaf).  Label ``L`` either fills the free slot of an open node or
-    opens a leaf on its left or on its right, and each move updates the
-    statistics in O(1): ``eoc`` becomes ``L`` exactly when ``L`` hangs under
-    the ``eoc`` leaf (a filled slot never changes the chain, because the child
-    already there is smaller), ``R`` becomes ``L`` exactly when ``L`` becomes
-    the right child of ``R``, and pom is the node that receives ``2n``.  A
-    branch is pruned once the open nodes other than an open ``R`` outnumber the
-    labels still to place; every surviving branch then completes.  The last
-    two labels are placed inline: every surviving place of ``2n - 1`` leaves
-    exactly one place for ``2n``, so no call is made per tree.
+    end of the minimal chain, always a leaf).  Label ``L`` either fills the
+    free slot of an open node or opens a leaf on its left or on its right,
+    and each move updates the statistics in O(1): ``eoc`` becomes ``L``
+    exactly when ``L`` hangs under the ``eoc`` leaf (a filled slot never
+    changes the chain, because the child already there is smaller), ``R``
+    becomes ``L`` exactly when ``L`` becomes the right child of ``R``, and
+    pom is the node that receives ``2n``.
+
+    The walk visits the trees up to the side of each opening of a leaf
+    ``Y != R``, once per pair of twins, and carries a weight ``w`` that
+    doubles at each such opening: a tree reached after ``j`` of them adds
+    ``2**j`` to its cell, one for each choice of sides.  The weight is exact
+    because the two sides give the same state, so every later move and both
+    statistics agree: ``Y`` is not on the right chain, so ``R`` stays; its
+    one child becomes the minimal chain's step from ``Y`` whichever side it
+    hangs on, so ``eoc`` moves the same; and filling ``Y`` later is one move
+    either way.  Fills and the two openings of ``R`` keep the weight: a fill
+    is one move, and the openings of ``R`` differ, since a left child leaves
+    ``R`` open and a right child becomes the new ``R``.
+    A branch is pruned once the open nodes other than an open ``R``
+    outnumber the labels still to place; every surviving branch then
+    completes.  The last two labels are placed inline: every surviving place
+    of ``2n - 1`` leaves exactly one place for ``2n``, so no call is made
+    per tree.
     """
     two_n, (side2, parent3, side3) = args
     t0 = time.perf_counter()
@@ -311,46 +329,48 @@ def _count_joint_part(args: tuple[int, tuple[int, int, int]]) -> dict[tuple[int,
     tally = [0] * (stride * stride)  # tally[eoc * stride + pom]
     last = two_n - 1
 
-    def grow(L: int, R: int, r_open: bool, eoc: int) -> None:
-        # Place the labels L, L+1, ..., 2n; opens never counts an open R.
+    def grow(L: int, R: int, r_open: bool, eoc: int, w: int) -> None:
+        # Place the labels L, L+1, ..., 2n into w trees that differ only in
+        # the sides of earlier openings; opens never counts an open R.
         n_open = len(opens)
         if L >= last:
             if L == two_n:
                 # Only at 2n = 4, where the part has placed 2n - 1 already.
                 if opens:
-                    tally[eoc * stride + opens[0]] += 1
+                    tally[eoc * stride + opens[0]] += w
                 else:
-                    tally[(L if R == eoc else eoc) * stride + R] += 1
+                    tally[(L if R == eoc else eoc) * stride + R] += w
             elif not r_open:
                 # One open X: 2n - 1 fills X and 2n opens R on the left, or
                 # 2n - 1 opens R on the left and 2n fills X.
                 X = opens[0]
-                tally[(two_n if R == eoc else eoc) * stride + R] += 1
-                tally[(L if R == eoc else eoc) * stride + X] += 1
+                tally[(two_n if R == eoc else eoc) * stride + R] += w
+                tally[(L if R == eoc else eoc) * stride + X] += w
             elif n_open:
                 # Open X and Z: 2n - 1 fills one, 2n the other.
                 X, Z = opens
-                tally[eoc * stride + Z] += 1
-                tally[eoc * stride + X] += 1
+                tally[eoc * stride + Z] += w
+                tally[eoc * stride + X] += w
             else:
                 # 2n - 1 fills R and 2n opens it on the left, or 2n - 1 opens
                 # a leaf Y on either side and 2n fills Y.
-                tally[eoc * stride + L] += 1
+                tally[eoc * stride + L] += w
+                w2 = 2 * w
                 for Y in leaves:
                     if Y == eoc:
-                        tally[L * stride + Y] += 2
+                        tally[L * stride + Y] += w2
                     else:
-                        tally[eoc * stride + Y] += 2
+                        tally[eoc * stride + Y] += w2
             return
         rem = two_n - L  # labels to place after L
         nxt = L + 1
         leaves.append(L)
         for i in range(n_open):
             X = opens.pop(i)
-            grow(nxt, R, r_open, eoc)
+            grow(nxt, R, r_open, eoc, w)
             opens.insert(i, X)
         if r_open and n_open <= rem:
-            grow(nxt, L, False, eoc)
+            grow(nxt, L, False, eoc, w)
         leaves.pop()
         may_open = n_open < rem
         for j, Y in enumerate(leaves):
@@ -358,20 +378,19 @@ def _count_joint_part(args: tuple[int, tuple[int, int, int]]) -> dict[tuple[int,
             e = L if Y == eoc else eoc
             if Y == R:
                 if n_open <= rem:
-                    grow(nxt, R, True, e)
+                    grow(nxt, R, True, e, w)
                 if may_open:
                     opens.append(Y)
-                    grow(nxt, L, False, e)
+                    grow(nxt, L, False, e, w)
                     opens.pop()
             elif may_open:
                 opens.append(Y)
-                grow(nxt, R, r_open, e)
-                grow(nxt, R, r_open, e)
+                grow(nxt, R, r_open, e, 2 * w)  # the left and the right twin
                 opens.pop()
             leaves[j] = Y
 
     if len(opens) <= two_n - 3:
-        grow(4, R, left[R] != 0, eoc)
+        grow(4, R, left[R] != 0, eoc, 1)
     counts = {
         (m, k): tally[m * stride + k]
         for m in range(stride)

@@ -408,12 +408,14 @@ def enumerate_trees(n: int) -> Iterator[IncTree]:
 def word_stats(word: Sequence[int]) -> StatRecord:
     """(eoc, pom, ent) of the tree projecting to *word*, without building it.
 
-    Used by the brute-force counting loops; requires n >= 2.  pom is read off
+    Raises :class:`NotAlternatingError` unless *word* is a down-up word, and
+    :class:`StatUndefinedError` for the one-letter word.  pom is read off
     as the larger neighbour of the maximum letter (the parent of a node is
     the larger of its nearest smaller letters, and every letter is smaller
     than the maximum); eoc walks the minimal chain on the stack-built child
     arrays; ent is the last letter.
     """
+    check_alternating(word)
     n = len(word)
     if n < 2:
         raise StatUndefinedError("eoc and pom need at least two nodes")

@@ -198,6 +198,15 @@ def test_word_stats_agrees_with_tree_stats():
             assert word_stats(word) == tree_from_perm(word).stats()
 
 
+def test_word_stats_rejects_non_alternating():
+    # Not down-up, a repeated letter, and a bool that equals the label 1.
+    for bad in ((1, 2, 3), (1, 3, 2), (2, 2, 1), (2, True)):
+        with pytest.raises(NotAlternatingError):
+            word_stats(bad)
+    with pytest.raises(StatUndefinedError):
+        word_stats((1,))
+
+
 # ---------------------------------------------------------------------- #
 # serialization                                                           #
 # ---------------------------------------------------------------------- #
