@@ -21,7 +21,8 @@ the words grown from the trees of size 2n-2 whose minimal chain reaches
 their rightmost node), still filters each by the map's precondition, and
 counts the domain and the codomain against the brute-force joint matrix of
 the same size, which the caller passes in: ``verify`` shares the one it
-counted for its other checks, and each ``MAP_VERIFIERS`` entry counts its
+counted for its other checks.  ``MAP_VERIFIERS`` holds one standalone
+verifier per key of ``MAP_DOMAINS``, named ``verify_<map>``, that counts its
 own.  Sources are keyed by their words and images by their projections.
 """
 
@@ -384,40 +385,19 @@ def verify_map(name: str, two_n: int, counts: JointMatrix) -> MapReport:
     return report
 
 
-# Standalone verifiers: each counts its own brute-force matrix.  The size is
-# checked first, or joint_matrix_bruteforce would reject an odd one with
-# OddSizeError instead of PreconditionError.
+def _standalone(name: str) -> Callable[[int], MapReport]:
+    """``verify_<name>``: :func:`verify_map` on a brute-force matrix of its
+    own.  The size is checked first, or joint_matrix_bruteforce would reject
+    an odd one with OddSizeError instead of PreconditionError."""
 
+    def verifier(two_n: int) -> MapReport:
+        _check_size(two_n)
+        return verify_map(name, two_n, joint_matrix_bruteforce(two_n))
 
-def verify_first_row_map(two_n: int) -> MapReport:
-    _check_size(two_n)
-    return verify_map("first_row_map", two_n, joint_matrix_bruteforce(two_n))
-
-
-def verify_rightmost_column_map(two_n: int) -> MapReport:
-    _check_size(two_n)
-    return verify_map("rightmost_column_map", two_n, joint_matrix_bruteforce(two_n))
-
-
-def verify_tripling_map(two_n: int) -> MapReport:
-    _check_size(two_n)
-    return verify_map("tripling_map", two_n, joint_matrix_bruteforce(two_n))
-
-
-def verify_pom1_map(two_n: int) -> MapReport:
-    _check_size(two_n)
-    return verify_map("pom1_map", two_n, joint_matrix_bruteforce(two_n))
-
-
-def verify_entringer_map(two_n: int) -> MapReport:
-    _check_size(two_n)
-    return verify_map("entringer_map", two_n, joint_matrix_bruteforce(two_n))
+    verifier.__name__ = verifier.__qualname__ = f"verify_{name}"
+    return verifier
 
 
 MAP_VERIFIERS: dict[str, Callable[[int], MapReport]] = {
-    "first_row_map": verify_first_row_map,
-    "rightmost_column_map": verify_rightmost_column_map,
-    "tripling_map": verify_tripling_map,
-    "pom1_map": verify_pom1_map,
-    "entringer_map": verify_entringer_map,
+    name: _standalone(name) for name in MAP_DOMAINS
 }

@@ -28,6 +28,7 @@ from typing import Callable, Iterable, Iterator
 
 from .bijections import MAP_VERIFIERS, verify_map
 from .distributions import (
+    _METHODS,
     JointMatrix,
     OddSizeError,
     entringer_bruteforce,
@@ -60,22 +61,6 @@ from .trees import alternating_permutations, enumerate_trees
 BRUTE_MAX_TWO_N = 14
 
 DEFAULT_CHECKS = ("tables", "marginal", "r1", "r2", "symmetry")
-ALL_CHECKS = (
-    "tables",
-    "r1",
-    "r2",
-    "r3",
-    "r4",
-    "marginal",
-    "symmetry",
-    "crossing",
-    "borders",
-    "bijection",
-    "gf1",
-    "gf3",
-    "poupard",
-    "pde",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +376,18 @@ CHECK_FUNCTIONS: dict[str, Callable[[_VerifyContext, int], Iterator[CheckRow]]] 
     "poupard": _check_poupard,
     "pde": _check_pde,
 }
+ALL_CHECKS = tuple(CHECK_FUNCTIONS)
+
+
+def _selection(checks: Iterable[str]) -> tuple[str, ...]:
+    """*checks* as a tuple; ValueError if it is empty or names an unknown
+    check, so that a bad selection fails before any check runs."""
+    checks = tuple(checks)
+    unknown = [c for c in checks if c not in CHECK_FUNCTIONS]
+    if unknown or not checks:
+        what = f"unknown check {unknown[0]!r}" if unknown else "no check selected"
+        raise ValueError(f"{what} (known: {', '.join(ALL_CHECKS)})")
+    return checks
 
 
 def run_checks(
@@ -398,14 +395,14 @@ def run_checks(
 ) -> VerifyReport:
     """Run the selected check suites up to *two_n_max* on fresh data.
 
-    Each row records the wall time its check spent producing it, including
-    any brute-force matrix it was the first to need.
+    An empty selection or an unknown check name raises ValueError before
+    any check runs.  Each row records the wall time its check spent
+    producing it, including any brute-force matrix it was the first to need.
     """
+    checks = _selection(checks)
     ctx = _VerifyContext(processes=processes)
     report = VerifyReport()
     for name in checks:
-        if name not in CHECK_FUNCTIONS:
-            raise ValueError(f"unknown check {name!r}")
         rows = CHECK_FUNCTIONS[name](ctx, two_n_max)
         while True:
             start = time.perf_counter()
@@ -538,10 +535,10 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     if args.two_n_max < 4 or args.two_n_max % 2:
         parser.error(f"--two-n-max must be even and >= 4, got {args.two_n_max}")
     _cap_brute_force(parser, "--two-n-max", args.two_n_max)
-    checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
-    for c in checks:
-        if c not in CHECK_FUNCTIONS:
-            parser.error(f"unknown check {c!r} (known: {', '.join(ALL_CHECKS)})")
+    try:
+        checks = _selection(c.strip() for c in args.checks.split(",") if c.strip())
+    except ValueError as exc:
+        parser.error(str(exc))
     report = run_checks(args.two_n_max, checks, processes=args.threads)
     if args.format == "json":
         print(json.dumps(report.to_json_dict()))
@@ -564,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("matrix", help="print a joint (eoc, pom) matrix")
     p.add_argument("--two-n", dest="two_n", type=int, required=True)
-    p.add_argument("--method", choices=("brute", "recurrence", "hybrid"), default="brute")
+    p.add_argument("--method", choices=_METHODS, default="brute")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.add_argument("--threads", type=int, default=None)
 

@@ -99,14 +99,6 @@ class JointMatrix:
 
     # -- index helpers ------------------------------------------------------
 
-    @property
-    def m_range(self) -> tuple[int, int]:
-        return (2, self.two_n)
-
-    @property
-    def k_range(self) -> tuple[int, int]:
-        return (1, self.two_n - 1)
-
     def in_box(self, m: int, k: int) -> bool:
         return 2 <= m <= self.two_n and 1 <= k <= self.two_n - 1
 

@@ -88,11 +88,6 @@ def is_alternating(word: Sequence[int]) -> bool:
     return True
 
 
-def check_alternating(word: Sequence[int]) -> None:
-    if not is_alternating(word):
-        raise NotAlternatingError(f"not a down-up alternating permutation: {word!r}")
-
-
 class IncTree:
     """A complete increasing tree over labels ``1..n``.
 
@@ -188,14 +183,6 @@ class IncTree:
 
     def is_leaf(self, v: int) -> bool:
         return self.left[v] == 0 and self.right[v] == 0
-
-    def children(self, v: int) -> tuple[int, ...]:
-        out = []
-        if self.left[v]:
-            out.append(self.left[v])
-        if self.right[v]:
-            out.append(self.right[v])
-        return tuple(out)
 
     def one_child_node(self) -> int | None:
         """The unique single-child node for even n, else None."""
@@ -318,14 +305,22 @@ class IncTree:
 # -- permutation <-> tree ------------------------------------------------------
 
 
-def _child_arrays_from_word(word: Sequence[int]) -> tuple[list[int], list[int]]:
-    """left/right child arrays of the min-rooted tree of *word*.
+def tree_from_perm(word: Sequence[int]) -> IncTree:
+    """Inverse of the projection.
+
+    The root is the minimum letter; the factors left and right of the minimum
+    build the left and right subtrees recursively.  Raises
+    :class:`NotAlternatingError` unless *word* is down-up alternating.
 
     Classic stack construction: scan left to right keeping the rightmost
     spine; each letter pops the larger spine tail (which becomes its left
     subtree) and attaches as right child of the remaining top.
     """
+    word = tuple(word)
+    if not is_alternating(word):
+        raise NotAlternatingError(f"not a down-up alternating permutation: {word!r}")
     n = len(word)
+    parent = [0] * (n + 1)
     left = [0] * (n + 1)
     right = [0] * (n + 1)
     stack = [0]  # 0 sits below every letter; right[0] collects the roots
@@ -337,21 +332,6 @@ def _child_arrays_from_word(word: Sequence[int]) -> tuple[list[int], list[int]]:
         right[stack[-1]] = x
         stack.append(x)
     right[0] = 0
-    return left, right
-
-
-def tree_from_perm(word: Sequence[int]) -> IncTree:
-    """Inverse of the projection.
-
-    The root is the minimum letter; the factors left and right of the minimum
-    build the left and right subtrees recursively.  Raises
-    :class:`NotAlternatingError` unless *word* is down-up alternating.
-    """
-    word = tuple(word)
-    check_alternating(word)
-    left, right = _child_arrays_from_word(word)
-    n = len(word)
-    parent = [0] * (n + 1)
     for p in range(1, n + 1):
         parent[left[p]] = parent[right[p]] = p
     parent[0] = 0
@@ -406,37 +386,9 @@ def enumerate_trees(n: int) -> Iterator[IncTree]:
 
 
 def word_stats(word: Sequence[int]) -> StatRecord:
-    """(eoc, pom, ent) of the tree projecting to *word*, without building it.
+    """(eoc, pom, ent) of the tree projecting to *word*, read off that tree.
 
     Raises :class:`NotAlternatingError` unless *word* is a down-up word, and
-    :class:`StatUndefinedError` for the one-letter word.  pom is read off
-    as the larger neighbour of the maximum letter (the parent of a node is
-    the larger of its nearest smaller letters, and every letter is smaller
-    than the maximum); eoc walks the minimal chain on the stack-built child
-    arrays; ent is the last letter.
+    :class:`StatUndefinedError` for the one-letter word.
     """
-    check_alternating(word)
-    n = len(word)
-    if n < 2:
-        raise StatUndefinedError("eoc and pom need at least two nodes")
-    left, right = _child_arrays_from_word(word)
-
-    i = word.index(n)
-    if i == 0:
-        pom = word[1]
-    elif i == n - 1:
-        pom = word[n - 2]
-    else:
-        a, b = word[i - 1], word[i + 1]
-        pom = a if a > b else b
-
-    v = 1
-    while True:
-        l, r = left[v], right[v]
-        nxt = (l if l < r else r) if l and r else (l or r)
-        if left[nxt] == 0 and right[nxt] == 0:
-            eoc = nxt
-            break
-        v = nxt
-
-    return StatRecord(eoc, pom, word[-1])
+    return tree_from_perm(word).stats()

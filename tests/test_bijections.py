@@ -18,7 +18,6 @@ from secant_trees.bijections import (
     rightmost_column_map,
     tripling_map,
     verify_map,
-    verify_tripling_map,
 )
 from secant_trees.distributions import joint_matrix_bruteforce
 from secant_trees.recurrence import tree_count
@@ -28,6 +27,8 @@ from secant_trees.trees import (
     tree_from_perm,
     word_stats,
 )
+
+verify_tripling_map = MAP_VERIFIERS["tripling_map"]
 
 
 # ---------------------------------------------------------------------- #

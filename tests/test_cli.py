@@ -226,6 +226,36 @@ def test_verify_rejects_unknown_check():
     assert exc.value.code == 2
 
 
+def _refuse_brute_force(monkeypatch):
+    def refuse(two_n, processes=None):
+        pytest.fail(f"brute force at 2n = {two_n} before the selection was checked")
+
+    monkeypatch.setattr(cli, "joint_matrix_bruteforce", refuse)
+
+
+@pytest.mark.parametrize(
+    "checks, message",
+    [(",", "no check selected"), ("tables,bogus", "unknown check 'bogus'")],
+)
+def test_verify_rejects_empty_or_unknown_selection(capsys, monkeypatch, checks, message):
+    _refuse_brute_force(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--two-n-max", "12", "--checks", checks, "--threads", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "known: tables, r1," in err
+
+
+@pytest.mark.parametrize(
+    "checks, message", [((), "no check selected"), (("tables", "bogus"), "unknown check")]
+)
+def test_run_checks_rejects_selection_before_running(monkeypatch, checks, message):
+    _refuse_brute_force(monkeypatch)
+    with pytest.raises(ValueError, match=message) as exc:
+        run_checks(12, checks)
+    assert "known: tables, r1," in str(exc.value)
+
+
 def test_verify_rejects_odd_bound():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--two-n-max", "7"])
