@@ -10,7 +10,6 @@ all three routes together with the constructive bijections behind them.
 from .bijections import (
     MAP_VERIFIERS,
     MapReport,
-    PreconditionError,
     entringer_map,
     first_row_map,
     pom1_map,
@@ -23,13 +22,11 @@ from .distributions import (
     EntringerTriangle,
     JointMatrix,
     OddSizeError,
-    UnknownCellError,
     ent_distribution,
     entringer_bruteforce,
     joint_matrix_bruteforce,
 )
 from .recurrence import (
-    NegativeCellError,
     RecurrenceEngine,
     assemble,
     check_symmetry,
@@ -38,15 +35,11 @@ from .recurrence import (
     tree_count,
 )
 from .series import (
-    NotAPoupardSolutionError,
     OutOfOrderError,
     TriSeries,
-    VarMismatchError,
-    ZeroConstantTermError,
     cell_to_exponents,
     compose_linear,
     cos_linear,
-    exponents_to_cell,
     omega,
     omega1,
     omega_grid_from_counts,
@@ -60,14 +53,8 @@ from .series import (
     sin_linear,
 )
 from .trees import (
-    BadArityError,
-    BadLabelsError,
     IncTree,
-    InconsistentError,
-    NotAlternatingError,
-    NotIncreasingError,
     StatRecord,
-    StatUndefinedError,
     TreeError,
     alternating_permutations,
     enumerate_trees,
@@ -79,7 +66,6 @@ from .trees import (
 __all__ = [
     "MAP_VERIFIERS",
     "MapReport",
-    "PreconditionError",
     "entringer_map",
     "first_row_map",
     "pom1_map",
@@ -90,26 +76,20 @@ __all__ = [
     "EntringerTriangle",
     "JointMatrix",
     "OddSizeError",
-    "UnknownCellError",
     "ent_distribution",
     "entringer_bruteforce",
     "joint_matrix_bruteforce",
-    "NegativeCellError",
     "RecurrenceEngine",
     "assemble",
     "check_symmetry",
     "entringer_triangle",
     "secant_numbers",
     "tree_count",
-    "NotAPoupardSolutionError",
     "OutOfOrderError",
     "TriSeries",
-    "VarMismatchError",
-    "ZeroConstantTermError",
     "cell_to_exponents",
     "compose_linear",
     "cos_linear",
-    "exponents_to_cell",
     "omega",
     "omega1",
     "omega_grid_from_counts",
@@ -121,14 +101,8 @@ __all__ = [
     "row_series",
     "sec_series",
     "sin_linear",
-    "BadArityError",
-    "BadLabelsError",
     "IncTree",
-    "InconsistentError",
-    "NotAlternatingError",
-    "NotIncreasingError",
     "StatRecord",
-    "StatUndefinedError",
     "TreeError",
     "alternating_permutations",
     "enumerate_trees",

@@ -36,13 +36,9 @@ from .recurrence import tree_count
 from .trees import IncTree, alternating_permutations, tree_from_perm
 
 
-class PreconditionError(ValueError):
-    """The input tree does not satisfy the map's domain condition."""
-
-
 def _require(cond: bool, message: str) -> None:
     if not cond:
-        raise PreconditionError(message)
+        raise ValueError(message)
 
 
 def _check_size(n: int) -> None:
@@ -304,12 +300,6 @@ def _domain_words(name: str, two_n: int) -> Iterator[tuple[tuple[int, ...], IncT
             yield word, t
 
 
-def domain_trees(name: str, two_n: int) -> Iterator[IncTree]:
-    """The trees of even size *two_n* >= 4 in the domain of the map *name*."""
-    for _, t in _domain_words(name, two_n):
-        yield t
-
-
 @dataclass
 class MapReport:
     """Outcome of running one map over its whole domain at one size."""
@@ -387,8 +377,9 @@ def verify_map(name: str, two_n: int, counts: JointMatrix) -> MapReport:
 
 def _standalone(name: str) -> Callable[[int], MapReport]:
     """``verify_<name>``: :func:`verify_map` on a brute-force matrix of its
-    own.  The size is checked first, or joint_matrix_bruteforce would reject
-    an odd one with OddSizeError instead of PreconditionError."""
+    own.  The size is checked first, so that every size the maps reject fails
+    with the same message before any tree is counted; joint_matrix_bruteforce
+    would reject an odd one with its own message and count 2n = 2."""
 
     def verifier(two_n: int) -> MapReport:
         _check_size(two_n)

@@ -380,13 +380,16 @@ ALL_CHECKS = tuple(CHECK_FUNCTIONS)
 
 
 def _selection(checks: Iterable[str]) -> tuple[str, ...]:
-    """*checks* as a tuple; ValueError if it is empty or names an unknown
-    check, so that a bad selection fails before any check runs."""
+    """*checks* as a tuple; ValueError if it is empty, names an unknown check
+    or names one twice, so that a bad selection fails before any check runs."""
     checks = tuple(checks)
     unknown = [c for c in checks if c not in CHECK_FUNCTIONS]
     if unknown or not checks:
         what = f"unknown check {unknown[0]!r}" if unknown else "no check selected"
         raise ValueError(f"{what} (known: {', '.join(ALL_CHECKS)})")
+    repeated = [c for i, c in enumerate(checks) if c in checks[:i]]
+    if repeated:
+        raise ValueError(f"check {repeated[0]!r} is selected more than once")
     return checks
 
 
@@ -395,9 +398,10 @@ def run_checks(
 ) -> VerifyReport:
     """Run the selected check suites up to *two_n_max* on fresh data.
 
-    An empty selection or an unknown check name raises ValueError before
-    any check runs.  Each row records the wall time its check spent
-    producing it, including any brute-force matrix it was the first to need.
+    An empty selection, an unknown check name or a repeated one raises
+    ValueError before any check runs.  Each row records the wall time its
+    check spent producing it, including any brute-force matrix it was the
+    first to need.
     """
     checks = _selection(checks)
     ctx = _VerifyContext(processes=processes)

@@ -33,12 +33,10 @@ class OddSizeError(ValueError):
     """Joint matrices are defined for even sizes only."""
 
 
-class UnknownCellError(ValueError):
-    """An operation required a cell value that is not known."""
-
-
 class BrokenInvariantError(RuntimeError):
-    """A counted distribution contradicts a structural fact about the trees."""
+    """A computed or counted distribution contradicts a structural fact about
+    the trees: a negative count, a cell filled twice with two values, brute
+    force disagreeing with the recurrence, or an impossible rightmost label."""
 
 
 def _check_even(two_n: int) -> None:
@@ -113,11 +111,8 @@ class JointMatrix:
     def get(self, m: int, k: int) -> int:
         v = self.cell(m, k)
         if v is None:
-            raise UnknownCellError(f"cell ({m},{k}) of M_{self.two_n} is unknown")
+            raise ValueError(f"cell ({m},{k}) of M_{self.two_n} is unknown")
         return v
-
-    def known(self, m: int, k: int) -> bool:
-        return self.cell(m, k) is not None
 
     def set(self, m: int, k: int, value: int) -> None:
         if not self.in_box(m, k):
@@ -157,7 +152,7 @@ class JointMatrix:
         if self._row_sums is not None:
             return self._row_sums
         if not self.is_complete():
-            raise UnknownCellError("row sums need all cells known (or attached margins)")
+            raise ValueError("row sums need all cells known (or attached margins)")
         return tuple(sum(row) for row in self._cells)
 
     def col_sums(self) -> tuple[int, ...]:
@@ -165,7 +160,7 @@ class JointMatrix:
         if self._col_sums is not None:
             return self._col_sums
         if not self.is_complete():
-            raise UnknownCellError("column sums need all cells known (or attached margins)")
+            raise ValueError("column sums need all cells known (or attached margins)")
         return tuple(sum(row[j] for row in self._cells) for j in range(self.two_n - 1))
 
     def total(self) -> int:

@@ -40,10 +40,6 @@ from .distributions import (
 )
 
 
-class NegativeCellError(ValueError):
-    """A recurrence produced a negative count; the inputs are corrupt."""
-
-
 # -- Entringer triangle and secant numbers ------------------------------------
 
 
@@ -102,7 +98,7 @@ def secant_numbers(two_n_max: int) -> tuple[int, ...]:
 
 def _put(rows: list[list[int | None]], two_n: int, m: int, k: int, value: int) -> None:
     if value < 0:
-        raise NegativeCellError(f"cell ({m},{k}) of M_{two_n} came out {value}")
+        raise BrokenInvariantError(f"cell ({m},{k}) of M_{two_n} came out {value}")
     row = rows[m - 2]
     old = row[k - 1]
     if old is not None and old != value:
@@ -141,7 +137,7 @@ def _upper_rows(
         for j in range(top - 3, i + 1, -1):
             v = 2 * near - far - 4 * p[j]
             if v < 0:
-                raise NegativeCellError(f"cell ({i + 2},{j + 1}) of M_{two_n} came out {v}")
+                raise BrokenInvariantError(f"cell ({i + 2},{j + 1}) of M_{two_n} came out {v}")
             row[j] = v
             near, far = v, near
     return rows
@@ -236,7 +232,7 @@ class RecurrenceEngine:
             for k in range(1, s - 2):
                 v = 2 * cs[k] - cs[k - 1] - 4 * prev[k - 1]
                 if v < 0:
-                    raise NegativeCellError(f"column sum at k={k + 2} of M_{s} is negative")
+                    raise BrokenInvariantError(f"column sum at k={k + 2} of M_{s} is negative")
                 cs[k + 1] = v
             sums[s] = tuple(cs)
         return sums[two_n]

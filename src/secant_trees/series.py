@@ -38,21 +38,9 @@ from math import comb, factorial, prod
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 
-class VarMismatchError(ValueError):
-    """Operands live in different numbers of variables."""
-
-
-class ZeroConstantTermError(ZeroDivisionError):
-    """Only series with a nonzero constant term are invertible."""
-
-
 class OutOfOrderError(ValueError):
     """A coefficient beyond the truncation order, or at a negative
     exponent, was requested."""
-
-
-class NotAPoupardSolutionError(ValueError):
-    """Row reconstruction failed: the series does not solve the PDE."""
 
 
 def _exponents(num_vars: int, degree: int) -> Iterator[tuple[int, ...]]:
@@ -117,10 +105,6 @@ class TriSeries:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, num_vars: int, order: int) -> "TriSeries":
-        return cls(num_vars, order)
-
-    @classmethod
     def constant(cls, value, num_vars: int, order: int) -> "TriSeries":
         return cls(num_vars, order, {(0,) * num_vars: value})
 
@@ -128,7 +112,7 @@ class TriSeries:
 
     def _check_compatible(self, other: "TriSeries") -> None:
         if self.num_vars != other.num_vars:
-            raise VarMismatchError(
+            raise ValueError(
                 f"cannot combine series in {self.num_vars} and {other.num_vars} variables"
             )
 
@@ -191,7 +175,7 @@ class TriSeries:
         zero = (0,) * self.num_vars
         c0 = self.coeffs.get(zero, 0)
         if not c0:
-            raise ZeroConstantTermError("series with zero constant term has no inverse")
+            raise ZeroDivisionError("series with zero constant term has no inverse")
         r = _exact(Fraction(1, c0))
         inv: dict[tuple[int, ...], int | Fraction] = {zero: r}
         items = sorted((sum(f), f, c) for f, c in self.coeffs.items() if f != zero)
@@ -241,7 +225,7 @@ class TriSeries:
         """Taylor coefficient times the factorial of every exponent."""
         e = tuple(exponents)
         if len(e) != self.num_vars:
-            raise VarMismatchError(f"expected {self.num_vars} exponents, got {e!r}")
+            raise ValueError(f"expected {self.num_vars} exponents, got {e!r}")
         if any(type(x) is not int for x in e):
             raise TypeError(f"exponents must be ints, got {e!r}")
         if min(e) < 0:
@@ -253,9 +237,6 @@ class TriSeries:
     def taylor_coefficient(self, exponents: Sequence[int]) -> Fraction:
         e = tuple(exponents)
         return Fraction(self.egf_coefficient(e), prod(map(factorial, e)))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def max_abs_coefficient(self) -> int | Fraction:
         """Largest absolute EGF coefficient; 0 for the zero series."""
@@ -301,7 +282,7 @@ class TriSeries:
     def to_univariate_list(self) -> list[int | Fraction]:
         """EGF coefficients 0..order of a one-variable series."""
         if self.num_vars != 1:
-            raise VarMismatchError("only 1-variable series convert to a list")
+            raise ValueError("only 1-variable series convert to a list")
         return [self.coeffs.get((d,), 0) for d in range(self.order + 1)]
 
 
@@ -340,7 +321,7 @@ def row_series(series2: TriSeries, i: int) -> TriSeries:
     """Row *i* of a two-variable series as a univariate series in the second
     variable: its EGF coefficient j is the EGF coefficient (i, j)."""
     if series2.num_vars != 2:
-        raise VarMismatchError("row extraction needs a 2-variable series")
+        raise ValueError("row extraction needs a 2-variable series")
     if i > series2.order:
         raise OutOfOrderError(f"row {i} beyond truncation order {series2.order}")
     return TriSeries._from_egf(
@@ -422,13 +403,6 @@ def cell_to_exponents(two_n: int, m: int, k: int) -> tuple[int, int, int]:
     return (two_n - k - 1, k - m - 1, m - 2)
 
 
-def exponents_to_cell(i: int, j: int, q: int) -> tuple[int, int, int]:
-    """(two_n, m, k) addressed by the exponents (i, j, q)."""
-    if min(i, j, q) < 0:
-        raise ValueError("exponents must be nonnegative")
-    return (i + j + q + 4, q + 2, q + j + 3)
-
-
 # -- Poupard grids ---------------------------------------------------------------------
 
 
@@ -492,7 +466,7 @@ def pde_residual(G: TriSeries) -> TriSeries:
     The zero series certifies that G generates a Poupard grid.
     """
     if G.num_vars != 2:
-        raise VarMismatchError("the PDE check needs a 2-variable series")
+        raise ValueError("the PDE check needs a 2-variable series")
     if G.order < 2:
         raise OutOfOrderError("need order >= 2 to form second derivatives")
     gxx = G.partial_derivative(0).partial_derivative(0)
@@ -511,10 +485,10 @@ def reconstruct_from_rows(G: TriSeries) -> TriSeries:
 
     A is row 0 of G and B = (row 1 - A') / 2.  For any series solving the
     PDE the rebuilt series matches G through order - 1 (one order is lost to
-    the derivative); a mismatch raises :class:`NotAPoupardSolutionError`.
+    the derivative); a mismatch raises :class:`ValueError`.
     """
     if G.num_vars != 2:
-        raise VarMismatchError("reconstruction needs a 2-variable series")
+        raise ValueError("reconstruction needs a 2-variable series")
     if G.order < 1:
         raise OutOfOrderError("need order >= 1 to read the second row")
     a = row_series(G, 0)
@@ -522,7 +496,7 @@ def reconstruct_from_rows(G: TriSeries) -> TriSeries:
     b = (u - a.partial_derivative(0)).scale(Fraction(1, 2))
     rebuilt = _rows_to_series(a, b, G.order - 1)
     if not rebuilt.agrees_with(G):
-        raise NotAPoupardSolutionError(
+        raise ValueError(
             "row reconstruction disagrees with the series; it does not solve the PDE"
         )
     return rebuilt

@@ -33,32 +33,10 @@ from typing import Iterator, NamedTuple, Sequence
 
 
 class TreeError(ValueError):
-    """Base class for rejected tree candidates."""
-
-
-class BadLabelsError(TreeError):
-    """Labels are not exactly 1..n (wrong lengths or out-of-range entries)."""
-
-
-class NotIncreasingError(TreeError):
-    """Some child label is not larger than its parent label."""
-
-
-class BadArityError(TreeError):
-    """Child counts violate the completeness axiom (leaf / two children /
-    single one-child node with a left child at the rightmost position)."""
-
-
-class InconsistentError(TreeError):
-    """parent, left and right maps disagree with each other."""
-
-
-class NotAlternatingError(ValueError):
-    """A word is not a down-up alternating permutation of 1..n."""
-
-
-class StatUndefinedError(TreeError):
-    """eoc and pom are not defined on the single-node tree."""
+    """A rejected tree candidate: labels that are not exactly 1..n, a child
+    not larger than its parent, maps that disagree, child counts that break
+    completeness, a word that is not down-up alternating, or eoc and pom
+    asked of the single-node tree."""
 
 
 class StatRecord(NamedTuple):
@@ -119,28 +97,26 @@ class IncTree:
         n = self.n
         parent, left, right = self.parent, self.left, self.right
         if n < 1:
-            raise BadLabelsError("tree must have at least one node")
+            raise TreeError("tree must have at least one node")
         if not (len(left) == len(right) == n + 1):
-            raise BadLabelsError("parent/left/right maps must all cover labels 1..n")
+            raise TreeError("parent/left/right maps must all cover labels 1..n")
         # C-level passes over all entries; the loop only names a bad one.
         labels = parent + left + right
         if list(map(type, labels)).count(int) != len(labels) or min(labels) < 0 or max(labels) > n:
             for arr, name in ((parent, "parent"), (left, "left"), (right, "right")):
                 for v in arr:
                     if type(v) is not int or v < 0 or v > n:
-                        raise BadLabelsError(f"{name} entry {v!r} is not a label in 0..{n}")
+                        raise TreeError(f"{name} entry {v!r} is not a label in 0..{n}")
         if parent[0] or left[0] or right[0]:
-            raise BadLabelsError("parent[0], left[0] and right[0] must be the unused sentinel 0")
+            raise TreeError("parent[0], left[0] and right[0] must be the unused sentinel 0")
 
         # parent[0] = 0, so exactly two zeros: the sentinel and the root 1.
         if parent[1] != 0 or parent.count(0) != 2:
-            raise InconsistentError("node 1 must be the only node without a parent")
+            raise TreeError("node 1 must be the only node without a parent")
         # Child labels strictly exceed the parent label.
         for v in range(2, n + 1):
             if parent[v] >= v:
-                raise NotIncreasingError(
-                    f"node {v} hangs below {parent[v]}, which is not smaller"
-                )
+                raise TreeError(f"node {v} hangs below {parent[v]}, which is not smaller")
 
         # The child maps list every node but the root exactly once, each
         # below its own parent: parent rebuilt from them must match, and they
@@ -155,7 +131,7 @@ class IncTree:
                 single.append(p)
         rebuilt[0] = 0
         if rebuilt != list(parent) or left.count(0) + right.count(0) != n + 3:
-            raise InconsistentError(
+            raise TreeError(
                 "left/right do not list each non-root node once, as a child of its parent"
             )
 
@@ -163,33 +139,17 @@ class IncTree:
         # even n, which must sit at the rightmost position.
         if n % 2 == 1:
             if single:
-                raise BadArityError(
-                    f"odd size {n} admits no one-child node, found {single}"
-                )
+                raise TreeError(f"odd size {n} admits no one-child node, found {single}")
         else:
             if len(single) != 1:
-                raise BadArityError(
+                raise TreeError(
                     f"even size {n} needs exactly one one-child node, found {single}"
                 )
             oc = single[0]
             if left[oc] == 0:
-                raise BadArityError(f"one-child node {oc} must carry a left child")
+                raise TreeError(f"one-child node {oc} must carry a left child")
             if self.ent() != oc:
-                raise BadArityError(
-                    f"one-child node {oc} is not the rightmost node"
-                )
-
-    # -- basic structure ---------------------------------------------------
-
-    def is_leaf(self, v: int) -> bool:
-        return self.left[v] == 0 and self.right[v] == 0
-
-    def one_child_node(self) -> int | None:
-        """The unique single-child node for even n, else None."""
-        for v in range(1, self.n + 1):
-            if (self.left[v] == 0) != (self.right[v] == 0):
-                return v
-        return None
+                raise TreeError(f"one-child node {oc} is not the rightmost node")
 
     # -- projection --------------------------------------------------------
 
@@ -235,12 +195,12 @@ class IncTree:
 
     def eoc(self) -> int:
         if self.n == 1:
-            raise StatUndefinedError("eoc is undefined on the single-node tree")
+            raise TreeError("eoc is undefined on the single-node tree")
         return self.minimal_chain()[-1]
 
     def pom(self) -> int:
         if self.n == 1:
-            raise StatUndefinedError("pom is undefined on the single-node tree")
+            raise TreeError("pom is undefined on the single-node tree")
         return self.parent[self.n]
 
     def ent(self) -> int:
@@ -269,18 +229,18 @@ class IncTree:
     @classmethod
     def from_json_dict(cls, data: dict) -> "IncTree":
         """Inverse of :meth:`to_json_dict`; any malformed blob raises
-        :class:`BadLabelsError` or another :class:`TreeError`."""
+        :class:`TreeError`."""
         if not isinstance(data, dict):
-            raise BadLabelsError(f"tree JSON must be an object, got {type(data).__name__}")
+            raise TreeError(f"tree JSON must be an object, got {type(data).__name__}")
         missing = {"n", "parent", "left", "right"} - data.keys()
         if missing:
-            raise BadLabelsError(f"tree JSON misses {sorted(missing)}")
+            raise TreeError(f"tree JSON misses {sorted(missing)}")
         n = data["n"]
         if type(n) is not int or n < 1:
-            raise BadLabelsError(f"bad size {n!r}")
+            raise TreeError(f"bad size {n!r}")
         arrays = [data[name] for name in ("parent", "left", "right")]
         if not all(isinstance(a, list) and len(a) == n for a in arrays):
-            raise BadLabelsError("parent, left and right must be lists of length n")
+            raise TreeError("parent, left and right must be lists of length n")
         return cls(*((0, *a) for a in arrays))
 
     # -- dunder ----------------------------------------------------------------
@@ -310,7 +270,7 @@ def tree_from_perm(word: Sequence[int]) -> IncTree:
 
     The root is the minimum letter; the factors left and right of the minimum
     build the left and right subtrees recursively.  Raises
-    :class:`NotAlternatingError` unless *word* is down-up alternating.
+    :class:`TreeError` unless *word* is down-up alternating.
 
     Classic stack construction: scan left to right keeping the rightmost
     spine; each letter pops the larger spine tail (which becomes its left
@@ -318,7 +278,7 @@ def tree_from_perm(word: Sequence[int]) -> IncTree:
     """
     word = tuple(word)
     if not is_alternating(word):
-        raise NotAlternatingError(f"not a down-up alternating permutation: {word!r}")
+        raise TreeError(f"not a down-up alternating permutation: {word!r}")
     n = len(word)
     parent = [0] * (n + 1)
     left = [0] * (n + 1)
@@ -388,7 +348,7 @@ def enumerate_trees(n: int) -> Iterator[IncTree]:
 def word_stats(word: Sequence[int]) -> StatRecord:
     """(eoc, pom, ent) of the tree projecting to *word*, read off that tree.
 
-    Raises :class:`NotAlternatingError` unless *word* is a down-up word, and
-    :class:`StatUndefinedError` for the one-letter word.
+    Raises :class:`TreeError` unless *word* is a down-up word, and for the
+    one-letter word.
     """
     return tree_from_perm(word).stats()

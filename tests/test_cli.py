@@ -256,6 +256,22 @@ def test_run_checks_rejects_selection_before_running(monkeypatch, checks, messag
     assert "known: tables, r1," in str(exc.value)
 
 
+def test_verify_rejects_a_repeated_check(capsys, monkeypatch):
+    _refuse_brute_force(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--two-n-max", "12", "--checks", "pde,pde", "--threads", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "check 'pde' is selected more than once" in captured.err
+    assert captured.out == ""
+
+
+def test_run_checks_rejects_a_repeated_check_before_running(monkeypatch):
+    _refuse_brute_force(monkeypatch)
+    with pytest.raises(ValueError, match="check 'marginal' is selected more than once"):
+        run_checks(12, ("marginal", "tables", "marginal"))
+
+
 def test_verify_rejects_odd_bound():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--two-n-max", "7"])

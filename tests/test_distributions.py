@@ -15,7 +15,6 @@ from secant_trees.distributions import (
     BrokenInvariantError,
     JointMatrix,
     OddSizeError,
-    UnknownCellError,
     _PARTS,
     _count_joint_part,
     _pool_size,
@@ -122,12 +121,12 @@ def test_oddsize_rejected():
 def test_unknown_cells_are_first_class():
     M = JointMatrix(4, method="recurrence")
     M.set(2, 3, 1)
-    assert M.known(2, 3) and not M.known(3, 1)
+    assert M.cell(2, 3) == 1 and M.cell(3, 1) is None
     assert M.unknown_cells()[0] == (2, 1)
-    with pytest.raises(UnknownCellError):
+    with pytest.raises(ValueError, match=r"cell \(3,1\) of M_4 is unknown"):
         M.get(3, 1)
-    for margin in (M.row_sums, M.col_sums, M.total):
-        with pytest.raises(UnknownCellError):
+    for margin, line in ((M.row_sums, "row"), (M.col_sums, "column"), (M.total, "row")):
+        with pytest.raises(ValueError, match=f"{line} sums need all cells known"):
             margin()
 
 
@@ -228,7 +227,7 @@ def test_partial_matrix_json_keeps_null_cells():
     blob = json.loads(json.dumps(M.to_json_dict()))
     assert blob["entries"][0] == [None, None, 1]
     R = JointMatrix.from_json_dict(blob)
-    assert not R.known(3, 1) and R.total() == 5
+    assert R.cell(3, 1) is None and R.total() == 5
 
 
 _BLOBS: dict = {}

@@ -13,7 +13,6 @@ import pytest
 from secant_trees import distributions, recurrence
 from secant_trees.distributions import BrokenInvariantError, JointMatrix, OddSizeError
 from secant_trees.recurrence import (
-    NegativeCellError,
     RecurrenceEngine,
     assemble,
     check_symmetry,
@@ -146,7 +145,7 @@ def test_upper_triangle_flags_negative_cells(monkeypatch):
     # consistent and drives the first column-rule cell of that row negative:
     # 2 * 0 - 0 - 4 f_6(4, 5) = -4.
     eng = _corrupted_engine(monkeypatch, "column_sums", 6, lambda cs: (*cs[:2], 0, *cs[3:]))
-    with pytest.raises(NegativeCellError, match=r"cell \(4,5\) of M_8 came out -4"):
+    with pytest.raises(BrokenInvariantError, match=r"cell \(4,5\) of M_8 came out -4"):
         eng.assemble(8)
 
 
@@ -174,7 +173,7 @@ def test_lower_border_flags_a_cell_filled_twice(monkeypatch):
 def test_lower_border_flags_a_negative_entringer_entry(monkeypatch):
     # entry 3 of the size-6 row lands on the bottom-row cell (8,4)
     eng = _corrupted_engine(monkeypatch, "entringer_row", 6, lambda row: (*row[:2], -1, *row[3:]))
-    with pytest.raises(NegativeCellError, match=r"\(8,4\) of M_8"):
+    with pytest.raises(BrokenInvariantError, match=r"cell \(8,4\) of M_8 came out -1"):
         eng.assemble(8)
 
 

@@ -8,13 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secant_trees.trees import (
-    BadArityError,
-    BadLabelsError,
     IncTree,
-    InconsistentError,
-    NotAlternatingError,
-    NotIncreasingError,
-    StatUndefinedError,
     TreeError,
     alternating_permutations,
     enumerate_trees,
@@ -25,6 +19,11 @@ from secant_trees.trees import (
 
 # counts of complete increasing trees by size (secant/tangent interleaved)
 TREE_COUNTS = {1: 1, 2: 1, 3: 2, 4: 5, 5: 16, 6: 61, 7: 272, 8: 1385, 9: 7936, 10: 50521}
+
+
+def one_child_nodes(t: IncTree) -> list[int]:
+    """The nodes with exactly one child, read off the child arrays."""
+    return [v for v in range(1, t.n + 1) if (t.left[v] == 0) != (t.right[v] == 0)]
 
 
 # ---------------------------------------------------------------------- #
@@ -42,44 +41,44 @@ def test_validate_figure_tree_via_perm():
     t = tree_from_perm((4, 1, 3, 2))
     # root 1 carries leaf 4 on the left and the one-child node 2 on the right
     assert t.left[1] == 4 and t.right[1] == 2 and t.left[2] == 3
-    assert t.one_child_node() == 2
+    assert one_child_nodes(t) == [2]
 
 
 def test_validate_rejects_one_child_chain_for_odd_size():
     # 1 -> 2 -> 3 as a chain of left children: two one-child nodes, odd size
-    with pytest.raises(BadArityError):
+    with pytest.raises(TreeError, match="odd size 3 admits no one-child node"):
         IncTree((0, 0, 1, 2), (0, 2, 3, 0), (0, 0, 0, 0))
 
 
 def test_validate_rejects_right_only_child():
     # even size, but the single child hangs on the right
-    with pytest.raises(BadArityError):
+    with pytest.raises(TreeError, match="one-child node 1 must carry a left child"):
         IncTree((0, 0, 1), (0, 0, 0), (0, 2, 0))
 
 
 def test_validate_rejects_misplaced_one_child_node():
     # 1 has children 2 (left, with single left child 4) and 3 (right):
     # the one-child node 2 is not the rightmost node
-    with pytest.raises(BadArityError):
+    with pytest.raises(TreeError, match="one-child node 2 is not the rightmost node"):
         IncTree((0, 0, 1, 1, 2), (0, 2, 4, 0, 0), (0, 3, 0, 0, 0))
 
 
 def test_validate_rejects_decreasing_labels():
     # node 2 hangs below node 3
-    with pytest.raises(NotIncreasingError):
+    with pytest.raises(TreeError, match="node 2 hangs below 3, which is not smaller"):
         IncTree((0, 0, 3, 1, 1), (0, 3, 0, 2, 0), (0, 4, 0, 0, 0))
 
 
 def test_validate_rejects_inconsistent_maps():
     # parent says 2 hangs below 1 but 1 lists no children
-    with pytest.raises(InconsistentError):
+    with pytest.raises(TreeError, match="left/right do not list each non-root node once"):
         IncTree((0, 0, 1), (0, 0, 0), (0, 0, 0))
 
 
 def test_validate_rejects_bad_labels():
-    with pytest.raises(BadLabelsError):
+    with pytest.raises(TreeError, match=r"parent entry 7 is not a label in 0\.\.2"):
         IncTree((0, 0, 7), (0, 2, 0), (0, 0, 0))
-    with pytest.raises(BadLabelsError):
+    with pytest.raises(TreeError, match=r"parent/left/right maps must all cover labels 1\.\.n"):
         IncTree((0, 0, 1), (0, 2), (0, 0, 0))
 
 
@@ -105,7 +104,7 @@ def test_tree_from_perm_rejects_non_alternating():
     # Letters are exactly ints: True and 2.0 compare equal to labels.
     for bad in ((1, 2), (2, 1, 3, 4), (1, 1), (3, 2, 1), (2, True), (2.0, 1.0), (3, 1.0, 2)):
         assert not is_alternating(bad)
-        with pytest.raises(NotAlternatingError):
+        with pytest.raises(TreeError, match="not a down-up alternating permutation"):
             tree_from_perm(bad)
 
 
@@ -174,22 +173,23 @@ def test_single_node_tree_statistics():
     t = tree_from_perm((1,))
     assert t.minimal_chain() == (1,)
     assert t.ent() == 1
-    with pytest.raises(StatUndefinedError):
+    with pytest.raises(TreeError, match="eoc is undefined on the single-node tree"):
         t.eoc()
-    with pytest.raises(StatUndefinedError):
+    with pytest.raises(TreeError, match="pom is undefined on the single-node tree"):
         t.pom()
 
 
 def test_maximum_label_is_always_a_leaf():
     for n in range(2, 9):
         for t in enumerate_trees(n):
-            assert t.is_leaf(t.n)
+            assert t.left[t.n] == t.right[t.n] == 0
 
 
 def test_one_child_node_is_rightmost_for_even_sizes():
     for n in (2, 4, 6, 8):
         for t in enumerate_trees(n):
-            assert t.one_child_node() == t.projection()[-1]
+            last = t.projection()[-1]
+            assert one_child_nodes(t) == [last] and t.left[last]
 
 
 def test_word_stats_agrees_with_tree_stats():
@@ -208,9 +208,9 @@ def test_word_stats_agrees_with_tree_stats():
 def test_word_stats_rejects_non_alternating():
     # Not down-up, a repeated letter, and a bool that equals the label 1.
     for bad in ((1, 2, 3), (1, 3, 2), (2, 2, 1), (2, True)):
-        with pytest.raises(NotAlternatingError):
+        with pytest.raises(TreeError, match="not a down-up alternating permutation"):
             word_stats(bad)
-    with pytest.raises(StatUndefinedError):
+    with pytest.raises(TreeError, match="eoc is undefined on the single-node tree"):
         word_stats((1,))
 
 
@@ -290,12 +290,12 @@ def test_tree_json_rejects_corruption(blob):
 def test_tree_json_rejects_malformed_blobs():
     good = tree_from_perm((2, 1)).to_json_dict()
     bad = [
-        {"n": True, "parent": [0], "left": [0], "right": [0]},
-        {**good, "parent": [False, 1]},
-        {key: good[key] for key in ("n", "parent", "left")},
-        [good],
-        None,
+        ({"n": True, "parent": [0], "left": [0], "right": [0]}, "bad size True"),
+        ({**good, "parent": [False, 1]}, r"parent entry False is not a label in 0\.\.2"),
+        ({key: good[key] for key in ("n", "parent", "left")}, r"tree JSON misses \['right'\]"),
+        ([good], "tree JSON must be an object, got list"),
+        (None, "tree JSON must be an object, got NoneType"),
     ]
-    for blob in bad:
-        with pytest.raises(BadLabelsError):
+    for blob, message in bad:
+        with pytest.raises(TreeError, match=message):
             IncTree.from_json_dict(blob)
