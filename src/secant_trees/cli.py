@@ -380,8 +380,11 @@ ALL_CHECKS = tuple(CHECK_FUNCTIONS)
 
 
 def _selection(checks: Iterable[str]) -> tuple[str, ...]:
-    """*checks* as a tuple; ValueError if it is empty, names an unknown check
-    or names one twice, so that a bad selection fails before any check runs."""
+    """*checks* as a tuple; ValueError if it is a string, is empty, names an
+    unknown check or names one twice, so that a bad selection fails before
+    any check runs."""
+    if isinstance(checks, str):
+        raise ValueError(f"checks is a collection of check names, not the string {checks!r}")
     checks = tuple(checks)
     unknown = [c for c in checks if c not in CHECK_FUNCTIONS]
     if unknown or not checks:
@@ -398,11 +401,14 @@ def run_checks(
 ) -> VerifyReport:
     """Run the selected check suites up to *two_n_max* on fresh data.
 
-    An empty selection, an unknown check name or a repeated one raises
+    A size that is not an even int >= 4, a selection given as one string,
+    an empty selection, an unknown check name or a repeated one raises
     ValueError before any check runs.  Each row records the wall time its
     check spent producing it, including any brute-force matrix it was the
     first to need.
     """
+    if type(two_n_max) is not int or two_n_max < 4 or two_n_max % 2:
+        raise ValueError(f"two_n_max must be an even int >= 4, got {two_n_max!r}")
     checks = _selection(checks)
     ctx = _VerifyContext(processes=processes)
     report = VerifyReport()

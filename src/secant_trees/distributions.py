@@ -40,8 +40,8 @@ class BrokenInvariantError(RuntimeError):
 
 
 def _check_even(two_n: int) -> None:
-    if two_n < 2 or two_n % 2 != 0:
-        raise OddSizeError(f"size must be a positive even integer, got {two_n}")
+    if type(two_n) is not int or two_n < 2 or two_n % 2 != 0:
+        raise OddSizeError(f"size must be a positive even integer, got {two_n!r}")
 
 
 _METHODS = ("brute", "recurrence", "hybrid")
@@ -195,8 +195,6 @@ class JointMatrix:
         if not isinstance(data, dict):
             raise ValueError(f"a matrix blob is a dict, got {type(data).__name__}")
         two_n = data.get("two_n")
-        if type(two_n) is not int:
-            raise OddSizeError(f"size must be a positive even integer, got {two_n!r}")
         _check_even(two_n)
         if data.get("method") not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}, got {data.get('method')!r}")

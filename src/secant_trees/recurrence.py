@@ -200,18 +200,24 @@ def check_symmetry(M: JointMatrix) -> list[tuple[tuple[int, int], tuple[int, int
 
 
 class RecurrenceEngine:
-    """Carries the induction state: column sums and assembled matrices.
+    """Carries the induction state: column sums, the Entringer triangle and
+    the induction frontier.
 
-    Matrices returned by :meth:`assemble` are cached and shared; treat them
-    as immutable.
+    The laws tie M_{2n} only to M_{2n-2}, so the engine keeps just the last
+    two matrices it assembled.  A request for one of them returns the same
+    object; a larger size continues the induction from them, and a smaller
+    size restarts it from size 2.  Returned matrices are shared with the
+    engine while they sit on the frontier; treat them as immutable.
     """
 
     def __init__(self) -> None:
         self._col_sums: dict[int, tuple[int, ...]] = {2: (1,)}
-        self._matrices: dict[int, JointMatrix] = {}
+        self._frontier: dict[int, JointMatrix] = {}
         self._triangle: EntringerTriangle | None = None
 
     def entringer_row(self, n: int) -> tuple[int, ...]:
+        if n < 2:
+            raise ValueError(f"need n >= 2, got {n}")
         if self._triangle is None or self._triangle.n_max < n:
             self._triangle = entringer_triangle(max(n, 8))
         return self._triangle.row(n)
@@ -271,24 +277,27 @@ class RecurrenceEngine:
         return filled
 
     def _assemble_no_fill(self, two_n: int) -> JointMatrix:
-        if two_n not in self._matrices and two_n >= 4:
+        frontier = self._frontier
+        if two_n in frontier:
+            return frontier[two_n]
+        if not frontier or two_n < max(frontier):
+            M = JointMatrix._adopt(2, "recurrence", [[1]])
+            M.attach_margins((1,), (1,), 1)
+            frontier = self._frontier = {2: M}
+        if two_n >= 4:
             self.entringer_row(two_n - 2)  # build the triangle once, not per size
-        for s in range(2, two_n + 1, 2):
-            if s in self._matrices:
-                continue
-            if s == 2:
-                M = JointMatrix._adopt(2, "recurrence", [[1]])
-                M.attach_margins((1,), (1,), 1)
-            else:
-                rows = _upper_rows(
-                    s, self._matrices[s - 2]._cells, self.column_sums(s - 2)
-                )
-                _lower_rows(s, rows, self.entringer_row(s - 2))
-                cs = self.column_sums(s)
-                M = JointMatrix._adopt(s, "recurrence", rows)
-                M.attach_margins(cs, cs, sum(cs))
-            self._matrices[s] = M
-        return self._matrices[two_n]
+        for s in range(max(frontier) + 2, two_n + 1, 2):
+            prev = frontier[s - 2]
+            # Drop M_{s-4} before M_s is built, so that the engine never
+            # holds more than two matrices.
+            frontier = self._frontier = {s - 2: prev}
+            rows = _upper_rows(s, prev._cells, self.column_sums(s - 2))
+            _lower_rows(s, rows, self.entringer_row(s - 2))
+            cs = self.column_sums(s)
+            M = JointMatrix._adopt(s, "recurrence", rows)
+            M.attach_margins(cs, cs, sum(cs))
+            frontier[s] = M
+        return frontier[two_n]
 
 
 def assemble(two_n: int, fill_interior: bool = False) -> JointMatrix:

@@ -272,6 +272,24 @@ def test_run_checks_rejects_a_repeated_check_before_running(monkeypatch):
         run_checks(12, ("marginal", "tables", "marginal"))
 
 
+@pytest.mark.parametrize(
+    "two_n_max, checks, message",
+    [
+        (3, ("tables",), "two_n_max must be an even int >= 4, got 3"),
+        (2, ("gf1",), "two_n_max must be an even int >= 4, got 2"),
+        (12.0, ("tables",), "two_n_max must be an even int >= 4, got 12.0"),
+        (4, "tables", "not the string 'tables'"),
+    ],
+    ids=("odd", "two", "float", "string"),
+)
+def test_run_checks_rejects_a_bad_size_or_a_string_before_running(
+    monkeypatch, two_n_max, checks, message
+):
+    _refuse_brute_force(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        run_checks(two_n_max, checks)
+
+
 def test_verify_rejects_odd_bound():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--two-n-max", "7"])

@@ -118,6 +118,17 @@ def test_oddsize_rejected():
         joint_matrix_bruteforce(0)
 
 
+@pytest.mark.parametrize("size", (4.0, True), ids=("float", "bool"))
+@pytest.mark.parametrize(
+    "build",
+    (joint_matrix_bruteforce, assemble, lambda two_n: JointMatrix(two_n, "brute")),
+    ids=("brute", "assemble", "JointMatrix"),
+)
+def test_non_int_size_rejected(build, size):
+    with pytest.raises(OddSizeError, match=f"positive even integer, got {size!r}"):
+        build(size)
+
+
 def test_unknown_cells_are_first_class():
     M = JointMatrix(4, method="recurrence")
     M.set(2, 3, 1)

@@ -7,6 +7,7 @@ the module's ``_upper_rows``."""
 
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
@@ -256,6 +257,45 @@ def test_engine_caches_are_consistent():
     A = eng.assemble(10)
     assert eng.assemble(10) is A
     assert eng.assemble(6).total() == 61
+
+
+def test_assemble_keeps_only_the_induction_frontier():
+    # Holding every size up to 120 takes about 13.5 MiB; the last two sizes,
+    # the column sums and the Entringer triangle take about 3 MiB.
+    tracemalloc.start()
+    try:
+        RecurrenceEngine().assemble(120)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20, peak
+
+
+def test_previous_size_is_served_without_a_fill(monkeypatch):
+    eng = RecurrenceEngine()
+    M40 = eng.assemble(40)
+
+    def refuse(two_n, prev, prev_cs):
+        pytest.fail(f"M_{two_n} filled again")
+
+    monkeypatch.setattr(recurrence, "_upper_rows", refuse)
+    M38 = eng.assemble(38)
+    assert (M38.two_n, M38.total()) == (38, tree_count(38))
+    assert eng.assemble(40) is M40
+
+
+def test_a_smaller_size_restarts_the_induction():
+    eng = RecurrenceEngine()
+    eng.assemble(40)
+    fresh = RecurrenceEngine().assemble(20)
+    assert eng.assemble(20).to_json_dict() == fresh.to_json_dict()
+    assert eng.assemble(22).to_json_dict() == RecurrenceEngine().assemble(22).to_json_dict()
+
+
+@pytest.mark.parametrize("n", (1, 0, -3))
+def test_entringer_row_rejects_sizes_below_two(n):
+    with pytest.raises(ValueError, match=f"need n >= 2, got {n}"):
+        RecurrenceEngine().entringer_row(n)
 
 
 # ---------------------------------------------------------------------- #
