@@ -14,6 +14,10 @@ The verify suite re-derives every identity the library is built on: golden
 tables, the difference laws on cells and marginals, the counter-diagonal
 symmetry, the crossing identity, all border identities, the five bijections,
 and the generating-function routes.  Every check compares exact integers.
+Most checks are a law of one size: a function of ``(ctx, two_n)`` that yields
+``(location, expected, actual)`` for each comparison it makes, and
+``_per_size`` runs it at every size, one report row per size, keeping the
+comparisons whose two values differ as that row's failures.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from .recurrence import (
     RecurrenceEngine,
     check_symmetry,
     entringer_triangle,
-    secant_numbers,
     tree_count,
 )
 from .reference_tables import REFERENCE_JOINT, REFERENCE_TOTALS
@@ -136,176 +139,123 @@ class _VerifyContext:
         return self._brute[two_n]
 
 
-def _sizes(two_n_max: int, start: int = 2) -> Iterable[int]:
-    return range(start, two_n_max + 1, 2)
+def _per_size(
+    name: str,
+    first_size: int,
+    law: Callable[[_VerifyContext, int], Iterable[tuple]],
+    stop: int | None = None,
+) -> Callable[[_VerifyContext, int], Iterator[CheckRow]]:
+    """The check *name*: one row per even size from *first_size* to the
+    run's bound, or to *stop* if that is lower.  ``law(ctx, two_n)`` yields
+    ``(location, expected, actual)`` per comparison; the row fails on each
+    one whose values differ, in the order the law yields them."""
+
+    def check(ctx: _VerifyContext, two_n_max: int) -> Iterator[CheckRow]:
+        last = two_n_max if stop is None else min(two_n_max, stop)
+        for two_n in range(first_size, last + 1, 2):
+            fails = [
+                _fail(name, two_n, location, expected, actual)
+                for location, expected, actual in law(ctx, two_n)
+                if expected != actual
+            ]
+            yield CheckRow(name, f"2n={two_n}", fails)
+
+    return check
 
 
-def _check_tables(ctx: _VerifyContext, two_n_max: int) -> Iterator[CheckRow]:
-    for two_n in _sizes(two_n_max):
-        fails = []
-        B = ctx.brute(two_n)
-        golden = REFERENCE_JOINT.get(two_n)
-        if golden is not None:
-            for m in range(2, two_n + 1):
-                for k in range(1, two_n):
-                    want = golden[m - 2][k - 1]
-                    got = B.get(m, k)
-                    if want != got:
-                        fails.append(_fail("tables", two_n, f"({m},{k})", want, got))
-            if B.total() != REFERENCE_TOTALS[two_n]:
-                fails.append(
-                    _fail("tables", two_n, "total", REFERENCE_TOTALS[two_n], B.total())
-                )
-        if two_n >= 4:
-            A = ctx.engine.assemble(two_n)
-            for m, k, v in A.known_cells():
-                if v != B.get(m, k):
-                    fails.append(
-                        _fail("tables", two_n, f"recurrence ({m},{k})", B.get(m, k), v)
-                    )
-            if A.col_sums() != B.col_sums():
-                fails.append(
-                    _fail("tables", two_n, "col sums", B.col_sums(), A.col_sums())
-                )
-        yield CheckRow("tables", f"2n={two_n}", fails)
+def _tables(ctx: _VerifyContext, two_n: int) -> Iterator[tuple]:
+    B = ctx.brute(two_n)
+    golden = REFERENCE_JOINT.get(two_n)
+    if golden is not None:
+        for m in range(2, two_n + 1):
+            for k in range(1, two_n):
+                yield f"({m},{k})", golden[m - 2][k - 1], B.get(m, k)
+        yield "total", REFERENCE_TOTALS[two_n], B.total()
+    if two_n >= 4:
+        A = ctx.engine.assemble(two_n)
+        for m, k, v in A.known_cells():
+            yield f"recurrence ({m},{k})", B.get(m, k), v
+        yield "col sums", B.col_sums(), A.col_sums()
 
 
-def _check_marginal(ctx: _VerifyContext, two_n_max: int) -> Iterator[CheckRow]:
-    for two_n in _sizes(two_n_max):
-        fails = []
-        B = ctx.brute(two_n)
-        rows, cols = B.row_sums(), B.col_sums()
-        for k in range(2, two_n + 1):
-            if cols[k - 2] != rows[k - 2]:
-                fails.append(
-                    _fail("marginal", two_n, f"col {k - 1} vs row {k}", cols[k - 2], rows[k - 2])
-                )
-        yield CheckRow("marginal", f"2n={two_n}", fails)
+def _marginal(ctx: _VerifyContext, two_n: int) -> Iterator[tuple]:
+    B = ctx.brute(two_n)
+    rows, cols = B.row_sums(), B.col_sums()
+    for k in range(2, two_n + 1):
+        yield f"col {k - 1} vs row {k}", cols[k - 2], rows[k - 2]
 
 
-def _check_r1(ctx: _VerifyContext, two_n_max: int) -> Iterator[CheckRow]:
-    for two_n in _sizes(two_n_max, 4):
-        fails = []
-        B, P = ctx.brute(two_n), ctx.brute(two_n - 2)
-        for k in range(1, two_n):
-            for m in range(2, k - 2):
-                r = B.get(m + 2, k) - 2 * B.get(m + 1, k) + B.get(m, k) + 4 * P.get(m, k - 2)
-                if r:
-                    fails.append(_fail("r1", two_n, f"({m},{k})", 0, r))
-        yield CheckRow("r1", f"2n={two_n}", fails)
+def _r1(ctx: _VerifyContext, two_n: int) -> Iterator[tuple]:
+    B, P = ctx.brute(two_n), ctx.brute(two_n - 2)
+    for k in range(1, two_n):
+        for m in range(2, k - 2):
+            r = B.get(m + 2, k) - 2 * B.get(m + 1, k) + B.get(m, k) + 4 * P.get(m, k - 2)
+            yield f"({m},{k})", 0, r
 
 
-def _check_r2(ctx: _VerifyContext, two_n_max: int) -> Iterator[CheckRow]:
-    for two_n in _sizes(two_n_max, 4):
-        fails = []
-        B, P = ctx.brute(two_n), ctx.brute(two_n - 2)
-        for k in range(1, two_n - 2):
-            for m in range(2, k):
-                r = B.get(m, k + 2) - 2 * B.get(m, k + 1) + B.get(m, k) + 4 * P.get(m, k)
-                if r:
-                    fails.append(_fail("r2", two_n, f"({m},{k})", 0, r))
-        yield CheckRow("r2", f"2n={two_n}", fails)
+def _r2(ctx: _VerifyContext, two_n: int) -> Iterator[tuple]:
+    B, P = ctx.brute(two_n), ctx.brute(two_n - 2)
+    for k in range(1, two_n - 2):
+        for m in range(2, k):
+            r = B.get(m, k + 2) - 2 * B.get(m, k + 1) + B.get(m, k) + 4 * P.get(m, k)
+            yield f"({m},{k})", 0, r
 
 
-def _check_r3(ctx: _VerifyContext, two_n_max: int) -> Iterator[CheckRow]:
-    for two_n in _sizes(two_n_max, 4):
-        fails = []
-        rows = ctx.brute(two_n).row_sums()
-        prev_rows = ctx.brute(two_n - 2).row_sums()
-
-        def row(m: int, rows=rows, two_n=two_n) -> int:
-            return rows[m - 2] if 2 <= m <= two_n else 0
-
-        for m in range(2, two_n - 1):
-            r = row(m + 2) - 2 * row(m + 1) + row(m) + 4 * prev_rows[m - 2]
-            if r:
-                fails.append(_fail("r3", two_n, f"m={m}", 0, r))
-        yield CheckRow("r3", f"2n={two_n}", fails)
+def _r3(ctx: _VerifyContext, two_n: int) -> Iterator[tuple]:
+    rows, prev = ctx.brute(two_n).row_sums(), ctx.brute(two_n - 2).row_sums()
+    for m in range(2, two_n - 1):  # row m lies at index m - 2
+        yield f"m={m}", 0, rows[m] - 2 * rows[m - 1] + rows[m - 2] + 4 * prev[m - 2]
 
 
-def _check_r4(ctx: _VerifyContext, two_n_max: int) -> Iterator[CheckRow]:
-    for two_n in _sizes(two_n_max, 4):
-        fails = []
-        cols = ctx.brute(two_n).col_sums()
-        prev_cols = ctx.brute(two_n - 2).col_sums()
-        for k in range(1, two_n - 2):
-            r = cols[k + 1] - 2 * cols[k] + cols[k - 1] + 4 * prev_cols[k - 1]
-            if r:
-                fails.append(_fail("r4", two_n, f"k={k}", 0, r))
-        yield CheckRow("r4", f"2n={two_n}", fails)
+def _r4(ctx: _VerifyContext, two_n: int) -> Iterator[tuple]:
+    cols, prev = ctx.brute(two_n).col_sums(), ctx.brute(two_n - 2).col_sums()
+    for k in range(1, two_n - 2):
+        yield f"k={k}", 0, cols[k + 1] - 2 * cols[k] + cols[k - 1] + 4 * prev[k - 1]
 
 
-def _check_symmetry(ctx: _VerifyContext, two_n_max: int) -> Iterator[CheckRow]:
-    for two_n in _sizes(two_n_max):
-        fails = [
-            _fail("symmetry", two_n, f"{cell} vs {mirror}", a, b)
-            for cell, mirror, a, b in check_symmetry(ctx.brute(two_n))
-        ]
-        yield CheckRow("symmetry", f"2n={two_n}", fails)
+def _symmetry(ctx: _VerifyContext, two_n: int) -> Iterator[tuple]:
+    for cell, mirror, a, b in check_symmetry(ctx.brute(two_n)):
+        yield f"{cell} vs {mirror}", a, b
 
 
-def _check_crossing(ctx: _VerifyContext, two_n_max: int) -> Iterator[CheckRow]:
-    for two_n in _sizes(two_n_max, 4):
-        fails = []
-        B = ctx.brute(two_n)
-        for k in range(3, two_n - 1):
-            lhs = B.get(k - 1, k) + B.get(k + 1, k)
-            rhs = B.get(k, k - 1) + B.get(k, k + 1)
-            if lhs != rhs:
-                fails.append(_fail("crossing", two_n, f"k={k}", lhs, rhs))
-        yield CheckRow("crossing", f"2n={two_n}", fails)
+def _crossing(ctx: _VerifyContext, two_n: int) -> Iterator[tuple]:
+    B = ctx.brute(two_n)
+    for k in range(3, two_n - 1):
+        yield f"k={k}", B.get(k - 1, k) + B.get(k + 1, k), B.get(k, k - 1) + B.get(k, k + 1)
 
 
-def _check_borders(ctx: _VerifyContext, two_n_max: int) -> Iterator[CheckRow]:
-    secants = secant_numbers(two_n_max)
-    for two_n in _sizes(two_n_max, 4):
-        fails = []
-        B = ctx.brute(two_n)
-        prev_cols = ctx.brute(two_n - 2).col_sums()
-        top = two_n - 1
-
-        def expect(loc: str, want, got) -> None:
-            if want != got:
-                fails.append(_fail("borders", two_n, loc, want, got))
-
-        for k in range(3, top + 1):
-            expect(f"first top row k={k}", prev_cols[k - 3], B.get(2, k))
-            expect(f"first column mirror k={k}", B.get(2, k), B.get(k, 1))
-            expect(f"rightmost mirror k={k}", B.get(2, k), B.get(k - 1, top))
-        for k in range(4, top + 1):
-            expect(f"second top row k={k}", 3 * B.get(2, k), B.get(3, k))
-        for m in range(2, two_n - 1):
-            expect(f"rightmost column m={m}", prev_cols[m - 2], B.get(m, top))
-        for m in range(2, two_n - 2):
-            expect(f"next to rightmost m={m}", 3 * B.get(m, top), B.get(m, top - 1))
-        ent_row = ctx.engine.entringer_row(two_n - 2)
-        for k in range(2, two_n - 1):
-            expect(f"bottom row k={k}", ent_row[k - 2], B.get(two_n, k))
-        expect("zero corner (2,1)", 0, B.get(2, 1))
-        expect("zero corner (2n,2n-1)", 0, B.get(two_n, top))
-        expect("subdiagonal seed", 2 * B.get(3, 1), B.get(3, 2))
-        expect("subdiagonal mirror", B.get(3, 2), B.get(two_n - 1, two_n - 2))
-        expect("bottom pair", 2 * B.get(two_n, two_n - 2), B.get(3, 2))
-        expect("seed value", secants[(two_n - 4) // 2], B.get(3, 1))
-        yield CheckRow("borders", f"2n={two_n}", fails)
+def _borders(ctx: _VerifyContext, two_n: int) -> Iterator[tuple]:
+    B = ctx.brute(two_n)
+    prev_cols = ctx.brute(two_n - 2).col_sums()
+    top = two_n - 1
+    for k in range(3, top + 1):
+        yield f"first top row k={k}", prev_cols[k - 3], B.get(2, k)
+        yield f"first column mirror k={k}", B.get(2, k), B.get(k, 1)
+        yield f"rightmost mirror k={k}", B.get(2, k), B.get(k - 1, top)
+    for k in range(4, top + 1):
+        yield f"second top row k={k}", 3 * B.get(2, k), B.get(3, k)
+    for m in range(2, two_n - 1):
+        yield f"rightmost column m={m}", prev_cols[m - 2], B.get(m, top)
+    for m in range(2, two_n - 2):
+        yield f"next to rightmost m={m}", 3 * B.get(m, top), B.get(m, top - 1)
+    ent_row = ctx.engine.entringer_row(two_n - 2)
+    for k in range(2, two_n - 1):
+        yield f"bottom row k={k}", ent_row[k - 2], B.get(two_n, k)
+    yield "zero corner (2,1)", 0, B.get(2, 1)
+    yield "zero corner (2n,2n-1)", 0, B.get(two_n, top)
+    yield "subdiagonal seed", 2 * B.get(3, 1), B.get(3, 2)
+    yield "subdiagonal mirror", B.get(3, 2), B.get(two_n - 1, two_n - 2)
+    yield "bottom pair", 2 * B.get(two_n, two_n - 2), B.get(3, 2)
+    yield "seed value", tree_count(two_n - 4), B.get(3, 1)
 
 
-def _check_bijection(ctx: _VerifyContext, two_n_max: int) -> Iterator[CheckRow]:
-    for two_n in _sizes(min(two_n_max, 10), 4):
-        fails = []
-        for name in MAP_VERIFIERS:
-            report = verify_map(name, two_n, ctx.brute(two_n))
-            if not report.ok:
-                fails.append(
-                    _fail(
-                        "bijection",
-                        two_n,
-                        name,
-                        "injective/covering/transporting",
-                        report.to_json_dict(),
-                    )
-                )
-        yield CheckRow("bijection", f"2n={two_n}", fails)
+_MAP_OK = "injective/covering/transporting"
+
+
+def _bijection(ctx: _VerifyContext, two_n: int) -> Iterator[tuple]:
+    for name in MAP_VERIFIERS:
+        report = verify_map(name, two_n, ctx.brute(two_n))
+        yield name, _MAP_OK, _MAP_OK if report.ok else report.to_json_dict()
 
 
 def _check_gf1(ctx: _VerifyContext, two_n_max: int) -> Iterator[CheckRow]:
@@ -325,17 +275,17 @@ def _check_gf1(ctx: _VerifyContext, two_n_max: int) -> Iterator[CheckRow]:
 
 
 def _check_gf3(ctx: _VerifyContext, two_n_max: int) -> Iterator[CheckRow]:
+    # A generator, so that the series is built once per run and inside the
+    # first row's timed step.
     w3 = omega(two_n_max - 4)
-    for two_n in _sizes(two_n_max, 4):
-        fails = []
+
+    def law(ctx: _VerifyContext, two_n: int) -> Iterator[tuple]:
         B = ctx.brute(two_n)
         for m in range(2, two_n + 1):
             for k in range(m + 1, two_n):
-                got = w3.egf_coefficient(cell_to_exponents(two_n, m, k))
-                want = B.get(m, k)
-                if got != want:
-                    fails.append(_fail("gf3", two_n, f"({m},{k})", want, got))
-        yield CheckRow("gf3", f"2n={two_n}", fails)
+                yield f"({m},{k})", B.get(m, k), w3.egf_coefficient(cell_to_exponents(two_n, m, k))
+
+    yield from _per_size("gf3", 4, law)(ctx, two_n_max)
 
 
 def _check_poupard(ctx: _VerifyContext, two_n_max: int) -> Iterator[CheckRow]:
@@ -345,7 +295,7 @@ def _check_poupard(ctx: _VerifyContext, two_n_max: int) -> Iterator[CheckRow]:
             continue
         grid = omega_grid_from_counts(p, max_sum, ctx.brute)
         fails = [
-            _fail("poupard", f"p={p}", f"(i,j)={pos}", 0, int(res))
+            _fail("poupard", p + sum(pos) + 5, f"(i,j)={pos}", 0, int(res))
             for pos, res in poupard_check(grid)
         ]
         yield CheckRow("poupard", f"p={p} i+j<={max_sum}", fails)
@@ -353,24 +303,22 @@ def _check_poupard(ctx: _VerifyContext, two_n_max: int) -> Iterator[CheckRow]:
 
 def _check_pde(ctx: _VerifyContext, two_n_max: int) -> Iterator[CheckRow]:
     for p in range(1, 5):
-        fails = []
         residual = pde_check(omega_p(p, 8))
-        if residual:
-            fails.append(_fail("pde", f"p={p}", "max residual", 0, str(residual)))
+        fails = [_fail("pde", None, "max residual", 0, str(residual))] if residual else []
         yield CheckRow("pde", f"p={p} order=8", fails)
 
 
 CHECK_FUNCTIONS: dict[str, Callable[[_VerifyContext, int], Iterator[CheckRow]]] = {
-    "tables": _check_tables,
-    "r1": _check_r1,
-    "r2": _check_r2,
-    "r3": _check_r3,
-    "r4": _check_r4,
-    "marginal": _check_marginal,
-    "symmetry": _check_symmetry,
-    "crossing": _check_crossing,
-    "borders": _check_borders,
-    "bijection": _check_bijection,
+    "tables": _per_size("tables", 2, _tables),
+    "r1": _per_size("r1", 4, _r1),
+    "r2": _per_size("r2", 4, _r2),
+    "r3": _per_size("r3", 4, _r3),
+    "r4": _per_size("r4", 4, _r4),
+    "marginal": _per_size("marginal", 2, _marginal),
+    "symmetry": _per_size("symmetry", 2, _symmetry),
+    "crossing": _per_size("crossing", 4, _crossing),
+    "borders": _per_size("borders", 4, _borders),
+    "bijection": _per_size("bijection", 4, _bijection, stop=10),
     "gf1": _check_gf1,
     "gf3": _check_gf3,
     "poupard": _check_poupard,

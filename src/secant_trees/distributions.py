@@ -44,6 +44,11 @@ def _check_even(two_n: int) -> None:
         raise OddSizeError(f"size must be a positive even integer, got {two_n!r}")
 
 
+def _check_int(name: str, n: object, least: int) -> None:
+    if type(n) is not int or n < least:
+        raise ValueError(f"need an int {name} >= {least}, got {n!r}")
+
+
 _METHODS = ("brute", "recurrence", "hybrid")
 _CELL_TYPES = {int, type(None)}
 
@@ -451,8 +456,7 @@ def ent_distribution(n: int) -> tuple[int, ...]:
     ``b > v`` and ``(c, a, b)`` when ``c > v``.  Every word is still counted
     one at a time; no Entringer number feeds the count.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    _check_int("n", n, 2)
     counts = [0] * (n + 1)
     if n < 4:
         for word in alternating_permutations(n):
@@ -499,6 +503,8 @@ class EntringerTriangle:
         self.rows = dict(rows)
 
     def row(self, n: int) -> tuple[int, ...]:
+        if n not in self.rows:
+            raise ValueError(f"row {n!r} is outside the rows 2..{self.n_max}")
         return self.rows[n]
 
     @property
@@ -506,7 +512,7 @@ class EntringerTriangle:
         return max(self.rows)
 
     def row_total(self, n: int) -> int:
-        return sum(self.rows[n])
+        return sum(self.row(n))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EntringerTriangle):
@@ -537,8 +543,7 @@ def entringer_bruteforce(n_max: int) -> EntringerTriangle:
     Both conventions are pinned against the partial-sum rule of
     :func:`secant_trees.recurrence.entringer_triangle` in the test suite.
     """
-    if n_max < 2:
-        raise ValueError(f"need n_max >= 2, got {n_max}")
+    _check_int("n_max", n_max, 2)
     rows = {}
     for n in range(2, n_max + 1):
         raw = ent_distribution(n)

@@ -37,6 +37,7 @@ from .distributions import (
     EntringerTriangle,
     JointMatrix,
     _check_even,
+    _check_int,
 )
 
 
@@ -50,8 +51,7 @@ def entringer_triangle(n_max: int) -> EntringerTriangle:
     n - j entries of row n-1, a row of length n-2 padded with a zero on the
     right, so entries j = 1 and j = 2 both take the full previous row sum.
     """
-    if n_max < 2:
-        raise ValueError(f"need n_max >= 2, got {n_max}")
+    _check_int("n_max", n_max, 2)
     rows: dict[int, tuple[int, ...]] = {2: (1,)}
     for n in range(3, n_max + 1):
         prev = rows[n - 1]
@@ -70,8 +70,7 @@ def entringer_triangle(n_max: int) -> EntringerTriangle:
 def tree_count(n: int) -> int:
     """Number of complete increasing trees of size n (secant number for even
     n, tangent number for odd n), computed from the triangle row sum."""
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
+    _check_int("n", n, 0)
     if n <= 1:
         return 1
     return entringer_triangle(n).row_total(n)
@@ -79,8 +78,9 @@ def tree_count(n: int) -> int:
 
 def secant_numbers(two_n_max: int) -> tuple[int, ...]:
     """E_0, E_2, ..., E_{two_n_max}: Taylor coefficients of sec u times (2n)!."""
-    if two_n_max < 0 or two_n_max % 2 != 0:
-        raise ValueError(f"need an even bound >= 0, got {two_n_max}")
+    _check_int("two_n_max", two_n_max, 0)
+    if two_n_max % 2 != 0:
+        raise ValueError(f"need an even two_n_max, got {two_n_max}")
     out = [1]
     if two_n_max >= 2:
         tri = entringer_triangle(two_n_max)

@@ -11,6 +11,7 @@ from secant_trees import bijections, cli, distributions
 from secant_trees.cli import main, render_matrix_text, run_checks
 from secant_trees.distributions import JointMatrix
 from secant_trees.recurrence import assemble, tree_count
+from secant_trees.series import TriSeries
 
 
 def run(capsys, *argv):
@@ -376,6 +377,154 @@ def test_verify_counts_each_size_once(monkeypatch, brute):
     assert [r.check for r in report.rows].count("bijection") == 4
     assert calls == {two_n: 1 for two_n in range(2, 13, 2)}
 
+
+
+def _corrupted(brute, size, m, k, delta):
+    """A stand-in for joint_matrix_bruteforce whose M_size has cell (m, k)
+    moved by *delta*; every other size is the session's matrix."""
+
+    def counts(two_n, processes=None):
+        B = brute(two_n)
+        if two_n != size:
+            return B
+        C = JointMatrix(two_n, "brute")
+        for mm, kk, v in B.known_cells():
+            C.set(mm, kk, v)
+        C.set(m, k, B.get(m, k) + delta)
+        return C
+
+    return counts
+
+
+def _first_failures(report):
+    """``{"check parameter": (two_n, location, expected, actual)}`` for the
+    first counterexample of each failing row; a bijection's report is cut
+    to the names of the properties that failed."""
+    out = {}
+    for r in report.rows:
+        if r.failures:
+            f = r.failures[0]
+            actual = f["actual"]
+            if isinstance(actual, dict):
+                actual = tuple(key for key, ok in actual.items() if ok is False)
+            out[f"{r.check} {r.parameter}"] = (
+                f["two_n"], f["location"], f["expected"], actual
+            )
+    return out
+
+
+_MAP_FAILS = "injective/covering/transporting"
+
+# Each corrupted cell of a brute-force matrix, and the first counterexample
+# of every check row at --two-n-max 10 that it makes fail.
+CORRUPTED_CELLS = {
+    (8, 3, 5, +1): {
+        "tables 2n=8": (8, "(3,5)", 63, 64),
+        "r1 2n=8": (8, "(2,5)", 0, -2),
+        "r1 2n=10": (10, "(3,7)", 0, 4),
+        "r2 2n=8": (8, "(3,4)", 0, -2),
+        "r2 2n=10": (10, "(3,5)", 0, 4),
+        "r3 2n=8": (8, "m=2", 0, -2),
+        "r3 2n=10": (10, "m=3", 0, 4),
+        "r4 2n=8": (8, "k=3", 0, 1),
+        "r4 2n=10": (10, "k=5", 0, 4),
+        "marginal 2n=8": (8, "col 2 vs row 3", 183, 184),
+        "symmetry 2n=8": (8, "(3, 5) vs (4, 6)", 64, 63),
+        "borders 2n=8": (8, "second top row k=5", 63, 64),
+        "borders 2n=10": (10, "first top row k=7", 286, 285),
+        "gf3 2n=8": (8, "(3,5)", 64, 63),
+        "poupard p=2 i+j<=5": (8, "(i,j)=(0, 1)", 0, 1),
+    },
+    (8, 5, 3, +1): {
+        "tables 2n=8": (8, "(5,3)", 86, 87),
+        "r3 2n=8": (8, "m=3", 0, 1),
+        "r3 2n=10": (10, "m=5", 0, 4),
+        "r4 2n=8": (8, "k=1", 0, 1),
+        "r4 2n=10": (10, "k=3", 0, 4),
+        "marginal 2n=8": (8, "col 3 vs row 4", 286, 285),
+        "borders 2n=10": (10, "first top row k=5", 286, 285),
+    },
+    (10, 2, 5, +1): {
+        "tables 2n=10": (10, "(2,5)", 285, 286),
+        "r1 2n=10": (10, "(2,5)", 0, 1),
+        "r2 2n=10": (10, "(2,3)", 0, 1),
+        "r3 2n=10": (10, "m=2", 0, 1),
+        "r4 2n=10": (10, "k=3", 0, 1),
+        "marginal 2n=10": (10, "col 1 vs row 2", 1385, 1386),
+        "symmetry 2n=10": (10, "(2, 5) vs (6, 9)", 286, 285),
+        "borders 2n=10": (10, "first top row k=5", 285, 286),
+        "bijection 2n=10": (10, "first_row_map", _MAP_FAILS, ("covers_domain",)),
+        "gf1 i+j<=6": (10, "(i,j)=(4,2)", 286, 285),
+        "gf3 2n=10": (10, "(2,5)", 286, 285),
+        "poupard p=1 i+j<=6": (10, "(i,j)=(2, 2)", 0, 1),
+    },
+    (10, 9, 1, -1): {
+        "tables 2n=10": (10, "(9,1)", 61, 60),
+        "r3 2n=10": (10, "m=7", 0, -1),
+        "r4 2n=10": (10, "k=1", 0, -1),
+        "marginal 2n=10": (10, "col 1 vs row 2", 1384, 1385),
+        "borders 2n=10": (10, "first column mirror k=9", 61, 60),
+        "bijection 2n=10": (10, "pom1_map", _MAP_FAILS, ("covers_domain",)),
+    },
+    (6, 6, 2, +1): {
+        "tables 2n=6": (6, "(6,2)", 2, 3),
+        "r3 2n=6": (6, "m=4", 0, 1),
+        "r3 2n=8": (8, "m=6", 0, 4),
+        "r4 2n=6": (6, "k=1", 0, -2),
+        "r4 2n=8": (8, "k=2", 0, 4),
+        "marginal 2n=6": (6, "col 2 vs row 3", 16, 15),
+        "borders 2n=6": (6, "bottom row k=2", 2, 3),
+        "borders 2n=8": (8, "first top row k=4", 16, 15),
+        "bijection 2n=6": (6, "entringer_map", _MAP_FAILS, ("covers_domain",)),
+    },
+    (8, 3, 4, +1): {
+        "tables 2n=8": (8, "(3,4)", 45, 46),
+        "r1 2n=10": (10, "(3,6)", 0, 4),
+        "r2 2n=8": (8, "(3,4)", 0, 1),
+        "r2 2n=10": (10, "(3,4)", 0, 4),
+        "r3 2n=8": (8, "m=2", 0, -2),
+        "r3 2n=10": (10, "m=3", 0, 4),
+        "r4 2n=8": (8, "k=2", 0, 1),
+        "r4 2n=10": (10, "k=4", 0, 4),
+        "marginal 2n=8": (8, "col 2 vs row 3", 183, 184),
+        "symmetry 2n=8": (8, "(3, 4) vs (5, 6)", 46, 45),
+        "crossing 2n=8": (8, "k=3", 55, 56),
+        "borders 2n=8": (8, "second top row k=4", 45, 46),
+        "borders 2n=10": (10, "first top row k=6", 328, 327),
+        "gf3 2n=8": (8, "(3,4)", 46, 45),
+        "poupard p=2 i+j<=5": (8, "(i,j)=(1, 0)", 0, 1),
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "cell", CORRUPTED_CELLS, ids=lambda c: f"M{c[0]}({c[1]},{c[2]}){c[3]:+d}"
+)
+def test_every_check_fails_on_a_corrupted_count(monkeypatch, brute, cell):
+    monkeypatch.setattr(cli, "joint_matrix_bruteforce", _corrupted(brute, *cell))
+    report = run_checks(10, cli.ALL_CHECKS)
+    assert report.overall == "fail"
+    assert _first_failures(report) == CORRUPTED_CELLS[cell]
+
+
+def test_every_check_can_fail():
+    failing = {key.split()[0] for fails in CORRUPTED_CELLS.values() for key in fails}
+    assert failing | {"pde"} == set(cli.ALL_CHECKS)
+
+
+def test_pde_fails_on_a_series_off_the_pde(monkeypatch):
+    real = cli.omega_p
+
+    def shifted(p, order):  # a constant 1 leaves the residual 4 * 1
+        return real(p, order) + TriSeries.constant(1, 2, order)
+
+    monkeypatch.setattr(cli, "omega_p", shifted)
+    report = run_checks(4, ("pde",))
+    assert [r.status for r in report.rows] == ["fail"] * 4
+    assert report.rows[0].failures == [
+        {"check": "pde", "two_n": None, "location": "max residual",
+         "expected": 0, "actual": "4"}
+    ]
 
 def test_threads_env_overrides_flag(capsys, monkeypatch):
     monkeypatch.setenv("STC_THREADS", "1")

@@ -7,12 +7,19 @@ the module's ``_upper_rows``."""
 
 import hashlib
 import json
+import re
 import tracemalloc
 
 import pytest
 
 from secant_trees import distributions, recurrence
-from secant_trees.distributions import BrokenInvariantError, JointMatrix, OddSizeError
+from secant_trees.distributions import (
+    BrokenInvariantError,
+    JointMatrix,
+    OddSizeError,
+    ent_distribution,
+    entringer_bruteforce,
+)
 from secant_trees.recurrence import (
     RecurrenceEngine,
     assemble,
@@ -53,6 +60,25 @@ def test_secant_numbers():
 
 def test_tree_count_small():
     assert [tree_count(n) for n in range(11)] == list(REFERENCE_TREE_COUNTS)
+
+
+@pytest.mark.parametrize("size", (8.0, "4", True), ids=("float", "str", "bool"))
+@pytest.mark.parametrize(
+    "count",
+    (entringer_triangle, secant_numbers, tree_count, ent_distribution, entringer_bruteforce),
+    ids=lambda f: f.__name__,
+)
+def test_sizes_that_are_not_ints_are_value_errors(count, size):
+    with pytest.raises(ValueError, match=r"need an int .* got " + re.escape(repr(size))):
+        count(size)
+
+
+@pytest.mark.parametrize("n", (1, 9, 0, -3))
+def test_triangle_rows_outside_the_triangle_are_value_errors(n):
+    tri = entringer_triangle(8)
+    for read in (tri.row, tri.row_total):
+        with pytest.raises(ValueError, match=rf"row {n} is outside the rows 2\.\.8$"):
+            read(n)
 
 
 # ---------------------------------------------------------------------- #
