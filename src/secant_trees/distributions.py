@@ -13,17 +13,23 @@ order and carries eoc and the rightmost node along, so it builds no word and
 no tree object.  A leaf other than the rightmost node opened on its left or
 on its right gives twins that agree in every later move and statistic, so
 each pair is walked once with weight 2.  The rightmost-label counter
-backtracks over the down-up words in place.  Nothing is materialized, so
-size 14 (199,360,981 trees) stays within a modest memory budget.
+backtracks over the down-up words in place down to their last seven letters
+and takes the endings of the last six from a table built on first use by
+trying every ordering of seven ranks, so it still counts words rather than
+applying a rule.
+Nothing is materialized, so size 14 (199,360,981 trees) stays within a
+modest memory budget.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import multiprocessing
 import os
 import time
 from bisect import bisect_left, bisect_right
+from itertools import permutations
 from typing import Iterable, Sequence
 
 from .trees import alternating_permutations
@@ -439,6 +445,30 @@ def joint_matrix_bruteforce(two_n: int, processes: int = 1) -> JointMatrix:
 # -- the rightmost-node statistic -------------------------------------------------
 
 
+_TAIL = 6  # letters after the last branched one, resolved from _tail_table
+
+
+@functools.cache
+def _tail_table(ascends: bool) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Entry r lists the pairs ``(s, mult)`` for a letter of rank r among
+    ``_TAIL + 1`` letters: ``mult`` orderings of the other ``_TAIL`` letters
+    follow it down-up, their first step up if ``ascends`` and down otherwise,
+    and end in the letter of rank s."""
+    table = []
+    for r in range(_TAIL + 1):
+        ends = [0] * (_TAIL + 1)
+        for tail in permutations([s for s in range(_TAIL + 1) if s != r]):
+            prev, up = r, ascends
+            for s in tail:
+                if (s > prev) != up:
+                    break
+                prev, up = s, not up
+            else:
+                ends[tail[-1]] += 1
+        table.append(tuple((s, mult) for s, mult in enumerate(ends) if mult))
+    return tuple(table)
+
+
 def ent_distribution(n: int) -> tuple[int, ...]:
     """Entry j-1 counts trees of size n whose rightmost node is labelled j.
 
@@ -447,25 +477,29 @@ def ent_distribution(n: int) -> tuple[int, ...]:
     over the down-up words keeps the free letters sorted, takes each
     position's candidates by bisecting against the letter before it (odd
     0-based positions descend, even ones ascend), and pops a letter on the
-    way down and re-inserts it on the way back.  Branching stops once three
-    letters ``a < b < c`` are left after the letter ``v`` at position n-4,
-    where the tails are forced.  For even n the last three slots descend,
-    ascend and descend, so ``c`` is in the middle: ``(a, c, b)`` completes
-    the word when ``a < v`` and ``(b, c, a)`` when ``b < v``.  For odd n they
-    ascend, descend and ascend, so ``a`` is in the middle: ``(b, a, c)`` when
-    ``b > v`` and ``(c, a, b)`` when ``c > v``.  Every word is still counted
-    one at a time; no Entringer number feeds the count.
+    way down and re-inserts it on the way back.  Branching stops at position
+    ``n - 7``, with seven letters left: the letter ``v`` placed there and the
+    six after it.  Which orderings of the six complete the word depends only
+    on the rank of ``v`` among the seven and on whether the first of the six
+    slots ascends.  So a table, built on the first call (about 2 ms) by
+    testing all 720 orderings of the other six ranks for each rank of ``v``,
+    lists how many completions end in each rank, and the leaf adds those
+    multiplicities to the labels of that rank.  The table comes from
+    :func:`itertools.permutations` alone, so the count stays brute force:
+    every word is still counted, and no Entringer number or partial-sum
+    rule feeds it.  Sizes up to 7 count the words of
+    :func:`secant_trees.trees.alternating_permutations` directly.
     """
     _check_int("n", n, 2)
     counts = [0] * (n + 1)
-    if n < 4:
+    if n <= _TAIL + 1:
         for word in alternating_permutations(n):
             counts[word[-1]] += 1
         return tuple(counts[1:])
 
     free = list(range(1, n + 1))  # letters not yet placed, ascending
-    last = n - 4  # the last position chosen by branching
-    even = n % 2 == 0
+    last = n - _TAIL - 1  # the last position chosen by branching
+    table = _tail_table(last % 2 == 1)  # slot last + 1 ascends when it is even
 
     def branch(pos: int, prev: int) -> None:
         if pos & 1:
@@ -478,19 +512,9 @@ def ent_distribution(n: int) -> tuple[int, ...]:
                 branch(pos + 1, v)
                 free.insert(i, v)
             return
-        for i in range(lo, hi):
-            v = free.pop(i)
-            a, b, c = free
-            if even:
-                if a < v:
-                    counts[b] += 1
-                    if b < v:
-                        counts[a] += 1
-            elif c > v:
-                counts[b] += 1
-                if b > v:
-                    counts[c] += 1
-            free.insert(i, v)
+        for i in range(lo, hi):  # v = free[i] has rank i among the seven
+            for s, mult in table[i]:
+                counts[free[s]] += mult
 
     branch(0, 0)
     return tuple(counts[1:])
@@ -503,6 +527,8 @@ class EntringerTriangle:
         self.rows = dict(rows)
 
     def row(self, n: int) -> tuple[int, ...]:
+        if type(n) is not int:
+            raise ValueError(f"need an int row, got {n!r}")
         if n not in self.rows:
             raise ValueError(f"row {n!r} is outside the rows 2..{self.n_max}")
         return self.rows[n]

@@ -81,6 +81,14 @@ def test_triangle_rows_outside_the_triangle_are_value_errors(n):
             read(n)
 
 
+@pytest.mark.parametrize("n", (2.0, 3.0, True), ids=("2.0", "3.0", "True"))
+def test_triangle_rows_that_are_not_ints_are_value_errors(n):
+    tri = entringer_triangle(8)
+    for read in (tri.row, tri.row_total):
+        with pytest.raises(ValueError, match=r"need an int row, got " + re.escape(repr(n))):
+            read(n)
+
+
 # ---------------------------------------------------------------------- #
 # marginal induction                                                      #
 # ---------------------------------------------------------------------- #
