@@ -19,11 +19,12 @@ and codomain.  It builds a tree only for each word of a domain
 (``MAP_DOMAINS``: the words with a forced start or end, and for eoc = 2n
 the words grown from the trees of size 2n-2 whose minimal chain reaches
 their rightmost node), still filters each by the map's precondition, and
-counts the domain and the codomain against the brute-force joint matrix of
-the same size, which the caller passes in: ``verify`` shares the one it
-counted for its other checks.  ``MAP_VERIFIERS`` holds one standalone
-verifier per key of ``MAP_DOMAINS``, named ``verify_<map>``, that counts its
-own.  Sources are keyed by their words and images by their projections.
+counts the domain and the codomain against the margins of a joint matrix of
+the same size, which the caller passes in: ``verify`` shares the brute-force
+one it counted for its other checks.  ``MAP_VERIFIERS`` holds one standalone
+verifier per key of ``MAP_DOMAINS``, named ``verify_<map>``, that reads the
+margins off the recurrence instead.  Sources are keyed by their words and
+images by their projections.
 """
 
 from __future__ import annotations
@@ -31,18 +32,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .distributions import JointMatrix, joint_matrix_bruteforce
-from .recurrence import tree_count
-from .trees import IncTree, alternating_permutations, tree_from_perm
+from .distributions import JointMatrix
+from .recurrence import assemble, tree_count
+from .trees import IncTree, _check_size, alternating_permutations, tree_from_perm
 
 
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ValueError(message)
-
-
-def _check_size(n: int) -> None:
-    _require(n % 2 == 0 and n >= 4, "need an even size >= 4")
 
 
 def _relabel(t: IncTree, sigma: Sequence[int], n_new: int) -> IncTree:
@@ -69,7 +66,7 @@ def first_row_map(t: IncTree) -> IncTree:
     The leaf 2 hangs off the root, so the root's other child (always node 3)
     becomes the new root; pom drops by exactly 2.
     """
-    _check_size(t.n)
+    _check_size(t.n, 4, "the size of t", even=True)
     _require(t.eoc() == 2, "the minimal chain must end at the leaf 2")
     sigma = [0] * (t.n + 1)
     for v in range(3, t.n + 1):
@@ -83,7 +80,7 @@ def rightmost_column_map(t: IncTree) -> IncTree:
     2n-1 is forced to be the one-child node carrying the leaf 2n, and it
     hangs as a right child; no relabelling is needed and eoc is preserved.
     """
-    _check_size(t.n)
+    _check_size(t.n, 4, "the size of t", even=True)
     _require(t.pom() == t.n - 1, "the maximum leaf must hang off node 2n-1")
     sigma = list(range(t.n + 1))
     sigma[t.n] = 0
@@ -101,7 +98,7 @@ def tripling_map(t: IncTree) -> tuple[IncTree, IncTree, IncTree]:
     distinct and exhaust the trees with pom = 2n-2.
     """
     n = t.n
-    _check_size(n)
+    _check_size(n, 4, "the size of t", even=True)
     _require(t.pom() == n - 1, "the maximum leaf must hang off node 2n-1")
 
     sigma = list(range(n + 1))
@@ -135,7 +132,7 @@ def pom1_map(t: IncTree) -> IncTree:
     The root's other child (always node 2) becomes the new root and eoc
     drops by exactly 1.
     """
-    _check_size(t.n)
+    _check_size(t.n, 4, "the size of t", even=True)
     _require(t.pom() == 1, "the maximum leaf must hang off the root")
     sigma = [0] * (t.n + 1)
     for v in range(2, t.n):
@@ -152,7 +149,7 @@ def entringer_map(t: IncTree) -> IncTree:
     The rightmost label of the result is k - 1.
     """
     n = t.n
-    _check_size(n)
+    _check_size(n, 4, "the size of t", even=True)
     chain = t.minimal_chain()
     _require(chain[-1] == n, "the minimal chain must end at the leaf 2n")
     sigma = [0] * (n + 1)
@@ -213,7 +210,7 @@ class MapDomain:
     ``words(2n)`` streams the projections of the trees in the domain, each
     once; every stream here is exact, but ``contains``, the precondition on
     a tree, still filters each candidate, and ``margin`` reads the size of
-    the domain off the brute-force joint matrix, so that a stream that
+    the domain off a margin of the joint matrix, so that a stream that
     misses a domain tree or yields a stray word shows at run time instead
     of being assumed away.
 
@@ -292,7 +289,6 @@ def _domain_words(name: str, two_n: int) -> Iterator[tuple[tuple[int, ...], IncT
     """``(word, tree)`` for each tree of even size *two_n* >= 4 in the domain
     of the map *name*: its candidate words, built and filtered by its
     precondition.  The word is the tree's projection."""
-    _check_size(two_n)
     domain = MAP_DOMAINS[name]
     for word in domain.words(two_n):
         t = tree_from_perm(word)
@@ -345,12 +341,12 @@ class MapReport:
 
 def verify_map(name: str, two_n: int, counts: JointMatrix) -> MapReport:
     """Run the map *name* over its whole domain at size *two_n* and certify
-    it against *counts*, the brute-force joint matrix of that size.
+    it against the margins of *counts*, a joint matrix of that size.
 
     Images are validated trees, so distinct images landing in the codomain,
     as many as the codomain holds, certify that the map covers it.
     """
-    _check_size(two_n)
+    _check_size(two_n, 4, "two_n", even=True)
     if counts.two_n != two_n:
         raise ValueError(f"counts are for 2n = {counts.two_n}, not {two_n}")
     domain = MAP_DOMAINS[name]
@@ -376,14 +372,14 @@ def verify_map(name: str, two_n: int, counts: JointMatrix) -> MapReport:
 
 
 def _standalone(name: str) -> Callable[[int], MapReport]:
-    """``verify_<name>``: :func:`verify_map` on a brute-force matrix of its
-    own.  The size is checked first, so that every size the maps reject fails
-    with the same message before any tree is counted; joint_matrix_bruteforce
-    would reject an odd one with its own message and count 2n = 2."""
+    """``verify_<name>``: :func:`verify_map` on the recurrence's matrix of
+    the size, whose margins are all it reads, so no tree is counted.  The size
+    is checked first, so that every size the maps reject fails with the
+    verifiers' message before the matrix is assembled."""
 
     def verifier(two_n: int) -> MapReport:
-        _check_size(two_n)
-        return verify_map(name, two_n, joint_matrix_bruteforce(two_n))
+        _check_size(two_n, 4, "two_n", even=True)
+        return verify_map(name, two_n, assemble(two_n))
 
     verifier.__name__ = verifier.__qualname__ = f"verify_{name}"
     return verifier

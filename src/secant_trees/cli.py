@@ -31,13 +31,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from .bijections import MAP_VERIFIERS, verify_map
-from .distributions import (
-    _METHODS,
-    JointMatrix,
-    OddSizeError,
-    entringer_bruteforce,
-    joint_matrix_bruteforce,
-)
+from .distributions import _METHODS, JointMatrix, entringer_bruteforce, joint_matrix_bruteforce
 from .recurrence import (
     RecurrenceEngine,
     check_symmetry,
@@ -56,7 +50,7 @@ from .series import (
     poupard_check,
     sec_series,
 )
-from .trees import alternating_permutations, enumerate_trees
+from .trees import _check_size, alternating_permutations, enumerate_trees
 
 # Largest size counted by brute force: E_14 = 199,360,981 trees take 7.0 s
 # serial (2-core VM, Python 3.11); E_16 = 19,391,512,145 is 97 times as many
@@ -349,14 +343,13 @@ def run_checks(
 ) -> VerifyReport:
     """Run the selected check suites up to *two_n_max* on fresh data.
 
-    A size that is not an even int >= 4, a selection given as one string,
-    an empty selection, an unknown check name or a repeated one raises
-    ValueError before any check runs.  Each row records the wall time its
+    A bound that is not an even int >= 4 raises OddSizeError, and a
+    selection given as one string, an empty selection, an unknown check name
+    or a repeated one raises ValueError, before any check runs.  Each row records the wall time its
     check spent producing it, including any brute-force matrix it was the
     first to need.
     """
-    if type(two_n_max) is not int or two_n_max < 4 or two_n_max % 2:
-        raise ValueError(f"two_n_max must be an even int >= 4, got {two_n_max!r}")
+    _check_size(two_n_max, 4, "two_n_max", even=True)
     checks = _selection(checks)
     ctx = _VerifyContext(processes=processes)
     report = VerifyReport()
@@ -413,7 +406,8 @@ def render_matrix_text(M: JointMatrix) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
+def _cmd_enumerate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    _cap_brute_force(parser, "--n", args.n)
     if args.emit == "count":
         print(sum(1 for _ in alternating_permutations(args.n)))
     elif args.emit == "perms":
@@ -434,19 +428,14 @@ def _cap_brute_force(parser: argparse.ArgumentParser, flag: str, n: int) -> None
 
 
 def _cmd_matrix(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.method != "recurrence" and args.two_n % 2 == 0:  # odd sizes fail below
+    if args.method != "recurrence":
         _cap_brute_force(parser, "--two-n", args.two_n)
-    try:
-        if args.method == "brute":
-            M = joint_matrix_bruteforce(args.two_n, processes=args.threads)
-        else:
-            M = RecurrenceEngine().assemble(
-                args.two_n,
-                fill_interior=(args.method == "hybrid"),
-                processes=args.threads,
-            )
-    except OddSizeError as exc:
-        parser.error(str(exc))
+    if args.method == "brute":
+        M = joint_matrix_bruteforce(args.two_n, processes=args.threads)
+    else:
+        M = RecurrenceEngine().assemble(
+            args.two_n, fill_interior=(args.method == "hybrid"), processes=args.threads
+        )
     if args.format == "text":
         sys.stdout.write(render_matrix_text(M))
     elif args.format == "csv":
@@ -468,8 +457,13 @@ def _cmd_entringer(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
 
 
 def _cmd_series(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    builders = {"sec": (sec_series, 1), "omega1": (omega1, 2), "omega": (omega, 3)}
-    builder, arity = builders[args.target]
+    # Each target with its arity and its cap: the largest order that builds in
+    # about the 7 s of the brute-force cap (2-core VM, Python 3.11: sec 1400 in
+    # 6.9 s, omega1 132 in 7.0 s, omega 66 in 6.4 s, omega 68 in 7.7-8.4 s).
+    builders = {"sec": (sec_series, 1, 1400), "omega1": (omega1, 2, 132), "omega": (omega, 3, 66)}
+    builder, arity, cap = builders[args.target]
+    if args.order > cap:
+        parser.error(f"--order {args.order} is above the cap of target {args.target}, {cap}")
     s = builder(args.order)
     if args.query is None:
         for line in s.dump_lines():
@@ -490,8 +484,6 @@ def _cmd_series(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 
 
 def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.two_n_max < 4 or args.two_n_max % 2:
-        parser.error(f"--two-n-max must be even and >= 4, got {args.two_n_max}")
     _cap_brute_force(parser, "--two-n-max", args.two_n_max)
     try:
         checks = _selection(c.strip() for c in args.checks.split(",") if c.strip())
@@ -505,6 +497,24 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     return 0 if report.overall == "pass" else 1
 
 
+def _sized(least: int, even: bool = False) -> Callable[[str], int]:
+    """An argparse ``type=`` for a sized flag: the int that the text spells,
+    under the size rule of :func:`secant_trees.trees._check_size`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = text
+        try:
+            _check_size(value, least, "value", even)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="secant-trees",
@@ -514,29 +524,34 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="stream trees of one size")
-    p.add_argument("--n", type=int, required=True, help="tree size, n >= 1")
+    p.add_argument("--n", type=_sized(1), required=True, help="tree size, n >= 1")
     p.add_argument("--emit", choices=("count", "perms", "trees"), default="count")
+    p.set_defaults(run=_cmd_enumerate)
 
     p = sub.add_parser("matrix", help="print a joint (eoc, pom) matrix")
-    p.add_argument("--two-n", dest="two_n", type=int, required=True)
+    p.add_argument("--two-n", dest="two_n", type=_sized(2, even=True), required=True)
     p.add_argument("--method", choices=_METHODS, default="brute")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=_sized(1), default=None)
+    p.set_defaults(run=_cmd_matrix)
 
     p = sub.add_parser("entringer", help="print rightmost-label triangle rows")
-    p.add_argument("--n-max", dest="n_max", type=int, required=True)
+    p.add_argument("--n-max", dest="n_max", type=_sized(2), required=True)
     p.add_argument("--method", choices=("rule", "brute"), default="rule")
+    p.set_defaults(run=_cmd_entringer)
 
     p = sub.add_parser("series", help="dump or query a generating function")
     p.add_argument("--target", choices=("sec", "omega1", "omega"), required=True)
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_sized(0), required=True)
     p.add_argument("--query", type=str, default=None, help="comma-separated exponents")
+    p.set_defaults(run=_cmd_series)
 
     p = sub.add_parser("verify", help="run the cross-validation suite")
-    p.add_argument("--two-n-max", dest="two_n_max", type=int, default=10)
+    p.add_argument("--two-n-max", dest="two_n_max", type=_sized(4, even=True), default=10)
     p.add_argument("--checks", type=str, default=",".join(DEFAULT_CHECKS))
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=_sized(1), default=None)
+    p.set_defaults(run=_cmd_verify)
 
     return parser
 
@@ -545,34 +560,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if hasattr(args, "threads"):
-        if args.threads is not None and args.threads < 1:
-            parser.error(f"--threads must be >= 1, got {args.threads}")
         env = os.environ.get("STC_THREADS")
         if env is not None:
             try:
-                args.threads = int(env)
-            except ValueError:
-                parser.error(f"STC_THREADS must be an integer, got {env!r}")
-            if args.threads < 1:
-                parser.error(f"STC_THREADS must be >= 1, got {env!r}")
+                args.threads = _sized(1)(env)
+            except argparse.ArgumentTypeError as exc:
+                parser.error(f"STC_THREADS: {exc}")
         elif args.threads is None:
             args.threads = os.cpu_count() or 1
-    if args.command == "enumerate":
-        if args.n < 1:
-            parser.error("--n must be >= 1")
-        _cap_brute_force(parser, "--n", args.n)
-        return _cmd_enumerate(args)
-    if args.command == "matrix":
-        return _cmd_matrix(args, parser)
-    if args.command == "entringer":
-        if args.n_max < 2:
-            parser.error("--n-max must be >= 2")
-        return _cmd_entringer(args, parser)
-    if args.command == "series":
-        if args.order < 0:
-            parser.error("--order must be >= 0")
-        return _cmd_series(args, parser)
-    return _cmd_verify(args, parser)
+    return args.run(args, parser)
 
 
 if __name__ == "__main__":

@@ -32,27 +32,13 @@ from bisect import bisect_left, bisect_right
 from itertools import permutations
 from typing import Iterable, Sequence
 
-from .trees import alternating_permutations
-
-
-class OddSizeError(ValueError):
-    """Joint matrices are defined for even sizes only."""
+from .trees import OddSizeError, _check_size, alternating_permutations  # noqa: F401 (re-export)
 
 
 class BrokenInvariantError(RuntimeError):
     """A computed or counted distribution contradicts a structural fact about
     the trees: a negative count, a cell filled twice with two values, brute
     force disagreeing with the recurrence, or an impossible rightmost label."""
-
-
-def _check_even(two_n: int) -> None:
-    if type(two_n) is not int or two_n < 2 or two_n % 2 != 0:
-        raise OddSizeError(f"size must be a positive even integer, got {two_n!r}")
-
-
-def _check_int(name: str, n: object, least: int) -> None:
-    if type(n) is not int or n < least:
-        raise ValueError(f"need an int {name} >= {least}, got {n!r}")
 
 
 _METHODS = ("brute", "recurrence", "hybrid")
@@ -84,7 +70,7 @@ class JointMatrix:
     __slots__ = ("two_n", "method", "_cells", "_row_sums", "_col_sums", "_total")
 
     def __init__(self, two_n: int, method: str):
-        _check_even(two_n)
+        _check_size(two_n, 2, "two_n", even=True)
         self.two_n = two_n
         self.method = method
         width = two_n - 1
@@ -206,7 +192,7 @@ class JointMatrix:
         if not isinstance(data, dict):
             raise ValueError(f"a matrix blob is a dict, got {type(data).__name__}")
         two_n = data.get("two_n")
-        _check_even(two_n)
+        _check_size(two_n, 2, "two_n", even=True)
         if data.get("method") not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}, got {data.get('method')!r}")
         if data.get("m_range") != [2, two_n] or data.get("k_range") != [1, two_n - 1]:
@@ -419,7 +405,7 @@ def joint_matrix_bruteforce(two_n: int, processes: int = 1) -> JointMatrix:
     logs its tree count and time at INFO on this module's logger from
     ``two_n = 12`` up.
     """
-    _check_even(two_n)
+    _check_size(two_n, 2, "two_n", even=True)
     counts: dict[tuple[int, int], int] = {}
     if two_n == 2:
         counts[(2, 1)] = 1  # the one tree: the root with 2 as its left child
@@ -490,7 +476,7 @@ def ent_distribution(n: int) -> tuple[int, ...]:
     rule feeds it.  Sizes up to 7 count the words of
     :func:`secant_trees.trees.alternating_permutations` directly.
     """
-    _check_int("n", n, 2)
+    _check_size(n, 2, "n")
     counts = [0] * (n + 1)
     if n <= _TAIL + 1:
         for word in alternating_permutations(n):
@@ -527,8 +513,7 @@ class EntringerTriangle:
         self.rows = dict(rows)
 
     def row(self, n: int) -> tuple[int, ...]:
-        if type(n) is not int:
-            raise ValueError(f"need an int row, got {n!r}")
+        _check_size(n, 2, "n")
         if n not in self.rows:
             raise ValueError(f"row {n!r} is outside the rows 2..{self.n_max}")
         return self.rows[n]
@@ -569,7 +554,7 @@ def entringer_bruteforce(n_max: int) -> EntringerTriangle:
     Both conventions are pinned against the partial-sum rule of
     :func:`secant_trees.recurrence.entringer_triangle` in the test suite.
     """
-    _check_int("n_max", n_max, 2)
+    _check_size(n_max, 2, "n_max")
     rows = {}
     for n in range(2, n_max + 1):
         raw = ent_distribution(n)

@@ -32,13 +32,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import distributions
-from .distributions import (
-    BrokenInvariantError,
-    EntringerTriangle,
-    JointMatrix,
-    _check_even,
-    _check_int,
-)
+from .distributions import BrokenInvariantError, EntringerTriangle, JointMatrix
+from .trees import _check_size
 
 
 # -- Entringer triangle and secant numbers ------------------------------------
@@ -51,7 +46,7 @@ def entringer_triangle(n_max: int) -> EntringerTriangle:
     n - j entries of row n-1, a row of length n-2 padded with a zero on the
     right, so entries j = 1 and j = 2 both take the full previous row sum.
     """
-    _check_int("n_max", n_max, 2)
+    _check_size(n_max, 2, "n_max")
     rows: dict[int, tuple[int, ...]] = {2: (1,)}
     for n in range(3, n_max + 1):
         prev = rows[n - 1]
@@ -70,7 +65,7 @@ def entringer_triangle(n_max: int) -> EntringerTriangle:
 def tree_count(n: int) -> int:
     """Number of complete increasing trees of size n (secant number for even
     n, tangent number for odd n), computed from the triangle row sum."""
-    _check_int("n", n, 0)
+    _check_size(n, 0, "n")
     if n <= 1:
         return 1
     return entringer_triangle(n).row_total(n)
@@ -78,9 +73,7 @@ def tree_count(n: int) -> int:
 
 def secant_numbers(two_n_max: int) -> tuple[int, ...]:
     """E_0, E_2, ..., E_{two_n_max}: Taylor coefficients of sec u times (2n)!."""
-    _check_int("two_n_max", two_n_max, 0)
-    if two_n_max % 2 != 0:
-        raise ValueError(f"need an even two_n_max, got {two_n_max}")
+    _check_size(two_n_max, 0, "two_n_max", even=True)
     out = [1]
     if two_n_max >= 2:
         tri = entringer_triangle(two_n_max)
@@ -216,8 +209,7 @@ class RecurrenceEngine:
         self._triangle: EntringerTriangle | None = None
 
     def entringer_row(self, n: int) -> tuple[int, ...]:
-        if n < 2:
-            raise ValueError(f"need n >= 2, got {n}")
+        _check_size(n, 2, "n")
         if self._triangle is None or self._triangle.n_max < n:
             self._triangle = entringer_triangle(max(n, 8))
         return self._triangle.row(n)
@@ -229,7 +221,7 @@ class RecurrenceEngine:
         from the second-difference law on column sums.  The row sums are the
         same tuple, because f(m, .) = f(., m-1).
         """
-        _check_even(two_n)
+        _check_size(two_n, 2, "two_n", even=True)
         sums = self._col_sums  # holds every size from 2 up to its largest
         for s in range(max(sums) + 2, two_n + 1, 2):
             prev = sums[s - 2]
@@ -255,7 +247,7 @@ class RecurrenceEngine:
         every recurrence-known cell and both margins, or
         :class:`BrokenInvariantError` names the first disagreement.
         """
-        _check_even(two_n)
+        _check_size(two_n, 2, "two_n", even=True)
         base = self._assemble_no_fill(two_n)
         if not fill_interior:
             return base

@@ -37,6 +37,8 @@ from fractions import Fraction
 from math import comb, factorial, prod
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
+from .trees import _check_size
+
 
 class OutOfOrderError(ValueError):
     """A coefficient beyond the truncation order, or at a negative
@@ -77,8 +79,7 @@ class TriSeries:
         """A series from its *Taylor* coefficients."""
         if not 1 <= num_vars <= 3:
             raise ValueError(f"num_vars must be 1..3, got {num_vars}")
-        if order < 0:
-            raise ValueError(f"order must be >= 0, got {order}")
+        _check_size(order, 0, "order")
         self.num_vars = num_vars
         self.order = order
         self.coeffs: dict[tuple[int, ...], int | Fraction] = {}
@@ -298,6 +299,7 @@ def compose_linear(
     In closed form, the EGF coefficient at exponent e is
     univariate[sum(e)] times the product of linear[v] ** e[v].
     """
+    _check_size(order, 0, "order")
     nv = len(linear)
     terms = (
         (e, univariate[d] * prod(a ** x for a, x in zip(linear, e)))
@@ -309,11 +311,13 @@ def compose_linear(
 
 def cos_linear(linear: Sequence[int], order: int) -> TriSeries:
     """Series of cos(a x + b y + c z) for the integer form *linear*."""
+    _check_size(order, 0, "order")
     return compose_linear([(1, 0, -1, 0)[d % 4] for d in range(order + 1)], linear, order)
 
 
 def sin_linear(linear: Sequence[int], order: int) -> TriSeries:
     """Series of sin(a x + b y + c z) for the integer form *linear*."""
+    _check_size(order, 0, "order")
     return compose_linear([(0, 1, 0, -1)[d % 4] for d in range(order + 1)], linear, order)
 
 
@@ -322,6 +326,7 @@ def row_series(series2: TriSeries, i: int) -> TriSeries:
     variable: its EGF coefficient j is the EGF coefficient (i, j)."""
     if series2.num_vars != 2:
         raise ValueError("row extraction needs a 2-variable series")
+    _check_size(i, 0, "i")
     if i > series2.order:
         raise OutOfOrderError(f"row {i} beyond truncation order {series2.order}")
     return TriSeries._from_egf(
@@ -387,8 +392,8 @@ def omega_p(p: int, order: int) -> TriSeries:
     cos(2x) R(x+y) + sin(2x) R'(x+y); ``omega_p(1, order)`` equals
     ``omega1(order)``.
     """
-    if p < 1:
-        raise ValueError(f"need p >= 1, got {p}")
+    _check_size(p, 1, "p")
+    _check_size(order, 0, "order")
     r = row_series(omega1(order + p), p - 1)  # exact through degree order + 1
     return _rows_to_series(r, r.partial_derivative(0), order)
 
@@ -398,6 +403,7 @@ def omega_p(p: int, order: int) -> TriSeries:
 
 def cell_to_exponents(two_n: int, m: int, k: int) -> tuple[int, int, int]:
     """(x, y, z) exponents of the upper cell (m, k) of size two_n."""
+    _check_size(two_n, 4, "two_n", even=True)
     if not 2 <= m < k <= two_n - 1:
         raise ValueError(f"({m},{k}) is not an upper cell of M_{two_n}")
     return (two_n - k - 1, k - m - 1, m - 2)
@@ -415,8 +421,8 @@ def omega_grid_from_counts(
     the grid maps (i, j) to 0 when i + j and p share parity, else to the
     count f_{p+i+j+3}(p+1, p+j+2).  Covers i + j <= max_sum.
     """
-    if p < 1:
-        raise ValueError(f"need p >= 1, got {p}")
+    _check_size(p, 1, "p")
+    _check_size(max_sum, 0, "max_sum")
     entries: dict[tuple[int, int], int] = {}
     cache: dict[int, object] = {}
     for i in range(max_sum + 1):

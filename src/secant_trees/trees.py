@@ -32,6 +32,22 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple, Sequence
 
 
+class OddSizeError(ValueError):
+    """An even size (2n, or a bound on 2n) that is not an even int at least
+    its lower bound."""
+
+
+def _check_size(value: object, least: int, name: str, even: bool = False) -> None:
+    """The one rule for a size, an order or a triangle row: an ``int`` (not a
+    ``bool``) at least *least*, and even if *even*.  A failing even size
+    raises :class:`OddSizeError`, any other a ``ValueError``; the message
+    names the argument and the value."""
+    if type(value) is not int or value < least or (even and value % 2):
+        kind = "an even int" if even else "an int"
+        error = OddSizeError if even else ValueError
+        raise error(f"{name} must be {kind} >= {least}, got {value!r}")
+
+
 class TreeError(ValueError):
     """A rejected tree candidate: labels that are not exactly 1..n, a child
     not larger than its parent, maps that disagree, child counts that break
@@ -236,8 +252,10 @@ class IncTree:
         if missing:
             raise TreeError(f"tree JSON misses {sorted(missing)}")
         n = data["n"]
-        if type(n) is not int or n < 1:
-            raise TreeError(f"bad size {n!r}")
+        try:
+            _check_size(n, 1, "n")
+        except ValueError as exc:
+            raise TreeError(str(exc)) from None
         arrays = [data[name] for name in ("parent", "left", "right")]
         if not all(isinstance(a, list) and len(a) == n for a in arrays):
             raise TreeError("parent, left and right must be lists of length n")
@@ -301,9 +319,13 @@ def tree_from_perm(word: Sequence[int]) -> IncTree:
 
 
 def alternating_permutations(n: int) -> Iterator[tuple[int, ...]]:
-    """Yield every down-up alternating permutation of 1..n, lexicographically."""
-    if n < 1:
-        raise ValueError(f"size must be >= 1, got {n}")
+    """Every down-up alternating permutation of 1..n, lexicographically; the
+    size is checked on the call, before the first word is asked for."""
+    _check_size(n, 1, "n")
+    return _down_up_words(n)
+
+
+def _down_up_words(n: int) -> Iterator[tuple[int, ...]]:
     word = [0] * n
     used = bytearray(n + 1)
     pos = 0
@@ -336,13 +358,12 @@ def alternating_permutations(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def enumerate_trees(n: int) -> Iterator[IncTree]:
-    """Yield every complete increasing tree of size n exactly once.
+    """Every complete increasing tree of size n exactly once.
 
     Trees come out in lexicographic order of their projection; the count is
     the secant number for even n and the tangent number for odd n.
     """
-    for word in alternating_permutations(n):
-        yield tree_from_perm(word)
+    return map(tree_from_perm, alternating_permutations(n))
 
 
 def word_stats(word: Sequence[int]) -> StatRecord:

@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from secant_trees import distributions
 from secant_trees.bijections import (
     MAP_DOMAINS,
     MAP_VERIFIERS,
@@ -18,7 +19,7 @@ from secant_trees.bijections import (
     tripling_map,
     verify_map,
 )
-from secant_trees.distributions import joint_matrix_bruteforce
+from secant_trees.distributions import OddSizeError, joint_matrix_bruteforce
 from secant_trees.recurrence import tree_count
 from secant_trees.trees import (
     alternating_permutations,
@@ -90,7 +91,7 @@ def test_preconditions_rejected():
         entringer_map(t)
     with pytest.raises(ValueError, match="the maximum leaf must hang off the root"):
         pom1_map(tree_from_perm((2, 1, 4, 3)))
-    with pytest.raises(ValueError, match="need an even size >= 4"):
+    with pytest.raises(OddSizeError, match="the size of t must be an even int >= 4, got 2$"):
         pom1_map(tree_from_perm((2, 1)))  # too small
 
 
@@ -106,6 +107,19 @@ def test_maps_verify_exhaustively(name, two_n, brute):
     assert report.ok, report
     assert report.domain > 0
     assert verify_map(name, two_n, brute(two_n)) == report  # a shared count
+
+
+@pytest.mark.parametrize("name", sorted(MAP_VERIFIERS))
+def test_standalone_verifiers_count_no_tree(name, brute, monkeypatch):
+    want = {two_n: verify_map(name, two_n, brute(two_n)) for two_n in (4, 6, 8, 10)}
+
+    def refuse(two_n, processes=1):
+        raise AssertionError(f"trees of size {two_n} counted")
+
+    monkeypatch.setattr(distributions, "joint_matrix_bruteforce", refuse)
+    for two_n, report in want.items():
+        assert report.ok
+        assert MAP_VERIFIERS[name](two_n) == report, two_n
 
 
 # Each domain from its definition, independent of the candidate streams.
@@ -155,9 +169,10 @@ def test_entringer_stream_is_exactly_the_domain():
 @pytest.mark.parametrize("two_n", (2, 7))
 @pytest.mark.parametrize("name", sorted(MAP_VERIFIERS))
 def test_verifiers_reject_sizes_without_a_map(name, two_n):
-    with pytest.raises(ValueError, match="need an even size >= 4"):
+    message = f"two_n must be an even int >= 4, got {two_n}$"
+    with pytest.raises(OddSizeError, match=message):
         MAP_VERIFIERS[name](two_n)
-    with pytest.raises(ValueError, match="need an even size >= 4"):
+    with pytest.raises(OddSizeError, match=message):
         verify_map(name, two_n, object())  # before it reads the counts
 
 

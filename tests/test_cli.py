@@ -3,11 +3,12 @@
 import json
 import multiprocessing
 import os
+import re
 from collections import Counter
 
 import pytest
 
-from secant_trees import bijections, cli, distributions
+from secant_trees import cli, distributions
 from secant_trees.cli import main, render_matrix_text, run_checks
 from secant_trees.distributions import JointMatrix
 from secant_trees.recurrence import assemble, tree_count
@@ -371,7 +372,7 @@ def test_verify_counts_each_size_once(monkeypatch, brute):
         return brute(two_n)  # the session's matrix, so size 12 is not recounted
 
     monkeypatch.setattr(cli, "joint_matrix_bruteforce", counting)
-    monkeypatch.setattr(bijections, "joint_matrix_bruteforce", counting)
+    monkeypatch.setattr(distributions, "joint_matrix_bruteforce", counting)
     report = run_checks(12, ("tables", "bijection"))
     assert report.overall == "pass"
     assert [r.check for r in report.rows].count("bijection") == 4
@@ -568,3 +569,44 @@ def test_verify_report_failure_rendering():
     assert "FAIL tables" in text and "overall: fail" in text
     blob = report.to_json_dict()
     assert blob["rows"][1]["first_counterexample"]["location"] == "(2,3)"
+
+
+# One argv per sized flag, with the value last; each with its bad values: one
+# below the bound (0, or -1 for --order, whose bound is 0), a fraction, and an
+# odd value where the flag is even.
+SIZED_FLAGS = [
+    (["enumerate", "--n"], ("0", "1.5")),
+    (["matrix", "--two-n"], ("0", "1.5", "7")),
+    (["entringer", "--n-max"], ("0", "1.5")),
+    (["series", "--target", "sec", "--order"], ("-1", "1.5")),
+    (["verify", "--two-n-max"], ("0", "1.5", "7")),
+    (["matrix", "--two-n", "4", "--threads"], ("0", "1.5")),
+    (["verify", "--two-n-max", "4", "--threads"], ("0", "1.5")),
+]
+
+
+@pytest.mark.parametrize(
+    "argv", [argv + [value] for argv, values in SIZED_FLAGS for value in values], ids=" ".join
+)
+def test_a_sized_flag_that_breaks_the_rule_is_a_usage_error(argv, capsys, monkeypatch):
+    monkeypatch.delenv("STC_THREADS", raising=False)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    flag, value = argv[-2:]
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert exc.value.code == 2
+    assert re.search(rf"argument {flag}: value must be an .*, got '?{re.escape(value)}'?$", last)
+
+
+@pytest.mark.parametrize("target, cap", [("sec", 1400), ("omega1", 132), ("omega", 66)])
+def test_series_above_the_cap_fails_fast(target, cap, capsys, monkeypatch):
+    def refuse(order):
+        raise AssertionError(f"{target} built at order {order}")
+
+    for name in ("sec_series", "omega1", "omega"):
+        monkeypatch.setattr(cli, name, refuse)
+    with pytest.raises(SystemExit) as exc:
+        main(["series", "--target", target, "--order", str(cap + 1)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"--order {cap + 1} is above the cap of target {target}, {cap}" in err

@@ -125,7 +125,7 @@ def test_oddsize_rejected():
     ids=("brute", "assemble", "JointMatrix"),
 )
 def test_non_int_size_rejected(build, size):
-    with pytest.raises(OddSizeError, match=f"positive even integer, got {size!r}"):
+    with pytest.raises(OddSizeError, match=f"two_n must be an even int >= 2, got {size!r}$"):
         build(size)
 
 

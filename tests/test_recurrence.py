@@ -69,23 +69,28 @@ def test_tree_count_small():
     ids=lambda f: f.__name__,
 )
 def test_sizes_that_are_not_ints_are_value_errors(count, size):
-    with pytest.raises(ValueError, match=r"need an int .* got " + re.escape(repr(size))):
+    message = r"must be an (even )?int >= \d, got " + re.escape(repr(size)) + "$"
+    with pytest.raises(ValueError, match=message):
         count(size)
 
 
 @pytest.mark.parametrize("n", (1, 9, 0, -3))
 def test_triangle_rows_outside_the_triangle_are_value_errors(n):
     tri = entringer_triangle(8)
+    message = rf"row {n} is outside the rows 2\.\.8$"
+    if n < 2:
+        message = f"n must be an int >= 2, got {n}$"
     for read in (tri.row, tri.row_total):
-        with pytest.raises(ValueError, match=rf"row {n} is outside the rows 2\.\.8$"):
+        with pytest.raises(ValueError, match=message):
             read(n)
 
 
 @pytest.mark.parametrize("n", (2.0, 3.0, True), ids=("2.0", "3.0", "True"))
 def test_triangle_rows_that_are_not_ints_are_value_errors(n):
     tri = entringer_triangle(8)
+    message = "n must be an int >= 2, got " + re.escape(repr(n)) + "$"
     for read in (tri.row, tri.row_total):
-        with pytest.raises(ValueError, match=r"need an int row, got " + re.escape(repr(n))):
+        with pytest.raises(ValueError, match=message):
             read(n)
 
 
@@ -328,7 +333,7 @@ def test_a_smaller_size_restarts_the_induction():
 
 @pytest.mark.parametrize("n", (1, 0, -3))
 def test_entringer_row_rejects_sizes_below_two(n):
-    with pytest.raises(ValueError, match=f"need n >= 2, got {n}"):
+    with pytest.raises(ValueError, match=f"n must be an int >= 2, got {n}$"):
         RecurrenceEngine().entringer_row(n)
 
 

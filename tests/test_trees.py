@@ -290,7 +290,10 @@ def test_tree_json_rejects_corruption(blob):
 def test_tree_json_rejects_malformed_blobs():
     good = tree_from_perm((2, 1)).to_json_dict()
     bad = [
-        ({"n": True, "parent": [0], "left": [0], "right": [0]}, "bad size True"),
+        ({"n": True, "parent": [0], "left": [0], "right": [0]}, "n must be an int >= 1, got True"),
+        ({**good, "n": 2.0}, r"n must be an int >= 1, got 2\.0"),
+        ({**good, "n": "2"}, "n must be an int >= 1, got '2'"),
+        ({**good, "n": 0}, "n must be an int >= 1, got 0"),
         ({**good, "parent": [False, 1]}, r"parent entry False is not a label in 0\.\.2"),
         ({key: good[key] for key in ("n", "parent", "left")}, r"tree JSON misses \['right'\]"),
         ([good], "tree JSON must be an object, got list"),
