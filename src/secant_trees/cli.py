@@ -232,7 +232,7 @@ def _borders(ctx: _VerifyContext, two_n: int) -> Iterator[tuple]:
         yield f"rightmost column m={m}", prev_cols[m - 2], B.get(m, top)
     for m in range(2, two_n - 2):
         yield f"next to rightmost m={m}", 3 * B.get(m, top), B.get(m, top - 1)
-    ent_row = ctx.engine.entringer_row(two_n - 2)
+    ent_row = entringer_triangle(two_n - 2).row(two_n - 2)
     for k in range(2, two_n - 1):
         yield f"bottom row k={k}", ent_row[k - 2], B.get(two_n, k)
     yield "zero corner (2,1)", 0, B.get(2, 1)
@@ -526,39 +526,39 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="stream trees of one size")
     p.add_argument("--n", type=_sized(1), required=True, help="tree size, n >= 1")
     p.add_argument("--emit", choices=("count", "perms", "trees"), default="count")
-    p.set_defaults(run=_cmd_enumerate)
+    p.set_defaults(run=_cmd_enumerate, parser=p)
 
     p = sub.add_parser("matrix", help="print a joint (eoc, pom) matrix")
     p.add_argument("--two-n", dest="two_n", type=_sized(2, even=True), required=True)
     p.add_argument("--method", choices=_METHODS, default="brute")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.add_argument("--threads", type=_sized(1), default=None)
-    p.set_defaults(run=_cmd_matrix)
+    p.set_defaults(run=_cmd_matrix, parser=p)
 
     p = sub.add_parser("entringer", help="print rightmost-label triangle rows")
     p.add_argument("--n-max", dest="n_max", type=_sized(2), required=True)
     p.add_argument("--method", choices=("rule", "brute"), default="rule")
-    p.set_defaults(run=_cmd_entringer)
+    p.set_defaults(run=_cmd_entringer, parser=p)
 
     p = sub.add_parser("series", help="dump or query a generating function")
     p.add_argument("--target", choices=("sec", "omega1", "omega"), required=True)
     p.add_argument("--order", type=_sized(0), required=True)
     p.add_argument("--query", type=str, default=None, help="comma-separated exponents")
-    p.set_defaults(run=_cmd_series)
+    p.set_defaults(run=_cmd_series, parser=p)
 
     p = sub.add_parser("verify", help="run the cross-validation suite")
     p.add_argument("--two-n-max", dest="two_n_max", type=_sized(4, even=True), default=10)
     p.add_argument("--checks", type=str, default=",".join(DEFAULT_CHECKS))
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--threads", type=_sized(1), default=None)
-    p.set_defaults(run=_cmd_verify)
+    p.set_defaults(run=_cmd_verify, parser=p)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    parser = args.parser  # the subcommand's: its usage line goes with an error
     if hasattr(args, "threads"):
         env = os.environ.get("STC_THREADS")
         if env is not None:

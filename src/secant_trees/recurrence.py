@@ -29,6 +29,7 @@ Everything is exact integer arithmetic on Python ints.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Sequence
 
 from . import distributions
@@ -36,29 +37,24 @@ from .distributions import BrokenInvariantError, EntringerTriangle, JointMatrix
 from .trees import _check_size
 
 
-# -- Entringer triangle and secant numbers ------------------------------------
+# -- Entringer triangle, secant numbers and column sums -------------------------
+
+
+def _next_entringer_row(row: tuple[int, ...]) -> tuple[int, ...]:
+    """Row n of the Entringer triangle from row n-1 by the leftmost-partial-sum
+    rule: entry j = 1 .. n-1 sums the leftmost n - j entries of row n-1 (of
+    length n-2, padded with a zero on the right), so row n is the total of
+    row n-1 followed by its prefix sums, longest first."""
+    prefix = list(accumulate(row))
+    return (prefix[-1], *reversed(prefix))
 
 
 def entringer_triangle(n_max: int) -> EntringerTriangle:
-    """Build rows 2..n_max by the leftmost-partial-sum rule.
-
-    Row n has entries j = 1 .. n-1.  Entry j is the sum of the leftmost
-    n - j entries of row n-1, a row of length n-2 padded with a zero on the
-    right, so entries j = 1 and j = 2 both take the full previous row sum.
-    """
+    """Build rows 2..n_max by the leftmost-partial-sum rule."""
     _check_size(n_max, 2, "n_max")
-    rows: dict[int, tuple[int, ...]] = {2: (1,)}
+    rows = {2: (1,)}
     for n in range(3, n_max + 1):
-        prev = rows[n - 1]
-        prefix = [0]
-        for v in prev:
-            prefix.append(prefix[-1] + v)
-        full = prefix[-1]
-        row = []
-        for j in range(1, n):
-            take = min(n - j, n - 2)
-            row.append(full if take >= n - 2 else prefix[take])
-        rows[n] = tuple(row)
+        rows[n] = _next_entringer_row(rows[n - 1])
     return EntringerTriangle(rows)
 
 
@@ -80,6 +76,20 @@ def secant_numbers(two_n_max: int) -> tuple[int, ...]:
         for n in range(2, two_n_max + 1, 2):
             out.append(tri.row_total(n))
     return tuple(out)
+
+
+def _next_column_sums(sums: tuple[int, ...]) -> tuple[int, ...]:
+    """Column sums of M_{2n} from the column sums *sums* of M_{2n-2}: seeded by
+    f(., 1) = E_{2n-2} and f(., 2) = 3 E_{2n-2}, then the second-difference
+    law f(., k+2) = 2 f(., k+1) - f(., k) - 4 f_{2n-2}(., k)."""
+    two_n, total = len(sums) + 3, sum(sums)
+    cs = [total, 3 * total]
+    for p in sums:
+        v = 2 * cs[-1] - cs[-2] - 4 * p
+        if v < 0:
+            raise BrokenInvariantError(f"column sum at k={len(cs) + 1} of M_{two_n} is negative")
+        cs.append(v)
+    return tuple(cs)
 
 
 # -- the row cores --------------------------------------------------------------
@@ -193,47 +203,29 @@ def check_symmetry(M: JointMatrix) -> list[tuple[tuple[int, int], tuple[int, int
 
 
 class RecurrenceEngine:
-    """Carries the induction state: column sums, the Entringer triangle and
-    the induction frontier.
-
-    The laws tie M_{2n} only to M_{2n-2}, so the engine keeps just the last
-    two matrices it assembled.  A request for one of them returns the same
-    object; a larger size continues the induction from them, and a smaller
-    size restarts it from size 2.  Returned matrices are shared with the
-    engine while they sit on the frontier; treat them as immutable.
+    """Carries the induction frontier: the last two matrices it assembled,
+    whose attached margins are their column sums, and the Entringer row of
+    the larger one's size -- all that the laws tie M_{2n} to.  A request for
+    one of the two matrices returns the same object; a larger size continues
+    the induction from them, and a smaller size restarts it from size 2.
+    Returned matrices are shared with the engine while they sit on the
+    frontier; treat them as immutable.
     """
 
     def __init__(self) -> None:
-        self._col_sums: dict[int, tuple[int, ...]] = {2: (1,)}
         self._frontier: dict[int, JointMatrix] = {}
-        self._triangle: EntringerTriangle | None = None
-
-    def entringer_row(self, n: int) -> tuple[int, ...]:
-        _check_size(n, 2, "n")
-        if self._triangle is None or self._triangle.n_max < n:
-            self._triangle = entringer_triangle(max(n, 8))
-        return self._triangle.row(n)
+        self._ent_row: tuple[int, ...] = ()
 
     def column_sums(self, two_n: int) -> tuple[int, ...]:
-        """Column sums f_{2n}(., k) for k = 1 .. 2n-1, by induction from size 2.
-
-        Seeds: f(., 1) = E_{2n-2} and f(., 2) = 3 E_{2n-2}; the rest follow
-        from the second-difference law on column sums.  The row sums are the
-        same tuple, because f(m, .) = f(., m-1).
+        """Column sums f_{2n}(., k) for k = 1 .. 2n-1, by induction from size 2
+        with no matrix.  The row sums are the same tuple, because
+        f(m, .) = f(., m-1).
         """
         _check_size(two_n, 2, "two_n", even=True)
-        sums = self._col_sums  # holds every size from 2 up to its largest
-        for s in range(max(sums) + 2, two_n + 1, 2):
-            prev = sums[s - 2]
-            total = sum(prev)
-            cs = [total, 3 * total] + [0] * (s - 3)
-            for k in range(1, s - 2):
-                v = 2 * cs[k] - cs[k - 1] - 4 * prev[k - 1]
-                if v < 0:
-                    raise BrokenInvariantError(f"column sum at k={k + 2} of M_{s} is negative")
-                cs[k + 1] = v
-            sums[s] = tuple(cs)
-        return sums[two_n]
+        sums: tuple[int, ...] = (1,)
+        for _ in range(4, two_n + 1, 2):
+            sums = _next_column_sums(sums)
+        return sums
 
     def assemble(
         self, two_n: int, fill_interior: bool = False, processes: int = 1
@@ -276,18 +268,18 @@ class RecurrenceEngine:
             M = JointMatrix._adopt(2, "recurrence", [[1]])
             M.attach_margins((1,), (1,), 1)
             frontier = self._frontier = {2: M}
-        if two_n >= 4:
-            self.entringer_row(two_n - 2)  # build the triangle once, not per size
+            self._ent_row = (1,)
         for s in range(max(frontier) + 2, two_n + 1, 2):
             prev = frontier[s - 2]
             # Drop M_{s-4} before M_s is built, so that the engine never
             # holds more than two matrices.
             frontier = self._frontier = {s - 2: prev}
-            rows = _upper_rows(s, prev._cells, self.column_sums(s - 2))
-            _lower_rows(s, rows, self.entringer_row(s - 2))
-            cs = self.column_sums(s)
+            rows = _upper_rows(s, prev._cells, prev.col_sums())
+            _lower_rows(s, rows, self._ent_row)
+            cs = _next_column_sums(prev.col_sums())
             M = JointMatrix._adopt(s, "recurrence", rows)
             M.attach_margins(cs, cs, sum(cs))
+            self._ent_row = _next_entringer_row(_next_entringer_row(self._ent_row))
             frontier[s] = M
         return frontier[two_n]
 

@@ -404,7 +404,7 @@ def omega_p(p: int, order: int) -> TriSeries:
 def cell_to_exponents(two_n: int, m: int, k: int) -> tuple[int, int, int]:
     """(x, y, z) exponents of the upper cell (m, k) of size two_n."""
     _check_size(two_n, 4, "two_n", even=True)
-    if not 2 <= m < k <= two_n - 1:
+    if type(m) is not int or type(k) is not int or not 2 <= m < k <= two_n - 1:
         raise ValueError(f"({m},{k}) is not an upper cell of M_{two_n}")
     return (two_n - k - 1, k - m - 1, m - 2)
 

@@ -598,6 +598,27 @@ def test_a_sized_flag_that_breaks_the_rule_is_a_usage_error(argv, capsys, monkey
     assert re.search(rf"argument {flag}: value must be an .*, got '?{re.escape(value)}'?$", last)
 
 
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        ("series --target omega --order 67", None),
+        ("series --target sec --order 4 --query x", None),
+        ("matrix --two-n 16", None),
+        ("matrix --two-n 4", "0"),
+    ],
+    ids=("series-order-cap", "series-bad-query", "matrix-brute-force-cap", "matrix-STC_THREADS"),
+)
+def test_a_usage_error_after_parsing_prints_the_subcommand_usage(argv, env, capsys, monkeypatch):
+    if env is None:
+        monkeypatch.delenv("STC_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("STC_THREADS", env)
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(f"usage: secant-trees {argv.split()[0]} ")
+
+
 @pytest.mark.parametrize("target, cap", [("sec", 1400), ("omega1", 132), ("omega", 66)])
 def test_series_above_the_cap_fails_fast(target, cap, capsys, monkeypatch):
     def refuse(order):

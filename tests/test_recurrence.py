@@ -1,13 +1,13 @@
 """Analytic engine: triangle rule, marginal induction, triangle fills,
 border, symmetry, and equivalence with the enumeration oracle.
 
-Every fill goes through ``RecurrenceEngine.assemble``; a corrupt input is
-injected by patching the engine's ``column_sums`` or ``entringer_row``, or
-the module's ``_upper_rows``."""
+Every fill goes through ``RecurrenceEngine.assemble``, whose state is its
+frontier: the last two matrices and one Entringer row.  A corrupt input is
+injected through the margins attached to a frontier matrix, or by patching
+the module's Entringer step ``_next_entringer_row`` or ``_upper_rows``."""
 
 import hashlib
 import json
-import re
 import tracemalloc
 
 import pytest
@@ -17,8 +17,6 @@ from secant_trees.distributions import (
     BrokenInvariantError,
     JointMatrix,
     OddSizeError,
-    ent_distribution,
-    entringer_bruteforce,
 )
 from secant_trees.recurrence import (
     RecurrenceEngine,
@@ -62,33 +60,12 @@ def test_tree_count_small():
     assert [tree_count(n) for n in range(11)] == list(REFERENCE_TREE_COUNTS)
 
 
-@pytest.mark.parametrize("size", (8.0, "4", True), ids=("float", "str", "bool"))
-@pytest.mark.parametrize(
-    "count",
-    (entringer_triangle, secant_numbers, tree_count, ent_distribution, entringer_bruteforce),
-    ids=lambda f: f.__name__,
-)
-def test_sizes_that_are_not_ints_are_value_errors(count, size):
-    message = r"must be an (even )?int >= \d, got " + re.escape(repr(size)) + "$"
-    with pytest.raises(ValueError, match=message):
-        count(size)
-
-
 @pytest.mark.parametrize("n", (1, 9, 0, -3))
 def test_triangle_rows_outside_the_triangle_are_value_errors(n):
     tri = entringer_triangle(8)
     message = rf"row {n} is outside the rows 2\.\.8$"
     if n < 2:
         message = f"n must be an int >= 2, got {n}$"
-    for read in (tri.row, tri.row_total):
-        with pytest.raises(ValueError, match=message):
-            read(n)
-
-
-@pytest.mark.parametrize("n", (2.0, 3.0, True), ids=("2.0", "3.0", "True"))
-def test_triangle_rows_that_are_not_ints_are_value_errors(n):
-    tri = entringer_triangle(8)
-    message = "n must be an int >= 2, got " + re.escape(repr(n)) + "$"
     for read in (tri.row, tri.row_total):
         with pytest.raises(ValueError, match=message):
             read(n)
@@ -117,17 +94,24 @@ def test_column_sums_examples():
 
 def test_column_sums_need_predecessor():
     # A fresh engine derives every predecessor from size 2 on its own, and
-    # the step to 10 reads the size-8 sums: a changed predecessor changes it.
+    # the step to 10 reads the sums attached to M_8: a changed predecessor
+    # changes it.  The middle sum of M_8 meets no other boundary cell of M_10.
     eng = RecurrenceEngine()
     cs10 = eng.column_sums(10)
     assert [eng.column_sums(s) for s in (4, 6, 8)] == [
         (1, 3, 1), (5, 15, 21, 15, 5), (61, 183, 285, 327, 285, 183, 61)
     ]
-    seeded = RecurrenceEngine()
-    seeded._col_sums = {2: (1,), 8: (62, 183, 285, 327, 285, 183, 61)}
-    assert seeded.column_sums(10) != cs10
+    assert eng.assemble(10).col_sums() == cs10
+    changed = _engine_with_margins(8, lambda cs: (*cs[:3], cs[3] + 1, *cs[4:]))
+    assert changed.assemble(10).col_sums() != cs10
     with pytest.raises(OddSizeError):
         eng.column_sums(9)
+
+
+def test_column_sum_law_flags_a_negative_sum():
+    # 2 * 306 - 102 - 4 * 100 = 110, then 2 * 110 - 306 - 4 * 1 = -90 at k = 4
+    with pytest.raises(BrokenInvariantError, match=r"column sum at k=4 of M_6 is negative$"):
+        recurrence._next_column_sums((100, 1, 1))
 
 
 # ---------------------------------------------------------------------- #
@@ -135,15 +119,13 @@ def test_column_sums_need_predecessor():
 # ---------------------------------------------------------------------- #
 
 
-def _corrupted_engine(monkeypatch, method, size, corrupt):
-    """An engine that has assembled M_{size} and then answers *method*(size)
-    with corrupt(true answer) -- so only the next size sees the corruption."""
+def _engine_with_margins(size, corrupt):
+    """An engine whose frontier matrix M_{size} carries the margins
+    corrupt(true column sums) -- so only the next size sees the corruption."""
     eng = RecurrenceEngine()
-    eng.assemble(size)
-    real = getattr(eng, method)
-    monkeypatch.setattr(
-        eng, method, lambda n: corrupt(real(n)) if n == size else real(n)
-    )
+    M = eng.assemble(size)
+    cs = corrupt(M.col_sums())
+    M.attach_margins(cs, cs, sum(cs))
     return eng
 
 
@@ -171,20 +153,20 @@ def test_filling_order_independence(two_n):
         assert residual == 0, (m, k)
 
 
-def test_upper_triangle_flags_a_boundary_cell_filled_twice(monkeypatch):
+def test_upper_triangle_flags_a_boundary_cell_filled_twice():
     # (2,7) is both the last cell of the first row and the top of the
     # rightmost column; the column sums are no longer symmetric.
-    eng = _corrupted_engine(monkeypatch, "column_sums", 6, lambda cs: (*cs[:-1], cs[-1] + 1))
+    eng = _engine_with_margins(6, lambda cs: (*cs[:-1], cs[-1] + 1))
     with pytest.raises(BrokenInvariantError, match=r"\(2,7\) of M_8 filled twice"):
         eng.assemble(8)
 
 
-def test_upper_triangle_flags_negative_cells(monkeypatch):
+def test_upper_triangle_flags_negative_cells():
     # The middle column sum of M_6 reaches only the first two rows and the
     # row m = 4 boundary of M_8, so zeroing it leaves every boundary
     # consistent and drives the first column-rule cell of that row negative:
     # 2 * 0 - 0 - 4 f_6(4, 5) = -4.
-    eng = _corrupted_engine(monkeypatch, "column_sums", 6, lambda cs: (*cs[:2], 0, *cs[3:]))
+    eng = _engine_with_margins(6, lambda cs: (*cs[:2], 0, *cs[3:]))
     with pytest.raises(BrokenInvariantError, match=r"cell \(4,5\) of M_8 came out -4"):
         eng.assemble(8)
 
@@ -211,10 +193,16 @@ def test_lower_border_flags_a_cell_filled_twice(monkeypatch):
 
 
 def test_lower_border_flags_a_negative_entringer_entry(monkeypatch):
-    # entry 3 of the size-6 row lands on the bottom-row cell (8,4)
-    eng = _corrupted_engine(monkeypatch, "entringer_row", 6, lambda row: (*row[:2], -1, *row[3:]))
+    # entry 3 of the size-6 row (five entries) lands on the bottom-row cell (8,4)
+    real = recurrence._next_entringer_row
+
+    def step_with_a_negative_entry(row):
+        out = real(row)
+        return (*out[:2], -1, *out[3:]) if len(out) == 5 else out
+
+    monkeypatch.setattr(recurrence, "_next_entringer_row", step_with_a_negative_entry)
     with pytest.raises(BrokenInvariantError, match=r"cell \(8,4\) of M_8 came out -1"):
-        eng.assemble(8)
+        RecurrenceEngine().assemble(8)
 
 
 def test_lower_border_examples():
@@ -299,15 +287,16 @@ def test_engine_caches_are_consistent():
 
 
 def test_assemble_keeps_only_the_induction_frontier():
-    # Holding every size up to 120 takes about 13.5 MiB; the last two sizes,
-    # the column sums and the Entringer triangle take about 3 MiB.
+    # Holding every size up to 120 takes about 13.5 MiB; the column sums and
+    # the Entringer triangle beside the last two sizes about 2.3 MiB; the last
+    # two sizes and one Entringer row about 1.6 MiB.
     tracemalloc.start()
     try:
         RecurrenceEngine().assemble(120)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6 * 2**20, peak
+    assert peak < 2 * 2**20, peak
 
 
 def test_previous_size_is_served_without_a_fill(monkeypatch):
@@ -329,12 +318,6 @@ def test_a_smaller_size_restarts_the_induction():
     fresh = RecurrenceEngine().assemble(20)
     assert eng.assemble(20).to_json_dict() == fresh.to_json_dict()
     assert eng.assemble(22).to_json_dict() == RecurrenceEngine().assemble(22).to_json_dict()
-
-
-@pytest.mark.parametrize("n", (1, 0, -3))
-def test_entringer_row_rejects_sizes_below_two(n):
-    with pytest.raises(ValueError, match=f"n must be an int >= 2, got {n}$"):
-        RecurrenceEngine().entringer_row(n)
 
 
 # ---------------------------------------------------------------------- #

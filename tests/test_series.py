@@ -260,6 +260,12 @@ def test_index_maps_round_trip():
         cell_to_exponents(8, 5, 5)
 
 
+@pytest.mark.parametrize("m, k", [(2.0, 3.0), (2, 3.0)], ids=("floats", "float k"))
+def test_cell_indices_that_are_not_ints_are_not_upper_cells(m, k):
+    with pytest.raises(ValueError, match=r"is not an upper cell of M_6$"):
+        cell_to_exponents(6, m, k)
+
+
 def test_omega_spot_coefficients():
     w = omega(6)
     assert w.egf_coefficient((0, 0, 0)) == 1

@@ -57,7 +57,6 @@ ENTRY_POINTS = [
     ("entringer_triangle", entringer_triangle, 2, "n_max", False),
     ("tree_count", tree_count, 0, "n", False),
     ("secant_numbers", secant_numbers, 0, "two_n_max", True),
-    ("engine.entringer_row", lambda v: RecurrenceEngine().entringer_row(v), 2, "n", False),
     ("engine.column_sums", lambda v: RecurrenceEngine().column_sums(v), 2, "two_n", True),
     ("engine.assemble", lambda v: RecurrenceEngine().assemble(v), 2, "two_n", True),
     ("assemble", assemble, 2, "two_n", True),
@@ -91,8 +90,9 @@ ENTRY_POINTS = [
 
 
 def _cases():
+    # An even entry also tries an even value below its bound and an odd one above.
     for name, call, least, arg, even in ENTRY_POINTS:
-        values = [True, 4.0, "4", least - 1] + ([least + 1] if even else [])
+        values = [True, 4.0, "4", least - 1] + ([least - 2, least + 1] if even else [])
         for value in values:
             yield pytest.param(call, least, arg, even, value, id=f"{name}-{value!r}")
 
