@@ -166,6 +166,16 @@ def test_entringer_stream_is_exactly_the_domain():
         assert set(got) == want, two_n
 
 
+@pytest.mark.parametrize("two_n", (2, 7))
+@pytest.mark.parametrize("name", sorted(MAP_VERIFIERS))
+def test_verifiers_reject_sizes_without_a_map(name, two_n):
+    message = f"two_n must be an even int >= 4, got {two_n}$"
+    with pytest.raises(OddSizeError, match=message):
+        MAP_VERIFIERS[name](two_n)
+    with pytest.raises(OddSizeError, match=message):
+        verify_map(name, two_n, object())  # before it reads the counts
+
+
 @pytest.mark.parametrize("name", sorted(MAP_VERIFIERS))
 def test_stream_missing_a_domain_word_fails(name, monkeypatch):
     domain = MAP_DOMAINS[name]

@@ -8,6 +8,7 @@ the module's Entringer step ``_next_entringer_row`` or ``_upper_rows``."""
 
 import hashlib
 import json
+import re
 import tracemalloc
 
 import pytest
@@ -17,6 +18,8 @@ from secant_trees.distributions import (
     BrokenInvariantError,
     JointMatrix,
     OddSizeError,
+    ent_distribution,
+    entringer_bruteforce,
 )
 from secant_trees.recurrence import (
     RecurrenceEngine,
@@ -60,12 +63,33 @@ def test_tree_count_small():
     assert [tree_count(n) for n in range(11)] == list(REFERENCE_TREE_COUNTS)
 
 
+@pytest.mark.parametrize("size", (8.0, "4", True), ids=("float", "str", "bool"))
+@pytest.mark.parametrize(
+    "count",
+    (entringer_triangle, secant_numbers, tree_count, ent_distribution, entringer_bruteforce),
+    ids=lambda f: f.__name__,
+)
+def test_sizes_that_are_not_ints_are_value_errors(count, size):
+    message = r"must be an (even )?int >= \d, got " + re.escape(repr(size)) + "$"
+    with pytest.raises(ValueError, match=message):
+        count(size)
+
+
 @pytest.mark.parametrize("n", (1, 9, 0, -3))
 def test_triangle_rows_outside_the_triangle_are_value_errors(n):
     tri = entringer_triangle(8)
     message = rf"row {n} is outside the rows 2\.\.8$"
     if n < 2:
         message = f"n must be an int >= 2, got {n}$"
+    for read in (tri.row, tri.row_total):
+        with pytest.raises(ValueError, match=message):
+            read(n)
+
+
+@pytest.mark.parametrize("n", (2.0, 3.0, True), ids=("2.0", "3.0", "True"))
+def test_triangle_rows_that_are_not_ints_are_value_errors(n):
+    tri = entringer_triangle(8)
+    message = "n must be an int >= 2, got " + re.escape(repr(n)) + "$"
     for read in (tri.row, tri.row_total):
         with pytest.raises(ValueError, match=message):
             read(n)
