@@ -12,7 +12,9 @@ The joint counter grows every tree by inserting its labels in increasing
 order and carries eoc and the rightmost node along, so it builds no word and
 no tree object.  A leaf other than the rightmost node opened on its left or
 on its right gives twins that agree in every later move and statistic, so
-each pair is walked once with weight 2.  The rightmost-label counter
+each pair is walked once with weight 2, and the last six labels are placed
+from a table of tail placements, walked with the same moves once per shape
+of the state they start from.  The rightmost-label counter
 backtracks over the down-up words in place down to their last seven letters
 and takes the endings of the last six from a table built on first use by
 trying every ordering of seven ranks, so it still counts words rather than
@@ -251,33 +253,46 @@ log = logging.getLogger(__name__)
 # 3, each written (side of 2 under the root, parent of 3, side of 3 under it)
 # with side 0 for left and 1 for right.
 _PARTS = ((0, 1, 1), (0, 2, 0), (0, 2, 1), (1, 1, 0), (1, 2, 0), (1, 2, 1))
-_LOG_MIN_TWO_N = 12  # parts of smaller sizes finish too fast to be worth a line
-# Smallest size counted over a pool.  Measured on 2 cores (Python 3.11),
-# medians of serial against two workers: 0.0006 s against 0.016 s at 2n = 8,
-# 0.006 s against 0.024 s at 10 (9 runs each), 0.16 s against 0.12 s at 12
-# (25 alternating pairs, the pool faster in 24) and 7.0 s against 4.6 s at 14
-# (7 runs each).
-_POOL_MIN_TWO_N = 12
+_JOINT_TAIL = 6  # last labels of the joint counter, placed from tables
+# Smallest size whose parts log a line: a part takes 0.01-0.02 s at 2n = 14
+# and 0.4-0.7 s at 16 (2 cores, Python 3.11.7).
+_LOG_MIN_TWO_N = 16
+# Smallest size counted over a pool.  Measured on 2 cores (Python 3.11.7), 10
+# alternating pairs per size, medians of serial against two workers: 0.0025 s
+# against 0.027 s at 2n = 10, 0.0085 s against 0.048 s at 12 and 0.059 s
+# against 0.082 s at 14, the pool slower in every pair; 2.92 s against 1.73 s
+# at 16, the pool faster in all 10.
+_POOL_MIN_TWO_N = 16
 
 
-def _count_joint_part(args: tuple[int, tuple[int, int, int]]) -> dict[tuple[int, int], int]:
-    """Count (eoc, pom) pairs over the trees of size ``2n >= 4`` whose labels
-    2 and 3 sit as the part in *args* says.
+def _walk(
+    two_n: int,
+    L: int,
+    R: int,
+    r_open: bool,
+    eoc: int,
+    opens: list[int],
+    leaves: list[int],
+    tally: list[int],
+    tables: dict | None = None,
+) -> None:
+    """Place the labels L, L+1, ..., 2n into the partial tree whose state is
+    (*opens*, *leaves*, *R*, *r_open*, *eoc*) and add the weight of each
+    finished tree to ``tally[eoc * (2n + 1) + pom]``.
 
     Every complete increasing tree arises exactly once by inserting the
-    labels 4, 5, ..., 2n in increasing order into the tree on labels 1..3,
-    because removing the largest label always leaves a leaf.  The state of a
-    partial tree is its list of leaves, its list of *open* nodes (exactly one
-    child) other than ``R``, ``R`` itself (the end of the right chain from
-    the root), whether ``R`` is open (then it has a left child only, as the
-    one-child node of every complete tree of even size must) and ``eoc`` (the
-    end of the minimal chain, always a leaf).  Label ``L`` either fills the
-    free slot of an open node or opens a leaf on its left or on its right,
-    and each move updates the statistics in O(1): ``eoc`` becomes ``L``
-    exactly when ``L`` hangs under the ``eoc`` leaf (a filled slot never
-    changes the chain, because the child already there is smaller), ``R``
-    becomes ``L`` exactly when ``L`` becomes the right child of ``R``, and
-    pom is the node that receives ``2n``.
+    labels in increasing order, because removing the largest label always
+    leaves a leaf.  The state of a partial tree is its list of leaves, its
+    list of *open* nodes (exactly one child) other than ``R``, ``R`` itself
+    (the end of the right chain from the root), whether ``R`` is open (then
+    it has a left child only, as the one-child node of every complete tree
+    of even size must) and ``eoc`` (the end of the minimal chain, always a
+    leaf).  Label ``L`` either fills the free slot of an open node or opens a
+    leaf on its left or on its right, and each move updates the statistics
+    in O(1): ``eoc`` becomes ``L`` exactly when ``L`` hangs under the ``eoc``
+    leaf (a filled slot never changes the chain, because the child already
+    there is smaller), ``R`` becomes ``L`` exactly when ``L`` becomes the
+    right child of ``R``, and pom is the node that receives ``2n``.
 
     The walk visits the trees up to the side of each opening of a leaf
     ``Y != R``, once per pair of twins, and carries a weight ``w`` that
@@ -295,28 +310,35 @@ def _count_joint_part(args: tuple[int, tuple[int, int, int]]) -> dict[tuple[int,
     completes.  The last two labels are placed inline: every surviving place
     of ``2n - 1`` leaves exactly one place for ``2n``, so no call is made
     per tree.
+
+    With *tables*, each state reached at label ``2n - _JOINT_TAIL + 1`` adds
+    its table entry (see :func:`_count_joint_part`) instead of being walked
+    further, when that label is at least ``4`` and below ``2n - 1``.
     """
-    two_n, (side2, parent3, side3) = args
-    t0 = time.perf_counter()
-    left, right = children = [0] * 4, [0] * 4
-    children[side2][1] = 2
-    children[side3][parent3] = 3
-    R = 1
-    while right[R]:
-        R = right[R]
-    eoc = 3 if parent3 == 2 else 2
-    leaves = [v for v in (1, 2, 3) if not (left[v] or right[v])]
-    opens = [v for v in (1, 2) if (left[v] == 0) != (right[v] == 0) and v != R]
     stride = two_n + 1
-    tally = [0] * (stride * stride)  # tally[eoc * stride + pom]
     last = two_n - 1
+    start = two_n - _JOINT_TAIL + 1  # the first label of the tail
+    if tables is None or not 4 <= start < last:
+        start = last
+    tail = list(range(start, two_n + 1))
 
     def grow(L: int, R: int, r_open: bool, eoc: int, w: int) -> None:
         # Place the labels L, L+1, ..., 2n into w trees that differ only in
         # the sides of earlier openings; opens never counts an open R.
         n_open = len(opens)
-        if L >= last:
-            if L == two_n:
+        if L >= start:
+            if L < last:
+                shape = (
+                    n_open, len(leaves), r_open,
+                    -1 if r_open else leaves.index(R), leaves.index(eoc),
+                )
+                entry = tables.get(shape)
+                if entry is None:
+                    entry = tables[shape] = _tail_placements(*shape)
+                nodes = opens + leaves + [R] + tail
+                for e, p, mult in entry:
+                    tally[nodes[e] * stride + nodes[p]] += w * mult
+            elif L == two_n:
                 # Only at 2n = 4, where the part has placed 2n - 1 already.
                 if opens:
                     tally[eoc * stride + opens[0]] += w
@@ -371,8 +393,79 @@ def _count_joint_part(args: tuple[int, tuple[int, int, int]]) -> dict[tuple[int,
                 opens.pop()
             leaves[j] = Y
 
+    grow(L, R, r_open, eoc, 1)
+
+
+def _tail_placements(
+    n_open: int, n_leaves: int, r_open: bool, r_at: int, eoc_at: int
+) -> tuple[tuple[int, int, int], ...]:
+    """The table entry of a state with *n_open* open nodes other than ``R``,
+    *n_leaves* leaves, ``R`` open or the leaf at index *r_at*, and ``eoc``
+    the leaf at index *eoc_at*, just before the last ``_JOINT_TAIL`` labels
+    are placed.
+
+    Each ``(e, p, mult)`` says that ``mult`` trees, twins counted, end with
+    ``eoc`` and pom at positions ``e`` and ``p`` of the node list ``opens +
+    leaves + [R] + tail labels``.  It is found by walking the tail with
+    :func:`_walk` on a canonical instance: labels ``1..n_open`` for the open
+    nodes, then the leaves, then ``R``, then the tail labels, so that label
+    ``c`` is position ``c - 1``.
+    """
+    a, b = n_open, n_leaves
+    leaves = list(range(a + 1, a + b + 1))
+    R = a + b + 1 if r_open else leaves[r_at]
+    two_n = a + b + 1 + _JOINT_TAIL
+    stride = two_n + 1
+    tally = [0] * (stride * stride)
+    _walk(two_n, a + b + 2, R, r_open, leaves[eoc_at], list(range(1, a + 1)), leaves, tally)
+    return tuple(
+        (i // stride - 1, i % stride - 1, mult) for i, mult in enumerate(tally) if mult
+    )
+
+
+def _count_joint_part(
+    args: tuple[int, tuple[int, int, int]], tables: dict | None = None
+) -> dict[tuple[int, int], int]:
+    """Count (eoc, pom) pairs over the trees of size ``2n >= 4`` whose labels
+    2 and 3 sit as the part in *args* says.
+
+    The labels ``4 .. 2n - T`` are placed by :func:`_walk`, with ``T =
+    _JOINT_TAIL``.  Each state it reaches at label ``2n - T + 1`` is resolved
+    from a table of tail placements, keyed by the state's shape: the number
+    of open nodes and of leaves, whether ``R`` is open, and the index of
+    ``R`` and of ``eoc`` among the leaves.  An entry lists triples ``(e, p,
+    mult)``: ``mult`` ways, twins counted, to place the last ``T`` labels
+    that end with ``eoc`` at position ``e`` and pom at position ``p`` of the
+    node list ``opens + leaves + [R] + [2n - T + 1, ..., 2n]``; the state's
+    weight times ``mult`` goes to that cell.  The tail placements depend on
+    the shape alone, because a move reads a node only through its role
+    (open, leaf, ``R``, ``eoc``) and the count of labels left.
+
+    Every tree is still counted by walking moves: an entry is found by
+    walking the same moves (:func:`_walk`, there is no second copy of the
+    rules) from a canonical instance of its shape, once per shape, so each
+    tree is a walked prefix times a walked tail.  No Entringer number or
+    recurrence value feeds a table.  The entries are built on first use in
+    *tables*, which :func:`joint_matrix_bruteforce` shares among the six
+    parts of one call; a part given none builds its own.  Sizes up to
+    ``T + 2`` are walked to the end.
+    """
+    two_n, (side2, parent3, side3) = args
+    t0 = time.perf_counter()
+    left, right = children = [0] * 4, [0] * 4
+    children[side2][1] = 2
+    children[side3][parent3] = 3
+    R = 1
+    while right[R]:
+        R = right[R]
+    eoc = 3 if parent3 == 2 else 2
+    leaves = [v for v in (1, 2, 3) if not (left[v] or right[v])]
+    opens = [v for v in (1, 2) if (left[v] == 0) != (right[v] == 0) and v != R]
+    stride = two_n + 1
+    tally = [0] * (stride * stride)  # tally[eoc * stride + pom]
     if len(opens) <= two_n - 3:
-        grow(4, R, left[R] != 0, eoc, 1)
+        _walk(two_n, 4, R, left[R] != 0, eoc, opens, leaves, tally,
+              {} if tables is None else tables)
     counts = {
         (m, k): tally[m * stride + k]
         for m in range(stride)
@@ -398,12 +491,13 @@ def joint_matrix_bruteforce(two_n: int, processes: int = 1) -> JointMatrix:
     """Count every tree of size *two_n* into a fully-known joint matrix.
 
     The trees are grown label by label (see :func:`_count_joint_part`) in six
-    parts, one per placement of labels 2 and 3.  With ``processes > 1`` and
-    ``two_n >= 12`` the parts are counted over a process pool of at most one
-    worker per part and per core; the merge is plain integer addition in
-    both cases, so the result is identical to the serial run.  Each part
-    logs its tree count and time at INFO on this module's logger from
-    ``two_n = 12`` up.
+    parts, one per placement of labels 2 and 3, which share one set of tail
+    tables when counted in turn.  With ``processes > 1`` and ``two_n >=
+    _POOL_MIN_TWO_N`` the parts are counted over a process pool of at most
+    one worker per part and per core, each part building its own tables;
+    the merge is plain integer addition in both cases, so the result is
+    identical to the serial run.  Each part logs its tree count and time at
+    INFO on this module's logger from ``two_n = _LOG_MIN_TWO_N`` up.
     """
     _check_size(two_n, 2, "two_n", even=True)
     counts: dict[tuple[int, int], int] = {}
@@ -416,7 +510,8 @@ def joint_matrix_bruteforce(two_n: int, processes: int = 1) -> JointMatrix:
             with multiprocessing.Pool(workers) as pool:
                 parts = pool.map(_count_joint_part, args)
         else:
-            parts = map(_count_joint_part, args)
+            tables: dict = {}  # shared by the parts; a pool worker builds its own
+            parts = (_count_joint_part(a, tables) for a in args)
         for part in parts:
             for key, c in part.items():
                 counts[key] = counts.get(key, 0) + c

@@ -1,8 +1,9 @@
 """Shared fixtures.
 
-Brute-force joint matrices are the expensive oracle (size 12 enumerates
-2,702,765 trees), so they are memoized once per session and shared by every
-test module; treat the returned matrices as read-only.
+Brute-force joint matrices are memoized once per session and shared by
+every test module, which read the same sizes many times over (size 14
+counts 199,360,981 trees in about 0.06 s); treat the returned matrices as
+read-only.
 """
 
 import pytest

@@ -345,14 +345,15 @@ def test_hybrid_matrix_honours_threads(capsys, monkeypatch):
     assert code == 0 and calls == [(8, 2)]
 
 
-def test_verify_below_size_twelve_starts_no_pool(capsys, monkeypatch):
+def test_verify_below_the_pool_size_starts_no_pool(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
     monkeypatch.delenv("STC_THREADS", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)  # two workers on any machine
     monkeypatch.setattr(multiprocessing, "Pool", refuse)
-    code, out = run(capsys, "verify", "--two-n-max", "10", "--threads", "2")
+    two_n_max = min(distributions._POOL_MIN_TWO_N - 2, cli.BRUTE_MAX_TWO_N)
+    code, out = run(capsys, "verify", "--two-n-max", str(two_n_max), "--threads", "2")
     assert code == 0 and out.endswith("overall: pass\n")
 
 

@@ -4,6 +4,8 @@ import copy
 import functools
 import json
 import logging
+import multiprocessing
+import os
 from collections import Counter
 
 import pytest
@@ -36,9 +38,7 @@ from secant_trees.reference_tables import (
 # ---------------------------------------------------------------------- #
 
 
-# Brute force at 2n = 14 is not a tier-1 cost; the table at 14 is checked
-# against the recurrence below instead.
-@pytest.mark.parametrize("two_n", [t for t in sorted(REFERENCE_JOINT) if t <= 12])
+@pytest.mark.parametrize("two_n", sorted(REFERENCE_JOINT))
 def test_brute_matches_reference_tables(two_n, brute):
     M = brute(two_n)
     golden = REFERENCE_JOINT[two_n]
@@ -141,9 +141,19 @@ def test_unknown_cells_are_first_class():
             margin()
 
 
-def test_parallel_counting_matches_serial(brute):
-    # 12 is the smallest size counted over a pool
+def test_parallel_counting_matches_serial(brute, monkeypatch):
+    pools = []
+    real_pool = multiprocessing.Pool
+
+    def recording_pool(workers):
+        pools.append(workers)
+        return real_pool(workers)
+
+    monkeypatch.setattr(distributions, "_POOL_MIN_TWO_N", 12)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "Pool", recording_pool)
     assert joint_matrix_bruteforce(12, processes=2).same_counts(brute(12))
+    assert pools == [2]
 
 
 def test_parts_log_their_progress(monkeypatch, caplog):
@@ -207,6 +217,16 @@ def test_counter_long_prefixes_equal_composition():
         # Every tree places labels 2 and 3 in exactly one way (by_part would
         # have raised KeyError on a seventh), so the parts sum to the whole.
         assert parts == whole, two_n
+
+
+@pytest.mark.parametrize("two_n", [10, 12])
+def test_tail_tables_equal_the_plain_walk(two_n, monkeypatch):
+    tables = {}
+    resolved = [_count_joint_part((two_n, part), tables) for part in _PARTS]
+    assert tables  # the tail was resolved from tables
+    monkeypatch.setattr(distributions, "_JOINT_TAIL", 0)  # no tail: walk every label
+    for part, got in zip(_PARTS, resolved):
+        assert got == _count_joint_part((two_n, part)), part
 
 
 def test_pool_size_is_capped():
