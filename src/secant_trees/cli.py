@@ -374,33 +374,30 @@ def run_checks(
 
 def render_matrix_text(M: JointMatrix) -> str:
     """Mirror of the reference tables: dots for zeros inside the index box,
-    blanks for unknown cells, a header row of k values, margins appended."""
+    blanks for unknown cells, a header row of k values, margins appended.
+
+    At its peak it holds the padded lines and the text joined from them,
+    about twice the text.  Each cell is turned into a string once, read from
+    its row of the matrix; the column widths are taken from those strings,
+    which are dropped once the padded lines are built, and the join takes
+    the closing newline from a last empty line, so the text is not copied
+    again to end it.
+    """
     two_n = M.two_n
-
-    def show(v: int | None) -> str:
-        if v is None:
-            return ""
-        if v == 0:
-            return "."
-        return str(v)
-
-    rows = M.row_sums()
-    cols = M.col_sums()
-    body = [
-        [show(M.cell(m, k)) for k in range(1, two_n)] + [str(rows[m - 2])]
-        for m in range(2, two_n + 1)
-    ]
-    header = [str(k) for k in range(1, two_n)] + ["f(m,.)"]
-    footer = [str(c) for c in cols] + [f"E={M.total()}"]
+    table = [[str(k) for k in range(1, two_n)] + ["f(m,.)"]]
+    for row, total in zip(M._cells, M.row_sums()):
+        table.append(["" if v is None else str(v) if v else "." for v in row] + [str(total)])
+    table.append([str(c) for c in M.col_sums()] + [f"E={M.total()}"])
+    widths = [max(map(len, column)) for column in zip(*table)]
     names = ["k="] + [f"m={m}" for m in range(2, two_n + 1)] + ["f(.,k)"]
-    table = [header] + body + [footer]
-    widths = [max(len(r[j]) for r in table) for j in range(len(header))]
-    name_w = max(len(s) for s in names)
-    out = []
-    for name, row in zip(names, table):
-        cells = "  ".join(s.rjust(w) for s, w in zip(row, widths))
-        out.append(f"{name.rjust(name_w)}  {cells}".rstrip())
-    return "\n".join(out) + "\n"
+    name_w = max(map(len, names))
+    lines = [
+        f"{name.rjust(name_w)}  {'  '.join(map(str.rjust, row, widths))}".rstrip()
+        for name, row in zip(names, table)
+    ]
+    del table
+    lines.append("")
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -20,14 +20,14 @@ and takes the endings of the last six from a table built on first use by
 trying every ordering of seven ranks, so it still counts words rather than
 applying a rule.
 Nothing is materialized, so size 14 (199,360,981 trees) stays within a
-modest memory budget.
+modest memory budget.  :mod:`multiprocessing` and :mod:`logging` are imported
+only by a pooled count and by a count large enough to log its progress, so
+importing this module loads neither.
 """
 
 from __future__ import annotations
 
 import functools
-import logging
-import multiprocessing
 import os
 import time
 from bisect import bisect_left, bisect_right
@@ -226,14 +226,18 @@ class JointMatrix:
         return M
 
     def to_csv(self) -> str:
-        """Header row of k values, one row per m, empty cell when unknown."""
-        lines = ["m\\k," + ",".join(str(k) for k in range(1, self.two_n))]
-        for m in range(2, self.two_n + 1):
-            vals = (self.cell(m, k) for k in range(1, self.two_n))
-            lines.append(
-                str(m) + "," + ",".join("" if v is None else str(v) for v in vals)
-            )
-        return "\n".join(lines) + "\n"
+        """Header row of k values, one row per m, empty cell when unknown.
+
+        At its peak it holds the lines and the text joined from them, about
+        twice the text: each line is built from its row of cells, and the
+        join takes the closing newline from a last empty line, so the text
+        is not copied again to end it.
+        """
+        lines = ["m\\k," + ",".join(map(str, range(1, self.two_n)))]
+        for m, row in enumerate(self._cells, 2):
+            lines.append(f"{m}," + ",".join(["" if v is None else str(v) for v in row]))
+        lines.append("")
+        return "\n".join(lines)
 
     # -- equality -------------------------------------------------------------------
 
@@ -246,8 +250,6 @@ class JointMatrix:
 
 
 # -- brute-force counting --------------------------------------------------------
-
-log = logging.getLogger(__name__)
 
 # Parts of the count, and of a pooled run: the six placements of labels 2 and
 # 3, each written (side of 2 under the root, parent of 3, side of 3 under it)
@@ -328,10 +330,7 @@ def _walk(
         n_open = len(opens)
         if L >= start:
             if L < last:
-                shape = (
-                    n_open, len(leaves), r_open,
-                    -1 if r_open else leaves.index(R), leaves.index(eoc),
-                )
+                shape = (n_open, len(leaves), r_open, -1 if r_open else leaves.index(R))
                 entry = tables.get(shape)
                 if entry is None:
                     entry = tables[shape] = _tail_placements(*shape)
@@ -397,12 +396,12 @@ def _walk(
 
 
 def _tail_placements(
-    n_open: int, n_leaves: int, r_open: bool, r_at: int, eoc_at: int
+    n_open: int, n_leaves: int, r_open: bool, r_at: int
 ) -> tuple[tuple[int, int, int], ...]:
     """The table entry of a state with *n_open* open nodes other than ``R``,
-    *n_leaves* leaves, ``R`` open or the leaf at index *r_at*, and ``eoc``
-    the leaf at index *eoc_at*, just before the last ``_JOINT_TAIL`` labels
-    are placed.
+    *n_leaves* leaves, and ``R`` open or the leaf at index *r_at*, just
+    before the last ``_JOINT_TAIL`` labels are placed; ``eoc`` is the first
+    leaf, as in every state the walk reaches.
 
     Each ``(e, p, mult)`` says that ``mult`` trees, twins counted, end with
     ``eoc`` and pom at positions ``e`` and ``p`` of the node list ``opens +
@@ -417,7 +416,7 @@ def _tail_placements(
     two_n = a + b + 1 + _JOINT_TAIL
     stride = two_n + 1
     tally = [0] * (stride * stride)
-    _walk(two_n, a + b + 2, R, r_open, leaves[eoc_at], list(range(1, a + 1)), leaves, tally)
+    _walk(two_n, a + b + 2, R, r_open, leaves[0], list(range(1, a + 1)), leaves, tally)
     return tuple(
         (i // stride - 1, i % stride - 1, mult) for i, mult in enumerate(tally) if mult
     )
@@ -433,7 +432,9 @@ def _count_joint_part(
     _JOINT_TAIL``.  Each state it reaches at label ``2n - T + 1`` is resolved
     from a table of tail placements, keyed by the state's shape: the number
     of open nodes and of leaves, whether ``R`` is open, and the index of
-    ``R`` and of ``eoc`` among the leaves.  An entry lists triples ``(e, p,
+    ``R`` among the leaves.  ``eoc`` needs no index: it starts as the first
+    leaf, a fill appends its leaf and an opening replaces its leaf in place,
+    so it stays the first leaf.  An entry lists triples ``(e, p,
     mult)``: ``mult`` ways, twins counted, to place the last ``T`` labels
     that end with ``eoc`` at position ``e`` and pom at position ``p`` of the
     node list ``opens + leaves + [R] + [2n - T + 1, ..., 2n]``; the state's
@@ -473,7 +474,9 @@ def _count_joint_part(
         if tally[m * stride + k]
     }
     if two_n >= _LOG_MIN_TWO_N:
-        log.info(
+        import logging  # only where a line is written: no smaller size pays for it
+
+        logging.getLogger(__name__).info(
             "M_%d part %s: %d trees in %.2f s",
             two_n, args[1], sum(counts.values()), time.perf_counter() - t0,
         )
@@ -492,12 +495,15 @@ def joint_matrix_bruteforce(two_n: int, processes: int = 1) -> JointMatrix:
 
     The trees are grown label by label (see :func:`_count_joint_part`) in six
     parts, one per placement of labels 2 and 3, which share one set of tail
-    tables when counted in turn.  With ``processes > 1`` and ``two_n >=
-    _POOL_MIN_TWO_N`` the parts are counted over a process pool of at most
-    one worker per part and per core, each part building its own tables;
-    the merge is plain integer addition in both cases, so the result is
-    identical to the serial run.  Each part logs its tree count and time at
-    INFO on this module's logger from ``two_n = _LOG_MIN_TWO_N`` up.
+    tables when counted in turn.  At its peak a serial call holds those
+    tables, one part's tally of ``(2n + 1)**2`` counts and the merged counts.
+    With ``processes > 1`` and ``two_n >= _POOL_MIN_TWO_N`` the parts are
+    counted over a process pool of at most one worker per part and per core,
+    each part building its own tables; :mod:`multiprocessing` is imported in
+    that branch only.  The merge is plain integer addition in both cases, so
+    the result is identical to the serial run.  Each part logs its tree count
+    and time at INFO on the logger ``secant_trees.distributions`` from
+    ``two_n = _LOG_MIN_TWO_N`` up, and :mod:`logging` is imported only there.
     """
     _check_size(two_n, 2, "two_n", even=True)
     counts: dict[tuple[int, int], int] = {}
@@ -507,6 +513,8 @@ def joint_matrix_bruteforce(two_n: int, processes: int = 1) -> JointMatrix:
         args = [(two_n, part) for part in _PARTS]
         workers = _pool_size(processes, len(_PARTS), os.cpu_count())
         if workers > 1 and two_n >= _POOL_MIN_TWO_N:
+            import multiprocessing  # only here: no serial count pays for it
+
             with multiprocessing.Pool(workers) as pool:
                 parts = pool.map(_count_joint_part, args)
         else:

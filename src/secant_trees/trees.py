@@ -283,6 +283,10 @@ class IncTree:
 # -- permutation <-> tree ------------------------------------------------------
 
 
+def _not_down_up(word: tuple) -> TreeError:
+    return TreeError(f"not a down-up alternating permutation: {word!r}")
+
+
 def tree_from_perm(word: Sequence[int]) -> IncTree:
     """Inverse of the projection.
 
@@ -290,29 +294,48 @@ def tree_from_perm(word: Sequence[int]) -> IncTree:
     build the left and right subtrees recursively.  Raises
     :class:`TreeError` unless *word* is down-up alternating.
 
-    Classic stack construction: scan left to right keeping the rightmost
-    spine; each letter pops the larger spine tail (which becomes its left
-    subtree) and attaches as right child of the remaining top.
+    Classic stack construction, one pass over the (peak, valley) pairs
+    ``w1 w2, w3 w4, ...``: the stack is the right spine of the tree so far,
+    whose last node is the previous valley.  A peak exceeds that valley, so
+    it pops nothing and hangs as its right child, a leaf for now.  The valley
+    after it pops the peak and every larger spine node; the last one popped
+    becomes its left child, and it hangs as the right child of the remaining
+    top.  The down-up check rides along: each peak against the valley before
+    it, each valley against its peak.  An odd word ends with a lone peak.
     """
     word = tuple(word)
-    if not is_alternating(word):
-        raise TreeError(f"not a down-up alternating permutation: {word!r}")
     n = len(word)
+    # C-level passes: exact int letters (True or 2.0 equal a label but are
+    # not one) that are a permutation of 1..n.
+    if n < 1 or list(map(type, word)).count(int) != n or sorted(word) != list(range(1, n + 1)):
+        raise _not_down_up(word)
     parent = [0] * (n + 1)
     left = [0] * (n + 1)
     right = [0] * (n + 1)
-    stack = [0]  # 0 sits below every letter; right[0] collects the roots
-    for x in word:
-        last = 0
-        while stack[-1] > x:
+    stack = [0]  # 0 sits below every letter; right[0] collects the root
+    valley = 0
+    it = iter(word)
+    for peak, nxt in zip(it, it):
+        if peak < valley or nxt > peak:
+            raise _not_down_up(word)
+        right[valley] = peak
+        parent[peak] = valley
+        valley, last = nxt, peak
+        while stack[-1] > valley:
             last = stack.pop()
-        left[x] = last
-        right[stack[-1]] = x
-        stack.append(x)
+        top = stack[-1]
+        left[valley] = last
+        parent[last] = valley
+        right[top] = valley
+        parent[valley] = top
+        stack.append(valley)
+    if n % 2:
+        peak = word[-1]
+        if peak < valley:
+            raise _not_down_up(word)
+        right[valley] = peak
+        parent[peak] = valley
     right[0] = 0
-    for p in range(1, n + 1):
-        parent[left[p]] = parent[right[p]] = p
-    parent[0] = 0
     # Alternation of the word is exactly completeness of the tree, so the
     # expensive re-validation is skipped.
     return IncTree(parent, left, right, validate=False)

@@ -1,16 +1,18 @@
 """Command-line surface: outputs, formats, exit codes."""
 
+import hashlib
 import json
 import multiprocessing
 import os
 import re
+import tracemalloc
 from collections import Counter
 
 import pytest
 
 from secant_trees import cli, distributions
 from secant_trees.cli import main, render_matrix_text, run_checks
-from secant_trees.distributions import JointMatrix
+from secant_trees.distributions import JointMatrix, joint_matrix_bruteforce
 from secant_trees.recurrence import assemble, tree_count
 from secant_trees.series import TriSeries
 
@@ -97,6 +99,56 @@ def test_matrix_text_renderer_matches_reference_layout():
     assert lines[0].split() == ["k=", "1", "2", "3", "f(m,.)"]
     assert lines[1].split() == ["m=2", ".", ".", "1", "1"]
     assert lines[-1].split() == ["f(.,k)", "1", "3", "1", "E=5"]
+
+
+# sha256 of render_matrix_text(M) and of M.to_csv(), computed with the
+# earlier renderers, which read every cell through M.cell and ended the text
+# by appending "\n" to the joined lines.
+TEXT_AND_CSV_DIGESTS = {
+    ("recurrence", 4): (
+        "11f10f48cf3f8bf5953b24a0717b29373377a8056e835b79ff9676966da12e10",
+        "8d1b075c8209da38511ab939e1bfafe5bc6192078aab45c998f91555f5e27d12",
+    ),
+    ("recurrence", 12): (
+        "af85190acbf1dadbac51a82e139c1d65e37467993067b394180a8f10c2e527cd",
+        "e88c0b0da08e978329e35eacb4dea91c7e997f8420ccde311b676b499ad8f408",
+    ),
+    ("recurrence", 40): (
+        "e9756a131c7e73af8352c8f0eed6495d22695b427cb3b09dd29ef08591438786",
+        "006feec5f11b1427840b58475faa4705af7b3759e6fa2042e3e825471bba39f6",
+    ),
+    ("recurrence", 120): (
+        "cb4d90684e21a595f80c28cfbcc063ef667f662eaba412a4bf7af718e0c5e538",
+        "05821015348e27a1d6c97e76eaedb80e88783fe643f6a2d498bdf836bdced7fe",
+    ),
+    ("brute", 10): (
+        "82519a997c8012ad893159b838d3be6817584fad02fd4b21a7088cd1c6b6158c",
+        "345d1e43f559dea73c7e5265920fab39a040d237e6112c02cae55cdcc901a0b0",
+    ),
+}
+
+
+@pytest.mark.parametrize("method,two_n", sorted(TEXT_AND_CSV_DIGESTS))
+def test_text_and_csv_are_pinned(method, two_n):
+    M = assemble(two_n) if method == "recurrence" else joint_matrix_bruteforce(two_n)
+    text, csv = TEXT_AND_CSV_DIGESTS[(method, two_n)]
+    assert hashlib.sha256(render_matrix_text(M).encode()).hexdigest() == text
+    assert hashlib.sha256(M.to_csv().encode()).hexdigest() == csv
+
+
+@pytest.mark.parametrize("render", [render_matrix_text, JointMatrix.to_csv])
+def test_text_and_csv_peak_at_about_twice_their_length(render):
+    # The lines and the text joined from them, about 2.0 times the text of
+    # M_120 (2.4 MiB of table, 1.2 MiB of CSV); holding the cell strings
+    # beside the lines and copying the text to end it took 3.7 and 3.0 times.
+    M = assemble(120)
+    tracemalloc.start()
+    try:
+        out = render(M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2 * len(out), peak / len(out)
 
 
 def test_matrix_odd_size_is_usage_error():

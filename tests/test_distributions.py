@@ -6,6 +6,8 @@ import json
 import logging
 import multiprocessing
 import os
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -169,6 +171,20 @@ def test_parts_log_their_progress(monkeypatch, caplog):
         assert record.args[:2] == (8, part)
         trees += record.args[2]
     assert trees == 1385
+
+
+def test_importing_the_package_loads_neither_the_pool_nor_logging():
+    # A fresh interpreter, since pytest itself imports logging; -S keeps the
+    # site hooks from loading either module first.
+    root = os.path.dirname(os.path.dirname(distributions.__file__))
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import secant_trees, secant_trees.cli; "
+        "print(sorted({'multiprocessing', 'logging'} & set(sys.modules)))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code, root], capture_output=True, text=True, check=True
+    )
+    assert run.stdout == "[]\n"
 
 
 # ---------------------------------------------------------------------- #

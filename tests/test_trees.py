@@ -1,7 +1,9 @@
 """Tree model, validation, enumeration, projection and statistics."""
 
+import hashlib
 import json
 from collections import Counter
+from itertools import chain, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -108,16 +110,51 @@ def test_tree_from_perm_rejects_non_alternating():
             tree_from_perm(bad)
 
 
-@pytest.mark.parametrize("n", range(1, 11))
+def test_tree_from_perm_accepts_exactly_the_down_up_words():
+    # Every permutation of 1..n for n <= 7, the empty word among them, and
+    # words that are not permutations of ints.
+    words = chain.from_iterable(permutations(range(1, n + 1)) for n in range(8))
+    for word in chain(words, [(True,), (2.0, 1), (2, 1, 3, 3)]):
+        try:
+            tree_from_perm(word)
+        except TreeError as exc:
+            assert str(exc) == f"not a down-up alternating permutation: {word!r}"
+            assert not is_alternating(word), word
+        else:
+            assert is_alternating(word), word
+
+
+# sha256 of repr((parent, left, right)) of tree_from_perm(w) over the words w
+# of alternating_permutations(n) in order, computed with the earlier
+# construction, which checked the word with is_alternating first and filled
+# parent in a second loop over the child maps.
+TREE_DIGESTS = {
+    1: "ac7da9c5cb85e5d521d1368afc3eb31a71acea2b95f619c149cd56564f82ddeb",
+    2: "1aee348380850ee3008c8e4e67b9df2dc19613f9989783c2fe5598de3d78b91e",
+    3: "d1f68fc2009f061bc786fc9e15271ce96e0c1dc6f788fc1b3c1884d3a1d2b240",
+    4: "cdfb00fde869ecb5d01bc01a0c140c4813fa93387cf5ec7859e7d5d55a5f9f81",
+    5: "7fe3df64b6d8d75fdb3fb2c9620fb7fdb6dc53ae42250a86423452b5d8dde5c6",
+    6: "263741aec642256d155f41e640a8dadcf9495f9c86c2e2a6be54604f1c9ba16d",
+    7: "685fd6b073eddf60658ffe2ea3308bd2aed8dbfb9d219c6fdda7c72cc7572288",
+    8: "938340557957e5ebccea923fe84b6b147fad36e61e52e36d11c7c30b5bbe8d39",
+    9: "2fcdda46e2c73a009cf19b656904d8c188aef9ef5f92ed8526bc908f0d598f6f",
+    10: "7ab64b2087b6c84c6ff2e92b57ace7a7e9d5062fc843d1f27fd36e87008aa1c0",
+}
+
+
+@pytest.mark.parametrize("n", sorted(TREE_DIGESTS))
 def test_projection_round_trip_exhaustive(n):
-    # Every word's tree projects back onto it, ends at its last letter and
-    # passes full validation.
+    # Every word's tree projects back onto it, ends at its last letter,
+    # passes full validation and is the tree the earlier construction built.
+    digest = hashlib.sha256()
     for word in alternating_permutations(n):
         assert is_alternating(word)
         t = tree_from_perm(word)
         assert t.projection() == word
         assert t.ent() == word[-1]
         assert IncTree(t.parent, t.left, t.right) == t
+        digest.update(repr((t.parent, t.left, t.right)).encode())
+    assert digest.hexdigest() == TREE_DIGESTS[n]
 
 
 # ---------------------------------------------------------------------- #
