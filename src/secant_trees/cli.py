@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -430,11 +429,9 @@ def _cmd_matrix(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     if args.method != "recurrence":
         _cap_brute_force(parser, "--two-n", args.two_n)
     if args.method == "brute":
-        M = joint_matrix_bruteforce(args.two_n, processes=args.threads)
+        M = joint_matrix_bruteforce(args.two_n)
     else:
-        M = RecurrenceEngine().assemble(
-            args.two_n, fill_interior=(args.method == "hybrid"), processes=args.threads
-        )
+        M = RecurrenceEngine().assemble(args.two_n, fill_interior=(args.method == "hybrid"))
     if args.format == "text":
         sys.stdout.write(render_matrix_text(M))
     elif args.format == "csv":
@@ -488,7 +485,7 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         checks = _selection(c.strip() for c in args.checks.split(",") if c.strip())
     except ValueError as exc:
         parser.error(str(exc))
-    report = run_checks(args.two_n_max, checks, processes=args.threads)
+    report = run_checks(args.two_n_max, checks)
     if args.format == "json":
         print(json.dumps(report.to_json_dict()))
     else:
@@ -531,7 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--two-n", dest="two_n", type=_sized(2, even=True), required=True)
     p.add_argument("--method", choices=_METHODS, default="brute")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p.add_argument("--threads", type=_sized(1), default=None)
     p.set_defaults(run=_cmd_matrix, parser=p)
 
     p = sub.add_parser("entringer", help="print rightmost-label triangle rows")
@@ -549,7 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--two-n-max", dest="two_n_max", type=_sized(4, even=True), default=10)
     p.add_argument("--checks", type=str, default=",".join(DEFAULT_CHECKS))
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--threads", type=_sized(1), default=None)
     p.set_defaults(run=_cmd_verify, parser=p)
 
     return parser
@@ -557,17 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    parser = args.parser  # the subcommand's: its usage line goes with an error
-    if hasattr(args, "threads"):
-        env = os.environ.get("STC_THREADS")
-        if env is not None:
-            try:
-                args.threads = _sized(1)(env)
-            except argparse.ArgumentTypeError as exc:
-                parser.error(f"STC_THREADS: {exc}")
-        elif args.threads is None:
-            args.threads = os.cpu_count() or 1
-    return args.run(args, parser)
+    return args.run(args, args.parser)  # the subcommand's parser, for its usage line
 
 
 if __name__ == "__main__":

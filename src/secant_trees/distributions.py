@@ -14,11 +14,12 @@ no tree object.  A leaf other than the rightmost node opened on its left or
 on its right gives twins that agree in every later move and statistic, so
 each pair is walked once with weight 2, and the last six labels are placed
 from a table of tail placements, walked with the same moves once per shape
-of the state they start from.  The rightmost-label counter
-backtracks over the down-up words in place down to their last seven letters
-and takes the endings of the last six from a table built on first use by
-trying every ordering of seven ranks, so it still counts words rather than
-applying a rule.
+of the state they start from.  An entry depends on the shape alone, so the
+tables are cached once per process and shared by every part and call.  The
+rightmost-label counter backtracks over the down-up words in place down to
+their last seven letters and takes the endings of the last six from a table
+built on first use by trying every ordering of seven ranks, so it still
+counts words rather than applying a rule.
 Nothing is materialized, so size 14 (199,360,981 trees) stays within a
 modest memory budget.  :mod:`multiprocessing` and :mod:`logging` are imported
 only by a pooled count and by a count large enough to log its progress, so
@@ -276,7 +277,6 @@ def _walk(
     opens: list[int],
     leaves: list[int],
     tally: list[int],
-    tables: dict | None = None,
 ) -> None:
     """Place the labels L, L+1, ..., 2n into the partial tree whose state is
     (*opens*, *leaves*, *R*, *r_open*, *eoc*) and add the weight of each
@@ -309,61 +309,40 @@ def _walk(
     ``R`` open and a right child becomes the new ``R``.
     A branch is pruned once the open nodes other than an open ``R``
     outnumber the labels still to place; every surviving branch then
-    completes.  The last two labels are placed inline: every surviving place
-    of ``2n - 1`` leaves exactly one place for ``2n``, so no call is made
-    per tree.
+    completes.  The last label ``2n`` has one place.  The ``2n - 1`` nodes
+    placed before it have ``2n - 2`` edges, two under each two-child node and
+    one under each one-child node, so the one-child nodes are even in
+    number, and pruning leaves at most one of them other than ``R``.  So
+    either ``R`` and one other node ``X`` are open, and ``2n`` fills ``X``,
+    which is pom; or no node is open, and ``2n`` opens the leaf ``R`` on its
+    left, so ``R`` is pom and ``2n`` is eoc if ``R`` was.
 
-    With *tables*, each state reached at label ``2n - _JOINT_TAIL + 1`` adds
-    its table entry (see :func:`_count_joint_part`) instead of being walked
-    further, when that label is at least ``4`` and below ``2n - 1``.
+    When ``L`` is below the first label ``2n - _JOINT_TAIL + 1`` of the tail
+    and that label is below ``2n - 1``, each state reached there adds its
+    entry of :func:`_tail_placements` instead of being walked further.  The
+    walk that builds an entry starts at the tail, so it walks to the end.
     """
     stride = two_n + 1
-    last = two_n - 1
     start = two_n - _JOINT_TAIL + 1  # the first label of the tail
-    if tables is None or not 4 <= start < last:
-        start = last
+    if not L < start < two_n - 1:
+        start = two_n + 1  # past the last label: walk every label
     tail = list(range(start, two_n + 1))
 
     def grow(L: int, R: int, r_open: bool, eoc: int, w: int) -> None:
         # Place the labels L, L+1, ..., 2n into w trees that differ only in
         # the sides of earlier openings; opens never counts an open R.
         n_open = len(opens)
-        if L >= start:
-            if L < last:
-                shape = (n_open, len(leaves), r_open, -1 if r_open else leaves.index(R))
-                entry = tables.get(shape)
-                if entry is None:
-                    entry = tables[shape] = _tail_placements(*shape)
-                nodes = opens + leaves + [R] + tail
-                for e, p, mult in entry:
-                    tally[nodes[e] * stride + nodes[p]] += w * mult
-            elif L == two_n:
-                # Only at 2n = 4, where the part has placed 2n - 1 already.
-                if opens:
-                    tally[eoc * stride + opens[0]] += w
-                else:
-                    tally[(L if R == eoc else eoc) * stride + R] += w
-            elif not r_open:
-                # One open X: 2n - 1 fills X and 2n opens R on the left, or
-                # 2n - 1 opens R on the left and 2n fills X.
-                X = opens[0]
-                tally[(two_n if R == eoc else eoc) * stride + R] += w
-                tally[(L if R == eoc else eoc) * stride + X] += w
-            elif n_open:
-                # Open X and Z: 2n - 1 fills one, 2n the other.
-                X, Z = opens
-                tally[eoc * stride + Z] += w
-                tally[eoc * stride + X] += w
+        if L == start:
+            shape = (n_open, len(leaves), r_open, -1 if r_open else leaves.index(R))
+            nodes = opens + leaves + [R] + tail
+            for e, p, mult in _tail_placements(*shape):
+                tally[nodes[e] * stride + nodes[p]] += w * mult
+            return
+        if L == two_n:
+            if r_open:
+                tally[eoc * stride + opens[0]] += w
             else:
-                # 2n - 1 fills R and 2n opens it on the left, or 2n - 1 opens
-                # a leaf Y on either side and 2n fills Y.
-                tally[eoc * stride + L] += w
-                w2 = 2 * w
-                for Y in leaves:
-                    if Y == eoc:
-                        tally[L * stride + Y] += w2
-                    else:
-                        tally[eoc * stride + Y] += w2
+                tally[(L if R == eoc else eoc) * stride + R] += w
             return
         rem = two_n - L  # labels to place after L
         nxt = L + 1
@@ -395,6 +374,7 @@ def _walk(
     grow(L, R, r_open, eoc, 1)
 
 
+@functools.cache
 def _tail_placements(
     n_open: int, n_leaves: int, r_open: bool, r_at: int
 ) -> tuple[tuple[int, int, int], ...]:
@@ -408,7 +388,10 @@ def _tail_placements(
     leaves + [R] + tail labels``.  It is found by walking the tail with
     :func:`_walk` on a canonical instance: labels ``1..n_open`` for the open
     nodes, then the leaves, then ``R``, then the tail labels, so that label
-    ``c`` is position ``c - 1``.
+    ``c`` is position ``c - 1``.  The entry depends on the shape alone, not
+    on ``2n``, so it is built once per process and serves every part and
+    call that reaches the shape.  Sizes reach disjoint shapes, because a
+    state at the tail of size ``2n`` holds ``2n - _JOINT_TAIL`` nodes.
     """
     a, b = n_open, n_leaves
     leaves = list(range(a + 1, a + b + 1))
@@ -422,9 +405,7 @@ def _tail_placements(
     )
 
 
-def _count_joint_part(
-    args: tuple[int, tuple[int, int, int]], tables: dict | None = None
-) -> dict[tuple[int, int], int]:
+def _count_joint_part(args: tuple[int, tuple[int, int, int]]) -> dict[tuple[int, int], int]:
     """Count (eoc, pom) pairs over the trees of size ``2n >= 4`` whose labels
     2 and 3 sit as the part in *args* says.
 
@@ -446,10 +427,10 @@ def _count_joint_part(
     walking the same moves (:func:`_walk`, there is no second copy of the
     rules) from a canonical instance of its shape, once per shape, so each
     tree is a walked prefix times a walked tail.  No Entringer number or
-    recurrence value feeds a table.  The entries are built on first use in
-    *tables*, which :func:`joint_matrix_bruteforce` shares among the six
-    parts of one call; a part given none builds its own.  Sizes up to
-    ``T + 2`` are walked to the end.
+    recurrence value feeds a table.  The entries are cached once per process
+    on first use and shared by every part and call: a forked pool worker
+    inherits the cache, and a spawned one builds its own.  Sizes up to ``T +
+    2`` are walked to the end.
     """
     two_n, (side2, parent3, side3) = args
     t0 = time.perf_counter()
@@ -465,8 +446,7 @@ def _count_joint_part(
     stride = two_n + 1
     tally = [0] * (stride * stride)  # tally[eoc * stride + pom]
     if len(opens) <= two_n - 3:
-        _walk(two_n, 4, R, left[R] != 0, eoc, opens, leaves, tally,
-              {} if tables is None else tables)
+        _walk(two_n, 4, R, left[R] != 0, eoc, opens, leaves, tally)
     counts = {
         (m, k): tally[m * stride + k]
         for m in range(stride)
@@ -494,14 +474,15 @@ def joint_matrix_bruteforce(two_n: int, processes: int = 1) -> JointMatrix:
     """Count every tree of size *two_n* into a fully-known joint matrix.
 
     The trees are grown label by label (see :func:`_count_joint_part`) in six
-    parts, one per placement of labels 2 and 3, which share one set of tail
-    tables when counted in turn.  At its peak a serial call holds those
-    tables, one part's tally of ``(2n + 1)**2`` counts and the merged counts.
-    With ``processes > 1`` and ``two_n >= _POOL_MIN_TWO_N`` the parts are
-    counted over a process pool of at most one worker per part and per core,
-    each part building its own tables; :mod:`multiprocessing` is imported in
-    that branch only.  The merge is plain integer addition in both cases, so
-    the result is identical to the serial run.  Each part logs its tree count
+    parts, one per placement of labels 2 and 3.  The tail tables are cached
+    once per process and shared by every part and call.  At its peak a
+    serial call holds one part's tally of ``(2n + 1)**2`` counts and the
+    merged counts, beside those tables.  With ``processes > 1`` and ``two_n
+    >= _POOL_MIN_TWO_N`` the parts are counted over a process pool of at
+    most one worker per part and per core; a forked worker inherits the
+    cached tables and a spawned one builds its own.  :mod:`multiprocessing`
+    is imported in that branch only.  The merge is plain integer addition in
+    both cases, so the result is identical to the serial run.  Each part logs its tree count
     and time at INFO on the logger ``secant_trees.distributions`` from
     ``two_n = _LOG_MIN_TWO_N`` up, and :mod:`logging` is imported only there.
     """
@@ -518,8 +499,7 @@ def joint_matrix_bruteforce(two_n: int, processes: int = 1) -> JointMatrix:
             with multiprocessing.Pool(workers) as pool:
                 parts = pool.map(_count_joint_part, args)
         else:
-            tables: dict = {}  # shared by the parts; a pool worker builds its own
-            parts = (_count_joint_part(a, tables) for a in args)
+            parts = map(_count_joint_part, args)
         for part in parts:
             for key, c in part.items():
                 counts[key] = counts.get(key, 0) + c

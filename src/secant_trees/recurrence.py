@@ -227,17 +227,15 @@ class RecurrenceEngine:
             sums = _next_column_sums(sums)
         return sums
 
-    def assemble(
-        self, two_n: int, fill_interior: bool = False, processes: int = 1
-    ) -> JointMatrix:
+    def assemble(self, two_n: int, fill_interior: bool = False) -> JointMatrix:
         """Run the induction up to *two_n*; see the module docstring.
 
         Without *fill_interior* the result is method="recurrence" and the
         interior lower-triangle cells are Unknown.  With it, those cells are
-        taken from the brute-force oracle, counted over *processes* workers,
-        and the method tag reads "hybrid".  The oracle must first agree with
-        every recurrence-known cell and both margins, or
-        :class:`BrokenInvariantError` names the first disagreement.
+        taken from the brute-force oracle, and the method tag reads "hybrid".
+        The oracle must first agree with every recurrence-known cell and both
+        margins, or :class:`BrokenInvariantError` names the first
+        disagreement.
         """
         _check_size(two_n, 2, "two_n", even=True)
         base = self._assemble_no_fill(two_n)
@@ -245,7 +243,7 @@ class RecurrenceEngine:
             return base
         rows = [list(row) for row in base._cells]
         if not base.is_complete():
-            brute = distributions.joint_matrix_bruteforce(two_n, processes=processes)
+            brute = distributions.joint_matrix_bruteforce(two_n)
             for m, (row, counted) in enumerate(zip(rows, brute._cells), 2):
                 for j, (v, c) in enumerate(zip(row, counted)):
                     if v is None:

@@ -2,8 +2,6 @@
 
 import hashlib
 import json
-import multiprocessing
-import os
 import re
 import tracemalloc
 from collections import Counter
@@ -71,15 +69,13 @@ def test_enumerate_above_the_cap_fails_fast(capsys, monkeypatch):
 
 
 def test_matrix_csv(capsys):
-    code, out = run(capsys, "matrix", "--two-n", "4", "--format", "csv",
-                    "--threads", "1")
+    code, out = run(capsys, "matrix", "--two-n", "4", "--format", "csv")
     assert code == 0
     assert out == "m\\k,1,2,3\n2,0,0,1\n3,1,2,0\n4,0,1,0\n"
 
 
 def test_matrix_json_round_trips(capsys):
-    code, out = run(capsys, "matrix", "--two-n", "6", "--format", "json",
-                    "--threads", "1")
+    code, out = run(capsys, "matrix", "--two-n", "6", "--format", "json")
     assert code == 0
     M = JointMatrix.from_json_dict(json.loads(out))
     assert M.total() == 61
@@ -257,14 +253,14 @@ def test_series_negative_exponent_is_usage_error(capsys):
 
 
 def test_verify_default_suite_passes(capsys):
-    code, out = run(capsys, "verify", "--two-n-max", "6", "--threads", "1")
+    code, out = run(capsys, "verify", "--two-n-max", "6")
     assert code == 0
     assert "overall: pass" in out
 
 
 def test_verify_json_output(capsys):
     code, out = run(capsys, "verify", "--two-n-max", "4", "--checks",
-                    "tables,marginal", "--format", "json", "--threads", "1")
+                    "tables,marginal", "--format", "json")
     assert code == 0
     blob = json.loads(out)
     assert blob["overall"] == "pass"
@@ -294,7 +290,7 @@ def _refuse_brute_force(monkeypatch):
 def test_verify_rejects_empty_or_unknown_selection(capsys, monkeypatch, checks, message):
     _refuse_brute_force(monkeypatch)
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "--two-n-max", "12", "--checks", checks, "--threads", "1"])
+        main(["verify", "--two-n-max", "12", "--checks", checks])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert message in err and "known: tables, r1," in err
@@ -313,7 +309,7 @@ def test_run_checks_rejects_selection_before_running(monkeypatch, checks, messag
 def test_verify_rejects_a_repeated_check(capsys, monkeypatch):
     _refuse_brute_force(monkeypatch)
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "--two-n-max", "12", "--checks", "pde,pde", "--threads", "1"])
+        main(["verify", "--two-n-max", "12", "--checks", "pde,pde"])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert "check 'pde' is selected more than once" in captured.err
@@ -365,7 +361,7 @@ def test_brute_force_above_the_cap_fails_fast(argv, capsys, monkeypatch):
     monkeypatch.setattr(cli, "joint_matrix_bruteforce", refuse)
     monkeypatch.setattr(distributions, "joint_matrix_bruteforce", refuse)
     with pytest.raises(SystemExit) as exc:
-        main(argv + ["--threads", "1"])
+        main(argv)
     assert exc.value.code == 2
     assert cli.BRUTE_MAX_TWO_N == 14
     assert "19,391,512,145 trees" in capsys.readouterr().err
@@ -380,33 +376,6 @@ def test_recurrence_matrix_is_not_capped(capsys):
         M = JointMatrix.from_json_dict(blob)
         assert M.to_json_dict() == blob == assemble(two_n).to_json_dict()
     assert tree_count(16) == 19391512145
-
-
-def test_hybrid_matrix_honours_threads(capsys, monkeypatch):
-    calls = []
-    real = distributions.joint_matrix_bruteforce
-
-    def recording(two_n, processes=1):
-        calls.append((two_n, processes))
-        return real(two_n)
-
-    monkeypatch.delenv("STC_THREADS", raising=False)
-    monkeypatch.setattr(distributions, "joint_matrix_bruteforce", recording)
-    code, _ = run(capsys, "matrix", "--method", "hybrid", "--two-n", "8",
-                  "--threads", "2")
-    assert code == 0 and calls == [(8, 2)]
-
-
-def test_verify_below_the_pool_size_starts_no_pool(capsys, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a process pool was started")
-
-    monkeypatch.delenv("STC_THREADS", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # two workers on any machine
-    monkeypatch.setattr(multiprocessing, "Pool", refuse)
-    two_n_max = min(distributions._POOL_MIN_TWO_N - 2, cli.BRUTE_MAX_TWO_N)
-    code, out = run(capsys, "verify", "--two-n-max", str(two_n_max), "--threads", "2")
-    assert code == 0 and out.endswith("overall: pass\n")
 
 
 def test_run_checks_rows_have_parameters():
@@ -580,35 +549,6 @@ def test_pde_fails_on_a_series_off_the_pde(monkeypatch):
          "expected": 0, "actual": "4"}
     ]
 
-def test_threads_env_overrides_flag(capsys, monkeypatch):
-    monkeypatch.setenv("STC_THREADS", "1")
-    code, out = run(capsys, "matrix", "--two-n", "4", "--format", "csv",
-                    "--threads", "5")
-    assert code == 0 and out.startswith("m\\k")
-
-
-@pytest.mark.parametrize("value", ["abc", "1.5", "", "0", "-2"])
-def test_bad_threads_env_is_usage_error(capsys, monkeypatch, value):
-    monkeypatch.setenv("STC_THREADS", value)
-    with pytest.raises(SystemExit) as exc:
-        main(["matrix", "--two-n", "4"])
-    assert exc.value.code == 2
-    assert "STC_THREADS" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("env", [None, "1"])
-@pytest.mark.parametrize("value", ["abc", "0", "-2"])
-def test_bad_threads_flag_is_usage_error(capsys, monkeypatch, value, env):
-    if env is None:
-        monkeypatch.delenv("STC_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("STC_THREADS", env)
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--two-n-max", "4", "--threads", value])
-    assert exc.value.code == 2
-    assert "--threads" in capsys.readouterr().err
-
-
 def test_verify_report_failure_rendering():
     from secant_trees.cli import CheckRow, VerifyReport
 
@@ -633,16 +573,13 @@ SIZED_FLAGS = [
     (["entringer", "--n-max"], ("0", "1.5")),
     (["series", "--target", "sec", "--order"], ("-1", "1.5")),
     (["verify", "--two-n-max"], ("0", "1.5", "7")),
-    (["matrix", "--two-n", "4", "--threads"], ("0", "1.5")),
-    (["verify", "--two-n-max", "4", "--threads"], ("0", "1.5")),
 ]
 
 
 @pytest.mark.parametrize(
     "argv", [argv + [value] for argv, values in SIZED_FLAGS for value in values], ids=" ".join
 )
-def test_a_sized_flag_that_breaks_the_rule_is_a_usage_error(argv, capsys, monkeypatch):
-    monkeypatch.delenv("STC_THREADS", raising=False)
+def test_a_sized_flag_that_breaks_the_rule_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     flag, value = argv[-2:]
@@ -652,20 +589,15 @@ def test_a_sized_flag_that_breaks_the_rule_is_a_usage_error(argv, capsys, monkey
 
 
 @pytest.mark.parametrize(
-    "argv, env",
+    "argv",
     [
-        ("series --target omega --order 67", None),
-        ("series --target sec --order 4 --query x", None),
-        ("matrix --two-n 16", None),
-        ("matrix --two-n 4", "0"),
+        "series --target omega --order 67",
+        "series --target sec --order 4 --query x",
+        "matrix --two-n 16",
     ],
-    ids=("series-order-cap", "series-bad-query", "matrix-brute-force-cap", "matrix-STC_THREADS"),
+    ids=("series-order-cap", "series-bad-query", "matrix-brute-force-cap"),
 )
-def test_a_usage_error_after_parsing_prints_the_subcommand_usage(argv, env, capsys, monkeypatch):
-    if env is None:
-        monkeypatch.delenv("STC_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("STC_THREADS", env)
+def test_a_usage_error_after_parsing_prints_the_subcommand_usage(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv.split())
     assert exc.value.code == 2

@@ -22,6 +22,7 @@ from secant_trees.distributions import (
     _PARTS,
     _count_joint_part,
     _pool_size,
+    _tail_placements,
     ent_distribution,
     entringer_bruteforce,
     joint_matrix_bruteforce,
@@ -58,6 +59,17 @@ def test_reference_m14_agrees_with_the_recurrence():
     assert A.row_sums() == tuple(map(sum, golden))
     assert A.col_sums() == tuple(map(sum, zip(*golden)))
     assert REFERENCE_TOTALS[14] == sum(map(sum, golden)) == tree_count(14) == 199360981
+
+
+@pytest.mark.parametrize("two_n", range(6, 15, 2))
+def test_first_interior_laws(two_n, brute):
+    # The recurrence leaves (4, 2) and (5, 2) Unknown; these laws of the first
+    # interior cells were found on larger tables and are pinned here by brute
+    # force.
+    M, A = brute(two_n), assemble(two_n)
+    assert A.cell(4, 2) is None and A.cell(5, 2) is None
+    assert M.get(4, 2) == 7 * tree_count(two_n - 4)
+    assert 8 * M.get(5, 2) == 15 * M.get(2, 3) + 17 * M.get(2, 5)
 
 
 def test_size_two_matrix(brute):
@@ -237,12 +249,30 @@ def test_counter_long_prefixes_equal_composition():
 
 @pytest.mark.parametrize("two_n", [10, 12])
 def test_tail_tables_equal_the_plain_walk(two_n, monkeypatch):
-    tables = {}
-    resolved = [_count_joint_part((two_n, part), tables) for part in _PARTS]
-    assert tables  # the tail was resolved from tables
+    _tail_placements.cache_clear()
+    resolved = [_count_joint_part((two_n, part)) for part in _PARTS]
+    assert _tail_placements.cache_info().currsize > 0  # the tail was resolved from tables
     monkeypatch.setattr(distributions, "_JOINT_TAIL", 0)  # no tail: walk every label
     for part, got in zip(_PARTS, resolved):
         assert got == _count_joint_part((two_n, part)), part
+
+
+def test_tail_tables_are_built_once_per_process():
+    joint_matrix_bruteforce(12)
+    misses = _tail_placements.cache_info().misses
+    joint_matrix_bruteforce(12)
+    assert _tail_placements.cache_info().misses == misses
+
+
+def test_tail_tables_hold_few_shapes():
+    # A state at the tail of size 2n holds 2n - 6 nodes, so each size reaches
+    # shapes of its own: 5, 9 and 13 at 2n = 10, 12 and 14.
+    _tail_placements.cache_clear()
+    joint_matrix_bruteforce(14)
+    assert _tail_placements.cache_info().currsize <= 13
+    for two_n in range(2, 15, 2):
+        joint_matrix_bruteforce(two_n)
+    assert _tail_placements.cache_info().currsize <= 5 + 9 + 13
 
 
 def test_pool_size_is_capped():

@@ -276,7 +276,7 @@ def test_assemble_fill_interior_equals_oracle(brute):
 def test_hybrid_rejects_an_oracle_that_contradicts_the_recurrence(cell, message, monkeypatch):
     real = distributions.joint_matrix_bruteforce
 
-    def corrupted(two_n, processes=1):
+    def corrupted(two_n):
         M = real(two_n)
         M.set(*cell, M.get(*cell) + 1)
         return M
