@@ -8,28 +8,23 @@ every cell known, while matrices built by the analytic engine in
 :mod:`secant_trees.recurrence` may leave interior cells of the lower triangle
 unknown -- those are first-class ``None`` cells, never silently zero.
 
-The joint counter grows every tree by inserting its labels in increasing
-order and carries eoc and the rightmost node along, so it builds no word and
-no tree object.  A leaf other than the rightmost node opened on its left or
-on its right gives twins that agree in every later move and statistic, so
-each pair is walked once with weight 2, and the last six labels are placed
-from a table of tail placements, walked with the same moves once per shape
-of the state they start from.  An entry depends on the shape alone, so the
-tables are cached once per process and shared by every part and call.  The
-rightmost-label counter backtracks over the down-up words in place down to
-their last seven letters and takes the endings of the last six from a table
-built on first use by trying every ordering of seven ranks, so it still
-counts words rather than applying a rule.
-Nothing is materialized, so size 14 (199,360,981 trees) stays within a
-modest memory budget.  :mod:`multiprocessing` and :mod:`logging` are imported
-only by a pooled count and by a count large enough to log its progress, so
-importing this module loads neither.
+The joint counter counts every tree through its insertion moves: a tree of
+size ``2n`` arises exactly once by inserting the labels ``1 .. 2n`` in
+increasing order, and the counter carries, from one label to the next, how
+many partial trees share each state that the later moves and the two
+statistics read.  No recurrence or Entringer value is used, and no word or
+tree object is built.  The rightmost-label counter backtracks over the
+down-up words in place down to their last seven letters and takes the
+endings of the last six from a table built on first use by trying every
+ordering of seven ranks, so it still counts words rather than applying a
+rule.  Nothing is materialized, so size 14 (199,360,981 trees) stays within
+a modest memory budget.  :mod:`logging` is imported only by a count large
+enough to log a line, so importing this module does not load it.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 import time
 from bisect import bisect_left, bisect_right
 from itertools import permutations
@@ -65,8 +60,9 @@ def _margins_agree(lines: Iterable[Sequence[int | None]], sums: Sequence[int]) -
 class JointMatrix:
     """Counts of trees of size ``two_n`` by ``(eoc, pom) = (m, k)``.
 
-    ``method`` records how the values were obtained: ``"brute"`` (full
-    enumeration), ``"recurrence"`` (analytic engine, interior lower-triangle
+    ``method`` records how the values were obtained: ``"brute"`` (every tree
+    counted through its insertion moves, no recurrence or Entringer value
+    used), ``"recurrence"`` (analytic engine, interior lower-triangle
     cells unknown) or ``"hybrid"`` (analytic plus brute-filled interior).
     """
 
@@ -252,262 +248,129 @@ class JointMatrix:
 
 # -- brute-force counting --------------------------------------------------------
 
-# Parts of the count, and of a pooled run: the six placements of labels 2 and
-# 3, each written (side of 2 under the root, parent of 3, side of 3 under it)
-# with side 0 for left and 1 for right.
-_PARTS = ((0, 1, 1), (0, 2, 0), (0, 2, 1), (1, 1, 0), (1, 2, 0), (1, 2, 1))
-_JOINT_TAIL = 6  # last labels of the joint counter, placed from tables
-# Smallest size whose parts log a line: a part takes 0.01-0.02 s at 2n = 14
-# and 0.4-0.7 s at 16 (2 cores, Python 3.11.7).
-_LOG_MIN_TWO_N = 16
-# Smallest size counted over a pool.  Measured on 2 cores (Python 3.11.7), 10
-# alternating pairs per size, medians of serial against two workers: 0.0025 s
-# against 0.027 s at 2n = 10, 0.0085 s against 0.048 s at 12 and 0.059 s
-# against 0.082 s at 14, the pool slower in every pair; 2.92 s against 1.73 s
-# at 16, the pool faster in all 10.
-_POOL_MIN_TWO_N = 16
+# The status of the marked node K, the candidate pom, in a counting state.
+_UNMARKED, _K_EOC, _K_EOC_R, _K_R, _K_LEAF, _K_OPEN, _K_R_OPEN = range(7)
+# Smallest size whose count logs a line: a count takes 0.006 s at 2n = 14,
+# 0.04 s at 24 and 0.6-0.8 s at 40 (2 cores, Python 3.11.7).
+_LOG_MIN_TWO_N = 40
 
 
-def _walk(
-    two_n: int,
-    L: int,
-    R: int,
-    r_open: bool,
-    eoc: int,
-    opens: list[int],
-    leaves: list[int],
-    tally: list[int],
-) -> None:
-    """Place the labels L, L+1, ..., 2n into the partial tree whose state is
-    (*opens*, *leaves*, *R*, *r_open*, *eoc*) and add the weight of each
-    finished tree to ``tally[eoc * (2n + 1) + pom]``.
+def _moves(
+    o: int, r_open: bool, eoc_is_r: bool, ks: int, placed: int
+) -> list[tuple[int, tuple[int, bool, bool, int], bool, int | None]]:
+    """The ways to place the next label ``L = placed + 1`` in the partial
+    trees of the state ``(o, r_open, eoc_is_r, ks)``, as ``(weight, state
+    after, eoc moves to L, K's status if L is marked)``.
 
-    Every complete increasing tree arises exactly once by inserting the
-    labels in increasing order, because removing the largest label always
-    leaves a leaf.  The state of a partial tree is its list of leaves, its
-    list of *open* nodes (exactly one child) other than ``R``, ``R`` itself
-    (the end of the right chain from the root), whether ``R`` is open (then
-    it has a left child only, as the one-child node of every complete tree
-    of even size must) and ``eoc`` (the end of the minimal chain, always a
-    leaf).  Label ``L`` either fills the free slot of an open node or opens a
-    leaf on its left or on its right, and each move updates the statistics
-    in O(1): ``eoc`` becomes ``L`` exactly when ``L`` hangs under the ``eoc``
-    leaf (a filled slot never changes the chain, because the child already
-    there is smaller), ``R`` becomes ``L`` exactly when ``L`` becomes the
-    right child of ``R``, and pom is the node that receives ``2n``.
-
-    The walk visits the trees up to the side of each opening of a leaf
-    ``Y != R``, once per pair of twins, and carries a weight ``w`` that
-    doubles at each such opening: a tree reached after ``j`` of them adds
-    ``2**j`` to its cell, one for each choice of sides.  The weight is exact
-    because the two sides give the same state, so every later move and both
-    statistics agree: ``Y`` is not on the right chain, so ``R`` stays; its
-    one child becomes the minimal chain's step from ``Y`` whichever side it
-    hangs on, so ``eoc`` moves the same; and filling ``Y`` later is one move
-    either way.  Fills and the two openings of ``R`` keep the weight: a fill
-    is one move, and the openings of ``R`` differ, since a left child leaves
-    ``R`` open and a right child becomes the new ``R``.
-    A branch is pruned once the open nodes other than an open ``R``
-    outnumber the labels still to place; every surviving branch then
-    completes.  The last label ``2n`` has one place.  The ``2n - 1`` nodes
-    placed before it have ``2n - 2`` edges, two under each two-child node and
-    one under each one-child node, so the one-child nodes are even in
-    number, and pruning leaves at most one of them other than ``R``.  So
-    either ``R`` and one other node ``X`` are open, and ``2n`` fills ``X``,
-    which is pom; or no node is open, and ``2n`` opens the leaf ``R`` on its
-    left, so ``R`` is pom and ``2n`` is eoc if ``R`` was.
-
-    When ``L`` is below the first label ``2n - _JOINT_TAIL + 1`` of the tail
-    and that label is below ``2n - 1``, each state reached there adds its
-    entry of :func:`_tail_placements` instead of being walked further.  The
-    walk that builds an entry starts at the tail, so it walks to the end.
+    The trees hold ``placed`` nodes: ``o`` open nodes (one child) other than
+    ``R``, the rightmost node, which is open (a left child only) or a leaf,
+    and ``(placed + 1 - o - r_open) / 2`` leaves, eoc among them.  A generic
+    leaf is none of eoc, a leaf ``R`` or a leaf K; a generic open node is not
+    K.  ``L`` fills a generic open node; gives an open ``R`` its right child,
+    becoming ``R``; opens a generic leaf, eoc, or a leaf K on either side,
+    twins that agree in every later move and statistic, so weight 2; or
+    opens the leaf ``R`` on its left (``R`` is then open) or on its right
+    (``L`` becomes ``R``).  ``L`` becomes eoc when it hangs under eoc, since a
+    filled slot never changes the minimal chain.  Filling K, or giving ``R``
+    its right child when K is ``R``, leaves K unable to receive the last
+    label, so those moves are not made.
     """
-    stride = two_n + 1
-    start = two_n - _JOINT_TAIL + 1  # the first label of the tail
-    if not L < start < two_n - 1:
-        start = two_n + 1  # past the last label: walk every label
-    tail = list(range(start, two_n + 1))
-
-    def grow(L: int, R: int, r_open: bool, eoc: int, w: int) -> None:
-        # Place the labels L, L+1, ..., 2n into w trees that differ only in
-        # the sides of earlier openings; opens never counts an open R.
-        n_open = len(opens)
-        if L == start:
-            shape = (n_open, len(leaves), r_open, -1 if r_open else leaves.index(R))
-            nodes = opens + leaves + [R] + tail
-            for e, p, mult in _tail_placements(*shape):
-                tally[nodes[e] * stride + nodes[p]] += w * mult
-            return
-        if L == two_n:
-            if r_open:
-                tally[eoc * stride + opens[0]] += w
-            else:
-                tally[(L if R == eoc else eoc) * stride + R] += w
-            return
-        rem = two_n - L  # labels to place after L
-        nxt = L + 1
-        leaves.append(L)
-        for i in range(n_open):
-            X = opens.pop(i)
-            grow(nxt, R, r_open, eoc, w)
-            opens.insert(i, X)
-        if r_open and n_open <= rem:
-            grow(nxt, L, False, eoc, w)
-        leaves.pop()
-        may_open = n_open < rem
-        for j, Y in enumerate(leaves):
-            leaves[j] = L
-            e = L if Y == eoc else eoc
-            if Y == R:
-                if n_open <= rem:
-                    grow(nxt, R, True, e, w)
-                if may_open:
-                    opens.append(Y)
-                    grow(nxt, L, False, e, w)
-                    opens.pop()
-            elif may_open:
-                opens.append(Y)
-                grow(nxt, R, r_open, e, 2 * w)  # the left and the right twin
-                opens.pop()
-            leaves[j] = Y
-
-    grow(L, R, r_open, eoc, 1)
-
-
-@functools.cache
-def _tail_placements(
-    n_open: int, n_leaves: int, r_open: bool, r_at: int
-) -> tuple[tuple[int, int, int], ...]:
-    """The table entry of a state with *n_open* open nodes other than ``R``,
-    *n_leaves* leaves, and ``R`` open or the leaf at index *r_at*, just
-    before the last ``_JOINT_TAIL`` labels are placed; ``eoc`` is the first
-    leaf, as in every state the walk reaches.
-
-    Each ``(e, p, mult)`` says that ``mult`` trees, twins counted, end with
-    ``eoc`` and pom at positions ``e`` and ``p`` of the node list ``opens +
-    leaves + [R] + tail labels``.  It is found by walking the tail with
-    :func:`_walk` on a canonical instance: labels ``1..n_open`` for the open
-    nodes, then the leaves, then ``R``, then the tail labels, so that label
-    ``c`` is position ``c - 1``.  The entry depends on the shape alone, not
-    on ``2n``, so it is built once per process and serves every part and
-    call that reaches the shape.  Sizes reach disjoint shapes, because a
-    state at the tail of size ``2n`` holds ``2n - _JOINT_TAIL`` nodes.
-    """
-    a, b = n_open, n_leaves
-    leaves = list(range(a + 1, a + b + 1))
-    R = a + b + 1 if r_open else leaves[r_at]
-    two_n = a + b + 1 + _JOINT_TAIL
-    stride = two_n + 1
-    tally = [0] * (stride * stride)
-    _walk(two_n, a + b + 2, R, r_open, leaves[0], list(range(1, a + 1)), leaves, tally)
-    return tuple(
-        (i // stride - 1, i % stride - 1, mult) for i, mult in enumerate(tally) if mult
-    )
-
-
-def _count_joint_part(args: tuple[int, tuple[int, int, int]]) -> dict[tuple[int, int], int]:
-    """Count (eoc, pom) pairs over the trees of size ``2n >= 4`` whose labels
-    2 and 3 sit as the part in *args* says.
-
-    The labels ``4 .. 2n - T`` are placed by :func:`_walk`, with ``T =
-    _JOINT_TAIL``.  Each state it reaches at label ``2n - T + 1`` is resolved
-    from a table of tail placements, keyed by the state's shape: the number
-    of open nodes and of leaves, whether ``R`` is open, and the index of
-    ``R`` among the leaves.  ``eoc`` needs no index: it starts as the first
-    leaf, a fill appends its leaf and an opening replaces its leaf in place,
-    so it stays the first leaf.  An entry lists triples ``(e, p,
-    mult)``: ``mult`` ways, twins counted, to place the last ``T`` labels
-    that end with ``eoc`` at position ``e`` and pom at position ``p`` of the
-    node list ``opens + leaves + [R] + [2n - T + 1, ..., 2n]``; the state's
-    weight times ``mult`` goes to that cell.  The tail placements depend on
-    the shape alone, because a move reads a node only through its role
-    (open, leaf, ``R``, ``eoc``) and the count of labels left.
-
-    Every tree is still counted by walking moves: an entry is found by
-    walking the same moves (:func:`_walk`, there is no second copy of the
-    rules) from a canonical instance of its shape, once per shape, so each
-    tree is a walked prefix times a walked tail.  No Entringer number or
-    recurrence value feeds a table.  The entries are cached once per process
-    on first use and shared by every part and call: a forked pool worker
-    inherits the cache, and a spawned one builds its own.  Sizes up to ``T +
-    2`` are walked to the end.
-    """
-    two_n, (side2, parent3, side3) = args
-    t0 = time.perf_counter()
-    left, right = children = [0] * 4, [0] * 4
-    children[side2][1] = 2
-    children[side3][parent3] = 3
-    R = 1
-    while right[R]:
-        R = right[R]
-    eoc = 3 if parent3 == 2 else 2
-    leaves = [v for v in (1, 2, 3) if not (left[v] or right[v])]
-    opens = [v for v in (1, 2) if (left[v] == 0) != (right[v] == 0) and v != R]
-    stride = two_n + 1
-    tally = [0] * (stride * stride)  # tally[eoc * stride + pom]
-    if len(opens) <= two_n - 3:
-        _walk(two_n, 4, R, left[R] != 0, eoc, opens, leaves, tally)
-    counts = {
-        (m, k): tally[m * stride + k]
-        for m in range(stride)
-        for k in range(stride)
-        if tally[m * stride + k]
-    }
-    if two_n >= _LOG_MIN_TWO_N:
-        import logging  # only where a line is written: no smaller size pays for it
-
-        logging.getLogger(__name__).info(
-            "M_%d part %s: %d trees in %.2f s",
-            two_n, args[1], sum(counts.values()), time.perf_counter() - t0,
-        )
-    return counts
-
-
-def _pool_size(processes: int, parts: int, cores: int | None) -> int:
-    """Workers worth starting: no more than asked for, than there are parts
-    to hand out, or than there are cores (``None`` when unknown counts as 1).
-    """
-    return max(1, min(processes, parts, cores or 1))
+    leaves = (placed + 1 - o - r_open) // 2
+    generic_leaves = leaves - 1 - (not (r_open or eoc_is_r)) - (ks == _K_LEAF)
+    generic_opens = o - (ks == _K_OPEN)
+    moves = []
+    if generic_opens:  # fill a generic open node
+        moves.append((generic_opens, (o - 1, r_open, eoc_is_r, ks), False, _K_LEAF))
+    if r_open and ks != _K_R_OPEN:  # the right child of R, the new R
+        moves.append((1, (o, False, False, ks), False, _K_R))
+    if generic_leaves:  # open a generic leaf
+        moves.append((2 * generic_leaves, (o + 1, r_open, eoc_is_r, ks), False, _K_LEAF))
+    if not eoc_is_r:  # open eoc, the new eoc
+        k_open = _K_OPEN if ks == _K_EOC else ks
+        moves.append((2, (o + 1, r_open, False, k_open), True, _K_EOC))
+    if ks == _K_LEAF:  # open K
+        moves.append((2, (o + 1, r_open, eoc_is_r, _K_OPEN), False, None))
+    if not r_open:  # open R on its left, R stays; or on its right, the new R
+        k_was_r = ks == _K_EOC_R or ks == _K_R
+        left, right = (_K_R_OPEN, _K_OPEN) if k_was_r else (ks, ks)
+        as_left, as_right = (_K_EOC, _K_EOC_R) if eoc_is_r else (_K_LEAF, _K_R)
+        moves.append((1, (o, True, False, left), eoc_is_r, as_left))
+        moves.append((1, (o + 1, False, eoc_is_r, right), eoc_is_r, as_right))
+    return moves
 
 
 def joint_matrix_bruteforce(two_n: int, processes: int = 1) -> JointMatrix:
     """Count every tree of size *two_n* into a fully-known joint matrix.
 
-    The trees are grown label by label (see :func:`_count_joint_part`) in six
-    parts, one per placement of labels 2 and 3.  The tail tables are cached
-    once per process and shared by every part and call.  At its peak a
-    serial call holds one part's tally of ``(2n + 1)**2`` counts and the
-    merged counts, beside those tables.  With ``processes > 1`` and ``two_n
-    >= _POOL_MIN_TWO_N`` the parts are counted over a process pool of at
-    most one worker per part and per core; a forked worker inherits the
-    cached tables and a spawned one builds its own.  :mod:`multiprocessing`
-    is imported in that branch only.  The merge is plain integer addition in
-    both cases, so the result is identical to the serial run.  Each part logs its tree count
-    and time at INFO on the logger ``secant_trees.distributions`` from
-    ``two_n = _LOG_MIN_TWO_N`` up, and :mod:`logging` is imported only there.
+    Every increasing tree arises exactly once by inserting its labels in
+    increasing order, because removing the largest label always leaves a
+    leaf.  So the count runs over the partial trees after each label, but
+    groups them into states: the number ``o`` of open nodes other than the
+    rightmost node ``R``, whether ``R`` is open, whether ``R`` is eoc, and the
+    status of a marked node K, the candidate pom (see :func:`_moves`).  Each
+    state maps the labels ``m`` of eoc and ``k`` of K (``k = 0`` while
+    unmarked), as the key ``m * 2n + k``, to a count.  Each move from
+    :func:`_moves` adds its weight times every count of its state to the
+    state it leads to, with ``m = L`` when ``L`` becomes eoc.  An unmarked
+    state also passes to the marked state of each move, with ``k = L``.  A
+    state with more open nodes than labels left is dropped: it cannot
+    complete.
+
+    The ``2n - 1`` nodes placed before the last label ``2n`` have ``2n - 2``
+    edges, so their one-child nodes are even in number, and the drop leaves
+    at most one of them other than ``R``.  Either ``R`` and one other node are open, and ``2n``
+    fills that node, which is pom; or none is, and ``2n`` opens the leaf
+    ``R`` on its left, so ``R`` is pom and ``2n`` is eoc if ``R`` was.  So
+    the first kind gives cell ``(m, k)`` when K is that open node, and the
+    second gives ``(2n if R is eoc else m, k)`` when K is ``R``.  No
+    recurrence or Entringer value feeds the count.
+
+    *processes* is accepted and unused; dropping it waits for a change of
+    the benchmark, which passes it.  A count from ``two_n =
+    _LOG_MIN_TWO_N`` up logs its size, trees and seconds at INFO on the
+    logger ``secant_trees.distributions``, and :mod:`logging` is imported
+    only there.
     """
     _check_size(two_n, 2, "two_n", even=True)
-    counts: dict[tuple[int, int], int] = {}
-    if two_n == 2:
-        counts[(2, 1)] = 1  # the one tree: the root with 2 as its left child
-    else:
-        args = [(two_n, part) for part in _PARTS]
-        workers = _pool_size(processes, len(_PARTS), os.cpu_count())
-        if workers > 1 and two_n >= _POOL_MIN_TWO_N:
-            import multiprocessing  # only here: no serial count pays for it
+    t0 = time.perf_counter()
+    # Label 1, the root: a leaf that is R and eoc, unmarked or marked as K.
+    states = {(0, False, True, _UNMARKED): {two_n: 1}, (0, False, True, _K_EOC_R): {two_n + 1: 1}}
+    for L in range(2, two_n):
+        eoc_at_L = L * two_n
+        after: dict[tuple[int, bool, bool, int], dict[int, int]] = {}
+        for key, cells in states.items():
+            for w, to, eoc_moves, role in _moves(*key, L - 1):
+                if to[0] > two_n - L:
+                    continue
+                row = after.setdefault(to, {})
+                for c, v in cells.items():
+                    if eoc_moves:
+                        c = eoc_at_L + c % two_n
+                    row[c] = row.get(c, 0) + w * v
+                if key[3] == _UNMARKED:  # the same move with L marked as K
+                    row = after.setdefault((*to[:3], role), {})
+                    for c, v in cells.items():
+                        c = (eoc_at_L if eoc_moves else c) + L
+                        row[c] = row.get(c, 0) + w * v
+        states = after
 
-            with multiprocessing.Pool(workers) as pool:
-                parts = pool.map(_count_joint_part, args)
-        else:
-            parts = map(_count_joint_part, args)
-        for part in parts:
-            for key, c in part.items():
-                counts[key] = counts.get(key, 0) + c
+    rows = [[0] * (two_n - 1) for _ in range(two_n - 1)]
+    for (o, r_open, eoc_is_r, ks), cells in states.items():
+        if ks == _K_OPEN and o == 1 and r_open:
+            for c, v in cells.items():
+                m, k = divmod(c, two_n)
+                rows[m - 2][k - 1] += v
+        elif ks in (_K_EOC_R, _K_R) and o == 0 and not r_open:
+            for c, v in cells.items():
+                m, k = divmod(c, two_n)
+                rows[(two_n if eoc_is_r else m) - 2][k - 1] += v
+    M = JointMatrix._adopt(two_n, "brute", rows)
+    if two_n >= _LOG_MIN_TWO_N:
+        import logging  # only where a line is written: no smaller size pays for it
 
-    M = JointMatrix(two_n, method="brute")
-    for m in range(2, two_n + 1):
-        for k in range(1, two_n):
-            M.set(m, k, counts.get((m, k), 0))
+        logging.getLogger(__name__).info(
+            "M_%d: %d trees in %.2f s", two_n, M.total(), time.perf_counter() - t0
+        )
     return M
 
 

@@ -2,7 +2,7 @@
 
 Brute-force joint matrices are memoized once per session and shared by
 every test module, which read the same sizes many times over (size 14
-counts 199,360,981 trees in about 0.06 s); treat the returned matrices as
+counts 199,360,981 trees in about 0.006 s); treat the returned matrices as
 read-only.
 """
 

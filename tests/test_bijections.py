@@ -113,7 +113,7 @@ def test_maps_verify_exhaustively(name, two_n, brute):
 def test_standalone_verifiers_count_no_tree(name, brute, monkeypatch):
     want = {two_n: verify_map(name, two_n, brute(two_n)) for two_n in (4, 6, 8, 10)}
 
-    def refuse(two_n, processes=1):
+    def refuse(two_n):
         raise AssertionError(f"trees of size {two_n} counted")
 
     monkeypatch.setattr(distributions, "joint_matrix_bruteforce", refuse)

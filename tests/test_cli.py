@@ -277,7 +277,7 @@ def test_verify_rejects_unknown_check():
 
 
 def _refuse_brute_force(monkeypatch):
-    def refuse(two_n, processes=None):
+    def refuse(two_n):
         pytest.fail(f"brute force at 2n = {two_n} before the selection was checked")
 
     monkeypatch.setattr(cli, "joint_matrix_bruteforce", refuse)
@@ -355,7 +355,7 @@ def test_verify_rejects_odd_bound():
     ],
 )
 def test_brute_force_above_the_cap_fails_fast(argv, capsys, monkeypatch):
-    def refuse(two_n, processes=None):
+    def refuse(two_n):
         raise AssertionError(f"brute force started at 2n = {two_n}")
 
     monkeypatch.setattr(cli, "joint_matrix_bruteforce", refuse)
@@ -389,7 +389,7 @@ def test_run_checks_rows_have_parameters():
 def test_verify_counts_each_size_once(monkeypatch, brute):
     calls = Counter()
 
-    def counting(two_n, processes=None):
+    def counting(two_n):
         calls[two_n] += 1
         return brute(two_n)  # the session's matrix, so size 12 is not recounted
 
@@ -406,7 +406,7 @@ def _corrupted(brute, size, m, k, delta):
     """A stand-in for joint_matrix_bruteforce whose M_size has cell (m, k)
     moved by *delta*; every other size is the session's matrix."""
 
-    def counts(two_n, processes=None):
+    def counts(two_n):
         B = brute(two_n)
         if two_n != size:
             return B

@@ -1,10 +1,8 @@
 """Brute-force joint matrices, marginals, differences, rightmost-label rows."""
 
 import copy
-import functools
 import json
 import logging
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -19,16 +17,12 @@ from secant_trees.distributions import (
     BrokenInvariantError,
     JointMatrix,
     OddSizeError,
-    _PARTS,
-    _count_joint_part,
-    _pool_size,
-    _tail_placements,
     ent_distribution,
     entringer_bruteforce,
     joint_matrix_bruteforce,
 )
 from secant_trees.recurrence import RecurrenceEngine, assemble, entringer_triangle, tree_count
-from secant_trees.trees import alternating_permutations, tree_from_perm, word_stats
+from secant_trees.trees import alternating_permutations, word_stats
 from secant_trees.reference_tables import (
     REFERENCE_JOINT,
     REFERENCE_TOTALS,
@@ -61,7 +55,7 @@ def test_reference_m14_agrees_with_the_recurrence():
     assert REFERENCE_TOTALS[14] == sum(map(sum, golden)) == tree_count(14) == 199360981
 
 
-@pytest.mark.parametrize("two_n", range(6, 15, 2))
+@pytest.mark.parametrize("two_n", range(6, 25, 2))
 def test_first_interior_laws(two_n, brute):
     # The recurrence leaves (4, 2) and (5, 2) Unknown; these laws of the first
     # interior cells were found on larger tables and are pinned here by brute
@@ -155,34 +149,15 @@ def test_unknown_cells_are_first_class():
             margin()
 
 
-def test_parallel_counting_matches_serial(brute, monkeypatch):
-    pools = []
-    real_pool = multiprocessing.Pool
-
-    def recording_pool(workers):
-        pools.append(workers)
-        return real_pool(workers)
-
-    monkeypatch.setattr(distributions, "_POOL_MIN_TWO_N", 12)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(multiprocessing, "Pool", recording_pool)
-    assert joint_matrix_bruteforce(12, processes=2).same_counts(brute(12))
-    assert pools == [2]
-
-
 def test_parts_log_their_progress(monkeypatch, caplog):
     caplog.set_level(logging.INFO, logger=distributions.__name__)
     joint_matrix_bruteforce(8)
     assert not caplog.records  # below the size worth a progress line
     monkeypatch.setattr(distributions, "_LOG_MIN_TWO_N", 8)
     joint_matrix_bruteforce(8)
-    assert len(caplog.records) == len(_PARTS)
-    trees = 0
-    for part, record in zip(_PARTS, caplog.records):
-        assert record.levelno == logging.INFO
-        assert record.args[:2] == (8, part)
-        trees += record.args[2]
-    assert trees == 1385
+    (record,) = caplog.records  # one line per count
+    assert record.levelno == logging.INFO
+    assert record.args[:2] == (8, 1385)
 
 
 def test_importing_the_package_loads_neither_the_pool_nor_logging():
@@ -200,88 +175,26 @@ def test_importing_the_package_loads_neither_the_pool_nor_logging():
 
 
 # ---------------------------------------------------------------------- #
-# the grown counter against the plain composition                         #
+# the counter against the words and the recurrence                        #
 # ---------------------------------------------------------------------- #
-
-
-def _part_of(word):
-    """(side of 2 under the root, parent of 3, side of 3) in the tree of *word*."""
-    t = tree_from_perm(word)
-    p3 = t.parent[3]
-    return (int(t.right[1] == 2), p3, int(t.right[p3] == 3))
-
-
-@functools.lru_cache(maxsize=None)
-def _composed_counts(two_n):
-    """(eoc, pom) counts of all words of length *two_n*, whole and by part."""
-    whole = Counter()
-    by_part = {part: Counter() for part in _PARTS}
-    for word in alternating_permutations(two_n):
-        s = word_stats(word)
-        whole[(s.eoc, s.pom)] += 1
-        if two_n > 2:
-            by_part[_part_of(word)][(s.eoc, s.pom)] += 1
-    return whole, by_part
 
 
 @pytest.mark.parametrize("two_n", [2, 4, 6, 8, 10])
 def test_counter_equals_composition(two_n, brute):
-    whole, _ = _composed_counts(two_n)
+    whole = Counter((s.eoc, s.pom) for s in map(word_stats, alternating_permutations(two_n)))
     counted = brute(two_n)
     assert {(m, k): v for m, k, v in counted.known_cells() if v} == whole
 
 
-def test_counter_long_prefixes_equal_composition():
-    # Each part fixes where labels 2 and 3 hang, the tree-side analogue of a
-    # fixed word prefix: the counter restricted to it must match the words
-    # restricted the same way.
-    for two_n in (4, 6, 8, 10):
-        whole, by_part = _composed_counts(two_n)
-        parts = Counter()
-        for part in _PARTS:
-            got = _count_joint_part((two_n, part))
-            assert got == by_part[part], (two_n, part)
-            parts.update(got)
-        # Every tree places labels 2 and 3 in exactly one way (by_part would
-        # have raised KeyError on a seventh), so the parts sum to the whole.
-        assert parts == whole, two_n
-
-
-@pytest.mark.parametrize("two_n", [10, 12])
-def test_tail_tables_equal_the_plain_walk(two_n, monkeypatch):
-    _tail_placements.cache_clear()
-    resolved = [_count_joint_part((two_n, part)) for part in _PARTS]
-    assert _tail_placements.cache_info().currsize > 0  # the tail was resolved from tables
-    monkeypatch.setattr(distributions, "_JOINT_TAIL", 0)  # no tail: walk every label
-    for part, got in zip(_PARTS, resolved):
-        assert got == _count_joint_part((two_n, part)), part
-
-
-def test_tail_tables_are_built_once_per_process():
-    joint_matrix_bruteforce(12)
-    misses = _tail_placements.cache_info().misses
-    joint_matrix_bruteforce(12)
-    assert _tail_placements.cache_info().misses == misses
-
-
-def test_tail_tables_hold_few_shapes():
-    # A state at the tail of size 2n holds 2n - 6 nodes, so each size reaches
-    # shapes of its own: 5, 9 and 13 at 2n = 10, 12 and 14.
-    _tail_placements.cache_clear()
-    joint_matrix_bruteforce(14)
-    assert _tail_placements.cache_info().currsize <= 13
-    for two_n in range(2, 15, 2):
-        joint_matrix_bruteforce(two_n)
-    assert _tail_placements.cache_info().currsize <= 5 + 9 + 13
-
-
-def test_pool_size_is_capped():
-    assert _pool_size(1, 11, 8) == 1
-    assert _pool_size(64, 11, 128) == 11  # one worker per part
-    assert _pool_size(64, 11, 2) == 2  # one worker per core
-    assert _pool_size(3, 11, 8) == 3
-    assert _pool_size(4, 11, None) == 1
-    assert _pool_size(0, 11, 8) == 1
+@pytest.mark.parametrize("two_n", range(16, 25, 2))
+def test_counter_agrees_with_the_recurrence(two_n, brute):
+    # Above REFERENCE_JOINT, every cell the recurrence knows, both margins
+    # and the total are a second route to the counted matrix.
+    M, A = brute(two_n), assemble(two_n)
+    for m, k, v in A.known_cells():
+        assert M.get(m, k) == v, (m, k)
+    assert M.row_sums() == A.row_sums() and M.col_sums() == A.col_sums()
+    assert M.total() == tree_count(two_n)
 
 
 # ---------------------------------------------------------------------- #
