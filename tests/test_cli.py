@@ -54,7 +54,7 @@ def test_enumerate_usage_error():
 
 def test_enumerate_above_the_cap_fails_fast(capsys, monkeypatch):
     def refuse(n):
-        raise AssertionError(f"words of size {n} enumerated")
+        raise AssertionError(f"rightmost labels of size {n} counted")
 
     monkeypatch.setattr(cli, "alternating_permutations", refuse)
     with pytest.raises(SystemExit) as exc:
@@ -188,7 +188,7 @@ def test_entringer_brute_agrees(capsys):
 
 
 def _refuse_ent_distribution(n):
-    raise AssertionError(f"words of size {n} enumerated")
+    raise AssertionError(f"rightmost labels of size {n} counted")
 
 
 def test_entringer_brute_above_the_cap_fails_fast(capsys, monkeypatch):
