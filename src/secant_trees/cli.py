@@ -14,10 +14,15 @@ The verify suite re-derives every identity the library is built on: golden
 tables, the difference laws on cells and marginals, the counter-diagonal
 symmetry, the crossing identity, all border identities, the five bijections,
 and the generating-function routes.  Every check compares exact integers.
-Most checks are a law of one size: a function of ``(ctx, two_n)`` that yields
-``(location, expected, actual)`` for each comparison it makes, and
-``_per_size`` runs it at every size, one report row per size, keeping the
-comparisons whose two values differ as that row's failures.
+``CHECKS`` is the one table of checks.  It maps each check to its rows and
+its reach, the largest bound it serves.  The rows are a function of ``(ctx,
+two_n_max)`` that yields one ``(parameter, comparisons)`` pair per report
+row, each comparison ``(two_n, location, expected, actual)``.  Most checks
+are a law of one size, a function of ``(ctx, two_n)`` that yields
+``(location, expected, actual)``; ``_per_size`` turns it into one row per
+size.  ``run_checks`` is the one driver: it runs each check up to the
+smaller of the bound and its reach, times each row, and keeps each
+comparison whose two values differ as one of that row's failures.
 """
 
 from __future__ import annotations
@@ -51,13 +56,17 @@ from .series import (
 )
 from .trees import _check_size, alternating_permutations, enumerate_trees
 
-# Largest size counted by brute force.  Both counters count insertion moves:
-# the joint counter takes about 0.006 s at 2n = 14 (E_14 = 199,360,981
-# trees), 0.01 s at 16 and 0.6-0.8 s at 40, and the rightmost-label counter
-# about 1 ms for the rows to 14 and 0.1 s for the rows to 40 (2-core VM,
-# Python 3.11).  But `enumerate` shares the cap: it visits every word, and
-# E_16 = 19,391,512,145 is 97 times E_14.
-BRUTE_MAX_TWO_N = 14
+# Largest size `enumerate` takes: it visits every word, and
+# E_16 = 19,391,512,145 words is 97 times E_14.
+ENUMERATE_MAX_N = 14
+
+# Largest size counted by the insertion-move counters, for `matrix --method
+# brute|hybrid`, `entringer --method brute` and `verify`.  At 40, with
+# start-up, `matrix` takes 0.6-1.0 s by either method, `entringer --method
+# brute` 0.15-0.22 s, and `verify` with every check but `bijection` 2.6-4.3 s
+# (2-core VM, Python 3.11).  At 60 the joint counter alone took about 6 s
+# and `gf3` about 5 s.
+COUNTER_MAX_TWO_N = 40
 
 DEFAULT_CHECKS = ("tables", "marginal", "r1", "r2", "symmetry")
 
@@ -113,16 +122,6 @@ class VerifyReport:
         return "\n".join(lines) + "\n"
 
 
-def _fail(check: str, two_n, location, expected, actual) -> dict:
-    return {
-        "check": check,
-        "two_n": two_n,
-        "location": location,
-        "expected": expected,
-        "actual": actual,
-    }
-
-
 class _VerifyContext:
     def __init__(self):
         self.engine = RecurrenceEngine()
@@ -134,28 +133,22 @@ class _VerifyContext:
         return self._brute[two_n]
 
 
-def _per_size(
-    name: str,
-    first_size: int,
-    law: Callable[[_VerifyContext, int], Iterable[tuple]],
-    stop: int | None = None,
-) -> Callable[[_VerifyContext, int], Iterator[CheckRow]]:
-    """The check *name*: one row per even size from *first_size* to the
-    run's bound, or to *stop* if that is lower.  ``law(ctx, two_n)`` yields
-    ``(location, expected, actual)`` per comparison; the row fails on each
-    one whose values differ, in the order the law yields them."""
+# A report row as a check yields it: ``(parameter, comparisons)``, each
+# comparison ``(two_n, location, expected, actual)``.
+_Row = tuple[str, Iterable[tuple]]
+_Rows = Callable[[_VerifyContext, int], Iterator[_Row]]
 
-    def check(ctx: _VerifyContext, two_n_max: int) -> Iterator[CheckRow]:
-        last = two_n_max if stop is None else min(two_n_max, stop)
-        for two_n in range(first_size, last + 1, 2):
-            fails = [
-                _fail(name, two_n, location, expected, actual)
-                for location, expected, actual in law(ctx, two_n)
-                if expected != actual
-            ]
-            yield CheckRow(name, f"2n={two_n}", fails)
 
-    return check
+def _per_size(first: int, law: Callable[[_VerifyContext, int], Iterable[tuple]]) -> _Rows:
+    """Rows of a law of one size: one row per even size from *first* to the
+    run's bound, with the comparisons ``law(ctx, two_n)`` yields as
+    ``(location, expected, actual)``."""
+
+    def rows(ctx: _VerifyContext, two_n_max: int) -> Iterator[_Row]:
+        for two_n in range(first, two_n_max + 1, 2):
+            yield f"2n={two_n}", ((two_n, *c) for c in law(ctx, two_n))
+
+    return rows
 
 
 def _tables(ctx: _VerifyContext, two_n: int) -> Iterator[tuple]:
@@ -253,23 +246,22 @@ def _bijection(ctx: _VerifyContext, two_n: int) -> Iterator[tuple]:
         yield name, _MAP_OK, _MAP_OK if report.ok else report.to_json_dict()
 
 
-def _check_gf1(ctx: _VerifyContext, two_n_max: int) -> Iterator[CheckRow]:
+def _gf1(ctx: _VerifyContext, two_n_max: int) -> Iterator[_Row]:
     bound = two_n_max - 4
-    fails = []
     w1 = omega1(bound)
-    for i in range(bound + 1):
-        for j in range(bound + 1 - i):
-            got = w1.egf_coefficient((i, j))
-            if (i + j) % 2 == 1:
-                want = 0
-            else:
-                want = ctx.brute(i + j + 4).get(2, j + 3)
-            if got != want:
-                fails.append(_fail("gf1", i + j + 4, f"(i,j)=({i},{j})", want, got))
-    yield CheckRow("gf1", f"i+j<={bound}", fails)
+    yield f"i+j<={bound}", (
+        (
+            i + j + 4,
+            f"(i,j)=({i},{j})",
+            0 if (i + j) % 2 else ctx.brute(i + j + 4).get(2, j + 3),
+            w1.egf_coefficient((i, j)),
+        )
+        for i in range(bound + 1)
+        for j in range(bound + 1 - i)
+    )
 
 
-def _check_gf3(ctx: _VerifyContext, two_n_max: int) -> Iterator[CheckRow]:
+def _gf3(ctx: _VerifyContext, two_n_max: int) -> Iterator[_Row]:
     # A generator, so that the series is built once per run and inside the
     # first row's timed step.
     w3 = omega(two_n_max - 4)
@@ -280,90 +272,104 @@ def _check_gf3(ctx: _VerifyContext, two_n_max: int) -> Iterator[CheckRow]:
             for k in range(m + 1, two_n):
                 yield f"({m},{k})", B.get(m, k), w3.egf_coefficient(cell_to_exponents(two_n, m, k))
 
-    yield from _per_size("gf3", 4, law)(ctx, two_n_max)
+    yield from _per_size(4, law)(ctx, two_n_max)
 
 
-def _check_poupard(ctx: _VerifyContext, two_n_max: int) -> Iterator[CheckRow]:
+def _poupard(ctx: _VerifyContext, two_n_max: int) -> Iterator[_Row]:
     for p in range(1, 5):
         max_sum = two_n_max - 3 - p
-        if max_sum < 0:
-            continue
-        grid = omega_grid_from_counts(p, max_sum, ctx.brute)
-        fails = [
-            _fail("poupard", p + sum(pos) + 5, f"(i,j)={pos}", 0, int(res))
-            for pos, res in poupard_check(grid)
-        ]
-        yield CheckRow("poupard", f"p={p} i+j<={max_sum}", fails)
+        if max_sum >= 0:
+            grid = omega_grid_from_counts(p, max_sum, ctx.brute)
+            yield f"p={p} i+j<={max_sum}", (
+                (p + sum(pos) + 5, f"(i,j)={pos}", 0, int(res)) for pos, res in poupard_check(grid)
+            )
 
 
-def _check_pde(ctx: _VerifyContext, two_n_max: int) -> Iterator[CheckRow]:
+def _pde(ctx: _VerifyContext, two_n_max: int) -> Iterator[_Row]:
     for p in range(1, 5):
         residual = pde_check(omega_p(p, 8))
-        fails = [_fail("pde", None, "max residual", 0, str(residual))] if residual else []
-        yield CheckRow("pde", f"p={p} order=8", fails)
+        yield f"p={p} order=8", [(None, "max residual", 0, str(residual))] if residual else []
 
 
-CHECK_FUNCTIONS: dict[str, Callable[[_VerifyContext, int], Iterator[CheckRow]]] = {
-    "tables": _per_size("tables", 2, _tables),
-    "r1": _per_size("r1", 4, _r1),
-    "r2": _per_size("r2", 4, _r2),
-    "r3": _per_size("r3", 4, _r3),
-    "r4": _per_size("r4", 4, _r4),
-    "marginal": _per_size("marginal", 2, _marginal),
-    "symmetry": _per_size("symmetry", 2, _symmetry),
-    "crossing": _per_size("crossing", 4, _crossing),
-    "borders": _per_size("borders", 4, _borders),
-    "bijection": _per_size("bijection", 4, _bijection, stop=10),
-    "gf1": _check_gf1,
-    "gf3": _check_gf3,
-    "poupard": _check_poupard,
-    "pde": _check_pde,
+# Each check's rows and its reach, the largest bound it serves: a run with a
+# larger bound stops the check at its reach.
+CHECKS: dict[str, tuple[_Rows, int]] = {
+    "tables": (_per_size(2, _tables), COUNTER_MAX_TWO_N),
+    "r1": (_per_size(4, _r1), COUNTER_MAX_TWO_N),
+    "r2": (_per_size(4, _r2), COUNTER_MAX_TWO_N),
+    "r3": (_per_size(4, _r3), COUNTER_MAX_TWO_N),
+    "r4": (_per_size(4, _r4), COUNTER_MAX_TWO_N),
+    "marginal": (_per_size(2, _marginal), COUNTER_MAX_TWO_N),
+    "symmetry": (_per_size(2, _symmetry), COUNTER_MAX_TWO_N),
+    "crossing": (_per_size(4, _crossing), COUNTER_MAX_TWO_N),
+    "borders": (_per_size(4, _borders), COUNTER_MAX_TWO_N),
+    # The bijection domains grow by about E_2n / E_2n-2 per size: 0.2 s at
+    # 10, about 7 s at 12 (extrapolated).
+    "bijection": (_per_size(4, _bijection), 10),
+    "gf1": (_gf1, COUNTER_MAX_TWO_N),
+    "gf3": (_gf3, COUNTER_MAX_TWO_N),
+    "poupard": (_poupard, COUNTER_MAX_TWO_N),
+    "pde": (_pde, COUNTER_MAX_TWO_N),
 }
-ALL_CHECKS = tuple(CHECK_FUNCTIONS)
+ALL_CHECKS = tuple(CHECKS)
 
 
-def _selection(checks: Iterable[str]) -> tuple[str, ...]:
+def _selection(checks: Iterable[str], two_n_max: int) -> tuple[str, ...]:
     """*checks* as a tuple; ValueError if it is a string, is empty, names an
-    unknown check or names one twice, so that a bad selection fails before
-    any check runs."""
+    unknown check or names one twice, or if *two_n_max* is above the largest
+    reach among them, so that a bad selection fails before any check runs."""
     if isinstance(checks, str):
         raise ValueError(f"checks is a collection of check names, not the string {checks!r}")
     checks = tuple(checks)
-    unknown = [c for c in checks if c not in CHECK_FUNCTIONS]
+    unknown = [c for c in checks if c not in CHECKS]
     if unknown or not checks:
         what = f"unknown check {unknown[0]!r}" if unknown else "no check selected"
         raise ValueError(f"{what} (known: {', '.join(ALL_CHECKS)})")
     repeated = [c for i, c in enumerate(checks) if c in checks[:i]]
     if repeated:
         raise ValueError(f"check {repeated[0]!r} is selected more than once")
+    reach = max(CHECKS[c][1] for c in checks)
+    if two_n_max > reach:
+        raise ValueError(
+            f"two_n_max {two_n_max} is above {reach}, the reach of the selected checks"
+        )
     return checks
 
 
 def run_checks(
     two_n_max: int, checks: Iterable[str] = DEFAULT_CHECKS, processes: int = 1
 ) -> VerifyReport:
-    """Run the selected check suites up to *two_n_max* on fresh data.
+    """Run the selected checks up to *two_n_max*, each up to its reach, on
+    fresh data.
 
     A bound that is not an even int >= 4 raises OddSizeError, and a
-    selection given as one string, an empty selection, an unknown check name
-    or a repeated one raises ValueError, before any check runs.  Each row records the wall time its
-    check spent producing it, including any brute-force matrix it was the
-    first to need.  *processes* is accepted and unused; dropping it waits
-    for a change of the benchmark, which passes it.
+    selection given as one string, an empty selection, an unknown check
+    name, a repeated one or a bound above the selection's largest reach
+    raises ValueError, before any check runs.  Each row fails on every
+    comparison whose two values differ, in the order its check yields them,
+    and records the wall time spent producing it, including any brute-force
+    matrix it was the first to need.  *processes* is accepted and unused;
+    dropping it waits for a change of the benchmark, which passes it.
     """
     _check_size(two_n_max, 4, "two_n_max", even=True)
-    checks = _selection(checks)
+    checks = _selection(checks, two_n_max)
     ctx = _VerifyContext()
     report = VerifyReport()
     for name in checks:
-        rows = CHECK_FUNCTIONS[name](ctx, two_n_max)
+        rows, reach = CHECKS[name]
+        rows = rows(ctx, min(two_n_max, reach))
         while True:
             start = time.perf_counter()
             row = next(rows, None)
             if row is None:
                 break
-            row.seconds = time.perf_counter() - start
-            report.rows.append(row)
+            parameter, comparisons = row
+            failures = [
+                {"check": name, "two_n": two_n, "location": loc, "expected": want, "actual": got}
+                for two_n, loc, want, got in comparisons
+                if want != got
+            ]
+            report.rows.append(CheckRow(name, parameter, failures, time.perf_counter() - start))
     return report
 
 
@@ -406,7 +412,11 @@ def render_matrix_text(M: JointMatrix) -> str:
 
 
 def _cmd_enumerate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    _cap_brute_force(parser, "--n", args.n)
+    if args.n > ENUMERATE_MAX_N:
+        parser.error(
+            f"--n {args.n} needs brute force over {tree_count(args.n):,} trees; "
+            f"the enumeration cap is {ENUMERATE_MAX_N}"
+        )
     if args.emit == "count":
         print(sum(1 for _ in alternating_permutations(args.n)))
     elif args.emit == "perms":
@@ -418,17 +428,16 @@ def _cmd_enumerate(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
     return 0
 
 
-def _cap_brute_force(parser: argparse.ArgumentParser, flag: str, n: int) -> None:
-    if n > BRUTE_MAX_TWO_N:
+def _cap_counter(parser: argparse.ArgumentParser, flag: str, n: int) -> None:
+    if n > COUNTER_MAX_TWO_N:
         parser.error(
-            f"{flag} {n} needs brute force over {tree_count(n):,} trees; "
-            f"the brute-force cap is {BRUTE_MAX_TWO_N}"
+            f"{flag} {n} is above the cap of the insertion-move counter, {COUNTER_MAX_TWO_N}"
         )
 
 
 def _cmd_matrix(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.method != "recurrence":
-        _cap_brute_force(parser, "--two-n", args.two_n)
+        _cap_counter(parser, "--two-n", args.two_n)
     if args.method == "brute":
         M = joint_matrix_bruteforce(args.two_n)
     else:
@@ -446,7 +455,7 @@ def _cmd_entringer(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
     if args.method == "rule":
         tri = entringer_triangle(args.n_max)
     else:
-        _cap_brute_force(parser, "--n-max", args.n_max)
+        _cap_counter(parser, "--n-max", args.n_max)
         tri = entringer_bruteforce(args.n_max)
     for n in range(2, args.n_max + 1):
         print(" ".join(map(str, tri.row(n))))
@@ -455,8 +464,8 @@ def _cmd_entringer(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
 
 def _cmd_series(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     # Each target with its arity and its cap: the largest order that builds in
-    # about the 7 s of the brute-force cap (2-core VM, Python 3.11: sec 1400 in
-    # 6.9 s, omega1 132 in 7.0 s, omega 66 in 6.4 s, omega 68 in 7.7-8.4 s).
+    # about 7 s (2-core VM, Python 3.11: sec 1400 in 6.9 s, omega1 132 in
+    # 7.0 s, omega 66 in 6.4 s, omega 68 in 7.7-8.4 s).
     builders = {"sec": (sec_series, 1, 1400), "omega1": (omega1, 2, 132), "omega": (omega, 3, 66)}
     builder, arity, cap = builders[args.target]
     if args.order > cap:
@@ -481,9 +490,10 @@ def _cmd_series(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 
 
 def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    _cap_brute_force(parser, "--two-n-max", args.two_n_max)
+    _cap_counter(parser, "--two-n-max", args.two_n_max)
     try:
-        checks = _selection(c.strip() for c in args.checks.split(",") if c.strip())
+        names = (c.strip() for c in args.checks.split(",") if c.strip())
+        checks = _selection(names, args.two_n_max)
     except ValueError as exc:
         parser.error(str(exc))
     report = run_checks(args.two_n_max, checks)

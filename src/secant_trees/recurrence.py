@@ -231,30 +231,25 @@ class RecurrenceEngine:
         """Run the induction up to *two_n*; see the module docstring.
 
         Without *fill_interior* the result is method="recurrence" and the
-        interior lower-triangle cells are Unknown.  With it, those cells are
-        taken from the brute-force oracle, and the method tag reads "hybrid".
-        The oracle must first agree with every recurrence-known cell and both
-        margins, or :class:`BrokenInvariantError` names the first
-        disagreement.
+        interior lower-triangle cells are Unknown.  With it, the result holds
+        the rows of the brute-force oracle, tagged "hybrid".  The oracle must
+        first agree with every recurrence-known cell and both margins, or
+        :class:`BrokenInvariantError` names the first disagreement.
         """
         _check_size(two_n, 2, "two_n", even=True)
         base = self._assemble_no_fill(two_n)
         if not fill_interior:
             return base
-        rows = [list(row) for row in base._cells]
-        if not base.is_complete():
-            brute = distributions.joint_matrix_bruteforce(two_n)
-            for m, (row, counted) in enumerate(zip(rows, brute._cells), 2):
-                for j, (v, c) in enumerate(zip(row, counted)):
-                    if v is None:
-                        row[j] = c
-                    elif v != c:
-                        raise BrokenInvariantError(
-                            f"cell ({m},{j + 1}) of M_{two_n}: recurrence {v} != brute force {c}"
-                        )
-            if (base.row_sums(), base.col_sums()) != (brute.row_sums(), brute.col_sums()):
-                raise BrokenInvariantError(f"the margins of M_{two_n} disagree with brute force")
-        filled = JointMatrix._adopt(two_n, "hybrid", rows)
+        brute = distributions.joint_matrix_bruteforce(two_n)
+        for m, k, v in base.known_cells():
+            c = brute.get(m, k)
+            if v != c:
+                raise BrokenInvariantError(
+                    f"cell ({m},{k}) of M_{two_n}: recurrence {v} != brute force {c}"
+                )
+        if (base.row_sums(), base.col_sums()) != (brute.row_sums(), brute.col_sums()):
+            raise BrokenInvariantError(f"the margins of M_{two_n} disagree with brute force")
+        filled = JointMatrix._adopt(two_n, "hybrid", brute._cells)
         filled.attach_margins(base.row_sums(), base.col_sums(), base.total())
         return filled
 

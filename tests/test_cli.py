@@ -182,8 +182,8 @@ def test_entringer_row_eight(capsys):
 
 
 def test_entringer_brute_agrees(capsys):
-    _, by_rule = run(capsys, "entringer", "--n-max", "7", "--method", "rule")
-    _, by_force = run(capsys, "entringer", "--n-max", "7", "--method", "brute")
+    _, by_rule = run(capsys, "entringer", "--n-max", "40", "--method", "rule")
+    _, by_force = run(capsys, "entringer", "--n-max", "40", "--method", "brute")
     assert by_rule == by_force
 
 
@@ -194,18 +194,18 @@ def _refuse_ent_distribution(n):
 def test_entringer_brute_above_the_cap_fails_fast(capsys, monkeypatch):
     monkeypatch.setattr(distributions, "ent_distribution", _refuse_ent_distribution)
     with pytest.raises(SystemExit) as exc:
-        main(["entringer", "--n-max", "15", "--method", "brute"])
+        main(["entringer", "--n-max", "41", "--method", "brute"])
     assert exc.value.code == 2
-    assert "--n-max 15 needs brute force over 1,903,757,312 trees" in (
-        capsys.readouterr().err
-    )
+    err = capsys.readouterr().err
+    assert err.startswith("usage: secant-trees entringer ")
+    assert "--n-max 41 is above the cap of the insertion-move counter, 40" in err
 
 
 def test_entringer_rule_is_not_capped(capsys, monkeypatch):
     monkeypatch.setattr(distributions, "ent_distribution", _refuse_ent_distribution)
-    code, out = run(capsys, "entringer", "--n-max", "15", "--method", "rule")
+    code, out = run(capsys, "entringer", "--n-max", "41", "--method", "rule")
     assert code == 0
-    assert sum(map(int, out.splitlines()[-1].split())) == 1903757312
+    assert sum(map(int, out.splitlines()[-1].split())) == tree_count(41)
 
 
 # ---------------------------------------------------------------------- #
@@ -349,9 +349,9 @@ def test_verify_rejects_odd_bound():
 @pytest.mark.parametrize(
     "argv",
     [
-        ["matrix", "--two-n", "16"],
-        ["matrix", "--method", "hybrid", "--two-n", "16"],
-        ["verify", "--two-n-max", "16"],
+        ["matrix", "--two-n", "42"],
+        ["matrix", "--method", "hybrid", "--two-n", "42"],
+        ["verify", "--two-n-max", "42"],
     ],
 )
 def test_brute_force_above_the_cap_fails_fast(argv, capsys, monkeypatch):
@@ -363,12 +363,40 @@ def test_brute_force_above_the_cap_fails_fast(argv, capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert cli.BRUTE_MAX_TWO_N == 14
-    assert "19,391,512,145 trees" in capsys.readouterr().err
+    assert cli.COUNTER_MAX_TWO_N == 40
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: secant-trees {argv[0]} ")
+    assert f"{argv[-2]} 42 is above the cap of the insertion-move counter, 40" in err
+
+
+def test_a_bound_above_the_reach_of_the_selection_fails_before_counting(capsys, monkeypatch):
+    _refuse_brute_force(monkeypatch)
+    message = "two_n_max 12 is above 10, the reach of the selected checks"
+    with pytest.raises(ValueError, match=message):
+        run_checks(12, ("bijection",))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--checks", "bijection", "--two-n-max", "12"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: secant-trees verify ") and message in err
+
+
+def test_every_check_but_bijection_passes_at_20():
+    report = run_checks(20, [c for c in cli.ALL_CHECKS if c != "bijection"])
+    assert report.overall == "pass"
+    assert {r.parameter for r in report.rows if r.check == "tables"} == {
+        f"2n={two_n}" for two_n in range(2, 21, 2)
+    }
+
+
+def test_matrix_brute_and_hybrid_csv_agree_at_16(capsys):
+    _, brute_csv = run(capsys, "matrix", "--two-n", "16", "--format", "csv")
+    _, hybrid_csv = run(capsys, "matrix", "--two-n", "16", "--method", "hybrid", "--format", "csv")
+    assert brute_csv == hybrid_csv and brute_csv.count("\n") == 16
 
 
 def test_recurrence_matrix_is_not_capped(capsys):
-    for two_n in (16, 120):
+    for two_n in (42, 120):
         code, out = run(capsys, "matrix", "--method", "recurrence", "--two-n", str(two_n),
                         "--format", "json")
         blob = json.loads(out)
@@ -593,7 +621,7 @@ def test_a_sized_flag_that_breaks_the_rule_is_a_usage_error(argv, capsys):
     [
         "series --target omega --order 67",
         "series --target sec --order 4 --query x",
-        "matrix --two-n 16",
+        "matrix --two-n 42",
     ],
     ids=("series-order-cap", "series-bad-query", "matrix-brute-force-cap"),
 )
