@@ -61,7 +61,8 @@ from .trees import _check_size, alternating_permutations, enumerate_trees
 ENUMERATE_MAX_N = 14
 
 # Largest size counted by the insertion-move counters, for `matrix --method
-# brute|hybrid`, `entringer --method brute` and `verify`.  At 40, with
+# brute|hybrid` and `entringer --method brute`, and the reach of every
+# `verify` check but `bijection`.  At 40, with
 # start-up, `matrix` takes 0.6-1.0 s by either method, `entringer --method
 # brute` 0.15-0.22 s, and `verify` with every check but `bijection` 2.6-4.3 s
 # (2-core VM, Python 3.11).  At 60 the joint counter alone took about 6 s
@@ -490,7 +491,6 @@ def _cmd_series(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 
 
 def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    _cap_counter(parser, "--two-n-max", args.two_n_max)
     try:
         names = (c.strip() for c in args.checks.split(",") if c.strip())
         checks = _selection(names, args.two_n_max)

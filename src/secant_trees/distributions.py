@@ -58,7 +58,8 @@ class JointMatrix:
     ``method`` records how the values were obtained: ``"brute"`` (every tree
     counted through its insertion moves, no recurrence or Entringer value
     used), ``"recurrence"`` (analytic engine, interior lower-triangle
-    cells unknown) or ``"hybrid"`` (analytic plus brute-filled interior).
+    cells unknown) or ``"hybrid"`` (the brute-force rows, checked against
+    every recurrence-known cell and both margins).
     """
 
     __slots__ = ("two_n", "method", "_cells", "_row_sums", "_col_sums", "_total")

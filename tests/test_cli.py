@@ -5,6 +5,7 @@ import json
 import re
 import tracemalloc
 from collections import Counter
+from math import comb
 
 import pytest
 
@@ -201,11 +202,24 @@ def test_entringer_brute_above_the_cap_fails_fast(capsys, monkeypatch):
     assert "--n-max 41 is above the cap of the insertion-move counter, 40" in err
 
 
+def _andre(n_max):
+    """E_0 .. E_n_max by André's convolution 2 E_{n+1} = sum_k C(n, k) E_k E_{n-k}
+    (n >= 1), a route that shares no code with the Entringer triangle."""
+    e = [1, 1]
+    for n in range(1, n_max):
+        e.append(sum(comb(n, k) * e[k] * e[n - k] for k in range(n + 1)) // 2)
+    return e
+
+
 def test_entringer_rule_is_not_capped(capsys, monkeypatch):
     monkeypatch.setattr(distributions, "ent_distribution", _refuse_ent_distribution)
     code, out = run(capsys, "entringer", "--n-max", "41", "--method", "rule")
     assert code == 0
-    assert sum(map(int, out.splitlines()[-1].split())) == tree_count(41)
+    sums = [sum(map(int, line.split())) for line in out.splitlines()]
+    assert sums[13] == 1903757312  # row 15: E_15, OEIS A000111
+    euler = _andre(41)
+    assert euler[15] == 1903757312 and euler[16] == 19391512145
+    assert sums == euler[2:]
 
 
 # ---------------------------------------------------------------------- #
@@ -366,7 +380,10 @@ def test_brute_force_above_the_cap_fails_fast(argv, capsys, monkeypatch):
     assert cli.COUNTER_MAX_TWO_N == 40
     err = capsys.readouterr().err
     assert err.startswith(f"usage: secant-trees {argv[0]} ")
-    assert f"{argv[-2]} 42 is above the cap of the insertion-move counter, 40" in err
+    if argv[0] == "verify":
+        assert "two_n_max 42 is above 40, the reach of the selected checks" in err
+    else:
+        assert "--two-n 42 is above the cap of the insertion-move counter, 40" in err
 
 
 def test_a_bound_above_the_reach_of_the_selection_fails_before_counting(capsys, monkeypatch):
