@@ -23,8 +23,3 @@ B = joint_matrix_bruteforce(8)
 for m, k, v in A.known_cells():
     assert v == B.get(m, k)
 print("all", sum(1 for _ in A.known_cells()), "known cells match the oracle")
-
-# fill_interior=True completes the picture with oracle values.
-H = assemble(8, fill_interior=True)
-assert H.method == "hybrid" and H.same_counts(B)
-print("hybrid fill reproduces the oracle matrix cell for cell")

@@ -346,6 +346,8 @@ def verify_map(name: str, two_n: int, counts: JointMatrix) -> MapReport:
     Images are validated trees, so distinct images landing in the codomain,
     as many as the codomain holds, certify that the map covers it.
     """
+    if name not in MAP_DOMAINS:
+        raise ValueError(f"unknown map {name!r} (known: {', '.join(MAP_DOMAINS)})")
     _check_size(two_n, 4, "two_n", even=True)
     if counts.two_n != two_n:
         raise ValueError(f"counts are for 2n = {counts.two_n}, not {two_n}")

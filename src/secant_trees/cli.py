@@ -23,6 +23,12 @@ are a law of one size, a function of ``(ctx, two_n)`` that yields
 size.  ``run_checks`` is the one driver: it runs each check up to the
 smaller of the bound and its reach, times each row, and keeps each
 comparison whose two values differ as one of that row's failures.
+
+The ``tables`` law compares the counter's matrix of one size with the golden
+table where there is one, and with every cell and both margins that the
+recurrence gives.  ``matrix --method hybrid`` is that law at one size: it
+prints the counter's matrix, tagged ``hybrid``, or raises
+BrokenInvariantError at the first comparison that differs.
 """
 
 from __future__ import annotations
@@ -35,13 +41,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from .bijections import MAP_VERIFIERS, verify_map
-from .distributions import _METHODS, JointMatrix, entringer_bruteforce, joint_matrix_bruteforce
-from .recurrence import (
-    RecurrenceEngine,
-    check_symmetry,
-    entringer_triangle,
-    tree_count,
+from .distributions import (
+    _METHODS,
+    BrokenInvariantError,
+    JointMatrix,
+    entringer_bruteforce,
+    joint_matrix_bruteforce,
 )
+from .recurrence import RecurrenceEngine, assemble, check_symmetry, entringer_triangle, tree_count
 from .reference_tables import REFERENCE_JOINT, REFERENCE_TOTALS
 from .series import (
     OutOfOrderError,
@@ -160,11 +167,25 @@ def _tables(ctx: _VerifyContext, two_n: int) -> Iterator[tuple]:
             for k in range(1, two_n):
                 yield f"({m},{k})", golden[m - 2][k - 1], B.get(m, k)
         yield "total", REFERENCE_TOTALS[two_n], B.total()
-    if two_n >= 4:
-        A = ctx.engine.assemble(two_n)
-        for m, k, v in A.known_cells():
-            yield f"recurrence ({m},{k})", B.get(m, k), v
-        yield "col sums", B.col_sums(), A.col_sums()
+    A = ctx.engine.assemble(two_n)
+    for m, k, v in A.known_cells():
+        yield f"recurrence ({m},{k})", B.get(m, k), v
+    yield "row sums", B.row_sums(), A.row_sums()
+    yield "col sums", B.col_sums(), A.col_sums()
+
+
+def _hybrid(two_n: int) -> JointMatrix:
+    """The counter's matrix of size *two_n*, tagged "hybrid", once the
+    ``tables`` law holds at that size: the golden table where there is one,
+    every cell the recurrence knows and both margins.  BrokenInvariantError
+    names the first comparison that differs."""
+    ctx = _VerifyContext()
+    for location, expected, actual in _tables(ctx, two_n):
+        if expected != actual:
+            raise BrokenInvariantError(
+                f"tables check of M_{two_n} fails at {location}: expected {expected}, got {actual}"
+            )
+    return JointMatrix._adopt(two_n, "hybrid", ctx.brute(two_n)._cells)
 
 
 def _marginal(ctx: _VerifyContext, two_n: int) -> Iterator[tuple]:
@@ -439,10 +460,8 @@ def _cap_counter(parser: argparse.ArgumentParser, flag: str, n: int) -> None:
 def _cmd_matrix(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.method != "recurrence":
         _cap_counter(parser, "--two-n", args.two_n)
-    if args.method == "brute":
-        M = joint_matrix_bruteforce(args.two_n)
-    else:
-        M = RecurrenceEngine().assemble(args.two_n, fill_interior=(args.method == "hybrid"))
+    build = {"brute": joint_matrix_bruteforce, "recurrence": assemble, "hybrid": _hybrid}
+    M = build[args.method](args.two_n)
     if args.format == "text":
         sys.stdout.write(render_matrix_text(M))
     elif args.format == "csv":

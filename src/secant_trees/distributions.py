@@ -58,8 +58,9 @@ class JointMatrix:
     ``method`` records how the values were obtained: ``"brute"`` (every tree
     counted through its insertion moves, no recurrence or Entringer value
     used), ``"recurrence"`` (analytic engine, interior lower-triangle
-    cells unknown) or ``"hybrid"`` (the brute-force rows, checked against
-    every recurrence-known cell and both margins).
+    cells unknown) or ``"hybrid"`` (the brute-force rows, once the CLI's
+    ``tables`` check holds at their size: the golden table where there is
+    one, every recurrence-known cell and both margins).
     """
 
     __slots__ = ("two_n", "method", "_cells", "_row_sums", "_col_sums", "_total")
@@ -108,7 +109,7 @@ class JointMatrix:
 
     def set(self, m: int, k: int, value: int) -> None:
         if not self.in_box(m, k):
-            raise IndexError(f"({m},{k}) outside the index box of M_{self.two_n}")
+            raise ValueError(f"cell ({m},{k}) is outside the index box of M_{self.two_n}")
         self._cells[m - 2][k - 1] = value
 
     def known_cells(self) -> Iterable[tuple[int, int, int]]:

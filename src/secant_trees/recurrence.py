@@ -22,7 +22,10 @@ analytically reachable: the first column mirrors the first row, the bottom
 row is a shifted row of the Entringer triangle, the subdiagonal starts from
 f(3, 2) = 2 f(3, 1) and propagates through the crossing identity
 f(k+1, k) = f(k, k-1) + f(k, k+1) - f(k-1, k).  Interior lower-triangle
-cells stay Unknown here -- only the brute-force oracle can produce them.
+cells stay Unknown here: only the insertion-move counter of
+:mod:`secant_trees.distributions` produces them, and this module never calls
+it.  The ``hybrid`` matrix of :mod:`secant_trees.cli` is the counter's rows,
+checked against this engine.
 
 Everything is exact integer arithmetic on Python ints.
 """
@@ -32,7 +35,6 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Sequence
 
-from . import distributions
 from .distributions import BrokenInvariantError, EntringerTriangle, JointMatrix
 from .trees import _check_size
 
@@ -227,33 +229,11 @@ class RecurrenceEngine:
             sums = _next_column_sums(sums)
         return sums
 
-    def assemble(self, two_n: int, fill_interior: bool = False) -> JointMatrix:
-        """Run the induction up to *two_n*; see the module docstring.
-
-        Without *fill_interior* the result is method="recurrence" and the
-        interior lower-triangle cells are Unknown.  With it, the result holds
-        the rows of the brute-force oracle, tagged "hybrid".  The oracle must
-        first agree with every recurrence-known cell and both margins, or
-        :class:`BrokenInvariantError` names the first disagreement.
-        """
+    def assemble(self, two_n: int) -> JointMatrix:
+        """Run the induction up to *two_n*; see the module docstring.  The
+        result is method="recurrence", with the interior lower-triangle cells
+        Unknown and the column sums attached as both margins."""
         _check_size(two_n, 2, "two_n", even=True)
-        base = self._assemble_no_fill(two_n)
-        if not fill_interior:
-            return base
-        brute = distributions.joint_matrix_bruteforce(two_n)
-        for m, k, v in base.known_cells():
-            c = brute.get(m, k)
-            if v != c:
-                raise BrokenInvariantError(
-                    f"cell ({m},{k}) of M_{two_n}: recurrence {v} != brute force {c}"
-                )
-        if (base.row_sums(), base.col_sums()) != (brute.row_sums(), brute.col_sums()):
-            raise BrokenInvariantError(f"the margins of M_{two_n} disagree with brute force")
-        filled = JointMatrix._adopt(two_n, "hybrid", brute._cells)
-        filled.attach_margins(base.row_sums(), base.col_sums(), base.total())
-        return filled
-
-    def _assemble_no_fill(self, two_n: int) -> JointMatrix:
         frontier = self._frontier
         if two_n in frontier:
             return frontier[two_n]
@@ -277,6 +257,6 @@ class RecurrenceEngine:
         return frontier[two_n]
 
 
-def assemble(two_n: int, fill_interior: bool = False) -> JointMatrix:
+def assemble(two_n: int) -> JointMatrix:
     """One-shot induction from size 2 up to *two_n* with a fresh engine."""
-    return RecurrenceEngine().assemble(two_n, fill_interior=fill_interior)
+    return RecurrenceEngine().assemble(two_n)

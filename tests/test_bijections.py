@@ -200,6 +200,12 @@ def test_verify_map_rejects_counts_of_another_size(brute):
         verify_map("first_row_map", 6, brute(8))
 
 
+def test_verify_map_rejects_an_unknown_map(brute):
+    known = ", ".join(MAP_DOMAINS)
+    with pytest.raises(ValueError, match=rf"^unknown map 'bogus' \(known: {known}\)$"):
+        verify_map("bogus", 6, brute(6))
+
+
 def test_verifiers_are_distinct_named_functions():
     # The benchmark tracer wraps each verifier under its __name__.
     fns = list(MAP_VERIFIERS.values())

@@ -11,7 +11,7 @@ import pytest
 
 from secant_trees import cli, distributions
 from secant_trees.cli import main, render_matrix_text, run_checks
-from secant_trees.distributions import JointMatrix, joint_matrix_bruteforce
+from secant_trees.distributions import BrokenInvariantError, JointMatrix, joint_matrix_bruteforce
 from secant_trees.recurrence import assemble, tree_count
 from secant_trees.series import TriSeries
 
@@ -91,7 +91,7 @@ def test_matrix_text_recurrence_blanks(capsys):
 
 
 def test_matrix_text_renderer_matches_reference_layout():
-    text = render_matrix_text(assemble(4, fill_interior=True))
+    text = render_matrix_text(joint_matrix_bruteforce(4))
     lines = text.splitlines()
     assert lines[0].split() == ["k=", "1", "2", "3", "f(m,.)"]
     assert lines[1].split() == ["m=2", ".", ".", "1", "1"]
@@ -412,6 +412,39 @@ def test_matrix_brute_and_hybrid_csv_agree_at_16(capsys):
     assert brute_csv == hybrid_csv and brute_csv.count("\n") == 16
 
 
+def test_matrix_hybrid_is_the_counters_matrix(capsys, brute):
+    code, out = run(capsys, "matrix", "--two-n", "8", "--method", "hybrid", "--format", "json")
+    H = JointMatrix.from_json_dict(json.loads(out))
+    assert code == 0 and H.method == "hybrid"
+    assert H.same_counts(brute(8))
+
+
+@pytest.mark.parametrize(
+    "two_n, cell, location",
+    [
+        (8, (7, 3), r"\(7,3\)"),  # the golden table sees it first
+        (16, (4, 5), r"recurrence \(4,5\)"),  # no golden table; known to the recurrence
+        (16, (7, 3), "row sums"),  # interior: only the margins see it
+    ],
+    ids=("golden", "known", "interior"),
+)
+def test_matrix_hybrid_rejects_a_count_that_breaks_the_tables_law(
+    two_n, cell, location, capsys, monkeypatch, brute
+):
+    monkeypatch.setattr(cli, "joint_matrix_bruteforce", _corrupted(brute, two_n, *cell, 1))
+    value = brute(two_n).get(*cell)
+    if location.startswith("row"):
+        values = r"expected \(.*\), got \(.*\)$"
+    elif location.startswith("recurrence"):
+        values = f"expected {value + 1}, got {value}$"
+    else:
+        values = f"expected {value}, got {value + 1}$"
+    message = f"^tables check of M_{two_n} fails at {location}: {values}"
+    with pytest.raises(BrokenInvariantError, match=message):
+        main(["matrix", "--two-n", str(two_n), "--method", "hybrid"])
+    assert capsys.readouterr().out == ""
+
+
 def test_recurrence_matrix_is_not_capped(capsys):
     for two_n in (42, 120):
         code, out = run(capsys, "matrix", "--method", "recurrence", "--two-n", str(two_n),
@@ -439,7 +472,6 @@ def test_verify_counts_each_size_once(monkeypatch, brute):
         return brute(two_n)  # the session's matrix, so size 12 is not recounted
 
     monkeypatch.setattr(cli, "joint_matrix_bruteforce", counting)
-    monkeypatch.setattr(distributions, "joint_matrix_bruteforce", counting)
     report = run_checks(12, ("tables", "bijection"))
     assert report.overall == "pass"
     assert [r.check for r in report.rows].count("bijection") == 4

@@ -149,6 +149,15 @@ def test_unknown_cells_are_first_class():
             margin()
 
 
+@pytest.mark.parametrize("cell", ((1, 1), (5, 1), (2, 0), (2, 4)))
+def test_set_outside_the_index_box_is_a_value_error(cell):
+    M = JointMatrix(4, method="brute")
+    m, k = cell
+    with pytest.raises(ValueError, match=rf"^cell \({m},{k}\) is outside the index box of M_4$"):
+        M.set(m, k, 1)
+    assert M.unknown_cells() == JointMatrix(4, method="brute").unknown_cells()
+
+
 def test_parts_log_their_progress(monkeypatch, caplog):
     caplog.set_level(logging.INFO, logger=distributions.__name__)
     joint_matrix_bruteforce(8)

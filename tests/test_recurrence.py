@@ -13,7 +13,7 @@ import tracemalloc
 
 import pytest
 
-from secant_trees import distributions, recurrence
+from secant_trees import recurrence
 from secant_trees.distributions import (
     BrokenInvariantError,
     JointMatrix,
@@ -257,33 +257,6 @@ def test_assemble_matches_oracle_on_known_cells(two_n, brute):
         assert v == B.get(m, k), (m, k)
     assert A.col_sums() == B.col_sums()
     assert A.total() == B.total()
-
-
-def test_assemble_fill_interior_equals_oracle(brute):
-    H = assemble(8, fill_interior=True)
-    assert H.method == "hybrid"
-    assert H.same_counts(brute(8))
-
-
-@pytest.mark.parametrize(
-    "cell, message",
-    [
-        ((4, 5), r"cell \(4,5\) of M_8: recurrence"),  # known to the recurrence
-        ((7, 3), r"margins of M_8 disagree"),  # interior: only the margins see it
-    ],
-    ids=("known", "interior"),
-)
-def test_hybrid_rejects_an_oracle_that_contradicts_the_recurrence(cell, message, monkeypatch):
-    real = distributions.joint_matrix_bruteforce
-
-    def corrupted(two_n):
-        M = real(two_n)
-        M.set(*cell, M.get(*cell) + 1)
-        return M
-
-    monkeypatch.setattr(distributions, "joint_matrix_bruteforce", corrupted)
-    with pytest.raises(BrokenInvariantError, match=message):
-        assemble(8, fill_interior=True)
 
 
 # sha256 of json.dumps(assemble(2n).to_json_dict(), sort_keys=True), computed
