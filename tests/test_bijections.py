@@ -6,12 +6,12 @@ from collections import Counter
 
 import pytest
 
-from secant_trees import distributions
+from secant_trees import bijections, distributions
 from secant_trees.bijections import (
     MAP_DOMAINS,
     MAP_VERIFIERS,
     MapReport,
-    _domain_words,
+    _verify_maps,
     entringer_map,
     first_row_map,
     pom1_map,
@@ -19,6 +19,7 @@ from secant_trees.bijections import (
     tripling_map,
     verify_map,
 )
+from secant_trees.cli import run_checks
 from secant_trees.distributions import OddSizeError, joint_matrix_bruteforce
 from secant_trees.recurrence import tree_count
 from secant_trees.trees import (
@@ -29,6 +30,18 @@ from secant_trees.trees import (
 )
 
 verify_tripling_map = MAP_VERIFIERS["tripling_map"]
+
+
+def _stream(name, two_n):
+    """The candidate words of the map *name* at *two_n*, in stream order."""
+    words = MAP_DOMAINS[name].words
+    return [word for u in alternating_permutations(two_n - 2) for word in words(u)]
+
+
+def _domain(name, two_n):
+    """``(word, tree)`` for each candidate that passes the precondition."""
+    trees = ((word, tree_from_perm(word)) for word in _stream(name, two_n))
+    return [(word, t) for word, t in trees if MAP_DOMAINS[name].contains(t)]
 
 
 # ---------------------------------------------------------------------- #
@@ -135,7 +148,7 @@ DOMAIN_DEFINITIONS = {
 @pytest.mark.parametrize("two_n", (4, 6, 8))
 @pytest.mark.parametrize("name", sorted(MAP_VERIFIERS))
 def test_domain_stream_yields_exactly_the_domain(name, two_n):
-    pairs = list(_domain_words(name, two_n))
+    pairs = _domain(name, two_n)
     got = [t.projection() for _, t in pairs]
     assert [word for word, _ in pairs] == got
     want = {
@@ -153,14 +166,14 @@ def test_fixed_start_streams_equal_the_filtered_word_stream():
         words = list(alternating_permutations(two_n))
         for name, first in (("first_row_map", 2), ("pom1_map", two_n)):
             want = [w for w in words if w[:2] == (first, 1)]
-            assert list(MAP_DOMAINS[name].words(two_n)) == want, (name, two_n)
+            assert _stream(name, two_n) == want, (name, two_n)
 
 
 def test_entringer_stream_is_exactly_the_domain():
     # Only the words of trees with eoc = 2n, each once: one per tree of
     # size 2n-2.
     for two_n in (4, 6, 8, 10):
-        got = list(MAP_DOMAINS["entringer_map"].words(two_n))
+        got = _stream("entringer_map", two_n)
         want = {w for w in alternating_permutations(two_n) if word_stats(w).eoc == two_n}
         assert len(got) == len(set(got)) == tree_count(two_n - 2), two_n
         assert set(got) == want, two_n
@@ -179,14 +192,10 @@ def test_verifiers_reject_sizes_without_a_map(name, two_n):
 @pytest.mark.parametrize("name", sorted(MAP_VERIFIERS))
 def test_stream_missing_a_domain_word_fails(name, monkeypatch):
     domain = MAP_DOMAINS[name]
+    first = _domain(name, 6)[0][0]
 
-    def short(two_n):
-        words = iter(domain.words(two_n))
-        for word in words:
-            if domain.contains(tree_from_perm(word)):
-                break  # drop the first domain word
-            yield word
-        yield from words
+    def short(u):
+        return [word for word in domain.words(u) if word != first]
 
     monkeypatch.setitem(MAP_DOMAINS, name, dataclasses.replace(domain, words=short))
     report = MAP_VERIFIERS[name](6)
@@ -206,6 +215,89 @@ def test_verify_map_rejects_an_unknown_map(brute):
         verify_map("bogus", 6, brute(6))
 
 
+def test_verify_map_rejects_counts_that_are_not_a_matrix(brute):
+    for counts in (object(), brute(6).to_json_dict()):
+        message = f"^counts must be a JointMatrix, got {type(counts).__name__}$"
+        with pytest.raises(ValueError, match=message):
+            verify_map("first_row_map", 6, counts)
+
+
+@pytest.mark.parametrize("two_n", (14, 16, 10**6))
+@pytest.mark.parametrize("name", sorted(MAP_VERIFIERS))
+def test_verifiers_refuse_a_size_above_the_cap(name, two_n, brute, monkeypatch):
+    def refuse(*args):
+        pytest.fail("the pass started above the cap")
+
+    monkeypatch.setattr(bijections, "alternating_permutations", refuse)
+    monkeypatch.setattr(bijections, "assemble", refuse)
+    message = (
+        f"^two_n {two_n} is above 12, the largest size the maps are verified at: their "
+        f"domains at 2n = {two_n} would be built from every down-up word of size {two_n - 2}$"
+    )
+    with pytest.raises(ValueError, match=message) as exc:
+        MAP_VERIFIERS[name](two_n)
+    assert exc.type is ValueError
+    with pytest.raises(ValueError, match=message):
+        verify_map(name, two_n, brute(14) if two_n == 14 else object())
+
+
+@pytest.mark.parametrize("name", sorted(set(MAP_VERIFIERS) - {"tripling_map"}))
+def test_two_sources_with_one_image_break_injectivity(name, monkeypatch, brute):
+    # The second domain tree takes the image of the first.
+    domain = MAP_DOMAINS[name]
+    (first, t1), (second, t2) = _domain(name, 8)[:2]
+    shared = dataclasses.replace(domain, images=lambda t: domain.images(t1 if t == t2 else t))
+    monkeypatch.setitem(MAP_DOMAINS, name, shared)
+    report = verify_map(name, 8, brute(8))
+    (image,) = domain.images(t1)
+    assert not report.injective and not report.ok
+    assert report.collisions == [(first, second, image.projection())]
+    assert report.image == report.domain - 1
+    assert report.covers_domain and not report.covers_codomain
+    blob = report.to_json_dict()
+    assert blob["injective"] is False and blob["collisions"] == 1
+    assert blob["first_collision"] == [list(first), list(second), list(image.projection())]
+    # verify's failing row carries the same report
+    row = run_checks(8, ("bijection",)).rows[-1]
+    assert [f["actual"] for f in row.failures] == [blob]
+
+
+def test_one_pass_equals_each_map_alone(brute):
+    names = tuple(MAP_DOMAINS)
+    for two_n in (4, 6, 8, 10):
+        alone = [verify_map(name, two_n, brute(two_n)) for name in names]
+        assert _verify_maps(names, two_n, brute(two_n)) == alone, two_n
+        assert all(report.ok for report in alone), two_n
+    assert [report.domain for report in alone] == [1385] * 5
+    assert [report.image for report in alone] == [1385, 1385, 4155, 1385, 1385]
+
+
+@pytest.mark.parametrize("name", sorted(MAP_VERIFIERS))
+def test_a_one_map_run_reads_only_its_own_stream(name, monkeypatch, brute):
+    def refuse(u):
+        pytest.fail(f"another map's stream ran for {name}")
+
+    want = verify_map(name, 8, brute(8))
+    for other, domain in list(MAP_DOMAINS.items()):
+        if other != name:
+            monkeypatch.setitem(MAP_DOMAINS, other, dataclasses.replace(domain, words=refuse))
+    assert verify_map(name, 8, brute(8)) == want
+    assert MAP_VERIFIERS[name](8) == want
+
+
+def test_verify_enumerates_each_size_once_for_all_maps(monkeypatch):
+    calls = Counter()
+
+    def counting(n):
+        calls[n] += 1
+        return alternating_permutations(n)
+
+    monkeypatch.setattr(bijections, "alternating_permutations", counting)
+    report = run_checks(10, ("bijection",))
+    assert report.overall == "pass" and len(report.rows) == 4
+    assert calls == {2: 1, 4: 1, 6: 1, 8: 1}
+
+
 def test_verifiers_are_distinct_named_functions():
     # The benchmark tracer wraps each verifier under its __name__.
     fns = list(MAP_VERIFIERS.values())
@@ -218,7 +310,7 @@ def test_images_of_another_domain_tree_fail_transport(name, monkeypatch, brute):
     # Each tree gets the images of the next one: still a bijection onto the
     # codomain, but the statistic no longer follows its own source.
     domain = MAP_DOMAINS[name]
-    trees = [t for _, t in _domain_words(name, 8)]
+    trees = [t for _, t in _domain(name, 8)]
     nxt = {t.projection(): u for t, u in zip(trees, trees[1:] + trees[:1])}
     shifted = dataclasses.replace(
         domain, images=lambda t: domain.images(nxt[t.projection()])
@@ -227,6 +319,10 @@ def test_images_of_another_domain_tree_fail_transport(name, monkeypatch, brute):
     report = verify_map(name, 8, brute(8))
     assert report.injective and report.covers_domain and report.covers_codomain
     assert report.transport_failures and not report.ok
+    blob = report.to_json_dict()
+    assert blob["transport_failures"] == len(report.transport_failures)
+    assert blob["first_transport_failure"] == list(report.transport_failures[0])
+    assert blob["collisions"] == 0 and blob["first_collision"] is None
 
 
 def test_tripling_images_short_of_the_column_fail():
@@ -264,6 +360,10 @@ def test_map_report_json_shape():
         "transport_ok": True,
         "covers_domain": True,
         "covers_codomain": True,
+        "collisions": 0,
+        "first_collision": None,
+        "transport_failures": 0,
+        "first_transport_failure": None,
     }
 
 
