@@ -23,12 +23,12 @@ node.  The pass builds each candidate tree once, even for two maps with one
 domain, still filters it by the map's precondition, and counts the domain
 and the codomain against the margins of a joint matrix of the same size,
 which the caller passes in: ``verify`` runs all five maps in one pass per
-size on the brute-force matrix it counted for its other checks.
-``verify_map`` runs the pass for one map, and ``MAP_VERIFIERS`` holds one
-standalone verifier per key of ``MAP_DOMAINS``, named ``verify_<map>``,
-that reads the margins off the recurrence instead.  Images are keyed by
-their child arrays and sources by their words; a projection is computed
-only for a collision record.
+size (``verify_maps``) on the brute-force matrix it counted for its other
+checks.  ``verify_map`` runs the pass for one map, and ``MAP_VERIFIERS``
+holds one standalone verifier per key of ``MAP_DOMAINS``, named
+``verify_<map>``, that reads the margins off the recurrence instead.
+Images are keyed by their child arrays and sources by their words; a
+projection is computed only for a collision record.
 """
 
 from __future__ import annotations
@@ -347,7 +347,7 @@ def _check_map_size(two_n: int) -> None:
         )
 
 
-def _verify_maps(names: Sequence[str], two_n: int, counts: JointMatrix) -> list[MapReport]:
+def verify_maps(names: Sequence[str], two_n: int, counts: JointMatrix) -> list[MapReport]:
     """One report per map of *names* at size *two_n*, from one pass.
 
     The pass enumerates each down-up word ``u`` of size 2n-2 once and feeds
@@ -408,7 +408,7 @@ def verify_map(name: str, two_n: int, counts: JointMatrix) -> MapReport:
     """
     if name not in MAP_DOMAINS:
         raise ValueError(f"unknown map {name!r} (known: {', '.join(MAP_DOMAINS)})")
-    (report,) = _verify_maps((name,), two_n, counts)
+    (report,) = verify_maps((name,), two_n, counts)
     return report
 
 

@@ -40,7 +40,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
-from .bijections import MAP_DOMAINS, _verify_maps
+from .bijections import MAP_DOMAINS, verify_maps
 from .distributions import (
     _METHODS,
     BrokenInvariantError,
@@ -263,7 +263,7 @@ _MAP_OK = "injective/covering/transporting"
 
 
 def _bijection(ctx: _VerifyContext, two_n: int) -> Iterator[tuple]:
-    for report in _verify_maps(tuple(MAP_DOMAINS), two_n, ctx.brute(two_n)):
+    for report in verify_maps(tuple(MAP_DOMAINS), two_n, ctx.brute(two_n)):
         yield report.map, _MAP_OK, _MAP_OK if report.ok else report.to_json_dict()
 
 
@@ -325,8 +325,8 @@ CHECKS: dict[str, tuple[_Rows, int]] = {
     "crossing": (_per_size(4, _crossing), COUNTER_MAX_TWO_N),
     "borders": (_per_size(4, _borders), COUNTER_MAX_TWO_N),
     # One pass per size runs the five maps, and it grows by about
-    # E_2n / E_2n-2 per size: 0.12-0.14 s at 10 and 6.5 s at 12 (2-core VM,
-    # Python 3.11.7).
+    # E_2n / E_2n-2 per size: 0.13-0.15 s at 10 and 5.6-7.0 s at 12 (2-core
+    # VM, Python 3.11.7).
     "bijection": (_per_size(4, _bijection), 10),
     "gf1": (_gf1, COUNTER_MAX_TWO_N),
     "gf3": (_gf3, COUNTER_MAX_TWO_N),

@@ -88,24 +88,18 @@ class IncTree:
     ``parent``, ``left`` and ``right`` are tuples of length ``n + 1`` indexed
     by label (index 0 is unused and holds 0); the value 0 encodes "none".
     Instances are immutable and hashable; two trees are equal iff their size
-    and all three maps agree.
+    and all three maps agree.  The constructor validates the maps and raises
+    :class:`TreeError` unless they form a complete increasing tree.
     """
 
     __slots__ = ("n", "parent", "left", "right")
 
-    def __init__(
-        self,
-        parent: Sequence[int],
-        left: Sequence[int],
-        right: Sequence[int],
-        validate: bool = True,
-    ):
+    def __init__(self, parent: Sequence[int], left: Sequence[int], right: Sequence[int]):
         self.parent = tuple(parent)
         self.left = tuple(left)
         self.right = tuple(right)
         self.n = len(self.parent) - 1
-        if validate:
-            self._validate()
+        self._validate()
 
     # -- validation -------------------------------------------------------
 
@@ -116,40 +110,34 @@ class IncTree:
             raise TreeError("tree must have at least one node")
         if not (len(left) == len(right) == n + 1):
             raise TreeError("parent/left/right maps must all cover labels 1..n")
-        # C-level passes over all entries; the loop only names a bad one.
+        # C-level passes: exact int entries (True or 2.0 equal a label but
+        # are not one), the sentinels, a parentless root, and n - 1 links in
+        # the child arrays (n + 3 zeros with the two sentinels).  The range
+        # of the entries is left to the loop below.
         labels = parent + left + right
-        if list(map(type, labels)).count(int) != len(labels) or min(labels) < 0 or max(labels) > n:
-            for arr, name in ((parent, "parent"), (left, "left"), (right, "right")):
-                for v in arr:
-                    if type(v) is not int or v < 0 or v > n:
-                        raise TreeError(f"{name} entry {v!r} is not a label in 0..{n}")
-        if parent[0] or left[0] or right[0]:
-            raise TreeError("parent[0], left[0] and right[0] must be the unused sentinel 0")
-
-        # parent[0] = 0, so exactly two zeros: the sentinel and the root 1.
-        if parent[1] != 0 or parent.count(0) != 2:
-            raise TreeError("node 1 must be the only node without a parent")
-        # Child labels strictly exceed the parent label.
-        for v in range(2, n + 1):
-            if parent[v] >= v:
-                raise TreeError(f"node {v} hangs below {parent[v]}, which is not smaller")
-
-        # The child maps list every node but the root exactly once, each
-        # below its own parent: parent rebuilt from them must match, and they
-        # hold n - 1 links, so n + 3 zeros with the two sentinels.  Nodes with
+        if (
+            list(map(type, labels)).count(int) != len(labels)
+            or parent[0] or left[0] or right[0] or parent[1]
+            or left.count(0) + right.count(0) != n + 3
+        ):
+            raise self._fault()
+        # One pass over the child arrays: each child exceeds its lister p
+        # (so no entry is negative), is a label (no IndexError) and names p
+        # back through parent, so no node is listed by two nodes, and none
+        # twice by one (l != r).  With n - 1 links the arrays then list every
+        # non-root node exactly once, below a smaller nonzero parent, so
+        # parent holds labels only and the root alone has none.  Nodes with
         # exactly one child are collected for the arity check.
-        rebuilt = [0] * (n + 1)
         single = []
-        for p in range(1, n + 1):
-            l, r = left[p], right[p]
-            rebuilt[l] = rebuilt[r] = p
-            if (l == 0) != (r == 0):
-                single.append(p)
-        rebuilt[0] = 0
-        if rebuilt != list(parent) or left.count(0) + right.count(0) != n + 3:
-            raise TreeError(
-                "left/right do not list each non-root node once, as a child of its parent"
-            )
+        try:
+            for p in range(1, n + 1):
+                l, r = left[p], right[p]
+                if l and (l <= p or parent[l] != p) or r and (r <= p or parent[r] != p or r == l):
+                    raise self._fault()
+                if (l == 0) != (r == 0):
+                    single.append(p)
+        except IndexError:
+            raise self._fault() from None
 
         # Arity: leaves and binary nodes, plus the single left-only node for
         # even n, which must sit at the rightmost position.
@@ -166,6 +154,25 @@ class IncTree:
                 raise TreeError(f"one-child node {oc} must carry a left child")
             if self.ent() != oc:
                 raise TreeError(f"one-child node {oc} is not the rightmost node")
+
+    def _fault(self) -> TreeError:
+        """The error for arrays that fail the checks before the arity rules,
+        naming the first fault in this order: an entry that is not a label,
+        a sentinel, a second parentless node, a node hanging below a label
+        that is not smaller, then the listing of the child arrays."""
+        n, parent, left, right = self.n, self.parent, self.left, self.right
+        for arr, name in ((parent, "parent"), (left, "left"), (right, "right")):
+            for v in arr:
+                if type(v) is not int or v < 0 or v > n:
+                    return TreeError(f"{name} entry {v!r} is not a label in 0..{n}")
+        if parent[0] or left[0] or right[0]:
+            return TreeError("parent[0], left[0] and right[0] must be the unused sentinel 0")
+        if parent[1] or parent.count(0) != 2:
+            return TreeError("node 1 must be the only node without a parent")
+        for v in range(2, n + 1):
+            if parent[v] >= v:
+                return TreeError(f"node {v} hangs below {parent[v]}, which is not smaller")
+        return TreeError("left/right do not list each non-root node once, as a child of its parent")
 
     # -- projection --------------------------------------------------------
 
@@ -210,9 +217,17 @@ class IncTree:
             chain.append(v)
 
     def eoc(self) -> int:
+        """The last label of :meth:`minimal_chain`, walked to without
+        building the chain: a node without a left child is a leaf, since the
+        one-child node carries a left child."""
         if self.n == 1:
             raise TreeError("eoc is undefined on the single-node tree")
-        return self.minimal_chain()[-1]
+        left, right = self.left, self.right
+        v = 1
+        while left[v]:
+            l, r = left[v], right[v]
+            v = r if 0 < r < l else l
+        return v
 
     def pom(self) -> int:
         if self.n == 1:
@@ -283,6 +298,15 @@ class IncTree:
 # -- permutation <-> tree ------------------------------------------------------
 
 
+def _proven_tree(parent: list[int], left: list[int], right: list[int]) -> IncTree:
+    """An :class:`IncTree` over arrays already proved to be a complete
+    increasing tree, built without running its validation."""
+    t = object.__new__(IncTree)
+    t.parent, t.left, t.right = tuple(parent), tuple(left), tuple(right)
+    t.n = len(parent) - 1
+    return t
+
+
 def _not_down_up(word: tuple) -> TreeError:
     return TreeError(f"not a down-up alternating permutation: {word!r}")
 
@@ -337,8 +361,8 @@ def tree_from_perm(word: Sequence[int]) -> IncTree:
         parent[peak] = valley
     right[0] = 0
     # Alternation of the word is exactly completeness of the tree, so the
-    # expensive re-validation is skipped.
-    return IncTree(parent, left, right, validate=False)
+    # arrays are wrapped without re-validation.
+    return _proven_tree(parent, left, right)
 
 
 def alternating_permutations(n: int) -> Iterator[tuple[int, ...]]:

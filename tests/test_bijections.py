@@ -11,13 +11,13 @@ from secant_trees.bijections import (
     MAP_DOMAINS,
     MAP_VERIFIERS,
     MapReport,
-    _verify_maps,
     entringer_map,
     first_row_map,
     pom1_map,
     rightmost_column_map,
     tripling_map,
     verify_map,
+    verify_maps,
 )
 from secant_trees.cli import run_checks
 from secant_trees.distributions import OddSizeError, joint_matrix_bruteforce
@@ -266,7 +266,7 @@ def test_one_pass_equals_each_map_alone(brute):
     names = tuple(MAP_DOMAINS)
     for two_n in (4, 6, 8, 10):
         alone = [verify_map(name, two_n, brute(two_n)) for name in names]
-        assert _verify_maps(names, two_n, brute(two_n)) == alone, two_n
+        assert verify_maps(names, two_n, brute(two_n)) == alone, two_n
         assert all(report.ok for report in alone), two_n
     assert [report.domain for report in alone] == [1385] * 5
     assert [report.image for report in alone] == [1385, 1385, 4155, 1385, 1385]

@@ -84,6 +84,28 @@ def test_validate_rejects_bad_labels():
         IncTree((0, 0, 1), (0, 2), (0, 0, 0))
 
 
+def test_validate_names_an_entry_out_of_range_before_any_other_fault():
+    # The child loop, not a min/max scan, finds these; the message still
+    # names the entry, as for an entry of the wrong type.
+    cases = [
+        (((0, 0, 1), (0, 3, 0), (0, 0, 0)), r"left entry 3 is not a label in 0\.\.2"),
+        (((0, 0, 1), (0, 2, -1), (0, 0, 0)), r"left entry -1 is not a label in 0\.\.2"),
+        (((0, -1, 1), (0, 2, 0), (0, 0, 0)), r"parent entry -1 is not a label in 0\.\.2"),
+        (((-1, 0, 1), (0, 2, 0), (0, 0, 0)), r"parent entry -1 is not a label in 0\.\.2"),
+        (((0, 0, 1), (0, 2, 0), (0, -2, 0)), r"right entry -2 is not a label in 0\.\.2"),
+        (((0, 0, 1), (0, 2, 0), (0, 0, True)), r"right entry True is not a label in 0\.\.2"),
+    ]
+    for arrays, message in cases:
+        with pytest.raises(TreeError, match=message):
+            IncTree(*arrays)
+
+
+def test_validate_keyword_is_gone():
+    t = tree_from_perm((2, 1))
+    with pytest.raises(TypeError):
+        IncTree(t.parent, t.left, t.right, validate=False)
+
+
 # ---------------------------------------------------------------------- #
 # projection and its inverse                                              #
 # ---------------------------------------------------------------------- #
@@ -189,6 +211,12 @@ def test_minimal_chain_is_increasing_from_the_root():
             chain = t.minimal_chain()
             assert chain[0] == 1
             assert list(chain) == sorted(chain)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_eoc_is_the_end_of_the_minimal_chain(n):
+    for t in enumerate_trees(n):
+        assert t.eoc() == t.minimal_chain()[-1]
 
 
 def test_stats_examples():
@@ -339,3 +367,73 @@ def test_tree_json_rejects_malformed_blobs():
     for blob, message in bad:
         with pytest.raises(TreeError, match=message):
             IncTree.from_json_dict(blob)
+
+
+def walk_oracle_accepts(arrays: list[list]) -> bool:
+    """Validation by another route: exact int entries whose in-order walk
+    from the root (at most n letters, each a label) is a down-up word whose
+    tree has exactly these three arrays."""
+    parent, left, right = arrays
+    n = len(parent) - 1
+    if any(type(v) is not int for v in chain(*arrays)):
+        return False
+    word: list[int] = []
+    stack: list[int] = []
+    v = 1
+    while len(word) <= n:
+        while v:
+            if not 0 < v <= n or len(stack) > n:
+                return False
+            stack.append(v)
+            v = left[v]
+        if not stack:
+            break
+        v = stack.pop()
+        word.append(v)
+        v = right[v]
+    else:
+        return False
+    try:
+        t = tree_from_perm(word)
+    except TreeError:
+        return False
+    return [list(t.parent), list(t.left), list(t.right)] == arrays
+
+
+@st.composite
+def corrupted_tree_arrays(draw) -> list[list]:
+    """The three arrays of a tree of size 1..8 with one to three faults: an
+    entry out of range, True or 2.0 as an entry, two entries swapped within
+    or across the arrays, a child listed twice, or the root listed as a
+    child.  A swap of equal entries leaves the tree valid."""
+    tree = draw(TREES)
+    n = tree.n
+    arrays = [list(tree.parent), list(tree.left), list(tree.right)]
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["range", "type", "swap", "twice", "root"]))
+        a, i = draw(st.integers(0, 2)), draw(st.integers(0, n))
+        child = (arrays[draw(st.integers(1, 2))], draw(st.integers(1, n)))
+        if kind == "range":
+            arrays[a][i] = draw(st.one_of(st.integers(max_value=-1), st.integers(n + 1)))
+        elif kind == "type":
+            arrays[a][i] = draw(st.sampled_from([True, 2.0]))
+        elif kind == "swap":
+            b, j = draw(st.integers(0, 2)), draw(st.integers(0, n))
+            arrays[a][i], arrays[b][j] = arrays[b][j], arrays[a][i]
+        elif kind == "twice" and n > 1:
+            child[0][child[1]] = draw(st.integers(2, n))
+        elif kind == "root":
+            child[0][child[1]] = 1
+    return arrays
+
+
+@settings(deadline=None, max_examples=300)
+@given(corrupted_tree_arrays())
+def test_validation_accepts_exactly_what_the_walk_oracle_accepts(arrays):
+    try:
+        tree = IncTree(*arrays)
+    except TreeError:
+        assert not walk_oracle_accepts(arrays), arrays
+    else:
+        assert walk_oracle_accepts(arrays), arrays
+        assert [list(tree.parent), list(tree.left), list(tree.right)] == arrays
