@@ -85,8 +85,8 @@ def test_validate_rejects_bad_labels():
 
 
 def test_validate_names_an_entry_out_of_range_before_any_other_fault():
-    # The child loop, not a min/max scan, finds these; the message still
-    # names the entry, as for an entry of the wrong type.
+    # Validation finds a label out of range in its loop over the child
+    # arrays, yet the message names the entry before any other fault.
     cases = [
         (((0, 0, 1), (0, 3, 0), (0, 0, 0)), r"left entry 3 is not a label in 0\.\.2"),
         (((0, 0, 1), (0, 2, -1), (0, 0, 0)), r"left entry -1 is not a label in 0\.\.2"),
