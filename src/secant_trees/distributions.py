@@ -67,6 +67,8 @@ class JointMatrix:
 
     def __init__(self, two_n: int, method: str):
         _check_size(two_n, 2, "two_n", even=True)
+        if method not in _METHODS:
+            raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
         self.two_n = two_n
         self.method = method
         width = two_n - 1
@@ -97,9 +99,9 @@ class JointMatrix:
 
     def cell(self, m: int, k: int) -> int | None:
         """Raw cell: 0 outside the index box, None when unknown."""
-        if not self.in_box(m, k):
-            return 0
-        return self._cells[m - 2][k - 1]
+        if 2 <= m <= self.two_n and 1 <= k < self.two_n:
+            return self._cells[m - 2][k - 1]
+        return 0
 
     def get(self, m: int, k: int) -> int:
         v = self.cell(m, k)
@@ -113,9 +115,8 @@ class JointMatrix:
         self._cells[m - 2][k - 1] = value
 
     def known_cells(self) -> Iterable[tuple[int, int, int]]:
-        for m in range(2, self.two_n + 1):
-            for k in range(1, self.two_n):
-                v = self._cells[m - 2][k - 1]
+        for m, row in enumerate(self._cells, 2):
+            for k, v in enumerate(row, 1):
                 if v is not None:
                     yield m, k, v
 

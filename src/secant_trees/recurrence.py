@@ -14,15 +14,20 @@ second-difference law, seeded by f(., 1) = E_{2n-2} and f(., 2) = 3 E_{2n-2}.
 
 :class:`RecurrenceEngine` is the one way to run the induction on n.  The
 boundary identities and the column rule, sweeping each row right to left,
-fill the whole upper triangle (m < k).  The row rule needs no second fill:
-on the same boundary a top-down row-order fill would equal the column fill
-exactly when the column-filled matrix satisfies the row rule, and the test
-suite checks that law on it.  Of the lower triangle only the border is
+fill the whole upper triangle (m < k).  The two top rows are written as
+slices of the previous column sums, once one pass has checked those sums
+and the four cells where the top rows cross the two right columns.  The
+column rule runs as running differences: step = f(m, k+1) - f(m, k+2) drops
+by 4 f_{2n-2}(m, k) from one cell to the next, so each cell costs three
+integer operations and its own sign check.  The row rule needs no second
+fill: on the same boundary a top-down row-order fill would equal the column
+fill exactly when the column-filled matrix satisfies the row rule, and the
+test suite checks that law on it.  Of the lower triangle only the border is
 analytically reachable: the first column mirrors the first row, the bottom
-row is a shifted row of the Entringer triangle, the subdiagonal starts from
-f(3, 2) = 2 f(3, 1) and propagates through the crossing identity
-f(k+1, k) = f(k, k-1) + f(k, k+1) - f(k-1, k).  Interior lower-triangle
-cells stay Unknown here: only the insertion-move counter of
+row is a shifted row of the Entringer triangle (written as one slice), the
+subdiagonal starts from f(3, 2) = 2 f(3, 1) and propagates through the
+crossing identity f(k+1, k) = f(k, k-1) + f(k, k+1) - f(k-1, k).  Interior
+lower-triangle cells stay Unknown here: only the insertion-move counter of
 :mod:`secant_trees.distributions` produces them, and this module never calls
 it.  The ``hybrid`` matrix of :mod:`secant_trees.cli` is the counter's rows,
 checked against this engine.
@@ -85,12 +90,14 @@ def _next_column_sums(sums: tuple[int, ...]) -> tuple[int, ...]:
     f(., 1) = E_{2n-2} and f(., 2) = 3 E_{2n-2}, then the second-difference
     law f(., k+2) = 2 f(., k+1) - f(., k) - 4 f_{2n-2}(., k)."""
     two_n, total = len(sums) + 3, sum(sums)
-    cs = [total, 3 * total]
+    near, step = 3 * total, total << 1  # step = f(., k+1) - f(., k)
+    cs = [total, near]
     for p in sums:
-        v = 2 * cs[-1] - cs[-2] - 4 * p
-        if v < 0:
+        step -= p << 2
+        near += step
+        if near < 0:
             raise BrokenInvariantError(f"column sum at k={len(cs) + 1} of M_{two_n} is negative")
-        cs.append(v)
+        cs.append(near)
     return tuple(cs)
 
 
@@ -117,34 +124,56 @@ def _upper_rows(
     two_n: int, prev: list[list[int | None]], prev_cs: Sequence[int]
 ) -> list[list[int | None]]:
     """Rows of M_{2n} with the upper triangle filled from the rows *prev* of
-    M_{2n-2} and its column sums; every other cell is None."""
+    M_{2n-2} and its column sums; every other cell is None.  The two top
+    rows are written as slices of the column sums, and each further row is
+    built right to left from its two right-column cells."""
     top = two_n - 1  # also the length of a row
-    rows: list[list[int | None]] = [[None] * top for _ in range(top)]
+    cs = prev_cs  # top - 2 sums, for k = 1 .. 2n-3
 
-    # First top row: f(2, k) = previous column sum at k-2.
-    for k in range(3, top + 1):
-        _put(rows, two_n, 2, k, prev_cs[k - 3])
-    # Second top row: three times the first.
-    for k in range(4, top + 1):
-        _put(rows, two_n, 3, k, 3 * prev_cs[k - 3])
-    # Rightmost column: f(m, 2n-1) = previous column sum at m-1; the next to
-    # rightmost column is three times it.  Both cross the top rows.
-    for m in range(2, two_n - 1):
-        _put(rows, two_n, m, top, prev_cs[m - 2])
-    for m in range(2, two_n - 2):
-        _put(rows, two_n, m, top - 1, 3 * prev_cs[m - 2])
+    # Every border cell is a column sum or three times one, so one pass finds
+    # the first negative, at the first-top-row cell f(2, k) = cs[k-3].
+    if min(cs) < 0:
+        k = next(k for k, c in enumerate(cs, 3) if c < 0)
+        raise BrokenInvariantError(f"cell (2,{k}) of M_{two_n} came out {cs[k - 3]}")
+    # The top rows f(2, k) = cs[k-3] and f(3, k) = 3 cs[k-3] cross the
+    # rightmost column f(m, 2n-1) = cs[m-2] and the next to rightmost
+    # f(m, 2n-2) = 3 cs[m-2] in four cells, which must agree both ways.
+    if two_n >= 6:
+        for m, k, old, new in (
+            (2, top, cs[-1], cs[0]),
+            (3, top, 3 * cs[-1], cs[1]),
+            (2, top - 1, cs[-2], 3 * cs[0]),
+            (3, top - 1, 3 * cs[-2], 3 * cs[1]),
+        ):
+            if old != new:
+                raise BrokenInvariantError(
+                    f"cell ({m},{k}) of M_{two_n} filled twice with {old} != {new}"
+                )
 
-    # Column rule: f(m, k) = 2 f(m, k+1) - f(m, k+2) - 4 f_{2n-2}(m, k),
-    # each row right to left.
+    rows: list[list[int | None]] = [
+        [None, None, *cs],
+        [None, None, None, *[3 * c for c in cs[1:]]],
+    ]
+    # Column rule f(m, k) = 2 f(m, k+1) - f(m, k+2) - 4 f_{2n-2}(m, k), each
+    # row right to left from its two border cells, as running differences:
+    # step = f(m, k+1) - f(m, k+2) drops by 4 f_{2n-2}(m, k) at each cell.
     for i in range(2, top - 3):
-        row, p = rows[i], prev[i]
-        near, far = row[top - 2], row[top - 1]
-        for j in range(top - 3, i + 1, -1):
-            v = 2 * near - far - 4 * p[j]
-            if v < 0:
-                raise BrokenInvariantError(f"cell ({i + 2},{j + 1}) of M_{two_n} came out {v}")
-            row[j] = v
-            near, far = v, near
+        c = cs[i]
+        near, step = 3 * c, c << 1
+        tail = [c, near]  # row m = i + 2 from k = 2n-1 leftwards
+        for q in reversed(prev[i][i + 2 : top - 2]):
+            step -= q << 2
+            near += step
+            if near < 0:
+                k = top - len(tail)
+                raise BrokenInvariantError(f"cell ({i + 2},{k}) of M_{two_n} came out {near}")
+            tail.append(near)
+        tail += [None] * (i + 2)
+        tail.reverse()
+        rows.append(tail)
+    if two_n >= 6:
+        rows.append([*[None] * (top - 1), cs[-1]])  # row 2n-2: f(2n-2, 2n-1)
+    rows += ([None] * top for _ in range(top - len(rows)))
     return rows
 
 
@@ -162,9 +191,15 @@ def _lower_rows(two_n: int, rows: list[list[int | None]], ent_row: Sequence[int]
     _put(rows, two_n, 2, 1, 0)
     _put(rows, two_n, two_n, 1, 0)
     _put(rows, two_n, two_n, top, 0)
-    # Bottom row from the Entringer row of size 2n-2.
-    for k in range(2, two_n - 1):
-        _put(rows, two_n, two_n, k, ent_row[k - 2])
+    # Bottom row from the Entringer row of size 2n-2, as one slice when no
+    # entry is negative and no cell it covers is written; otherwise cell by
+    # cell, which reports the first fault.
+    bottom = rows[-1]
+    if len(ent_row) == top - 2 and min(ent_row) >= 0 and bottom.count(None) == top - 2:
+        bottom[1:-1] = ent_row
+    else:
+        for k in range(2, two_n - 1):
+            _put(rows, two_n, two_n, k, ent_row[k - 2])
     # Subdiagonal: seed f(3, 2) = 2 f(3, 1), then the crossing identity
     # f(k+1, k) = f(k, k-1) + f(k, k+1) - f(k-1, k).
     _put(rows, two_n, 3, 2, 2 * rows[1][0])

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial, prod
+from operator import add, sub
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .trees import _check_size
@@ -100,7 +101,7 @@ class TriSeries:
         module, read after the arity and order are validated; zeros are
         dropped and integral values become ints."""
         series = cls(num_vars, order)
-        series.coeffs = {e: _exact(c) for e, c in items if c}
+        series.coeffs = {e: c if type(c) is int else _exact(c) for e, c in items if c}
         return series
 
     # -- constructors ------------------------------------------------------
@@ -160,7 +161,7 @@ class TriSeries:
             for db, eb, cb in right:
                 if db > room:
                     break
-                e = tuple(x + y for x, y in zip(ea, eb))
+                e = tuple(map(add, ea, eb))
                 out[e] = out.get(e, 0) + prod(map(comb, e, ea)) * ca * cb
         return TriSeries._from_egf(self.num_vars, order, out.items())
 
@@ -186,7 +187,7 @@ class TriSeries:
                 for df, f, c in items:
                     if df > degree:
                         break
-                    g = tuple(x - y for x, y in zip(e, f))
+                    g = tuple(map(sub, e, f))
                     if min(g) < 0:
                         continue
                     t = inv.get(g)
@@ -301,9 +302,12 @@ def compose_linear(
     """
     _check_size(order, 0, "order")
     nv = len(linear)
+    # A zero coefficient (every other degree of cos, sin and sec^k) adds no
+    # term, so its exponents are not visited.
     terms = (
-        (e, univariate[d] * prod(a ** x for a, x in zip(linear, e)))
-        for d in range(min(order, len(univariate) - 1) + 1)
+        (e, c * prod(map(pow, linear, e)))
+        for d, c in enumerate(univariate[: order + 1])
+        if c
         for e in _exponents(nv, d)
     )
     return TriSeries._from_egf(nv, order, terms)

@@ -137,6 +137,18 @@ def test_non_int_size_rejected(build, size):
         build(size)
 
 
+def test_unknown_method_is_refused_where_it_enters():
+    # The constructor refuses what from_json_dict would refuse, so every
+    # matrix it builds can make a JSON round trip.
+    with pytest.raises(ValueError, match=r"^method must be one of .*, got 'foo'$"):
+        JointMatrix(4, "foo")
+    for method in ("brute", "recurrence", "hybrid"):
+        M = JointMatrix(4, method)
+        M.set(2, 3, 1)
+        M.attach_margins((1, 0, 0), (0, 0, 1), 1)
+        assert JointMatrix.from_json_dict(M.to_json_dict()).to_json_dict() == M.to_json_dict()
+
+
 def test_unknown_cells_are_first_class():
     M = JointMatrix(4, method="recurrence")
     M.set(2, 3, 1)

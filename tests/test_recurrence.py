@@ -195,6 +195,27 @@ def test_upper_triangle_flags_negative_cells():
         eng.assemble(8)
 
 
+# The column sums of M_6 are (5, 15, 21, 15, 5).  A negative sum is first
+# met on the first top row of M_8, f(2, k) = cs[k-3]; a sum that breaks the
+# border is first met where the top rows cross the two right columns,
+# checked in the order (2,7), (3,7), (2,6).
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda cs: (-1, *cs[1:]), r"cell \(2,3\) of M_8 came out -1$"),
+        (lambda cs: (*cs[:2], -5, *cs[3:]), r"cell \(2,5\) of M_8 came out -5$"),
+        (lambda cs: (cs[0] + 1, *cs[1:]), r"cell \(2,7\) of M_8 filled twice with 5 != 6$"),
+        (lambda cs: (cs[0], cs[1] + 1, *cs[2:]), r"\(3,7\) of M_8 filled twice with 15 != 16$"),
+        (lambda cs: (*cs[:3], cs[3] + 1, cs[4]), r"\(2,6\) of M_8 filled twice with 16 != 15$"),
+    ],
+    ids=("negative first sum", "negative third sum", "(2,7)", "(3,7)", "(2,6)"),
+)
+def test_upper_border_reports_its_first_fault(corrupt, message):
+    eng = _engine_with_margins(6, corrupt)
+    with pytest.raises(BrokenInvariantError, match=message):
+        eng.assemble(8)
+
+
 # ---------------------------------------------------------------------- #
 # lower border                                                            #
 # ---------------------------------------------------------------------- #

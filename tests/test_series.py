@@ -1,5 +1,6 @@
 """Exact series ring, trig constructors, and the generating-function routes."""
 
+import hashlib
 from fractions import Fraction
 from itertools import product
 
@@ -113,6 +114,23 @@ def test_counting_series_have_int_egf_coefficients():
     for s in series:
         for e in all_exponents(s.num_vars, s.order):
             assert type(s.egf_coefficient(e)) is int, (s, e)
+
+
+# sha256 of the "\n"-joined dump_lines() of series well past the orders the
+# other tests reach.
+SERIES_DIGESTS = {
+    (omega, 20): "716fce759df6699ab875d92e1c9808ed7bd27a09af8b68107262905c124922ea",
+    (omega1, 24): "cb97af65a4dca0cc63310a0ce4f4b7d243d619ef72016a33fd3d30bf25934cad",
+    (sec_series, 60): "34170770ebf0f1c087ed325788c2c723c7e094d260e898bb895e9681d504ae57",
+}
+
+
+@pytest.mark.parametrize(
+    "build, order", SERIES_DIGESTS, ids=[f"{f.__name__}({o})" for f, o in SERIES_DIGESTS]
+)
+def test_large_series_are_pinned(build, order):
+    text = "\n".join(build(order).dump_lines())
+    assert hashlib.sha256(text.encode()).hexdigest() == SERIES_DIGESTS[build, order]
 
 
 # ---------------------------------------------------------------------- #
