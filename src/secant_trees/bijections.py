@@ -20,13 +20,14 @@ each map's stream (``MAP_DOMAINS``) grows from ``u`` the words of its
 domain: the words with a forced start or end, and for eoc = 2n the words
 grown from the tree of ``u`` when its minimal chain reaches its rightmost
 node.  The pass builds each candidate tree once, even for two maps with one
-domain, still filters it by the map's precondition, and counts the domain
-and the codomain against the margins of a joint matrix of the same size,
-which the caller passes in: ``verify`` runs all five maps in one pass per
-size (``verify_maps``) on the brute-force matrix it counted for its other
-checks.  ``verify_map`` runs the pass for one map, and ``MAP_VERIFIERS``
-holds one standalone verifier per key of ``MAP_DOMAINS``, named
-``verify_<map>``, that reads the margins off the recurrence instead.
+domain, and counts the domain and the codomain against the margins of a
+joint matrix of the same size, which the caller passes in: ``verify`` runs
+all five maps in one pass per size (``verify_maps``) on the brute-force
+matrix it counted for its other checks.  ``verify_map`` runs the pass for
+one map, and ``MAP_VERIFIERS`` holds one standalone verifier per key of
+``MAP_DOMAINS``, named ``verify_<map>``, that reads the margins off the
+recurrence instead.  Each map checks its own precondition, so a stray
+candidate outside its domain raises that map's ``ValueError``.
 Images are keyed by their child arrays and sources by their words; a
 projection is computed only for a collision record.
 """
@@ -103,14 +104,12 @@ def tripling_map(t: IncTree) -> tuple[IncTree, IncTree, IncTree]:
     sigma[n - 2], sigma[n - 1] = n - 1, n - 2
     t1 = _relabel(t, sigma, n)
 
-    q = t.parent[n - 1]
+    # Node 2n-1 carries only the leaf 2n, so it is the one-child node, which
+    # sits on the root's path of right children: it is a right child.
     parent = list(t.parent)
     left = list(t.left)
     right = list(t.right)
-    if left[q] == n - 1:
-        left[q] = 0
-    else:
-        right[q] = 0
+    right[parent[n - 1]] = 0
     parent[n - 1] = parent[n] = n - 2
     left[n - 1] = right[n - 1] = 0
     left_a = list(left)
@@ -204,24 +203,23 @@ class MapDomain:
 
     ``words(u)`` gives the projections of the domain trees grown from one
     down-up word ``u`` of size 2n-2; over every such ``u`` each domain tree
-    comes once.  Every stream here is exact, but ``contains``, the
-    precondition on a tree, still filters each candidate, and ``margin``
-    reads the size of the domain off a margin of the joint matrix, so that a
-    stream that misses a domain tree or yields a stray word shows at run time
-    instead of being assumed away.
+    comes once.  Every stream here is exact, but ``margin`` reads the size
+    of the domain off a margin of the joint matrix, and ``images`` applies
+    the map, which checks its precondition, so that a stream that misses a
+    domain tree or yields a stray word shows at run time instead of being
+    assumed away: the first as a domain short of its margin, the second as
+    the map's ``ValueError``.
 
-    ``images`` applies the map.  ``transport(s, out)`` checks an image
-    against ``s = statistic(t)`` of its source, computed once per tree.
-    The codomain is the images passing ``lands``, and ``target`` reads its
-    size off the same matrix; by default it is every tree of size 2n-2.
+    ``transport(t, out)`` checks an image against the statistic of its
+    source ``t``.  The codomain is the images passing ``lands``, and
+    ``target`` reads its size off the same matrix; by default it is every
+    tree of size 2n-2.
     """
 
     words: Callable[[tuple[int, ...]], Iterable[tuple[int, ...]]]
-    contains: Callable[[IncTree], bool]
     margin: Callable[[JointMatrix], int]
     images: Callable[[IncTree], tuple[IncTree, ...]]
-    statistic: Callable[[IncTree], int]
-    transport: Callable[[int, IncTree], bool]
+    transport: Callable[[IncTree, IncTree], bool]
     lands: Callable[[IncTree], bool] = lambda out: True
     target: Callable[[JointMatrix], int] = lambda M: tree_count(M.two_n - 2)
 
@@ -233,50 +231,41 @@ class MapDomain:
 # which the minimal chain reaches (see _max_before_last).
 _POM_TOP = dict(
     words=_ends_with_top_pair,
-    contains=lambda t: t.pom() == t.n - 1,
     margin=lambda M: M.col_sums()[-1],  # column k = 2n-1
 )
 MAP_DOMAINS: dict[str, MapDomain] = {
     "first_row_map": MapDomain(
         words=_starts_with_two_one,
-        contains=lambda t: t.eoc() == 2,
         margin=lambda M: M.row_sums()[0],  # row m = 2
         images=lambda t: (first_row_map(t),),
-        statistic=IncTree.pom,
-        transport=lambda pom, out: out.pom() == pom - 2,
+        transport=lambda t, out: out.pom() == t.pom() - 2,
     ),
     "rightmost_column_map": MapDomain(
         **_POM_TOP,
         images=lambda t: (rightmost_column_map(t),),
-        statistic=IncTree.eoc,
-        transport=lambda eoc, out: out.eoc() == eoc,
+        transport=lambda t, out: out.eoc() == t.eoc(),
     ),
     # Three images each with pom = 2n-2, keeping eoc below 2n-2; as many
     # distinct ones as column k = 2n-2 are all the trees with pom = 2n-2.
     "tripling_map": MapDomain(
         **_POM_TOP,
         images=tripling_map,
-        statistic=IncTree.eoc,
-        transport=lambda eoc, out: out.pom() == out.n - 2
-        and (eoc >= out.n - 2 or out.eoc() == eoc),
+        transport=lambda t, out: out.pom() == out.n - 2
+        and (t.eoc() >= out.n - 2 or out.eoc() == t.eoc()),
         lands=lambda out: out.pom() == out.n - 2,
         target=lambda M: M.col_sums()[-2],  # column k = 2n-2
     ),
     "pom1_map": MapDomain(
         words=_starts_with_top_one,
-        contains=lambda t: t.pom() == 1,
         margin=lambda M: M.col_sums()[0],  # column k = 1
         images=lambda t: (pom1_map(t),),
-        statistic=IncTree.eoc,
-        transport=lambda eoc, out: out.eoc() == eoc - 1,
+        transport=lambda t, out: out.eoc() == t.eoc() - 1,
     ),
     "entringer_map": MapDomain(
         words=_max_before_last,
-        contains=lambda t: t.eoc() == t.n,
         margin=lambda M: M.row_sums()[-1],  # row m = 2n
         images=lambda t: (entringer_map(t),),
-        statistic=IncTree.pom,
-        transport=lambda pom, out: out.ent() == pom - 1,
+        transport=lambda t, out: out.ent() == t.pom() - 1,
     ),
 }
 
@@ -351,9 +340,9 @@ def verify_maps(names: Sequence[str], two_n: int, counts: JointMatrix) -> list[M
     """One report per map of *names* at size *two_n*, from one pass.
 
     The pass enumerates each down-up word ``u`` of size 2n-2 once and feeds
-    it to the streams of the selected maps only.  Maps whose ``words``,
-    ``contains`` and ``statistic`` are the same share each candidate tree,
-    its precondition and its statistic.  An image is keyed by its child
+    it to the streams of the selected maps only.  Maps whose ``words`` are
+    the same share each candidate tree.  A candidate outside a map's domain
+    raises that map's ``ValueError``.  An image is keyed by its child
     arrays, since two validated trees of one size are equal exactly when
     their ``left`` and ``right`` arrays are; its projection is computed only
     for a collision record.  A key keeps its first source as the bytes of
@@ -368,18 +357,15 @@ def verify_maps(names: Sequence[str], two_n: int, counts: JointMatrix) -> list[M
     reports = [MapReport(map=name, two_n=two_n, domain=0, image=0) for name in names]
     seen: list[dict[bytes, bytes]] = [{} for _ in names]
     landed = [0] * len(names)
-    streams: dict[tuple, list[tuple]] = {}
+    streams: dict[Callable, list[tuple]] = {}
     for i, d in enumerate(domains):
-        streams.setdefault((d.words, d.contains, d.statistic), []).append(
+        streams.setdefault(d.words, []).append(
             (i, reports[i], seen[i], d.images, d.transport, d.lands)
         )
     for u in alternating_permutations(two_n - 2):
-        for (words, contains, statistic), members in streams.items():
+        for words, members in streams.items():
             for word in words(u):
                 t = tree_from_perm(word)
-                if not contains(t):
-                    continue
-                stat = statistic(t)
                 src = bytes(word)
                 for i, report, keys, images, transport, lands in members:
                     report.domain += 1
@@ -390,7 +376,7 @@ def verify_maps(names: Sequence[str], two_n: int, counts: JointMatrix) -> list[M
                         else:
                             keys[key] = src
                             landed[i] += lands(out)
-                        if not transport(stat, out):
+                        if not transport(t, out):
                             report.transport_failures.append(word)
     for d, report, keys, hits in zip(domains, reports, seen, landed):
         report.image = len(keys)

@@ -63,9 +63,12 @@ from .series import (
 )
 from .trees import _check_size, alternating_permutations, enumerate_trees
 
-# Largest size `enumerate` takes: it visits every word, and
-# E_16 = 19,391,512,145 words is 97 times E_14.
-ENUMERATE_MAX_N = 14
+# Largest size `enumerate` takes: the largest n whose slowest mode, `--emit
+# trees`, runs in about 7 s.  With start-up, in five fresh processes each
+# (2-core VM, Python 3.11): `--n 11` took 5.7-8.1 s (median 6.3-6.8 s) to
+# emit trees, 2.5-3.9 s for perms and 1.2-1.7 s to count; `--n 12` took
+# 8.9-11.5 s to count alone.
+ENUMERATE_MAX_N = 11
 
 # Largest size counted by the insertion-move counters, for `matrix --method
 # brute|hybrid` and `entringer --method brute`, and the reach of every

@@ -24,9 +24,10 @@ fill: on the same boundary a top-down row-order fill would equal the column
 fill exactly when the column-filled matrix satisfies the row rule, and the
 test suite checks that law on it.  Of the lower triangle only the border is
 analytically reachable: the first column mirrors the first row, the bottom
-row is a shifted row of the Entringer triangle (written as one slice), the
-subdiagonal starts from f(3, 2) = 2 f(3, 1) and propagates through the
-crossing identity f(k+1, k) = f(k, k-1) + f(k, k+1) - f(k-1, k).  Interior
+row is a shifted row of the Entringer triangle, the subdiagonal starts from
+f(3, 2) = 2 f(3, 1) and propagates through the crossing identity
+f(k+1, k) = f(k, k-1) + f(k, k+1) - f(k-1, k).  Every lower-border cell
+goes through one checked write.  Interior
 lower-triangle cells stay Unknown here: only the insertion-move counter of
 :mod:`secant_trees.distributions` produces them, and this module never calls
 it.  The ``hybrid`` matrix of :mod:`secant_trees.cli` is the counter's rows,
@@ -191,15 +192,9 @@ def _lower_rows(two_n: int, rows: list[list[int | None]], ent_row: Sequence[int]
     _put(rows, two_n, 2, 1, 0)
     _put(rows, two_n, two_n, 1, 0)
     _put(rows, two_n, two_n, top, 0)
-    # Bottom row from the Entringer row of size 2n-2, as one slice when no
-    # entry is negative and no cell it covers is written; otherwise cell by
-    # cell, which reports the first fault.
-    bottom = rows[-1]
-    if len(ent_row) == top - 2 and min(ent_row) >= 0 and bottom.count(None) == top - 2:
-        bottom[1:-1] = ent_row
-    else:
-        for k in range(2, two_n - 1):
-            _put(rows, two_n, two_n, k, ent_row[k - 2])
+    # Bottom row from the Entringer row of size 2n-2.
+    for k in range(2, two_n - 1):
+        _put(rows, two_n, two_n, k, ent_row[k - 2])
     # Subdiagonal: seed f(3, 2) = 2 f(3, 1), then the crossing identity
     # f(k+1, k) = f(k, k-1) + f(k, k+1) - f(k-1, k).
     _put(rows, two_n, 3, 2, 2 * rows[1][0])

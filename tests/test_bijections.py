@@ -39,9 +39,9 @@ def _stream(name, two_n):
 
 
 def _domain(name, two_n):
-    """``(word, tree)`` for each candidate that passes the precondition."""
-    trees = ((word, tree_from_perm(word)) for word in _stream(name, two_n))
-    return [(word, t) for word, t in trees if MAP_DOMAINS[name].contains(t)]
+    """``(word, tree)`` for each candidate of the stream, unfiltered: the
+    streams are exact, and a stray word must show in the tests."""
+    return [(word, tree_from_perm(word)) for word in _stream(name, two_n)]
 
 
 # ---------------------------------------------------------------------- #
@@ -202,6 +202,33 @@ def test_stream_missing_a_domain_word_fails(name, monkeypatch):
     assert report.covers_domain is False
     assert report.ok is False
     assert report.to_json_dict()["covers_domain"] is False
+
+
+PRECONDITION_MESSAGES = {
+    "first_row_map": "the minimal chain must end at the leaf 2",
+    "rightmost_column_map": "the maximum leaf must hang off node 2n-1",
+    "tripling_map": "the maximum leaf must hang off node 2n-1",
+    "pom1_map": "the maximum leaf must hang off the root",
+    "entringer_map": "the minimal chain must end at the leaf 2n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MAP_VERIFIERS))
+def test_stream_with_a_stray_word_raises_the_maps_error(name, monkeypatch, brute):
+    # The first word of size 6 outside the domain, yielded once beside the
+    # stream: the map itself refuses it, so the pass cannot drop it.
+    domain = MAP_DOMAINS[name]
+    stray = next(
+        w for w in alternating_permutations(6) if not DOMAIN_DEFINITIONS[name](tree_from_perm(w))
+    )
+    first = next(alternating_permutations(4))
+
+    def with_stray(u):
+        return [*domain.words(u), stray] if u == first else domain.words(u)
+
+    monkeypatch.setitem(MAP_DOMAINS, name, dataclasses.replace(domain, words=with_stray))
+    with pytest.raises(ValueError, match=f"^{PRECONDITION_MESSAGES[name]}$"):
+        verify_map(name, 6, brute(6))
 
 
 def test_verify_map_rejects_counts_of_another_size(brute):

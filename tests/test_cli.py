@@ -59,9 +59,9 @@ def test_enumerate_above_the_cap_fails_fast(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "alternating_permutations", refuse)
     with pytest.raises(SystemExit) as exc:
-        main(["enumerate", "--n", "15"])
+        main(["enumerate", "--n", "12"])
     assert exc.value.code == 2
-    assert "--n 15 needs brute force over 1,903,757,312 trees" in capsys.readouterr().err
+    assert "--n 12 needs brute force over 2,702,765 trees" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------- #

@@ -336,6 +336,19 @@ def test_matrix_json_rejects_bools_equal_to_the_counts():
             JointMatrix.from_json_dict(blob)
 
 
+@pytest.mark.parametrize("blob", ([1], None, "{}"))
+def test_matrix_json_that_is_not_a_dict_is_refused(blob):
+    message = f"^a matrix blob is a dict, got {type(blob).__name__}$"
+    with pytest.raises(ValueError, match=message):
+        JointMatrix.from_json_dict(blob)
+
+
+def test_matrix_and_triangle_reprs(brute):
+    assert repr(brute(6)) == "JointMatrix(two_n=6, method='brute')"
+    assert repr(assemble(8)) == "JointMatrix(two_n=8, method='recurrence', 10 unknown)"
+    assert repr(entringer_triangle(6)) == "EntringerTriangle(rows 2..6)"
+
+
 def test_matrix_json_huge_size_fails_before_allocating():
     blob = _blob("brute", 4)
     blob.update(two_n=10 ** 12, m_range=[2, 10 ** 12], k_range=[1, 10 ** 12 - 1])

@@ -1,6 +1,7 @@
 """Exact series ring, trig constructors, and the generating-function routes."""
 
 import hashlib
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -204,6 +205,84 @@ def test_negative_or_non_int_exponent_is_rejected():
         omega(4).egf_coefficient((2, -1, 1))
     with pytest.raises(TypeError):
         s.egf_coefficient((2.5,))
+
+
+def test_truncate_hash_repr_and_int_scaling():
+    s = sec_series(6)
+    assert s.truncate(4) == sec_series(4)
+    assert s.truncate(6) is s
+    assert hash(s.truncate(4)) == hash(sec_series(4))
+    assert repr(s) == "TriSeries(num_vars=1, order=6, terms=4)"
+    assert (s * 3).coeffs == {(0,): 3, (2,): 3, (4,): 15, (6,): 183}
+    assert 3 * s == s * 3 == s.scale(3)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: TriSeries(0, 2), ValueError, "num_vars must be 1..3, got 0"),
+        (lambda: TriSeries(4, 2), ValueError, "num_vars must be 1..3, got 4"),
+        (lambda: TriSeries(2, 2, {(1,): 1}), ValueError, "bad exponent tuple (1,)"),
+        (lambda: TriSeries(2, 2, {(1, -1): 1}), ValueError, "bad exponent tuple (1, -1)"),
+        (lambda: TriSeries(1, 2, {(3,): 1}), ValueError, "exponent (3,) exceeds order 2"),
+        (lambda: sec_series(4).truncate(6), OutOfOrderError, "cannot extend order 4 to 6"),
+        (lambda: omega1(4).partial_derivative(2), ValueError, "variable index 2 out of range"),
+        (
+            lambda: omega1(4).partial_derivative(-1),
+            ValueError,
+            "variable index -1 out of range",
+        ),
+        (
+            lambda: TriSeries(1, 0).partial_derivative(0),
+            OutOfOrderError,
+            "cannot differentiate an order-0 truncation",
+        ),
+        (
+            lambda: sec_series(4).egf_coefficient((1, 2)),
+            ValueError,
+            "expected 1 exponents, got (1, 2)",
+        ),
+        (
+            lambda: omega1(4).to_univariate_list(),
+            ValueError,
+            "only 1-variable series convert to a list",
+        ),
+        (
+            lambda: row_series(sec_series(4), 0),
+            ValueError,
+            "row extraction needs a 2-variable series",
+        ),
+        (
+            lambda: row_series(TriSeries(2, 3), 4),
+            OutOfOrderError,
+            "row 4 beyond truncation order 3",
+        ),
+        (
+            lambda: pde_residual(sec_series(4)),
+            ValueError,
+            "the PDE check needs a 2-variable series",
+        ),
+        (
+            lambda: pde_residual(TriSeries(2, 1)),
+            OutOfOrderError,
+            "need order >= 2 to form second derivatives",
+        ),
+        (
+            lambda: reconstruct_from_rows(sec_series(4)),
+            ValueError,
+            "reconstruction needs a 2-variable series",
+        ),
+        (
+            lambda: reconstruct_from_rows(TriSeries(2, 0)),
+            OutOfOrderError,
+            "need order >= 1 to read the second row",
+        ),
+    ],
+)
+def test_series_rejects_a_bad_argument(call, error, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as exc:
+        call()
+    assert exc.type is error
 
 
 def test_dump_format():

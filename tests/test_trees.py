@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 from collections import Counter
 from itertools import chain, permutations
 
@@ -98,6 +99,31 @@ def test_validate_names_an_entry_out_of_range_before_any_other_fault():
     for arrays, message in cases:
         with pytest.raises(TreeError, match=message):
             IncTree(*arrays)
+
+
+@pytest.mark.parametrize(
+    "arrays, message",
+    [
+        (((0,), (0,), (0,)), "tree must have at least one node"),
+        # 1 -> 2 -> 3 -> 4 as a chain of left children.  With n - 1 links an
+        # even size always has an odd number of one-child nodes.
+        (
+            ((0, 0, 1, 2, 3), (0, 2, 3, 4, 0), (0, 0, 0, 0, 0)),
+            "even size 4 needs exactly one one-child node, found [1, 2, 3]",
+        ),
+    ],
+    ids=("no node", "three one-child nodes"),
+)
+def test_validate_rejects_a_bad_arity(arrays, message):
+    with pytest.raises(TreeError, match=f"^{re.escape(message)}$"):
+        IncTree(*arrays)
+
+
+def test_tree_hash_and_repr():
+    t = tree_from_perm((4, 1, 3, 2))
+    assert hash(t) == hash(IncTree(t.parent, t.left, t.right))
+    assert len({t, tree_from_perm((4, 1, 3, 2)), tree_from_perm((2, 1, 4, 3))}) == 2
+    assert repr(t) == "IncTree(4 1 3 2)"
 
 
 def test_validate_keyword_is_gone():
