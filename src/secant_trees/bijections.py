@@ -376,7 +376,9 @@ def verify_maps(names: Sequence[str], two_n: int, counts: JointMatrix) -> list[M
                         else:
                             keys[key] = src
                             landed[i] += lands(out)
-                        if not transport(t, out):
+                        # A source is listed once, however many of its images
+                        # fail: its images come together, so it would be last.
+                        if not transport(t, out) and report.transport_failures[-1:] != [word]:
                             report.transport_failures.append(word)
     for d, report, keys, hits in zip(domains, reports, seen, landed):
         report.image = len(keys)

@@ -38,6 +38,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Iterable, Iterator
 
 from .bijections import MAP_DOMAINS, verify_maps
@@ -48,7 +49,8 @@ from .distributions import (
     entringer_bruteforce,
     joint_matrix_bruteforce,
 )
-from .recurrence import RecurrenceEngine, assemble, check_symmetry, entringer_triangle, tree_count
+from .recurrence import RecurrenceEngine, assemble, check_symmetry, tree_count
+from .recurrence import _entringer_row, _entringer_rows
 from .reference_tables import REFERENCE_JOINT, REFERENCE_TOTALS
 from .series import (
     OutOfOrderError,
@@ -78,6 +80,13 @@ ENUMERATE_MAX_N = 11
 # (2-core VM, Python 3.11).  At 60 the joint counter alone took about 6 s
 # and `gf3` about 5 s.
 COUNTER_MAX_TWO_N = 40
+
+# Largest row printed by `entringer --method rule`: the largest n whose run,
+# one row held and printed at a time, takes about 7 s, almost all of it
+# turning ints into decimal text.  With start-up and output to /dev/null, in
+# five fresh processes each (2-core VM, Python 3.11): medians 6.3-6.6 s at
+# 710-730, 7.5 s at 740, 8.6 s at 760, each at a 21 MiB peak RSS.
+RULE_MAX_N = 730
 
 DEFAULT_CHECKS = ("tables", "marginal", "r1", "r2", "symmetry")
 
@@ -251,7 +260,7 @@ def _borders(ctx: _VerifyContext, two_n: int) -> Iterator[tuple]:
         yield f"rightmost column m={m}", prev_cols[m - 2], B.get(m, top)
     for m in range(2, two_n - 2):
         yield f"next to rightmost m={m}", 3 * B.get(m, top), B.get(m, top - 1)
-    ent_row = entringer_triangle(two_n - 2).row(two_n - 2)
+    ent_row = _entringer_row(two_n - 2)
     for k in range(2, two_n - 1):
         yield f"bottom row k={k}", ent_row[k - 2], B.get(two_n, k)
     yield "zero corner (2,1)", 0, B.get(2, 1)
@@ -476,12 +485,16 @@ def _cmd_matrix(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 
 def _cmd_entringer(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.method == "rule":
-        tri = entringer_triangle(args.n_max)
+        if args.n_max > RULE_MAX_N:
+            parser.error(
+                f"--n-max {args.n_max} is above the cap of the partial-sum rule, {RULE_MAX_N}"
+            )
+        rows = islice(_entringer_rows(), args.n_max - 1)
     else:
         _cap_counter(parser, "--n-max", args.n_max)
-        tri = entringer_bruteforce(args.n_max)
-    for n in range(2, args.n_max + 1):
-        print(" ".join(map(str, tri.row(n))))
+        rows = entringer_bruteforce(args.n_max).rows.values()
+    for row in rows:
+        print(" ".join(map(str, row)))
     return 0
 
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+import sys
 import tracemalloc
 from collections import Counter
 from math import comb
@@ -211,7 +212,7 @@ def _andre(n_max):
     return e
 
 
-def test_entringer_rule_is_not_capped(capsys, monkeypatch):
+def test_entringer_rule_runs_above_the_counter_cap(capsys, monkeypatch):
     monkeypatch.setattr(distributions, "ent_distribution", _refuse_ent_distribution)
     code, out = run(capsys, "entringer", "--n-max", "41", "--method", "rule")
     assert code == 0
@@ -220,6 +221,52 @@ def test_entringer_rule_is_not_capped(capsys, monkeypatch):
     euler = _andre(41)
     assert euler[15] == 1903757312 and euler[16] == 19391512145
     assert sums == euler[2:]
+
+
+class _LastLine:
+    """A stdout that keeps only its last line, so a test can trace what the
+    command itself holds."""
+
+    def __init__(self):
+        self.lines, self.last = 0, ""
+
+    def write(self, text):
+        self.lines += text.count("\n")
+        self.last = text.rstrip("\n") or self.last
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_entringer_rule_prints_each_row_as_it_is_made(monkeypatch):
+    # Holding the triangle to 300 traced about 8.5 MiB.
+    out = _LastLine()
+    monkeypatch.setattr(sys, "stdout", out)
+    tracemalloc.start()
+    try:
+        code = main(["entringer", "--n-max", "300"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and out.lines == 299
+    assert sum(map(int, out.last.split())) == tree_count(300)
+    assert peak < 2 * 2**20, peak
+
+
+def test_entringer_rule_above_its_cap_fails_fast(capsys, monkeypatch):
+    def refuse():
+        raise AssertionError("the Entringer rule started")
+
+    monkeypatch.setattr(cli, "_entringer_rows", refuse)
+    cap = cli.RULE_MAX_N
+    assert cap == 730
+    with pytest.raises(SystemExit) as exc:
+        main(["entringer", "--n-max", str(cap + 1)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: secant-trees entringer ")
+    assert f"--n-max {cap + 1} is above the cap of the partial-sum rule, {cap}" in err
 
 
 # ---------------------------------------------------------------------- #

@@ -2,9 +2,10 @@
 border, symmetry, and equivalence with the enumeration oracle.
 
 Every fill goes through ``RecurrenceEngine.assemble``, whose state is its
-frontier: the last two matrices and one Entringer row.  A corrupt input is
-injected through the margins attached to a frontier matrix, or by patching
-the module's Entringer step ``_next_entringer_row`` or ``_upper_rows``."""
+frontier: the last two matrices and the walk over the even Entringer rows.
+A corrupt input is injected through the margins attached to a frontier
+matrix, or by patching the module's Entringer step ``_next_entringer_row``
+or ``_upper_rows``."""
 
 import hashlib
 import json
@@ -48,19 +49,35 @@ def test_triangle_rows_match_reference():
 
 
 def test_triangle_row_sums_are_tree_counts():
-    tri = entringer_triangle(10)
+    tri = entringer_triangle(61)
     for n in range(2, 11):
         assert tri.row_total(n) == REFERENCE_TREE_COUNTS[n]
+    assert [tree_count(n) for n in range(2, 62)] == [tri.row_total(n) for n in range(2, 62)]
+    assert secant_numbers(60) == (1, *(tri.row_total(n) for n in range(2, 61, 2)))
 
 
 def test_secant_numbers():
     assert secant_numbers(10) == (1, 1, 5, 61, 1385, 50521)
     assert secant_numbers(12) == SECANT_NUMBERS
+    assert secant_numbers(2) == (1, 1)
     assert secant_numbers(0) == (1,)
 
 
 def test_tree_count_small():
     assert [tree_count(n) for n in range(11)] == list(REFERENCE_TREE_COUNTS)
+
+
+@pytest.mark.parametrize("count", (secant_numbers, tree_count), ids=lambda f: f.__name__)
+def test_counts_hold_one_triangle_row(count):
+    # Row 600 of the triangle is about 0.34 MiB of ints, and the whole
+    # triangle to 600 about 67 MiB.
+    tracemalloc.start()
+    try:
+        count(600)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
 
 
 @pytest.mark.parametrize("size", (8.0, "4", True), ids=("float", "str", "bool"))
@@ -328,6 +345,14 @@ def test_previous_size_is_served_without_a_fill(monkeypatch):
     M38 = eng.assemble(38)
     assert (M38.two_n, M38.total()) == (38, tree_count(38))
     assert eng.assemble(40) is M40
+
+
+def test_a_step_that_raises_restarts_the_induction():
+    eng = _engine_with_margins(6, lambda cs: (*cs[:-1], cs[-1] + 1))
+    with pytest.raises(BrokenInvariantError):
+        eng.assemble(8)
+    assert eng.assemble(8).to_json_dict() == RecurrenceEngine().assemble(8).to_json_dict()
+    assert eng.assemble(10).to_json_dict() == RecurrenceEngine().assemble(10).to_json_dict()
 
 
 def test_a_smaller_size_restarts_the_induction():
