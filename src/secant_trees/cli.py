@@ -29,6 +29,13 @@ table where there is one, and with every cell and both margins that the
 recurrence gives.  ``matrix --method hybrid`` is that law at one size: it
 prints the counter's matrix, tagged ``hybrid``, or raises
 BrokenInvariantError at the first comparison that differs.
+
+``CAPS`` is the one table of size caps.  It maps each subcommand and method
+or target to the flag it bounds, what the cap bounds and the cap.  ``main``
+reads it once, after parsing and before any command runs, and makes a larger
+value a usage error of the form ``{flag} {value} is above the cap of {what},
+{cap}``.  ``verify`` has no row: its bound is checked against the reach of
+the selected checks, which only the selection knows.
 """
 
 from __future__ import annotations
@@ -87,6 +94,31 @@ COUNTER_MAX_TWO_N = 40
 # five fresh processes each (2-core VM, Python 3.11): medians 6.3-6.6 s at
 # 710-730, 7.5 s at 740, 8.6 s at 760, each at a 21 MiB peak RSS.
 RULE_MAX_N = 730
+
+# Largest size built by `matrix --method recurrence`: the largest 2n whose
+# slowest format, text, runs in about 7 s.  With start-up and output to
+# /dev/null, in five fresh processes each (2-core VM, Python 3.11): at 450
+# text took 5.4-7.7 s (median 6.5 s) at a 729 MiB peak RSS, JSON and CSV
+# medians 6.3 and 5.4 s at 280-290 MiB; at 460 text medians were 7.6-7.9 s
+# over three sets, and at 480 7.6-8.7 s.
+RECURRENCE_MAX_TWO_N = 450
+
+# The one table of size caps (see the module docstring), keyed by subcommand
+# and by method or target, None where the subcommand has neither.  The series
+# caps are the largest order that builds in about 7 s (2-core VM, Python
+# 3.11: sec 1400 in 6.9 s, omega1 132 in 7.0 s, omega 66 in 6.4 s, omega 68
+# in 7.7-8.4 s).
+CAPS: dict[tuple[str, str | None], tuple[str, str, int]] = {
+    ("enumerate", None): ("--n", "brute-force enumeration", ENUMERATE_MAX_N),
+    ("matrix", "brute"): ("--two-n", "the insertion-move counter", COUNTER_MAX_TWO_N),
+    ("matrix", "hybrid"): ("--two-n", "the insertion-move counter", COUNTER_MAX_TWO_N),
+    ("matrix", "recurrence"): ("--two-n", "the recurrence", RECURRENCE_MAX_TWO_N),
+    ("entringer", "brute"): ("--n-max", "the insertion-move counter", COUNTER_MAX_TWO_N),
+    ("entringer", "rule"): ("--n-max", "the partial-sum rule", RULE_MAX_N),
+    ("series", "sec"): ("--order", "target sec", 1400),
+    ("series", "omega1"): ("--order", "target omega1", 132),
+    ("series", "omega"): ("--order", "target omega", 66),
+}
 
 DEFAULT_CHECKS = ("tables", "marginal", "r1", "r2", "symmetry")
 
@@ -446,11 +478,6 @@ def render_matrix_text(M: JointMatrix) -> str:
 
 
 def _cmd_enumerate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.n > ENUMERATE_MAX_N:
-        parser.error(
-            f"--n {args.n} needs brute force over {tree_count(args.n):,} trees; "
-            f"the enumeration cap is {ENUMERATE_MAX_N}"
-        )
     if args.emit == "count":
         print(sum(1 for _ in alternating_permutations(args.n)))
     elif args.emit == "perms":
@@ -462,16 +489,7 @@ def _cmd_enumerate(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
     return 0
 
 
-def _cap_counter(parser: argparse.ArgumentParser, flag: str, n: int) -> None:
-    if n > COUNTER_MAX_TWO_N:
-        parser.error(
-            f"{flag} {n} is above the cap of the insertion-move counter, {COUNTER_MAX_TWO_N}"
-        )
-
-
 def _cmd_matrix(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.method != "recurrence":
-        _cap_counter(parser, "--two-n", args.two_n)
     build = {"brute": joint_matrix_bruteforce, "recurrence": assemble, "hybrid": _hybrid}
     M = build[args.method](args.two_n)
     if args.format == "text":
@@ -485,13 +503,8 @@ def _cmd_matrix(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 
 def _cmd_entringer(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.method == "rule":
-        if args.n_max > RULE_MAX_N:
-            parser.error(
-                f"--n-max {args.n_max} is above the cap of the partial-sum rule, {RULE_MAX_N}"
-            )
         rows = islice(_entringer_rows(), args.n_max - 1)
     else:
-        _cap_counter(parser, "--n-max", args.n_max)
         rows = entringer_bruteforce(args.n_max).rows.values()
     for row in rows:
         print(" ".join(map(str, row)))
@@ -499,13 +512,8 @@ def _cmd_entringer(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
 
 
 def _cmd_series(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    # Each target with its arity and its cap: the largest order that builds in
-    # about 7 s (2-core VM, Python 3.11: sec 1400 in 6.9 s, omega1 132 in
-    # 7.0 s, omega 66 in 6.4 s, omega 68 in 7.7-8.4 s).
-    builders = {"sec": (sec_series, 1, 1400), "omega1": (omega1, 2, 132), "omega": (omega, 3, 66)}
-    builder, arity, cap = builders[args.target]
-    if args.order > cap:
-        parser.error(f"--order {args.order} is above the cap of target {args.target}, {cap}")
+    builders = {"sec": (sec_series, 1), "omega1": (omega1, 2), "omega": (omega, 3)}
+    builder, arity = builders[args.target]
     s = builder(args.order)
     if args.query is None:
         for line in s.dump_lines():
@@ -598,6 +606,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    row = CAPS.get((args.command, vars(args).get("method", vars(args).get("target"))))
+    if row is not None:
+        flag, what, cap = row
+        value = getattr(args, flag.lstrip("-").replace("-", "_"))
+        if value > cap:
+            args.parser.error(f"{flag} {value} is above the cap of {what}, {cap}")
     return args.run(args, args.parser)  # the subcommand's parser, for its usage line
 
 

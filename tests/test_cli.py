@@ -1,11 +1,13 @@
 """Command-line surface: outputs, formats, exit codes."""
 
+import argparse
 import hashlib
 import json
 import re
 import sys
 import tracemalloc
 from collections import Counter
+from itertools import count
 from math import comb
 
 import pytest
@@ -21,6 +23,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def _refuse(name):
+    """A stand-in for *name* that fails the test if it is called."""
+
+    def refuse(*args):
+        raise AssertionError(f"{name} ran with {args}")
+
+    return refuse
 
 
 # ---------------------------------------------------------------------- #
@@ -54,15 +65,15 @@ def test_enumerate_usage_error():
     assert exc.value.code == 2
 
 
-def test_enumerate_above_the_cap_fails_fast(capsys, monkeypatch):
-    def refuse(n):
-        raise AssertionError(f"rightmost labels of size {n} counted")
-
-    monkeypatch.setattr(cli, "alternating_permutations", refuse)
+def test_enumerate_far_above_the_cap_counts_nothing(capsys, monkeypatch):
+    # The cap message used to name the tree count: at 2000 that took about
+    # 1.2 s and then failed on Python's 4,300-digit limit for int to text.
+    for name in ("tree_count", "alternating_permutations"):
+        monkeypatch.setattr(cli, name, _refuse(name))
     with pytest.raises(SystemExit) as exc:
-        main(["enumerate", "--n", "12"])
+        main(["enumerate", "--n", "2000"])
     assert exc.value.code == 2
-    assert "--n 12 needs brute force over 2,702,765 trees" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("usage: secant-trees enumerate ")
 
 
 # ---------------------------------------------------------------------- #
@@ -193,16 +204,6 @@ def _refuse_ent_distribution(n):
     raise AssertionError(f"rightmost labels of size {n} counted")
 
 
-def test_entringer_brute_above_the_cap_fails_fast(capsys, monkeypatch):
-    monkeypatch.setattr(distributions, "ent_distribution", _refuse_ent_distribution)
-    with pytest.raises(SystemExit) as exc:
-        main(["entringer", "--n-max", "41", "--method", "brute"])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("usage: secant-trees entringer ")
-    assert "--n-max 41 is above the cap of the insertion-move counter, 40" in err
-
-
 def _andre(n_max):
     """E_0 .. E_n_max by André's convolution 2 E_{n+1} = sum_k C(n, k) E_k E_{n-k}
     (n >= 1), a route that shares no code with the Entringer triangle."""
@@ -252,21 +253,6 @@ def test_entringer_rule_prints_each_row_as_it_is_made(monkeypatch):
     assert code == 0 and out.lines == 299
     assert sum(map(int, out.last.split())) == tree_count(300)
     assert peak < 2 * 2**20, peak
-
-
-def test_entringer_rule_above_its_cap_fails_fast(capsys, monkeypatch):
-    def refuse():
-        raise AssertionError("the Entringer rule started")
-
-    monkeypatch.setattr(cli, "_entringer_rows", refuse)
-    cap = cli.RULE_MAX_N
-    assert cap == 730
-    with pytest.raises(SystemExit) as exc:
-        main(["entringer", "--n-max", str(cap + 1)])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("usage: secant-trees entringer ")
-    assert f"--n-max {cap + 1} is above the cap of the partial-sum rule, {cap}" in err
 
 
 # ---------------------------------------------------------------------- #
@@ -407,30 +393,16 @@ def test_verify_rejects_odd_bound():
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["matrix", "--two-n", "42"],
-        ["matrix", "--method", "hybrid", "--two-n", "42"],
-        ["verify", "--two-n-max", "42"],
-    ],
-)
-def test_brute_force_above_the_cap_fails_fast(argv, capsys, monkeypatch):
-    def refuse(two_n):
-        raise AssertionError(f"brute force started at 2n = {two_n}")
-
-    monkeypatch.setattr(cli, "joint_matrix_bruteforce", refuse)
-    monkeypatch.setattr(distributions, "joint_matrix_bruteforce", refuse)
+def test_verify_above_the_counter_reach_fails_fast(capsys, monkeypatch):
+    _refuse_brute_force(monkeypatch)
+    monkeypatch.setattr(distributions, "joint_matrix_bruteforce", _refuse("brute force"))
     with pytest.raises(SystemExit) as exc:
-        main(argv)
+        main(["verify", "--two-n-max", "42"])
     assert exc.value.code == 2
     assert cli.COUNTER_MAX_TWO_N == 40
     err = capsys.readouterr().err
-    assert err.startswith(f"usage: secant-trees {argv[0]} ")
-    if argv[0] == "verify":
-        assert "two_n_max 42 is above 40, the reach of the selected checks" in err
-    else:
-        assert "--two-n 42 is above the cap of the insertion-move counter, 40" in err
+    assert err.startswith("usage: secant-trees verify ")
+    assert "two_n_max 42 is above 40, the reach of the selected checks" in err
 
 
 def test_a_bound_above_the_reach_of_the_selection_fails_before_counting(capsys, monkeypatch):
@@ -492,7 +464,7 @@ def test_matrix_hybrid_rejects_a_count_that_breaks_the_tables_law(
     assert capsys.readouterr().out == ""
 
 
-def test_recurrence_matrix_is_not_capped(capsys):
+def test_recurrence_matrix_runs_above_the_counter_cap_up_to_its_own(capsys, monkeypatch):
     for two_n in (42, 120):
         code, out = run(capsys, "matrix", "--method", "recurrence", "--two-n", str(two_n),
                         "--format", "json")
@@ -501,6 +473,12 @@ def test_recurrence_matrix_is_not_capped(capsys):
         M = JointMatrix.from_json_dict(blob)
         assert M.to_json_dict() == blob == assemble(two_n).to_json_dict()
     assert tree_count(16) == 19391512145
+    cap = cli.RECURRENCE_MAX_TWO_N
+    monkeypatch.setattr(cli, "assemble", _refuse("assemble"))
+    with pytest.raises(SystemExit) as exc:
+        main(["matrix", "--method", "recurrence", "--two-n", str(cap + 2)])
+    assert exc.value.code == 2
+    assert f"--two-n {cap + 2} is above the cap of the recurrence, {cap}" in capsys.readouterr().err
 
 
 def test_run_checks_rows_have_parameters():
@@ -728,15 +706,81 @@ def test_a_usage_error_after_parsing_prints_the_subcommand_usage(argv, capsys):
     assert capsys.readouterr().err.startswith(f"usage: secant-trees {argv.split()[0]} ")
 
 
-@pytest.mark.parametrize("target, cap", [("sec", 1400), ("omega1", 132), ("omega", 66)])
-def test_series_above_the_cap_fails_fast(target, cap, capsys, monkeypatch):
-    def refuse(order):
-        raise AssertionError(f"{target} built at order {order}")
+def _sized_choices():
+    """Every subcommand choice that takes a size, but `verify`'s: its row key
+    in ``cli.CAPS``, (subcommand, method or target or None), mapped to its
+    argv without the size and to the action of its sized flag."""
+    parser = cli.build_parser()
+    subcommands = next(a for a in parser._actions if a.dest == "command").choices
+    found = {}
+    for command, sub in subcommands.items():
+        sized = [a for a in sub._actions if "_sized" in getattr(a.type, "__qualname__", "")]
+        if command == "verify" or not sized:
+            continue
+        selector = next((a for a in sub._actions if a.dest in ("method", "target")), None)
+        for choice in selector.choices if selector else (None,):
+            argv = [command] + ([selector.option_strings[0], choice] if selector else [])
+            found[command, choice] = argv, sized[0]
+    return found
 
-    for name in ("sec_series", "omega1", "omega"):
-        monkeypatch.setattr(cli, name, refuse)
+
+SIZED_CHOICES = _sized_choices()
+
+# The workers of each row of cli.CAPS: (module, name), each made to fail the
+# test if it runs.
+_COUNTERS = [(cli, "joint_matrix_bruteforce"), (distributions, "joint_matrix_bruteforce")]
+CAP_WORKERS = {
+    ("enumerate", None): [(cli, "alternating_permutations"), (cli, "tree_count")],
+    ("matrix", "brute"): _COUNTERS,
+    ("matrix", "hybrid"): _COUNTERS,
+    ("matrix", "recurrence"): [(cli, "assemble")],
+    ("entringer", "brute"): [(distributions, "ent_distribution")],
+    ("entringer", "rule"): [(cli, "_entringer_rows")],
+    ("series", "sec"): [(cli, "sec_series")],
+    ("series", "omega1"): [(cli, "omega1")],
+    ("series", "omega"): [(cli, "omega")],
+}
+
+
+def test_every_choice_that_takes_a_size_has_one_cap():
+    assert set(SIZED_CHOICES) == set(cli.CAPS)
+    for key, (_, action) in SIZED_CHOICES.items():
+        assert cli.CAPS[key][0] in action.option_strings, key
+
+
+def test_each_cap_keeps_its_measured_value():
+    assert (cli.ENUMERATE_MAX_N, cli.COUNTER_MAX_TWO_N, cli.RULE_MAX_N) == (11, 40, 730)
+    assert {key: cap for key, (_, _, cap) in cli.CAPS.items()} == {
+        ("enumerate", None): 11,
+        ("matrix", "brute"): 40,
+        ("matrix", "hybrid"): 40,
+        ("matrix", "recurrence"): 450,
+        ("entringer", "brute"): 40,
+        ("entringer", "rule"): 730,
+        ("series", "sec"): 1400,
+        ("series", "omega1"): 132,
+        ("series", "omega"): 66,
+    }
+
+
+def _takes(action, value):
+    try:
+        action.type(str(value))
+    except argparse.ArgumentTypeError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("key", cli.CAPS, ids=lambda key: "-".join(filter(None, key)))
+def test_a_size_above_its_cap_fails_before_any_work(key, capsys, monkeypatch):
+    flag, what, cap = cli.CAPS[key]
+    for module, name in CAP_WORKERS[key]:
+        monkeypatch.setattr(module, name, _refuse(name))
+    argv, action = SIZED_CHOICES[key]
+    value = next(v for v in count(cap + 1) if _takes(action, v))
     with pytest.raises(SystemExit) as exc:
-        main(["series", "--target", target, "--order", str(cap + 1)])
+        main(argv + [flag, str(value)])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert f"--order {cap + 1} is above the cap of target {target}, {cap}" in err
+    assert err.startswith(f"usage: secant-trees {key[0]} ")
+    assert f"{flag} {value} is above the cap of {what}, {cap}" in err
