@@ -96,11 +96,12 @@ COUNTER_MAX_TWO_N = 40
 RULE_MAX_N = 730
 
 # Largest size built by `matrix --method recurrence`: the largest 2n whose
-# slowest format, text, runs in about 7 s.  With start-up and output to
+# slowest format, text, ran in about 7 s.  With start-up and output to
 # /dev/null, in five fresh processes each (2-core VM, Python 3.11): at 450
-# text took 5.4-7.7 s (median 6.5 s) at a 729 MiB peak RSS, JSON and CSV
-# medians 6.3 and 5.4 s at 280-290 MiB; at 460 text medians were 7.6-7.9 s
-# over three sets, and at 480 7.6-8.7 s.
+# text took 4.3-7.0 s (median 5.1 s), CSV 4.6-5.4 s (median 5.0 s) and JSON
+# 4.7-6.0 s (median 5.1 s), each at a 104-105 MiB peak RSS; at 460 text
+# medians were 7.6-7.9 s over three sets, and at 480 7.6-8.7 s, while text
+# was built whole before it was written.
 RECURRENCE_MAX_TWO_N = 450
 
 # The one table of size caps (see the module docstring), keyed by subcommand
@@ -444,32 +445,33 @@ def run_checks(
 # ---------------------------------------------------------------------------
 
 
+def _text_lines(M: JointMatrix) -> Iterator[str]:
+    """The lines of :func:`render_matrix_text`, each ending in a newline."""
+    head = [*map(str, range(1, M.two_n)), "f(m,.)"]
+    foot = [*map(str, M.col_sums()), f"E={M.total()}"]
+    widths = [max(len(a), len(b)) for a, b in zip(head, foot)]
+    name_w = max(len("f(.,k)"), len(f"m={M.two_n}"))
+
+    def line(name: str, cells: list[str]) -> str:
+        return f"{name.rjust(name_w)}  {'  '.join(map(str.rjust, cells, widths))}".rstrip() + "\n"
+
+    yield line("k=", head)
+    for m, (row, s) in enumerate(zip(M._cells, M.row_sums()), 2):
+        yield line(f"m={m}", ["" if v is None else str(v) if v else "." for v in row] + [str(s)])
+    yield line("f(.,k)", foot)
+
+
 def render_matrix_text(M: JointMatrix) -> str:
     """Mirror of the reference tables: dots for zeros inside the index box,
     blanks for unknown cells, a header row of k values, margins appended.
 
-    At its peak it holds the padded lines and the text joined from them,
-    about twice the text.  Each cell is turned into a string once, read from
-    its row of the matrix; the column widths are taken from those strings,
-    which are dropped once the padded lines are built, and the join takes
-    the closing newline from a last empty line, so the text is not copied
-    again to end it.
+    Each width is read off the margins: a column is as wide as its header
+    ``k`` or its sum, the row-sum column as ``f(m,.)`` or ``E=<total>``, the
+    name column as ``f(.,k)`` or ``m=<2n>``.  That holds while every cell is
+    a count no larger than its column sum and every row sum is no larger
+    than the total, so each cell becomes a string only for its own line.
     """
-    two_n = M.two_n
-    table = [[str(k) for k in range(1, two_n)] + ["f(m,.)"]]
-    for row, total in zip(M._cells, M.row_sums()):
-        table.append(["" if v is None else str(v) if v else "." for v in row] + [str(total)])
-    table.append([str(c) for c in M.col_sums()] + [f"E={M.total()}"])
-    widths = [max(map(len, column)) for column in zip(*table)]
-    names = ["k="] + [f"m={m}" for m in range(2, two_n + 1)] + ["f(.,k)"]
-    name_w = max(map(len, names))
-    lines = [
-        f"{name.rjust(name_w)}  {'  '.join(map(str.rjust, row, widths))}".rstrip()
-        for name, row in zip(names, table)
-    ]
-    del table
-    lines.append("")
-    return "\n".join(lines)
+    return "".join(_text_lines(M))
 
 
 # ---------------------------------------------------------------------------
@@ -492,12 +494,11 @@ def _cmd_enumerate(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
 def _cmd_matrix(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     build = {"brute": joint_matrix_bruteforce, "recurrence": assemble, "hybrid": _hybrid}
     M = build[args.method](args.two_n)
-    if args.format == "text":
-        sys.stdout.write(render_matrix_text(M))
-    elif args.format == "csv":
-        sys.stdout.write(M.to_csv())
+    if args.format == "json":
+        json.dump(M.to_json_dict(), sys.stdout)
+        sys.stdout.write("\n")
     else:
-        print(json.dumps(M.to_json_dict()))
+        sys.stdout.writelines(_text_lines(M) if args.format == "text" else M._csv_lines())
     return 0
 
 

@@ -23,7 +23,7 @@ line, so importing this module does not load it.
 from __future__ import annotations
 
 import time
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .trees import OddSizeError, _check_size  # noqa: F401 (re-export)
 
@@ -112,6 +112,8 @@ class JointMatrix:
     def set(self, m: int, k: int, value: int) -> None:
         if not self.in_box(m, k):
             raise ValueError(f"cell ({m},{k}) is outside the index box of M_{self.two_n}")
+        if not _is_count(value):
+            raise ValueError(f"cell ({m},{k}) of M_{self.two_n} takes a count, got {value!r}")
         self._cells[m - 2][k - 1] = value
 
     def known_cells(self) -> Iterable[tuple[int, int, int]]:
@@ -136,7 +138,13 @@ class JointMatrix:
     def attach_margins(
         self, row_sums: Sequence[int], col_sums: Sequence[int], total: int
     ) -> None:
-        """Record analytically-known marginals on a partial matrix."""
+        """Record analytically-known marginals on a partial matrix.
+
+        No margin may be smaller than a known cell of its line, nor *total*
+        than a margin: the text output reads its widths off the margins.
+        This is not checked, since the recurrence attaches them at every
+        size.
+        """
         self._row_sums = tuple(row_sums)
         self._col_sums = tuple(col_sums)
         self._total = total
@@ -221,18 +229,14 @@ class JointMatrix:
         return M
 
     def to_csv(self) -> str:
-        """Header row of k values, one row per m, empty cell when unknown.
+        """Header row of k values, one row per m, empty cell when unknown."""
+        return "".join(self._csv_lines())
 
-        At its peak it holds the lines and the text joined from them, about
-        twice the text: each line is built from its row of cells, and the
-        join takes the closing newline from a last empty line, so the text
-        is not copied again to end it.
-        """
-        lines = ["m\\k," + ",".join(map(str, range(1, self.two_n)))]
+    def _csv_lines(self) -> Iterator[str]:
+        """The lines of :meth:`to_csv`, each ending in a newline."""
+        yield f"m\\k,{','.join(map(str, range(1, self.two_n)))}\n"
         for m, row in enumerate(self._cells, 2):
-            lines.append(f"{m}," + ",".join(["" if v is None else str(v) for v in row]))
-        lines.append("")
-        return "\n".join(lines)
+            yield f"{m},{','.join(['' if v is None else str(v) for v in row])}\n"
 
     # -- equality -------------------------------------------------------------------
 

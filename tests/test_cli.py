@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+import os
 import re
 import sys
 import tracemalloc
@@ -147,9 +148,8 @@ def test_text_and_csv_are_pinned(method, two_n):
 
 @pytest.mark.parametrize("render", [render_matrix_text, JointMatrix.to_csv])
 def test_text_and_csv_peak_at_about_twice_their_length(render):
-    # The lines and the text joined from them, about 2.0 times the text of
-    # M_120 (2.4 MiB of table, 1.2 MiB of CSV); holding the cell strings
-    # beside the lines and copying the text to end it took 3.7 and 3.0 times.
+    # The library joins the lines of M_120 (2.4 MiB of table, 1.2 MiB of
+    # CSV), so it holds them and the text, about 2.0 times the text.
     M = assemble(120)
     tracemalloc.start()
     try:
@@ -158,6 +158,27 @@ def test_text_and_csv_peak_at_about_twice_their_length(render):
     finally:
         tracemalloc.stop()
     assert peak < 2.2 * len(out), peak / len(out)
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_the_matrix_command_holds_about_one_line(fmt, monkeypatch):
+    # The command writes each line as it makes it; building the whole output
+    # of M_120 first held 2.0-2.5 times its length.
+    M = assemble(120)
+    monkeypatch.setattr(cli, "assemble", lambda two_n: M)
+    if fmt == "json":
+        length = len(json.dumps(M.to_json_dict())) + 1
+    else:
+        length = len(render_matrix_text(M) if fmt == "text" else M.to_csv())
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = main(["matrix", "--two-n", "120", "--method", "recurrence", "--format", fmt])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0 and peak < 0.25 * length, peak / length
 
 
 def test_matrix_odd_size_is_usage_error():
@@ -691,19 +712,20 @@ def test_a_sized_flag_that_breaks_the_rule_is_a_usage_error(argv, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        "series --target omega --order 67",
-        "series --target sec --order 4 --query x",
-        "matrix --two-n 42",
+        ("series --target sec --order 4 --query x", "bad exponent list 'x'"),
+        # No --method: the cap of the default method, brute.
+        ("matrix --two-n 42", "--two-n 42 is above the cap of the insertion-move counter, 40"),
     ],
-    ids=("series-order-cap", "series-bad-query", "matrix-brute-force-cap"),
+    ids=("series-bad-query", "matrix-default-method-cap"),
 )
-def test_a_usage_error_after_parsing_prints_the_subcommand_usage(argv, capsys):
+def test_a_usage_error_after_parsing_prints_the_subcommand_usage(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv.split())
     assert exc.value.code == 2
-    assert capsys.readouterr().err.startswith(f"usage: secant-trees {argv.split()[0]} ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: secant-trees {argv.split()[0]} ") and message in err
 
 
 def _sized_choices():

@@ -4,6 +4,7 @@ import copy
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -168,6 +169,17 @@ def test_set_outside_the_index_box_is_a_value_error(cell):
     with pytest.raises(ValueError, match=rf"^cell \({m},{k}\) is outside the index box of M_4$"):
         M.set(m, k, 1)
     assert M.unknown_cells() == JointMatrix(4, method="brute").unknown_cells()
+
+
+@pytest.mark.parametrize("value", (-1, True, 1.5, "3"), ids=repr)
+def test_set_takes_only_a_count(value):
+    M = JointMatrix(4, method="brute")
+    message = rf"^cell \(2,3\) of M_4 takes a count, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        M.set(2, 3, value)
+    assert M.cell(2, 3) is None
+    M.set(2, 3, 0)
+    assert M.cell(2, 3) == 0
 
 
 def test_parts_log_their_progress(monkeypatch, caplog):
