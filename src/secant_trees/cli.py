@@ -100,8 +100,7 @@ RULE_MAX_N = 730
 # /dev/null, in five fresh processes each (2-core VM, Python 3.11): at 450
 # text took 4.3-7.0 s (median 5.1 s), CSV 4.6-5.4 s (median 5.0 s) and JSON
 # 4.7-6.0 s (median 5.1 s), each at a 104-105 MiB peak RSS; at 460 text
-# medians were 7.6-7.9 s over three sets, and at 480 7.6-8.7 s, while text
-# was built whole before it was written.
+# medians were 7.6-7.9 s over three sets, and at 480 7.6-8.7 s.
 RECURRENCE_MAX_TWO_N = 450
 
 # The one table of size caps (see the module docstring), keyed by subcommand
@@ -316,14 +315,8 @@ def _gf1(ctx: _VerifyContext, two_n_max: int) -> Iterator[_Row]:
     bound = two_n_max - 4
     w1 = omega1(bound)
     yield f"i+j<={bound}", (
-        (
-            i + j + 4,
-            f"(i,j)=({i},{j})",
-            0 if (i + j) % 2 else ctx.brute(i + j + 4).get(2, j + 3),
-            w1.egf_coefficient((i, j)),
-        )
-        for i in range(bound + 1)
-        for j in range(bound + 1 - i)
+        (i + j + 4, f"(i,j)=({i},{j})", want, w1.egf_coefficient((i, j)))
+        for (i, j), want in omega_grid_from_counts(1, bound, ctx.brute).items()
     )
 
 

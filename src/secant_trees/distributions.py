@@ -90,11 +90,6 @@ class JointMatrix:
         M._row_sums = M._col_sums = M._total = None
         return M
 
-    # -- index helpers ------------------------------------------------------
-
-    def in_box(self, m: int, k: int) -> bool:
-        return 2 <= m <= self.two_n and 1 <= k <= self.two_n - 1
-
     # -- cell access ----------------------------------------------------------
 
     def cell(self, m: int, k: int) -> int | None:
@@ -110,7 +105,7 @@ class JointMatrix:
         return v
 
     def set(self, m: int, k: int, value: int) -> None:
-        if not self.in_box(m, k):
+        if not (type(m) is int and type(k) is int and 2 <= m <= self.two_n and 1 <= k < self.two_n):
             raise ValueError(f"cell ({m},{k}) is outside the index box of M_{self.two_n}")
         if not _is_count(value):
             raise ValueError(f"cell ({m},{k}) of M_{self.two_n} takes a count, got {value!r}")

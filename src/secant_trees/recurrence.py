@@ -16,13 +16,12 @@ second-difference law, seeded by f(., 1) = E_{2n-2} and f(., 2) = 3 E_{2n-2}.
 boundary identities and the column rule, sweeping each row right to left,
 fill the whole upper triangle (m < k).  The two top rows are written as
 slices of the previous column sums, once one pass has checked those sums
-and the four cells where the top rows cross the two right columns.  The
-column rule runs as running differences: step = f(m, k+1) - f(m, k+2) drops
-by 4 f_{2n-2}(m, k) from one cell to the next, so each cell costs three
-integer operations and its own sign check.  The row rule needs no second
-fill: on the same boundary a top-down row-order fill would equal the column
-fill exactly when the column-filled matrix satisfies the row rule, and the
-test suite checks that law on it.  Of the lower triangle only the border is
+and the four cells where the top rows cross the two right columns.  Each
+further row, like the column sums, comes out of the one second-difference
+loop :func:`_second_differences`.  The row rule needs no second fill: on the
+same boundary a top-down row-order fill would equal the column fill exactly
+when the column-filled matrix satisfies the row rule, and the test suite
+checks that law on it.  Of the lower triangle only the border is
 analytically reachable: the first column mirrors the first row, the bottom
 row is a shifted row of the Entringer triangle, the subdiagonal starts from
 f(3, 2) = 2 f(3, 1) and propagates through the crossing identity
@@ -40,8 +39,7 @@ current row.  :func:`entringer_triangle` is the one reader that keeps rows,
 because it returns the triangle; :func:`tree_count` and
 :func:`secant_numbers` sum the rows they need and drop them, and the engine
 keeps the walk over the even rows on its frontier.  ``secant_numbers(1400)``
-so peaks at 24 MiB RSS in 0.8 s, where summing a whole triangle took 984 MiB
-and 1.6 s, and ``secant_numbers(600)`` traces 0.8 MiB instead of 67 MiB
+so peaks at 24 MiB RSS in 0.8 s, and ``secant_numbers(600)`` traces 0.8 MiB
 (2-core VM, Python 3.11.7).
 
 Everything is exact integer arithmetic on Python ints.
@@ -50,7 +48,7 @@ Everything is exact integer arithmetic on Python ints.
 from __future__ import annotations
 
 from itertools import accumulate, islice
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .distributions import BrokenInvariantError, EntringerTriangle, JointMatrix
 from .trees import _check_size
@@ -102,19 +100,32 @@ def secant_numbers(two_n_max: int) -> tuple[int, ...]:
     return (1, *map(sum, islice(_entringer_rows(), 0, max(two_n_max - 1, 0), 2)))
 
 
+def _second_differences(seed: int, values: Iterable[int]) -> list[int]:
+    """The run seed, 3 seed, f_2, f_3, ... of the second-difference law
+    f_{i+2} = 2 f_{i+1} - f_i - 4 q_i over the terms q_0, q_1, ... of
+    *values*, for a *seed* >= 0; the run ends at its first negative term.
+
+    The law runs as running differences: step = f_{i+1} - f_i drops by 4 q_i
+    from one term to the next, so each term costs three integer operations
+    and its own sign check."""
+    near, step = 3 * seed, seed << 1
+    run = [seed, near]
+    for q in values:
+        step -= q << 2
+        near += step
+        run.append(near)
+        if near < 0:
+            break
+    return run
+
+
 def _next_column_sums(sums: tuple[int, ...]) -> tuple[int, ...]:
     """Column sums of M_{2n} from the column sums *sums* of M_{2n-2}: seeded by
     f(., 1) = E_{2n-2} and f(., 2) = 3 E_{2n-2}, then the second-difference
     law f(., k+2) = 2 f(., k+1) - f(., k) - 4 f_{2n-2}(., k)."""
-    two_n, total = len(sums) + 3, sum(sums)
-    near, step = 3 * total, total << 1  # step = f(., k+1) - f(., k)
-    cs = [total, near]
-    for p in sums:
-        step -= p << 2
-        near += step
-        if near < 0:
-            raise BrokenInvariantError(f"column sum at k={len(cs) + 1} of M_{two_n} is negative")
-        cs.append(near)
+    cs = _second_differences(sum(sums), sums)
+    if cs[-1] < 0:
+        raise BrokenInvariantError(f"column sum at k={len(cs)} of M_{len(sums) + 3} is negative")
     return tuple(cs)
 
 
@@ -172,22 +183,13 @@ def _upper_rows(
         [None, None, None, *[3 * c for c in cs[1:]]],
     ]
     # Column rule f(m, k) = 2 f(m, k+1) - f(m, k+2) - 4 f_{2n-2}(m, k), each
-    # row right to left from its two border cells, as running differences:
-    # step = f(m, k+1) - f(m, k+2) drops by 4 f_{2n-2}(m, k) at each cell.
+    # row right to left from its two border cells f(m, 2n-1) and f(m, 2n-2).
     for i in range(2, top - 3):
-        c = cs[i]
-        near, step = 3 * c, c << 1
-        tail = [c, near]  # row m = i + 2 from k = 2n-1 leftwards
-        for q in reversed(prev[i][i + 2 : top - 2]):
-            step -= q << 2
-            near += step
-            if near < 0:
-                k = top - len(tail)
-                raise BrokenInvariantError(f"cell ({i + 2},{k}) of M_{two_n} came out {near}")
-            tail.append(near)
-        tail += [None] * (i + 2)
-        tail.reverse()
-        rows.append(tail)
+        run = _second_differences(cs[i], reversed(prev[i][i + 2 : top - 2]))
+        if run[-1] < 0:
+            k = top + 1 - len(run)
+            raise BrokenInvariantError(f"cell ({i + 2},{k}) of M_{two_n} came out {run[-1]}")
+        rows.append([*[None] * (i + 2), *reversed(run)])
     if two_n >= 6:
         rows.append([*[None] * (top - 1), cs[-1]])  # row 2n-2: f(2n-2, 2n-1)
     rows += ([None] * top for _ in range(top - len(rows)))

@@ -262,9 +262,7 @@ class TriSeries:
         """Coefficient-wise equality up to the smaller truncation order."""
         self._check_compatible(other)
         order = min(self.order, other.order)
-        a = {e: c for e, c in self.coeffs.items() if sum(e) <= order}
-        b = {e: c for e, c in other.coeffs.items() if sum(e) <= order}
-        return a == b
+        return self.truncate(order) == other.truncate(order)
 
     def dump_lines(self) -> list[str]:
         """Lines "e1 [e2 [e3]] num/den" of Taylor coefficients, sorted by

@@ -62,23 +62,16 @@ class StatRecord(NamedTuple):
 
 
 def is_alternating(word: Sequence[int]) -> bool:
-    """True iff *word* is a permutation of 1..n with w1 > w2 < w3 > w4 < ...
+    """True iff *word* is a permutation of 1..n with w1 > w2 < w3 > w4 < ...,
+    that is, iff :func:`tree_from_perm` takes it.
 
     Letters must be exactly ``int``: ``True`` or ``2.0`` equal a label but
     are not one.
     """
-    n = len(word)
-    if n < 1 or list(map(type, word)).count(int) != n:
+    try:
+        tree_from_perm(word)
+    except TreeError:
         return False
-    if sorted(word) != list(range(1, n + 1)):
-        return False
-    prev = word[0]
-    down = True
-    for x in word[1:]:
-        if (x >= prev) if down else (x <= prev):
-            return False
-        prev = x
-        down = not down
     return True
 
 

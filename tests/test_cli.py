@@ -446,6 +446,26 @@ def test_every_check_but_bijection_passes_at_20():
     }
 
 
+# Row count and sha256 of json.dumps(report.to_json_dict(), sort_keys=True)
+# with "seconds" dropped from every row, for every check at 14 and every
+# check but bijection, whose reach is 10, at 24; computed while the
+# recurrence ran two copies of its second-difference loop.
+VERIFY_REPORT_DIGESTS = {
+    14: (76, "77b1a81c70abff890d5b9af9e4a678e265fdedf2d7189230c1fa750c8b321e5f"),
+    24: (122, "90dadef95ab8cc437d3de5ee8a32b61d3bff4596b70cf6bbd4d6566943178614"),
+}
+
+
+@pytest.mark.parametrize("two_n_max", sorted(VERIFY_REPORT_DIGESTS))
+def test_verify_report_is_pinned(two_n_max):
+    checks = [c for c in cli.ALL_CHECKS if two_n_max == 14 or c != "bijection"]
+    blob = run_checks(two_n_max, checks).to_json_dict()
+    for row in blob["rows"]:
+        del row["seconds"]
+    digest = hashlib.sha256(json.dumps(blob, sort_keys=True).encode()).hexdigest()
+    assert (len(blob["rows"]), digest) == VERIFY_REPORT_DIGESTS[two_n_max]
+
+
 def test_matrix_brute_and_hybrid_csv_agree_at_16(capsys):
     _, brute_csv = run(capsys, "matrix", "--two-n", "16", "--format", "csv")
     _, hybrid_csv = run(capsys, "matrix", "--two-n", "16", "--method", "hybrid", "--format", "csv")

@@ -162,7 +162,8 @@ def test_unknown_cells_are_first_class():
             margin()
 
 
-@pytest.mark.parametrize("cell", ((1, 1), (5, 1), (2, 0), (2, 4)))
+# True and 2.0 equal an index of the box but are not one.
+@pytest.mark.parametrize("cell", ((1, 1), (5, 1), (2, 0), (2, 4), (2, True), (2.0, 3), (2, 3.0)))
 def test_set_outside_the_index_box_is_a_value_error(cell):
     M = JointMatrix(4, method="brute")
     m, k = cell

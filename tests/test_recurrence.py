@@ -233,6 +233,32 @@ def test_upper_border_reports_its_first_fault(corrupt, message):
         eng.assemble(8)
 
 
+def _raise_on_a_cell_of_m10(m, k):
+    """Assemble M_10 from an M_8 whose cell (m, k) is 1000 too large."""
+    eng = RecurrenceEngine()
+    M = eng.assemble(8)
+    M.set(m, k, M.get(m, k) + 1000)
+    eng.assemble(10)
+
+
+# A second-difference run ends at its first negative term, and the fault is
+# named from the run's length, so the two ends of a run are pinned: the row
+# m = 4 of M_10 runs from k = 7 down to (m, m+1) = (4,5), reading f_8(4, k),
+# and the column sums (1, 1, 0) step to 2, 6, 6, 2, -2 at k = 1 .. 2n-1 = 5.
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (lambda: _raise_on_a_cell_of_m10(4, 7), r"cell \(4,7\) of M_10 came out -2659$"),
+        (lambda: _raise_on_a_cell_of_m10(4, 5), r"cell \(4,5\) of M_10 came out -2595$"),
+        (lambda: recurrence._next_column_sums((1, 1, 0)), r"column sum at k=5 of M_6 is negative$"),
+    ],
+    ids=("first cell of a row", "last cell of a row", "last column sum"),
+)
+def test_a_second_difference_run_names_its_first_negative(fault, message):
+    with pytest.raises(BrokenInvariantError, match=message):
+        fault()
+
+
 # ---------------------------------------------------------------------- #
 # lower border                                                            #
 # ---------------------------------------------------------------------- #

@@ -152,24 +152,29 @@ def test_tree_from_perm_matches_explicit_tree():
 
 def test_tree_from_perm_rejects_non_alternating():
     # Letters are exactly ints: True and 2.0 compare equal to labels.
-    for bad in ((1, 2), (2, 1, 3, 4), (1, 1), (3, 2, 1), (2, True), (2.0, 1.0), (3, 1.0, 2)):
+    for bad in (
+        (), (1, 2), (2, 1, 3, 4), (1, 1), (3, 2, 1), (2, 1, 3, 3),
+        (True,), (2, True), (2, 1.0), (2.0, 1), (2.0, 1.0), (3, 1.0, 2), "21",
+    ):
         assert not is_alternating(bad)
-        with pytest.raises(TreeError, match="not a down-up alternating permutation"):
+        message = f"^not a down-up alternating permutation: {re.escape(repr(tuple(bad)))}$"
+        with pytest.raises(TreeError, match=message):
             tree_from_perm(bad)
 
 
 def test_tree_from_perm_accepts_exactly_the_down_up_words():
-    # Every permutation of 1..n for n <= 7, the empty word among them, and
-    # words that are not permutations of ints.
-    words = chain.from_iterable(permutations(range(1, n + 1)) for n in range(8))
-    for word in chain(words, [(True,), (2.0, 1), (2, 1, 3, 3)]):
+    # Every permutation of 1..n for n <= 7, the empty word among them: the
+    # down-up words are the ones the word generator lists.
+    down_up = set(chain.from_iterable(alternating_permutations(n) for n in range(1, 8)))
+    for word in chain.from_iterable(permutations(range(1, n + 1)) for n in range(8)):
+        assert is_alternating(word) == (word in down_up), word
         try:
             tree_from_perm(word)
         except TreeError as exc:
             assert str(exc) == f"not a down-up alternating permutation: {word!r}"
-            assert not is_alternating(word), word
+            assert word not in down_up, word
         else:
-            assert is_alternating(word), word
+            assert word in down_up, word
 
 
 # sha256 of repr((parent, left, right)) of tree_from_perm(w) over the words w
