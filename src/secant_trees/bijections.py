@@ -92,9 +92,10 @@ def tripling_map(t: IncTree) -> tuple[IncTree, IncTree, IncTree]:
 
     The first image transposes the labels 2n-2 and 2n-1 (node 2n-2 is forced
     to be a leaf).  The other two detach the pair {2n-1, 2n} from the tree
-    and replant it as the two children of the old leaf 2n-2, in both planar
-    orders.  Over the whole domain the 3 |domain| images are pairwise
-    distinct and exhaust the trees with pom = 2n-2.
+    and replant it as the two children of the old leaf 2n-2: first with
+    2n-1 on the left, then with 2n on the left.  Over the whole domain the
+    3 |domain| images are pairwise distinct and exhaust the trees with
+    pom = 2n-2.
     """
     n = t.n
     _check_size(n, 4, "the size of t", even=True)
@@ -112,15 +113,11 @@ def tripling_map(t: IncTree) -> tuple[IncTree, IncTree, IncTree]:
     right[parent[n - 1]] = 0
     parent[n - 1] = parent[n] = n - 2
     left[n - 1] = right[n - 1] = 0
-    left_a = list(left)
-    right_a = list(right)
-    left_a[n - 2], right_a[n - 2] = n - 1, n
-    t2 = IncTree(parent, left_a, right_a)
-    left_b = list(left)
-    right_b = list(right)
-    left_b[n - 2], right_b[n - 2] = n, n - 1
-    t3 = IncTree(parent, left_b, right_b)
-    return t1, t2, t3
+    # IncTree copies the arrays, so the third image reuses them.
+    left[n - 2], right[n - 2] = n - 1, n
+    t2 = IncTree(parent, left, right)
+    left[n - 2], right[n - 2] = n, n - 1
+    return t1, t2, IncTree(parent, left, right)
 
 
 def pom1_map(t: IncTree) -> IncTree:

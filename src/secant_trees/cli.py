@@ -45,6 +45,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import islice
 from typing import Callable, Iterable, Iterator
 
@@ -177,12 +178,7 @@ class VerifyReport:
 class _VerifyContext:
     def __init__(self):
         self.engine = RecurrenceEngine()
-        self._brute: dict[int, JointMatrix] = {}
-
-    def brute(self, two_n: int) -> JointMatrix:
-        if two_n not in self._brute:
-            self._brute[two_n] = joint_matrix_bruteforce(two_n)
-        return self._brute[two_n]
+        self.brute = cache(joint_matrix_bruteforce)
 
 
 # A report row as a check yields it: ``(parameter, comparisons)``, each

@@ -34,6 +34,7 @@ G_xx - 2 G_xy + G_yy + 4G = 0.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial, prod
 from operator import add, sub
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -85,7 +86,7 @@ class TriSeries:
         self.order = order
         self.coeffs: dict[tuple[int, ...], int | Fraction] = {}
         for e, c in (coeffs or {}).items():
-            if len(e) != num_vars or any(x < 0 for x in e):
+            if len(e) != num_vars or any(type(x) is not int or x < 0 for x in e):
                 raise ValueError(f"bad exponent tuple {e!r}")
             if sum(e) > order:
                 raise ValueError(f"exponent {e!r} exceeds order {order}")
@@ -296,9 +297,14 @@ def compose_linear(
     series given by its list of EGF coefficients.
 
     In closed form, the EGF coefficient at exponent e is
-    univariate[sum(e)] times the product of linear[v] ** e[v].
+    univariate[sum(e)] times the product of linear[v] ** e[v].  Every entry
+    of *linear*, and every coefficient up to *order*, must be an ``int`` (not
+    a ``bool``) or a ``Fraction``.
     """
     _check_size(order, 0, "order")
+    for x in (*linear, *univariate[: order + 1]):
+        if type(x) not in (int, Fraction):
+            raise ValueError(f"not an exact number (an int or a Fraction): {x!r}")
     nv = len(linear)
     # A zero coefficient (every other degree of cos, sin and sec^k) adds no
     # term, so its exponents are not visited.
@@ -420,22 +426,20 @@ def omega_grid_from_counts(
     """The grid of upper-triangle row p sliced out of joint matrices.
 
     ``counts(two_n)`` must return a matrix with the ``get(m, k)`` accessor;
-    the grid maps (i, j) to 0 when i + j and p share parity, else to the
-    count f_{p+i+j+3}(p+1, p+j+2).  Covers i + j <= max_sum.
+    it is called once per size.  The grid maps (i, j) to 0 when i + j and p
+    share parity, else to the count f_{p+i+j+3}(p+1, p+j+2).  Covers
+    i + j <= max_sum.
     """
     _check_size(p, 1, "p")
     _check_size(max_sum, 0, "max_sum")
+    counts = cache(counts)
     entries: dict[tuple[int, int], int] = {}
-    cache: dict[int, object] = {}
     for i in range(max_sum + 1):
         for j in range(max_sum + 1 - i):
             if (i + j) % 2 == p % 2:
                 entries[(i, j)] = 0
             else:
-                two_n = p + i + j + 3
-                if two_n not in cache:
-                    cache[two_n] = counts(two_n)
-                entries[(i, j)] = cache[two_n].get(p + 1, p + j + 2)
+                entries[(i, j)] = counts(p + i + j + 3).get(p + 1, p + j + 2)
     return entries
 
 

@@ -195,24 +195,23 @@ class IncTree:
     def minimal_chain(self) -> tuple[int, ...]:
         """Root-to-leaf path following the smaller (or only) child.
 
-        Starts at the root; while the next smaller child is interior, keep
-        walking; the chain ends at the first leaf reached.  The single-node
-        tree has the one-element chain (1,).
+        Starts at the root and steps to the smaller child, or to the left
+        child where the right one is missing, until a node without a left
+        child: that node is a leaf, since the one-child node carries a left
+        child.  The single-node tree has the one-element chain (1,).
         """
         left, right = self.left, self.right
         chain = [1]
         v = 1
-        while True:
+        while left[v]:
             l, r = left[v], right[v]
-            if l == 0 and r == 0:
-                return tuple(chain)
-            v = (l if l < r else r) if l and r else (l or r)
+            v = r if 0 < r < l else l
             chain.append(v)
+        return tuple(chain)
 
     def eoc(self) -> int:
-        """The last label of :meth:`minimal_chain`, walked to without
-        building the chain: a node without a left child is a leaf, since the
-        one-child node carries a left child."""
+        """The last label of :meth:`minimal_chain`, walked to by the same
+        step without building the chain."""
         if self.n == 1:
             raise TreeError("eoc is undefined on the single-node tree")
         left, right = self.left, self.right
@@ -366,35 +365,30 @@ def alternating_permutations(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def _down_up_words(n: int) -> Iterator[tuple[int, ...]]:
+    """The walk behind :func:`alternating_permutations`, one iterator per
+    open position on a stack: position 0 runs over 1..n, an odd position
+    over the letters below the one before it, an even one over the letters
+    above it.  Each position takes the next letter of its iterator not yet
+    used; a spent iterator pops and frees the letter before it."""
     word = [0] * n
     used = bytearray(n + 1)
-    pos = 0
-    val = 0  # last value tried at the current position, 0 = none yet
-    while pos >= 0:
-        if pos == 0:
-            lo, hi = 1, n
-        elif pos % 2 == 1:
-            lo, hi = 1, word[pos - 1] - 1
+    stack = [iter(range(1, n + 1))]
+    while stack:
+        pos = len(stack) - 1
+        for v in stack[pos]:
+            if not used[v]:
+                break
         else:
-            lo, hi = word[pos - 1] + 1, n
-        v = val + 1 if val + 1 > lo else lo
-        while v <= hi and used[v]:
-            v += 1
-        if v > hi:
-            pos -= 1
-            if pos >= 0:
-                val = word[pos]
-                used[val] = 0
+            stack.pop()
+            if pos:
+                used[word[pos - 1]] = 0
             continue
         word[pos] = v
-        used[v] = 1
         if pos == n - 1:
             yield tuple(word)
-            used[v] = 0
-            val = v
         else:
-            pos += 1
-            val = 0
+            used[v] = 1
+            stack.append(iter(range(1, v) if pos % 2 == 0 else range(v + 1, n + 1)))
 
 
 def enumerate_trees(n: int) -> Iterator[IncTree]:

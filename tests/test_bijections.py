@@ -77,6 +77,24 @@ def test_tripling_map_spot_case():
     assert all(x.pom() == 2 for x in images)
 
 
+@pytest.mark.parametrize("two_n", [6, 8])
+def test_tripling_map_images_come_in_the_documented_order(two_n):
+    domain = [t for t in enumerate_trees(two_n) if t.pom() == two_n - 1]
+    assert domain
+    a, b, c = two_n - 2, two_n - 1, two_n
+    swap = {a: b, b: a}
+    for t in domain:
+        first, second, third = tripling_map(t)
+        # the transposition of 2n-2 and 2n-1 ...
+        assert first.projection() == tuple(swap.get(v, v) for v in t.projection())
+        # ... then the pair {2n-1, 2n} replanted below 2n-2, in both orders
+        assert (second.left[a], second.right[a]) == (b, c)
+        assert (third.left[a], third.right[a]) == (c, b)
+        rest = [v for v in t.projection() if v < b]
+        for image in (second, third):
+            assert [v for v in image.projection() if v < b] == rest
+
+
 def test_pom1_map_spot_case():
     t = tree_from_perm((4, 1, 3, 2))  # eoc = 3, pom = 1
     out = pom1_map(t)

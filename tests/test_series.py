@@ -2,6 +2,7 @@
 
 import hashlib
 import re
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -277,6 +278,28 @@ def test_truncate_hash_repr_and_int_scaling():
             OutOfOrderError,
             "need order >= 1 to read the second row",
         ),
+        (lambda: TriSeries(1, 3, {(1.0,): 1}), ValueError, "bad exponent tuple (1.0,)"),
+        (lambda: TriSeries(1, 3, {(True,): 1}), ValueError, "bad exponent tuple (True,)"),
+        (
+            lambda: cos_linear((0.5,), 3),
+            ValueError,
+            "not an exact number (an int or a Fraction): 0.5",
+        ),
+        (
+            lambda: cos_linear((True, 1), 3),
+            ValueError,
+            "not an exact number (an int or a Fraction): True",
+        ),
+        (
+            lambda: sin_linear(("a",), 2),
+            ValueError,
+            "not an exact number (an int or a Fraction): 'a'",
+        ),
+        (
+            lambda: compose_linear([1, 0.5, 1], (1,), 2),
+            ValueError,
+            "not an exact number (an int or a Fraction): 0.5",
+        ),
     ],
 )
 def test_series_rejects_a_bad_argument(call, error, message):
@@ -383,7 +406,15 @@ def test_omega_p_matches_oracle_slices(brute):
     for p in (2, 3, 4):
         max_sum = 7 - p  # keeps the sliced sizes at 10 or below
         wp = omega_p(p, max_sum)
-        grid = omega_grid_from_counts(p, max_sum, brute)
+        asked = Counter()
+
+        def counts(two_n):
+            asked[two_n] += 1
+            return brute(two_n)
+
+        grid = omega_grid_from_counts(p, max_sum, counts)
+        # each sliced size is counted once
+        assert asked == Counter(s for s in range(p + 3, p + max_sum + 4) if s % 2 == 0)
         for (i, j), want in grid.items():
             assert wp.egf_coefficient((i, j)) == want, (p, i, j)
 

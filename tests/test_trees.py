@@ -35,9 +35,13 @@ def one_child_nodes(t: IncTree) -> list[int]:
 
 
 def test_validate_unique_size_two_tree():
-    t = IncTree((0, 0, 1), (0, 2, 0), (0, 0, 0))
+    parent, left, right = [0, 0, 1], [0, 2, 0], [0, 0, 0]
+    t = IncTree(parent, left, right)
     assert t.n == 2
     assert t.projection() == (2, 1)
+    # the tree keeps copies: changing the lists afterwards leaves it as it was
+    left[1], right[1] = 0, 2
+    assert (t.parent, t.left, t.right) == ((0, 0, 1), (0, 2, 0), (0, 0, 0))
 
 
 def test_validate_figure_tree_via_perm():
@@ -237,11 +241,15 @@ def test_minimal_chain_examples():
 
 
 def test_minimal_chain_is_increasing_from_the_root():
-    for n in range(2, 9):
+    for n in range(1, 11):
         for t in enumerate_trees(n):
-            chain = t.minimal_chain()
-            assert chain[0] == 1
-            assert list(chain) == sorted(chain)
+            # the definition: follow the smaller or only child until a leaf
+            path, v = [1], 1
+            while children := [c for c in (t.left[v], t.right[v]) if c]:
+                v = min(children)
+                path.append(v)
+            assert t.minimal_chain() == tuple(path)
+            assert path == sorted(path)
 
 
 @pytest.mark.parametrize("n", range(2, 11))
