@@ -3,8 +3,8 @@
 Subcommands
 -----------
 ``enumerate``  stream counts, projections or tree JSON for one size;
-``matrix``     print a joint matrix (brute, recurrence or hybrid) as a
-               table, CSV or JSON;
+``matrix``     print a joint matrix (brute or recurrence) as a table, CSV
+               or JSON;
 ``entringer``  print triangle rows from the partial-sum rule or by brute
                force;
 ``series``     dump a generating function or query one EGF coefficient;
@@ -24,11 +24,15 @@ size.  ``run_checks`` is the one driver: it runs each check up to the
 smaller of the bound and its reach, times each row, and keeps each
 comparison whose two values differ as one of that row's failures.
 
-The ``tables`` law compares the counter's matrix of one size with the golden
-table where there is one, and with every cell and both margins that the
-recurrence gives.  ``matrix --method hybrid`` is that law at one size: it
-prints the counter's matrix, tagged ``hybrid``, or raises
-BrokenInvariantError at the first comparison that differs.
+Every check that reads the insertion-move counter reads the matrices of one
+pass, which starts on the first read and runs up to the smaller of the
+run's bound and the counter cap, so each size is counted once and a
+selection that never reads the counter counts nothing.  The ``tables`` law
+compares the counter's matrix of one size with the golden table where there
+is one, and with every cell and both margins that the recurrence gives;
+``verify --checks tables --two-n-max <2n>`` runs it at every size up to 2n
+in one pass.  ``gf1`` and ``gf3`` compare the series ring with the
+recurrence, so they reach the series caps.
 
 ``CAPS`` is the one table of size caps.  It maps each subcommand and method
 or target to the flag it bounds, what the cap bounds and the cap.  ``main``
@@ -45,15 +49,14 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
-from functools import cache
 from itertools import islice
 from typing import Callable, Iterable, Iterator
 
 from .bijections import MAP_DOMAINS, verify_maps
 from .distributions import (
     _METHODS,
-    BrokenInvariantError,
     JointMatrix,
+    _joint_pass,
     entringer_bruteforce,
     joint_matrix_bruteforce,
 )
@@ -81,12 +84,12 @@ from .trees import _check_size, alternating_permutations, enumerate_trees
 ENUMERATE_MAX_N = 11
 
 # Largest size counted by the insertion-move counters, for `matrix --method
-# brute|hybrid` and `entringer --method brute`, and the reach of every
-# `verify` check but `bijection`.  At 40, with
-# start-up, `matrix` takes 0.6-1.0 s by either method, `entringer --method
-# brute` 0.15-0.22 s, and `verify` with every check but `bijection` 2.6-4.3 s
-# (2-core VM, Python 3.11).  At 60 the joint counter alone took about 6 s
-# and `gf3` about 5 s.
+# brute` and `entringer --method brute`, and the reach of every `verify`
+# check but `bijection`, `gf1` and `gf3`.  At 40, with start-up, over five fresh
+# processes each, `matrix` took 0.47-0.59 s, `entringer --method brute`
+# 0.09-0.14 s, and `verify` with every check but `bijection` 0.78-1.07 s, one
+# pass counting every size (2-core VM, Python 3.11).  One pass to 60 took
+# about 2.5 s.
 COUNTER_MAX_TWO_N = 40
 
 # Largest row printed by `entringer --method rule`: the largest n whose run,
@@ -112,7 +115,6 @@ RECURRENCE_MAX_TWO_N = 450
 CAPS: dict[tuple[str, str | None], tuple[str, str, int]] = {
     ("enumerate", None): ("--n", "brute-force enumeration", ENUMERATE_MAX_N),
     ("matrix", "brute"): ("--two-n", "the insertion-move counter", COUNTER_MAX_TWO_N),
-    ("matrix", "hybrid"): ("--two-n", "the insertion-move counter", COUNTER_MAX_TWO_N),
     ("matrix", "recurrence"): ("--two-n", "the recurrence", RECURRENCE_MAX_TWO_N),
     ("entringer", "brute"): ("--n-max", "the insertion-move counter", COUNTER_MAX_TWO_N),
     ("entringer", "rule"): ("--n-max", "the partial-sum rule", RULE_MAX_N),
@@ -176,9 +178,23 @@ class VerifyReport:
 
 
 class _VerifyContext:
-    def __init__(self):
+    """What the checks of one run share: the recurrence engine, and the
+    matrices of the one counter pass, up to *counter_bound*."""
+
+    def __init__(self, counter_bound: int):
         self.engine = RecurrenceEngine()
-        self.brute = cache(joint_matrix_bruteforce)
+        self._counter_bound = counter_bound
+        self._pass: Iterator[JointMatrix] | None = None
+        self._counted: dict[int, JointMatrix] = {}
+
+    def brute(self, two_n: int) -> JointMatrix:
+        """The counter's matrix of size *two_n*; the first call starts the pass."""
+        if self._pass is None:
+            self._pass = _joint_pass(self._counter_bound)
+        while two_n not in self._counted:
+            M = next(self._pass)
+            self._counted[M.two_n] = M
+        return self._counted[two_n]
 
 
 # A report row as a check yields it: ``(parameter, comparisons)``, each
@@ -212,20 +228,6 @@ def _tables(ctx: _VerifyContext, two_n: int) -> Iterator[tuple]:
         yield f"recurrence ({m},{k})", B.get(m, k), v
     yield "row sums", B.row_sums(), A.row_sums()
     yield "col sums", B.col_sums(), A.col_sums()
-
-
-def _hybrid(two_n: int) -> JointMatrix:
-    """The counter's matrix of size *two_n*, tagged "hybrid", once the
-    ``tables`` law holds at that size: the golden table where there is one,
-    every cell the recurrence knows and both margins.  BrokenInvariantError
-    names the first comparison that differs."""
-    ctx = _VerifyContext()
-    for location, expected, actual in _tables(ctx, two_n):
-        if expected != actual:
-            raise BrokenInvariantError(
-                f"tables check of M_{two_n} fails at {location}: expected {expected}, got {actual}"
-            )
-    return JointMatrix._adopt(two_n, "hybrid", ctx.brute(two_n)._cells)
 
 
 def _marginal(ctx: _VerifyContext, two_n: int) -> Iterator[tuple]:
@@ -312,7 +314,7 @@ def _gf1(ctx: _VerifyContext, two_n_max: int) -> Iterator[_Row]:
     w1 = omega1(bound)
     yield f"i+j<={bound}", (
         (i + j + 4, f"(i,j)=({i},{j})", want, w1.egf_coefficient((i, j)))
-        for (i, j), want in omega_grid_from_counts(1, bound, ctx.brute).items()
+        for (i, j), want in omega_grid_from_counts(1, bound, ctx.engine.assemble).items()
     )
 
 
@@ -322,7 +324,7 @@ def _gf3(ctx: _VerifyContext, two_n_max: int) -> Iterator[_Row]:
     w3 = omega(two_n_max - 4)
 
     def law(ctx: _VerifyContext, two_n: int) -> Iterator[tuple]:
-        B = ctx.brute(two_n)
+        B = ctx.engine.assemble(two_n)
         for m in range(2, two_n + 1):
             for k in range(m + 1, two_n):
                 yield f"({m},{k})", B.get(m, k), w3.egf_coefficient(cell_to_exponents(two_n, m, k))
@@ -362,8 +364,10 @@ CHECKS: dict[str, tuple[_Rows, int]] = {
     # E_2n / E_2n-2 per size: 0.13-0.15 s at 10 and 5.6-7.0 s at 12 (2-core
     # VM, Python 3.11.7).
     "bijection": (_per_size(4, _bijection), 10),
-    "gf1": (_gf1, COUNTER_MAX_TWO_N),
-    "gf3": (_gf3, COUNTER_MAX_TWO_N),
+    # The ring against the recurrence, up to the series caps (the order is
+    # 2n - 4).
+    "gf1": (_gf1, CAPS["series", "omega1"][2] + 4),
+    "gf3": (_gf3, CAPS["series", "omega"][2] + 4),
     "poupard": (_poupard, COUNTER_MAX_TWO_N),
     "pde": (_pde, COUNTER_MAX_TWO_N),
 }
@@ -409,7 +413,7 @@ def run_checks(
     """
     _check_size(two_n_max, 4, "two_n_max", even=True)
     checks = _selection(checks, two_n_max)
-    ctx = _VerifyContext()
+    ctx = _VerifyContext(min(two_n_max, COUNTER_MAX_TWO_N))
     report = VerifyReport()
     for name in checks:
         rows, reach = CHECKS[name]
@@ -481,7 +485,7 @@ def _cmd_enumerate(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
 
 
 def _cmd_matrix(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    build = {"brute": joint_matrix_bruteforce, "recurrence": assemble, "hybrid": _hybrid}
+    build = {"brute": joint_matrix_bruteforce, "recurrence": assemble}
     M = build[args.method](args.two_n)
     if args.format == "json":
         json.dump(M.to_json_dict(), sys.stdout)

@@ -14,9 +14,10 @@ increasing order, and the counter carries, from one label to the next, how
 many partial trees share each state that the later moves and the two
 statistics read.  The rightmost-label counter counts the same moves with a
 state of two fields, since it reads only the label of the rightmost node.
-No recurrence or Entringer value is used, and no word or tree object is
-built, so size 14 (199,360,981 trees) takes milliseconds in a modest memory
-budget.  :mod:`logging` is imported only by a count large enough to log a
+Each counter is one pass over the labels up to a bound, which reads every
+smaller size off its states on the way.  No recurrence or Entringer value
+is used, and no word or tree object is built, so size 14 (199,360,981
+trees) takes milliseconds in a modest memory budget.  :mod:`logging` is imported only by a count large enough to log a
 line, so importing this module does not load it.
 """
 
@@ -34,7 +35,7 @@ class BrokenInvariantError(RuntimeError):
     force disagreeing with the recurrence, or an impossible rightmost label."""
 
 
-_METHODS = ("brute", "recurrence", "hybrid")
+_METHODS = ("brute", "recurrence")
 _CELL_TYPES = {int, type(None)}
 
 
@@ -57,10 +58,10 @@ class JointMatrix:
 
     ``method`` records how the values were obtained: ``"brute"`` (every tree
     counted through its insertion moves, no recurrence or Entringer value
-    used), ``"recurrence"`` (analytic engine, interior lower-triangle
-    cells unknown) or ``"hybrid"`` (the brute-force rows, once the CLI's
-    ``tables`` check holds at their size: the golden table where there is
-    one, every recurrence-known cell and both margins).
+    used) or ``"recurrence"`` (analytic engine, interior lower-triangle
+    cells unknown).  A cell index is an ``int``: every accessor refuses any
+    other index, a bool included, with the ``ValueError`` of a cell outside
+    the index box.
     """
 
     __slots__ = ("two_n", "method", "_cells", "_row_sums", "_col_sums", "_total")
@@ -92,8 +93,13 @@ class JointMatrix:
 
     # -- cell access ----------------------------------------------------------
 
+    def _outside(self, m: object, k: object) -> ValueError:
+        return ValueError(f"cell ({m},{k}) is outside the index box of M_{self.two_n}")
+
     def cell(self, m: int, k: int) -> int | None:
         """Raw cell: 0 outside the index box, None when unknown."""
+        if type(m) is not int or type(k) is not int:
+            raise self._outside(m, k)
         if 2 <= m <= self.two_n and 1 <= k < self.two_n:
             return self._cells[m - 2][k - 1]
         return 0
@@ -106,7 +112,7 @@ class JointMatrix:
 
     def set(self, m: int, k: int, value: int) -> None:
         if not (type(m) is int and type(k) is int and 2 <= m <= self.two_n and 1 <= k < self.two_n):
-            raise ValueError(f"cell ({m},{k}) is outside the index box of M_{self.two_n}")
+            raise self._outside(m, k)
         if not _is_count(value):
             raise ValueError(f"cell ({m},{k}) of M_{self.two_n} takes a count, got {value!r}")
         self._cells[m - 2][k - 1] = value
@@ -247,8 +253,9 @@ class JointMatrix:
 
 # The status of the marked node K, the candidate pom, in a counting state.
 _UNMARKED, _K_EOC, _K_EOC_R, _K_R, _K_LEAF, _K_OPEN, _K_R_OPEN = range(7)
-# Smallest size whose count logs a line: a count takes 0.006 s at 2n = 14,
-# 0.04 s at 24 and 0.6-0.8 s at 40 (2 cores, Python 3.11.7).
+# Smallest size that logs a line when a pass reads it off: a pass takes
+# 0.003 s to 2n = 14, 0.04 s to 24 and 0.37-0.39 s to 40 (2 cores, Python
+# 3.11.7).
 _LOG_MIN_TWO_N = 40
 
 
@@ -296,6 +303,69 @@ def _moves(
     return moves
 
 
+def _joint_pass(bound: int) -> Iterator[JointMatrix]:
+    """The joint matrix of every even size 2 .. *bound*, in increasing order,
+    each yielded as it completes, from one pass over the labels; see
+    :func:`joint_matrix_bruteforce`.
+
+    A state is dropped once it has more open nodes than labels left before
+    *bound*, and a cell key is ``m * (bound + 1) + k``.  Size ``2n`` is read
+    off the states after label ``2n - 1``.  That is exact: each label fills
+    at most one open node, so a state that the drop against ``2n`` would
+    remove still has two or more open nodes other than ``R`` after label
+    ``2n - 1``, and the read-off never reads such a state.  Each size from
+    ``_LOG_MIN_TWO_N`` up logs its size, trees and seconds since the pass
+    began at INFO on the logger ``secant_trees.distributions``, and
+    :mod:`logging` is imported only there.
+    """
+    t0 = time.perf_counter()
+    base = bound + 1
+
+    def read_off(two_n: int) -> JointMatrix:
+        rows = [[0] * (two_n - 1) for _ in range(two_n - 1)]
+        for (o, r_open, eoc_is_r, ks), cells in states.items():
+            if ks == _K_OPEN and o == 1 and r_open:
+                for c, v in cells.items():
+                    m, k = divmod(c, base)
+                    rows[m - 2][k - 1] += v
+            elif ks in (_K_EOC_R, _K_R) and o == 0 and not r_open:
+                for c, v in cells.items():
+                    m, k = divmod(c, base)
+                    rows[(two_n if eoc_is_r else m) - 2][k - 1] += v
+        M = JointMatrix._adopt(two_n, "brute", rows)
+        if two_n >= _LOG_MIN_TWO_N:
+            import logging  # only where a line is written: no smaller size pays for it
+
+            logging.getLogger(__name__).info(
+                "M_%d: %d trees in %.2f s", two_n, M.total(), time.perf_counter() - t0
+            )
+        return M
+
+    # Label 1, the root: a leaf that is R and eoc, unmarked or marked as K.
+    states = {(0, False, True, _UNMARKED): {base: 1}, (0, False, True, _K_EOC_R): {base + 1: 1}}
+    yield read_off(2)
+    for L in range(2, bound):
+        eoc_at_L = L * base
+        after: dict[tuple[int, bool, bool, int], dict[int, int]] = {}
+        for key, cells in states.items():
+            for w, to, eoc_moves, role in _moves(*key, L - 1):
+                if to[0] > bound - L:
+                    continue
+                row = after.setdefault(to, {})
+                for c, v in cells.items():
+                    if eoc_moves:
+                        c = eoc_at_L + c % base
+                    row[c] = row.get(c, 0) + w * v
+                if key[3] == _UNMARKED:  # the same move with L marked as K
+                    row = after.setdefault((*to[:3], role), {})
+                    for c, v in cells.items():
+                        c = (eoc_at_L if eoc_moves else c) + L
+                        row[c] = row.get(c, 0) + w * v
+        states = after
+        if L % 2:
+            yield read_off(L + 1)
+
+
 def joint_matrix_bruteforce(two_n: int, processes: int = 1) -> JointMatrix:
     """Count every tree of size *two_n* into a fully-known joint matrix.
 
@@ -306,72 +376,68 @@ def joint_matrix_bruteforce(two_n: int, processes: int = 1) -> JointMatrix:
     rightmost node ``R``, whether ``R`` is open, whether ``R`` is eoc, and the
     status of a marked node K, the candidate pom (see :func:`_moves`).  Each
     state maps the labels ``m`` of eoc and ``k`` of K (``k = 0`` while
-    unmarked), as the key ``m * 2n + k``, to a count.  Each move from
-    :func:`_moves` adds its weight times every count of its state to the
-    state it leads to, with ``m = L`` when ``L`` becomes eoc.  An unmarked
-    state also passes to the marked state of each move, with ``k = L``.  A
-    state with more open nodes than labels left is dropped: it cannot
-    complete.
+    unmarked) to a count.  Each move from :func:`_moves` adds its weight
+    times every count of its state to the state it leads to, with ``m = L``
+    when ``L`` becomes eoc.  An unmarked state also passes to the marked
+    state of each move, with ``k = L``.  A state with more open nodes than
+    labels left is dropped: it cannot complete.
 
     The ``2n - 1`` nodes placed before the last label ``2n`` have ``2n - 2``
     edges, so their one-child nodes are even in number, and the drop leaves
-    at most one of them other than ``R``.  Either ``R`` and one other node are open, and ``2n``
-    fills that node, which is pom; or none is, and ``2n`` opens the leaf
-    ``R`` on its left, so ``R`` is pom and ``2n`` is eoc if ``R`` was.  So
-    the first kind gives cell ``(m, k)`` when K is that open node, and the
-    second gives ``(2n if R is eoc else m, k)`` when K is ``R``.  No
-    recurrence or Entringer value feeds the count.
+    at most one of them other than ``R``.  Either ``R`` and one other node
+    are open, and ``2n`` fills that node, which is pom; or none is, and
+    ``2n`` opens the leaf ``R`` on its left, so ``R`` is pom and ``2n`` is
+    eoc if ``R`` was.  So the first kind gives cell ``(m, k)`` when K is that
+    open node, and the second gives ``(2n if R is eoc else m, k)`` when K is
+    ``R``.  No recurrence or Entringer value feeds the count.  The matrix is
+    the last of the one pass of :func:`_joint_pass`, which reads every
+    smaller even size off the same states on the way, and from size
+    ``_LOG_MIN_TWO_N`` up logs each at INFO.
 
     *processes* is accepted and unused; dropping it waits for a change of
-    the benchmark, which passes it.  A count from ``two_n =
-    _LOG_MIN_TWO_N`` up logs its size, trees and seconds at INFO on the
-    logger ``secant_trees.distributions``, and :mod:`logging` is imported
-    only there.
+    the benchmark, which passes it.
     """
     _check_size(two_n, 2, "two_n", even=True)
-    t0 = time.perf_counter()
-    # Label 1, the root: a leaf that is R and eoc, unmarked or marked as K.
-    states = {(0, False, True, _UNMARKED): {two_n: 1}, (0, False, True, _K_EOC_R): {two_n + 1: 1}}
-    for L in range(2, two_n):
-        eoc_at_L = L * two_n
-        after: dict[tuple[int, bool, bool, int], dict[int, int]] = {}
-        for key, cells in states.items():
-            for w, to, eoc_moves, role in _moves(*key, L - 1):
-                if to[0] > two_n - L:
-                    continue
-                row = after.setdefault(to, {})
-                for c, v in cells.items():
-                    if eoc_moves:
-                        c = eoc_at_L + c % two_n
-                    row[c] = row.get(c, 0) + w * v
-                if key[3] == _UNMARKED:  # the same move with L marked as K
-                    row = after.setdefault((*to[:3], role), {})
-                    for c, v in cells.items():
-                        c = (eoc_at_L if eoc_moves else c) + L
-                        row[c] = row.get(c, 0) + w * v
-        states = after
-
-    rows = [[0] * (two_n - 1) for _ in range(two_n - 1)]
-    for (o, r_open, eoc_is_r, ks), cells in states.items():
-        if ks == _K_OPEN and o == 1 and r_open:
-            for c, v in cells.items():
-                m, k = divmod(c, two_n)
-                rows[m - 2][k - 1] += v
-        elif ks in (_K_EOC_R, _K_R) and o == 0 and not r_open:
-            for c, v in cells.items():
-                m, k = divmod(c, two_n)
-                rows[(two_n if eoc_is_r else m) - 2][k - 1] += v
-    M = JointMatrix._adopt(two_n, "brute", rows)
-    if two_n >= _LOG_MIN_TWO_N:
-        import logging  # only where a line is written: no smaller size pays for it
-
-        logging.getLogger(__name__).info(
-            "M_%d: %d trees in %.2f s", two_n, M.total(), time.perf_counter() - t0
-        )
+    for M in _joint_pass(two_n):
+        pass
     return M
 
 
 # -- the rightmost-node statistic -------------------------------------------------
+
+
+def _ent_pass(n_max: int) -> Iterator[tuple[int, ...]]:
+    """:func:`ent_distribution` of every size 2 .. *n_max*, in increasing
+    order, from one pass over the labels.
+
+    A state is dropped once it has more open nodes than labels left before
+    *n_max*.  Row ``n`` is read off the states after label ``n``, from the
+    one with no open node but ``R``, which is open when ``n`` is even.  That
+    is exact: each label fills at most one open node, so a state that the
+    drop against ``n`` would remove still has an open node other than ``R``
+    after label ``n``.
+    """
+    states = {(0, False): [0, 1] + [0] * (n_max - 1)}  # label 1, the root: a leaf, and R
+    for L in range(2, n_max + 1):
+        after: dict[tuple[int, bool], list[int]] = {}
+        for (o, r_open), counts in states.items():
+            leaves = (L - o - r_open) // 2 - (not r_open)  # leaves other than R
+            moves = [(o, o - 1, r_open, False), (2 * leaves, o + 1, r_open, False)]
+            if r_open:  # the right child of R, the new R
+                moves.append((1, o, False, True))
+            else:  # open R on its left, R stays; or on its right, the new R
+                moves += [(1, o, True, False), (1, o + 1, False, True)]
+            for w, to_o, to_r_open, new_r in moves:
+                if not w or to_o > n_max - L:
+                    continue
+                row = after.setdefault((to_o, to_r_open), [0] * (n_max + 1))
+                if new_r:
+                    row[L] += w * sum(counts)
+                else:
+                    for j, v in enumerate(counts):
+                        row[j] += w * v
+        states = after
+        yield tuple(states[0, L % 2 == 0][1 : L + 1])
 
 
 def ent_distribution(n: int) -> tuple[int, ...]:
@@ -388,32 +454,16 @@ def ent_distribution(n: int) -> tuple[int, ...]:
     or on its right (``L`` becomes ``R``).  A state with more open nodes than
     labels left is dropped, and the answer is the state with no open node
     but ``R``, which is open when n is even.  No word or tree is built, and
-    no Entringer number or partial-sum rule feeds the count: the rows to 14
-    of :func:`entringer_bruteforce` take about 1 ms and the rows to 40 under
-    0.1 s (2 cores, Python 3.11.7).
+    no Entringer number or partial-sum rule feeds the count.  The result is
+    the last of the one pass of :func:`_ent_pass`, which reads every smaller
+    size off the same states on the way; :func:`entringer_bruteforce` takes
+    all of them, and its rows to 40 take about 4 ms (2 cores, Python
+    3.11.7).
     """
     _check_size(n, 2, "n")
-    states = {(0, False): [0, 1] + [0] * (n - 1)}  # label 1, the root: a leaf, and R
-    for L in range(2, n + 1):
-        after: dict[tuple[int, bool], list[int]] = {}
-        for (o, r_open), counts in states.items():
-            leaves = (L - o - r_open) // 2 - (not r_open)  # leaves other than R
-            moves = [(o, o - 1, r_open, False), (2 * leaves, o + 1, r_open, False)]
-            if r_open:  # the right child of R, the new R
-                moves.append((1, o, False, True))
-            else:  # open R on its left, R stays; or on its right, the new R
-                moves += [(1, o, True, False), (1, o + 1, False, True)]
-            for w, to_o, to_r_open, new_r in moves:
-                if not w or to_o > n - L:
-                    continue
-                row = after.setdefault((to_o, to_r_open), [0] * (n + 1))
-                if new_r:
-                    row[L] += w * sum(counts)
-                else:
-                    for j, v in enumerate(counts):
-                        row[j] += w * v
-        states = after
-    return tuple(states[0, n % 2 == 0][1:])
+    for raw in _ent_pass(n):
+        pass
+    return raw
 
 
 class EntringerTriangle:
@@ -454,7 +504,8 @@ class EntringerTriangle:
 
 
 def entringer_bruteforce(n_max: int) -> EntringerTriangle:
-    """Triangle rows measured from the raw rightmost-label distribution.
+    """Triangle rows measured from the raw rightmost-label distribution of
+    every size 2 .. *n_max*, all read off one pass of :func:`_ent_pass`.
 
     For even n the raw counts occupy labels 1 .. n-1 and entry j of the row
     is the count of label j.  For odd n every node is a leaf or binary, the
@@ -466,8 +517,8 @@ def entringer_bruteforce(n_max: int) -> EntringerTriangle:
     """
     _check_size(n_max, 2, "n_max")
     rows = {}
-    for n in range(2, n_max + 1):
-        raw = ent_distribution(n)
+    for raw in _ent_pass(n_max):
+        n = len(raw)
         if n % 2 == 0:
             if raw[n - 1]:
                 raise BrokenInvariantError(

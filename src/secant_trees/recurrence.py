@@ -29,8 +29,8 @@ f(k+1, k) = f(k, k-1) + f(k, k+1) - f(k-1, k).  Every lower-border cell
 goes through one checked write.  Interior
 lower-triangle cells stay Unknown here: only the insertion-move counter of
 :mod:`secant_trees.distributions` produces them, and this module never calls
-it.  The ``hybrid`` matrix of :mod:`secant_trees.cli` is the counter's rows,
-checked against this engine.
+it.  The ``tables`` check of :mod:`secant_trees.cli` compares the counter's
+matrices with this engine.
 
 The Entringer triangle is stepped in one place, the walk
 :func:`_entringer_rows`: each row comes from the one before by the

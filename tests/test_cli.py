@@ -15,7 +15,7 @@ import pytest
 
 from secant_trees import cli, distributions
 from secant_trees.cli import main, render_matrix_text, run_checks
-from secant_trees.distributions import BrokenInvariantError, JointMatrix, joint_matrix_bruteforce
+from secant_trees.distributions import JointMatrix, joint_matrix_bruteforce
 from secant_trees.recurrence import assemble, tree_count
 from secant_trees.series import TriSeries
 
@@ -221,10 +221,6 @@ def test_entringer_brute_agrees(capsys):
     assert by_rule == by_force
 
 
-def _refuse_ent_distribution(n):
-    raise AssertionError(f"rightmost labels of size {n} counted")
-
-
 def _andre(n_max):
     """E_0 .. E_n_max by André's convolution 2 E_{n+1} = sum_k C(n, k) E_k E_{n-k}
     (n >= 1), a route that shares no code with the Entringer triangle."""
@@ -235,7 +231,7 @@ def _andre(n_max):
 
 
 def test_entringer_rule_runs_above_the_counter_cap(capsys, monkeypatch):
-    monkeypatch.setattr(distributions, "ent_distribution", _refuse_ent_distribution)
+    monkeypatch.setattr(distributions, "_ent_pass", _refuse("the rightmost-label pass"))
     code, out = run(capsys, "entringer", "--n-max", "41", "--method", "rule")
     assert code == 0
     sums = [sum(map(int, line.split())) for line in out.splitlines()]
@@ -345,10 +341,10 @@ def test_verify_rejects_unknown_check():
 
 
 def _refuse_brute_force(monkeypatch):
-    def refuse(two_n):
-        pytest.fail(f"brute force at 2n = {two_n} before the selection was checked")
+    def refuse(bound):
+        pytest.fail(f"a counter pass to 2n = {bound} before the selection was checked")
 
-    monkeypatch.setattr(cli, "joint_matrix_bruteforce", refuse)
+    monkeypatch.setattr(cli, "_joint_pass", refuse)
 
 
 @pytest.mark.parametrize(
@@ -416,7 +412,7 @@ def test_verify_rejects_odd_bound():
 
 def test_verify_above_the_counter_reach_fails_fast(capsys, monkeypatch):
     _refuse_brute_force(monkeypatch)
-    monkeypatch.setattr(distributions, "joint_matrix_bruteforce", _refuse("brute force"))
+    monkeypatch.setattr(distributions, "_joint_pass", _refuse("the joint pass"))
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--two-n-max", "42"])
     assert exc.value.code == 2
@@ -466,43 +462,37 @@ def test_verify_report_is_pinned(two_n_max):
     assert (len(blob["rows"]), digest) == VERIFY_REPORT_DIGESTS[two_n_max]
 
 
-def test_matrix_brute_and_hybrid_csv_agree_at_16(capsys):
-    _, brute_csv = run(capsys, "matrix", "--two-n", "16", "--format", "csv")
-    _, hybrid_csv = run(capsys, "matrix", "--two-n", "16", "--method", "hybrid", "--format", "csv")
-    assert brute_csv == hybrid_csv and brute_csv.count("\n") == 16
-
-
-def test_matrix_hybrid_is_the_counters_matrix(capsys, brute):
-    code, out = run(capsys, "matrix", "--two-n", "8", "--method", "hybrid", "--format", "json")
-    H = JointMatrix.from_json_dict(json.loads(out))
-    assert code == 0 and H.method == "hybrid"
-    assert H.same_counts(brute(8))
+def test_matrix_hybrid_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["matrix", "--two-n", "8", "--method", "hybrid"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'hybrid'" in capsys.readouterr().err
+    assert cli._METHODS == ("brute", "recurrence")
 
 
 @pytest.mark.parametrize(
     "two_n, cell, location",
     [
-        (8, (7, 3), r"\(7,3\)"),  # the golden table sees it first
-        (16, (4, 5), r"recurrence \(4,5\)"),  # no golden table; known to the recurrence
+        (8, (7, 3), "(7,3)"),  # the golden table sees it first
+        (16, (4, 5), "recurrence (4,5)"),  # no golden table; known to the recurrence
         (16, (7, 3), "row sums"),  # interior: only the margins see it
     ],
     ids=("golden", "known", "interior"),
 )
-def test_matrix_hybrid_rejects_a_count_that_breaks_the_tables_law(
-    two_n, cell, location, capsys, monkeypatch, brute
-):
-    monkeypatch.setattr(cli, "joint_matrix_bruteforce", _corrupted(brute, two_n, *cell, 1))
+def test_tables_rejects_a_count_that_breaks_the_tables_law(two_n, cell, location, monkeypatch, brute):
+    monkeypatch.setattr(cli, "_joint_pass", _corrupted(brute, two_n, *cell, 1))
+    report = run_checks(two_n, ("tables",))
+    failing = [r for r in report.rows if r.failures]
+    assert [r.parameter for r in failing] == [f"2n={two_n}"]
+    first = failing[0].failures[0]
     value = brute(two_n).get(*cell)
-    if location.startswith("row"):
-        values = r"expected \(.*\), got \(.*\)$"
-    elif location.startswith("recurrence"):
-        values = f"expected {value + 1}, got {value}$"
+    assert first["location"] == location
+    if location.startswith("recurrence"):
+        assert (first["expected"], first["actual"]) == (value + 1, value)
+    elif location.startswith("row"):
+        assert first["expected"] != first["actual"]
     else:
-        values = f"expected {value}, got {value + 1}$"
-    message = f"^tables check of M_{two_n} fails at {location}: {values}"
-    with pytest.raises(BrokenInvariantError, match=message):
-        main(["matrix", "--two-n", str(two_n), "--method", "hybrid"])
-    assert capsys.readouterr().out == ""
+        assert (first["expected"], first["actual"]) == (value, value + 1)
 
 
 def test_recurrence_matrix_runs_above_the_counter_cap_up_to_its_own(capsys, monkeypatch):
@@ -531,35 +521,46 @@ def test_run_checks_rows_have_parameters():
 
 
 def test_verify_counts_each_size_once(monkeypatch, brute):
-    calls = Counter()
+    passes, sizes = [], Counter()
 
-    def counting(two_n):
-        calls[two_n] += 1
-        return brute(two_n)  # the session's matrix, so size 12 is not recounted
+    def one_pass(bound):
+        passes.append(bound)
+        for M in map(brute, range(2, bound + 1, 2)):  # the session's matrices
+            sizes[M.two_n] += 1
+            yield M
 
-    monkeypatch.setattr(cli, "joint_matrix_bruteforce", counting)
+    monkeypatch.setattr(cli, "_joint_pass", one_pass)
     report = run_checks(12, ("tables", "bijection"))
     assert report.overall == "pass"
     assert [r.check for r in report.rows].count("bijection") == 4
-    assert calls == {two_n: 1 for two_n in range(2, 13, 2)}
-
+    assert passes == [12] and sizes == {two_n: 1 for two_n in range(2, 13, 2)}
+    # The series checks read no counter, and gf1 and gf3 reach the series caps.
+    monkeypatch.setattr(cli, "_joint_pass", _refuse("the joint pass"))
+    for two_n_max, checks in ((12, ("pde",)), (70, ("gf3",)), (136, ("gf1",))):
+        assert run_checks(two_n_max, checks).overall == "pass"
+    assert (cli.CHECKS["gf3"][1], cli.CHECKS["gf1"][1]) == (70, 136)
 
 
 def _corrupted(brute, size, m, k, delta):
-    """A stand-in for joint_matrix_bruteforce whose M_size has cell (m, k)
-    moved by *delta*; every other size is the session's matrix."""
+    """A stand-in for the joint pass whose M_size has cell (m, k) moved by
+    *delta*; every other size is the session's matrix."""
 
     def counts(two_n):
-        B = brute(two_n)
-        if two_n != size:
-            return B
-        C = JointMatrix(two_n, "brute")
-        for mm, kk, v in B.known_cells():
-            C.set(mm, kk, v)
-        C.set(m, k, B.get(m, k) + delta)
-        return C
+        return _moved(brute(two_n), m, k, delta) if two_n == size else brute(two_n)
 
-    return counts
+    return lambda bound: map(counts, range(2, bound + 1, 2))
+
+
+def _moved(M, m, k, delta):
+    """A copy of *M* with cell (m, k) moved by *delta*, keeping the margins
+    of a matrix with unknown cells."""
+    C = JointMatrix(M.two_n, M.method)
+    for mm, kk, v in M.known_cells():
+        C.set(mm, kk, v)
+    C.set(m, k, M.get(m, k) + delta)
+    if not M.is_complete():
+        C.attach_margins(M.row_sums(), M.col_sums(), M.total())
+    return C
 
 
 def _first_failures(report):
@@ -598,7 +599,6 @@ CORRUPTED_CELLS = {
         "symmetry 2n=8": (8, "(3, 5) vs (4, 6)", 64, 63),
         "borders 2n=8": (8, "second top row k=5", 63, 64),
         "borders 2n=10": (10, "first top row k=7", 286, 285),
-        "gf3 2n=8": (8, "(3,5)", 64, 63),
         "poupard p=2 i+j<=5": (8, "(i,j)=(0, 1)", 0, 1),
     },
     (8, 5, 3, +1): {
@@ -620,8 +620,6 @@ CORRUPTED_CELLS = {
         "symmetry 2n=10": (10, "(2, 5) vs (6, 9)", 286, 285),
         "borders 2n=10": (10, "first top row k=5", 285, 286),
         "bijection 2n=10": (10, "first_row_map", _MAP_FAILS, ("covers_domain",)),
-        "gf1 i+j<=6": (10, "(i,j)=(4,2)", 286, 285),
-        "gf3 2n=10": (10, "(2,5)", 286, 285),
         "poupard p=1 i+j<=6": (10, "(i,j)=(2, 2)", 0, 1),
     },
     (10, 9, 1, -1): {
@@ -657,7 +655,6 @@ CORRUPTED_CELLS = {
         "crossing 2n=8": (8, "k=3", 55, 56),
         "borders 2n=8": (8, "second top row k=4", 45, 46),
         "borders 2n=10": (10, "first top row k=6", 328, 327),
-        "gf3 2n=8": (8, "(3,4)", 46, 45),
         "poupard p=2 i+j<=5": (8, "(i,j)=(1, 0)", 0, 1),
     },
 }
@@ -667,14 +664,68 @@ CORRUPTED_CELLS = {
     "cell", CORRUPTED_CELLS, ids=lambda c: f"M{c[0]}({c[1]},{c[2]}){c[3]:+d}"
 )
 def test_every_check_fails_on_a_corrupted_count(monkeypatch, brute, cell):
-    monkeypatch.setattr(cli, "joint_matrix_bruteforce", _corrupted(brute, *cell))
+    monkeypatch.setattr(cli, "_joint_pass", _corrupted(brute, *cell))
     report = run_checks(10, cli.ALL_CHECKS)
     assert report.overall == "fail"
     assert _first_failures(report) == CORRUPTED_CELLS[cell]
 
 
+# Each corrupted upper cell of a recurrence matrix, and the first
+# counterexample of every gf1 and gf3 row at --two-n-max 10 that it makes
+# fail: the ring's coefficient is the actual value.
+CORRUPTED_RECURRENCE = {
+    (8, 3, 5, +1): {"gf3 2n=8": (8, "(3,5)", 64, 63)},
+    (10, 2, 5, +1): {
+        "gf1 i+j<=6": (10, "(i,j)=(4,2)", 286, 285),
+        "gf3 2n=10": (10, "(2,5)", 286, 285),
+    },
+    (8, 3, 4, +1): {"gf3 2n=8": (8, "(3,4)", 46, 45)},
+}
+
+
+@pytest.mark.parametrize(
+    "cell", CORRUPTED_RECURRENCE, ids=lambda c: f"M{c[0]}({c[1]},{c[2]}){c[3]:+d}"
+)
+def test_gf1_and_gf3_fail_on_a_corrupted_recurrence(monkeypatch, cell):
+    size, m, k, delta = cell
+
+    class Corrupted(cli.RecurrenceEngine):
+        def assemble(self, two_n):
+            A = super().assemble(two_n)
+            return _moved(A, m, k, delta) if two_n == size else A
+
+    monkeypatch.setattr(cli, "RecurrenceEngine", Corrupted)
+    monkeypatch.setattr(cli, "_joint_pass", _refuse("the joint pass"))
+    report = run_checks(10, ("gf1", "gf3"))
+    assert _first_failures(report) == CORRUPTED_RECURRENCE[cell]
+
+
+@pytest.mark.parametrize(
+    "check, series, num_vars, location",
+    [("gf1", "omega1", 2, "(i,j)=(0,0)"), ("gf3", "omega", 3, "(2,3)")],
+)
+def test_gf1_and_gf3_fail_on_a_series_off_the_recurrence(
+    monkeypatch, check, series, num_vars, location
+):
+    real = getattr(cli, series)
+
+    def shifted(order):  # a constant 1 moves the coefficient of f_4(2,3) = 1
+        return real(order) + TriSeries.constant(1, num_vars, order)
+
+    monkeypatch.setattr(cli, series, shifted)
+    report = run_checks(8, (check,))
+    (failing,) = [r for r in report.rows if r.failures]
+    assert (failing.failures[0]["two_n"], failing.failures[0]["location"]) == (4, location)
+    assert (failing.failures[0]["expected"], failing.failures[0]["actual"]) == (1, 2)
+
+
 def test_every_check_can_fail():
-    failing = {key.split()[0] for fails in CORRUPTED_CELLS.values() for key in fails}
+    failing = {
+        key.split()[0]
+        for table in (CORRUPTED_CELLS, CORRUPTED_RECURRENCE)
+        for fails in table.values()
+        for key in fails
+    }
     assert failing | {"pde"} == set(cli.ALL_CHECKS)
 
 
@@ -770,13 +821,11 @@ SIZED_CHOICES = _sized_choices()
 
 # The workers of each row of cli.CAPS: (module, name), each made to fail the
 # test if it runs.
-_COUNTERS = [(cli, "joint_matrix_bruteforce"), (distributions, "joint_matrix_bruteforce")]
 CAP_WORKERS = {
     ("enumerate", None): [(cli, "alternating_permutations"), (cli, "tree_count")],
-    ("matrix", "brute"): _COUNTERS,
-    ("matrix", "hybrid"): _COUNTERS,
+    ("matrix", "brute"): [(cli, "joint_matrix_bruteforce"), (distributions, "_joint_pass")],
     ("matrix", "recurrence"): [(cli, "assemble")],
-    ("entringer", "brute"): [(distributions, "ent_distribution")],
+    ("entringer", "brute"): [(distributions, "_ent_pass")],
     ("entringer", "rule"): [(cli, "_entringer_rows")],
     ("series", "sec"): [(cli, "sec_series")],
     ("series", "omega1"): [(cli, "omega1")],
@@ -795,7 +844,6 @@ def test_each_cap_keeps_its_measured_value():
     assert {key: cap for key, (_, _, cap) in cli.CAPS.items()} == {
         ("enumerate", None): 11,
         ("matrix", "brute"): 40,
-        ("matrix", "hybrid"): 40,
         ("matrix", "recurrence"): 450,
         ("entringer", "brute"): 40,
         ("entringer", "rule"): 730,

@@ -28,6 +28,7 @@ from secant_trees.series import (
     sec_series,
     sin_linear,
 )
+from secant_trees.recurrence import secant_numbers
 
 # ---------------------------------------------------------------------- #
 # ring laws (random small instances, exact equality)                      #
@@ -133,6 +134,14 @@ SERIES_DIGESTS = {
 def test_large_series_are_pinned(build, order):
     text = "\n".join(build(order).dump_lines())
     assert hashlib.sha256(text.encode()).hexdigest() == SERIES_DIGESTS[build, order]
+
+
+def test_sec_series_equals_the_entringer_walk_at_300():
+    # Two routes that share no code: the ring inverts cos, and the walk sums
+    # the even rows of the Entringer triangle.  CI runs the same at 1400.
+    want = [0] * 301
+    want[::2] = secant_numbers(300)
+    assert sec_series(300).to_univariate_list() == want
 
 
 # ---------------------------------------------------------------------- #
