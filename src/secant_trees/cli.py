@@ -99,12 +99,15 @@ COUNTER_MAX_TWO_N = 40
 # 710-730, 7.5 s at 740, 8.6 s at 760, each at a 21 MiB peak RSS.
 RULE_MAX_N = 730
 
-# Largest size built by `matrix --method recurrence`: the largest 2n whose
-# slowest format, text, ran in about 7 s.  With start-up and output to
-# /dev/null, in five fresh processes each (2-core VM, Python 3.11): at 450
-# text took 4.3-7.0 s (median 5.1 s), CSV 4.6-5.4 s (median 5.0 s) and JSON
-# 4.7-6.0 s (median 5.1 s), each at a 104-105 MiB peak RSS; at 460 text
-# medians were 7.6-7.9 s over three sets, and at 480 7.6-8.7 s.
+# Largest size built by `matrix --method recurrence`.  It was set as the
+# largest 2n whose slowest format ran in about 7 s, when the column rule
+# filled every upper cell.  With start-up and output to /dev/null, in five
+# fresh processes each (2-core VM, Python 3.11.7), 450 now takes 2.27-2.34 s
+# (median 2.30 s) in text, 2.12-2.26 s (median 2.20 s) in CSV and 2.20-2.37 s
+# (median 2.28 s) in JSON, each at a 63-64 MiB peak RSS; about 1.1 s of it is
+# `assemble(450)` and 0.9 s turning its 101,469 nonzero cells into decimal
+# text.  The cap is not raised: above 2n = 70, the reach of the `gf3` check,
+# the upper cells have no second route.
 RECURRENCE_MAX_TWO_N = 450
 
 # The one table of size caps (see the module docstring), keyed by subcommand

@@ -14,23 +14,28 @@ second-difference law, seeded by f(., 1) = E_{2n-2} and f(., 2) = 3 E_{2n-2}.
 
 :class:`RecurrenceEngine` is the one way to run the induction on n.  The
 boundary identities and the column rule, sweeping each row right to left,
-fill the whole upper triangle (m < k).  The two top rows are written as
-slices of the previous column sums, once one pass has checked those sums
-and the four cells where the top rows cross the two right columns.  Each
-further row, like the column sums, comes out of the one second-difference
-loop :func:`_second_differences`.  The row rule needs no second fill: on the
-same boundary a top-down row-order fill would equal the column fill exactly
-when the column-filled matrix satisfies the row rule, and the test suite
-checks that law on it.  Of the lower triangle only the border is
-analytically reachable: the first column mirrors the first row, the bottom
-row is a shifted row of the Entringer triangle, the subdiagonal starts from
-f(3, 2) = 2 f(3, 1) and propagates through the crossing identity
-f(k+1, k) = f(k, k-1) + f(k, k+1) - f(k-1, k).  Every lower-border cell
-goes through one checked write.  Interior
-lower-triangle cells stay Unknown here: only the insertion-move counter of
-:mod:`secant_trees.distributions` produces them, and this module never calls
-it.  The ``tables`` check of :mod:`secant_trees.cli` compares the counter's
-matrices with this engine.
+fill the upper triangle (m < k) up to the counter-diagonal m + k = 2n+1:
+the cells k >= max(m+1, 2n+1-m).  The two top rows are written as slices of
+the previous column sums, once one pass has checked those sums and the four
+cells where the top rows cross the two right columns.  Each further row,
+like the column sums, comes out of the one second-difference loop
+:func:`_second_differences`.  The counter-diagonal symmetry
+f(m, k) = f(2n+1-k, 2n+1-m) fills the rest, m < k < 2n+1-m: those cells of
+row m are column 2n+1-m of rows the rule has filled, so each value of a
+mirror pair is computed once.  Neither the rule nor the symmetry needs a
+second fill to be trusted: the test suite checks the column rule on every
+upper cell, the copied half included, and the row rule on every upper
+cell that a top-down row-order fill from the same boundary would compute.
+
+Of the lower triangle only the border is analytically reachable: the first
+column mirrors the first row, the bottom row is a shifted row of the
+Entringer triangle, the subdiagonal starts from f(3, 2) = 2 f(3, 1) and
+propagates through the crossing identity
+f(k+1, k) = f(k, k-1) + f(k, k+1) - f(k-1, k).  Every lower-border cell goes
+through one checked write.  Interior lower-triangle cells stay Unknown here:
+only the insertion-move counter of :mod:`secant_trees.distributions`
+produces them, and this module never calls it.  The ``tables`` check of
+:mod:`secant_trees.cli` compares the counter's matrices with this engine.
 
 The Entringer triangle is stepped in one place, the walk
 :func:`_entringer_rows`: each row comes from the one before by the
@@ -48,6 +53,7 @@ Everything is exact integer arithmetic on Python ints.
 from __future__ import annotations
 
 from itertools import accumulate, islice
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .distributions import BrokenInvariantError, EntringerTriangle, JointMatrix
@@ -153,8 +159,12 @@ def _upper_rows(
 ) -> list[list[int | None]]:
     """Rows of M_{2n} with the upper triangle filled from the rows *prev* of
     M_{2n-2} and its column sums; every other cell is None.  The two top
-    rows are written as slices of the column sums, and each further row is
-    built right to left from its two right-column cells."""
+    rows are written as slices of the column sums.  Each further row m is
+    built by the column rule right to left from its two right-column cells
+    down to the counter-diagonal, k = max(m+1, 2n+1-m), reading f_{2n-2}(m, k)
+    only for those k; every cell it computes is checked for sign.  The cells
+    m < k < 2n+1-m of the rows m <= n are then copied by the symmetry from
+    the cells (2n+1-k, 2n+1-m), which the rule has filled."""
     top = two_n - 1  # also the length of a row
     cs = prev_cs  # top - 2 sums, for k = 1 .. 2n-3
 
@@ -183,16 +193,22 @@ def _upper_rows(
         [None, None, None, *[3 * c for c in cs[1:]]],
     ]
     # Column rule f(m, k) = 2 f(m, k+1) - f(m, k+2) - 4 f_{2n-2}(m, k), each
-    # row right to left from its two border cells f(m, 2n-1) and f(m, 2n-2).
+    # row right to left from its two border cells f(m, 2n-1) and f(m, 2n-2)
+    # down to the counter-diagonal, k_lo = max(m+1, 2n+1-m).
     for i in range(2, top - 3):
-        run = _second_differences(cs[i], reversed(prev[i][i + 2 : top - 2]))
+        k_lo = max(i + 3, top - i)
+        run = _second_differences(cs[i], reversed(prev[i][k_lo - 1 : top - 2]))
         if run[-1] < 0:
             k = top + 1 - len(run)
             raise BrokenInvariantError(f"cell ({i + 2},{k}) of M_{two_n} came out {run[-1]}")
-        rows.append([*[None] * (i + 2), *reversed(run)])
+        rows.append([*[None] * (k_lo - 1), *reversed(run)])
     if two_n >= 6:
         rows.append([*[None] * (top - 1), cs[-1]])  # row 2n-2: f(2n-2, 2n-1)
     rows += ([None] * top for _ in range(top - len(rows)))
+    # Symmetry f(m, k) = f(2n+1-k, 2n+1-m) for the rest, m < k < 2n+1-m:
+    # column 2n+1-m of the rows 2n-m down to m+1, which the rule has filled.
+    for m in range(4, two_n // 2 + 1):
+        rows[m - 2][m : two_n - m] = map(itemgetter(two_n - m), rows[two_n - m - 2 : m - 2 : -1])
     return rows
 
 

@@ -178,15 +178,24 @@ def test_upper_triangle_examples():
     assert eng.assemble(4).get(2, 3) == 1
 
 
-@pytest.mark.parametrize("two_n", (4, 6, 8, 10, 12, 24, 40))
+@pytest.mark.parametrize("two_n", (4, 6, 8, 10, 12, 24, 40, 80, 120))
 def test_filling_order_independence(two_n):
-    # A top-down row-order fill, from the same boundary cells, computes
-    # f(m+2, k) = 2 f(m+1, k) - f(m, k) - 4 f_{2n-2}(m, k-2) at every
-    # 2 <= m <= k-3, 5 <= k <= 2n-3.  It equals the column-order fill
-    # exactly when the column-filled matrix has a zero row-rule residual at
-    # each of those cells.
+    # The engine runs the column rule only up to the counter-diagonal
+    # m + k = 2n+1 and copies the other cells by the symmetry, so the column
+    # rule f(m, k+2) - 2 f(m, k+1) + f(m, k) = -4 f_{2n-2}(m, k) is checked
+    # on every upper cell m < k <= 2n-3, the copied ones included.
     eng = RecurrenceEngine()
     M, P = eng.assemble(two_n), eng.assemble(two_n - 2)
+    cells = [(m, k) for m in range(2, two_n - 3) for k in range(m + 1, two_n - 2)]
+    assert len(cells) == (two_n >= 6) * (two_n - 5) * (two_n - 4) // 2
+    for m, k in cells:
+        residual = M.get(m, k + 2) - 2 * M.get(m, k + 1) + M.get(m, k) + 4 * P.get(m, k)
+        assert residual == 0, (m, k)
+    # A top-down row-order fill, from the same boundary cells, computes
+    # f(m+2, k) = 2 f(m+1, k) - f(m, k) - 4 f_{2n-2}(m, k-2) at every
+    # 2 <= m <= k-3, 5 <= k <= 2n-3.  It equals the engine's fill exactly
+    # when the engine's matrix has a zero row-rule residual at each of
+    # those cells.
     cells = [(m, k) for k in range(5, two_n - 2) for m in range(2, k - 2)]
     assert len(cells) == (two_n >= 8) * (two_n - 7) * (two_n - 6) // 2
     for m, k in cells:
@@ -242,14 +251,16 @@ def _raise_on_a_cell_of_m10(m, k):
 
 
 # A second-difference run ends at its first negative term, and the fault is
-# named from the run's length, so the two ends of a run are pinned: the row
-# m = 4 of M_10 runs from k = 7 down to (m, m+1) = (4,5), reading f_8(4, k),
-# and the column sums (1, 1, 0) step to 2, 6, 6, 2, -2 at k = 1 .. 2n-1 = 5.
+# named from the run's length, so the two ends of a run are pinned: a row m
+# of M_10 runs from k = 7 down to the counter-diagonal, k = max(m+1, 11-m),
+# reading f_8(m, k), so row 4 is the one cell (4,7) and row 5 runs from
+# (5,7) to (5,6); the column sums (1, 1, 0) step to 2, 6, 6, 2, -2 at
+# k = 1 .. 2n-1 = 5.
 @pytest.mark.parametrize(
     "fault, message",
     [
         (lambda: _raise_on_a_cell_of_m10(4, 7), r"cell \(4,7\) of M_10 came out -2659$"),
-        (lambda: _raise_on_a_cell_of_m10(4, 5), r"cell \(4,5\) of M_10 came out -2595$"),
+        (lambda: _raise_on_a_cell_of_m10(5, 6), r"cell \(5,6\) of M_10 came out -2011$"),
         (lambda: recurrence._next_column_sums((1, 1, 0)), r"column sum at k=5 of M_6 is negative$"),
     ],
     ids=("first cell of a row", "last cell of a row", "last column sum"),

@@ -5,6 +5,7 @@ import re
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -496,3 +497,14 @@ def test_compose_linear_shifts_rows():
     r = sec_series(5)
     shifted = compose_linear(r.to_univariate_list(), (1, 1), 5)
     assert row_series(shifted, 0) == r
+
+
+@pytest.mark.parametrize("linear", [(0, 2, 0), (2, 0, -2), (-3, 0), (0, 5), (1, 1, 1), (0, 0, 0)])
+def test_compose_linear_is_its_closed_form(linear):
+    # Every exponent up to the order, visited or not, has EGF coefficient
+    # univariate[sum(e)] times the product of linear[v] ** e[v].
+    univariate = [Fraction(d % 5 - 2, d + 1) for d in range(9)]
+    s = compose_linear(univariate, linear, 8)
+    for e in product(range(9), repeat=len(linear)):
+        want = univariate[sum(e)] * prod(map(pow, linear, e)) if sum(e) <= 8 else 0
+        assert s.coeffs.get(e, 0) == want, e
