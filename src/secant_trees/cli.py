@@ -56,8 +56,8 @@ from .bijections import MAP_DOMAINS, verify_maps
 from .distributions import (
     _METHODS,
     JointMatrix,
-    _joint_pass,
     entringer_bruteforce,
+    joint_matrices,
     joint_matrix_bruteforce,
 )
 from .recurrence import RecurrenceEngine, assemble, check_symmetry, tree_count
@@ -193,7 +193,7 @@ class _VerifyContext:
     def brute(self, two_n: int) -> JointMatrix:
         """The counter's matrix of size *two_n*; the first call starts the pass."""
         if self._pass is None:
-            self._pass = _joint_pass(self._counter_bound)
+            self._pass = joint_matrices(self._counter_bound)
         while two_n not in self._counted:
             M = next(self._pass)
             self._counted[M.two_n] = M
@@ -509,9 +509,8 @@ def _cmd_entringer(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
 
 
 def _cmd_series(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    builders = {"sec": (sec_series, 1), "omega1": (omega1, 2), "omega": (omega, 3)}
-    builder, arity = builders[args.target]
-    s = builder(args.order)
+    builders = {"sec": sec_series, "omega1": omega1, "omega": omega}
+    s = builders[args.target](args.order)
     if args.query is None:
         for line in s.dump_lines():
             print(line)
@@ -520,8 +519,8 @@ def _cmd_series(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         exps = tuple(int(x) for x in args.query.split(","))
     except ValueError:
         parser.error(f"bad exponent list {args.query!r}")
-    if len(exps) != arity:
-        parser.error(f"target {args.target} takes {arity} exponents, got {len(exps)}")
+    if len(exps) != s.num_vars:
+        parser.error(f"target {args.target} takes {s.num_vars} exponents, got {len(exps)}")
     try:
         c = s.egf_coefficient(exps)
     except OutOfOrderError as exc:

@@ -17,8 +17,9 @@ state of two fields, since it reads only the label of the rightmost node.
 Each counter is one pass over the labels up to a bound, which reads every
 smaller size off its states on the way.  No recurrence or Entringer value
 is used, and no word or tree object is built, so size 14 (199,360,981
-trees) takes milliseconds in a modest memory budget.  :mod:`logging` is imported only by a count large enough to log a
-line, so importing this module does not load it.
+trees) takes milliseconds in a modest memory budget.  :mod:`logging` is
+imported only by a count large enough to log a line, so importing this
+module does not load it.
 """
 
 from __future__ import annotations
@@ -251,8 +252,12 @@ class JointMatrix:
 
 # -- brute-force counting --------------------------------------------------------
 
-# The status of the marked node K, the candidate pom, in a counting state.
-_UNMARKED, _K_EOC, _K_EOC_R, _K_R, _K_LEAF, _K_OPEN, _K_R_OPEN = range(7)
+# Where the rightmost node R stands in a counting state: open (a left child
+# only), a leaf, or the leaf that is eoc.
+_R_OPEN, _R_LEAF, _R_EOC = range(3)
+# The status of the marked node K, the candidate pom: unmarked, eoc, R (open,
+# a leaf or eoc as R is), a generic leaf, or an open node other than R.
+_UNMARKED, _K_EOC, _K_R, _K_LEAF, _K_OPEN = range(5)
 # Smallest size that logs a line when a pass reads it off: a pass takes
 # 0.003 s to 2n = 14, 0.04 s to 24 and 0.37-0.39 s to 40 (2 cores, Python
 # 3.11.7).
@@ -260,50 +265,48 @@ _LOG_MIN_TWO_N = 40
 
 
 def _moves(
-    o: int, r_open: bool, eoc_is_r: bool, ks: int, placed: int
-) -> list[tuple[int, tuple[int, bool, bool, int], bool, int | None]]:
+    o: int, r: int, ks: int, placed: int
+) -> list[tuple[int, tuple[int, int, int], bool, int | None]]:
     """The ways to place the next label ``L = placed + 1`` in the partial
-    trees of the state ``(o, r_open, eoc_is_r, ks)``, as ``(weight, state
-    after, eoc moves to L, K's status if L is marked)``.
+    trees of the state ``(o, r, ks)``, as ``(weight, state after, eoc moves
+    to L, K's status if L is marked)``.
 
     The trees hold ``placed`` nodes: ``o`` open nodes (one child) other than
-    ``R``, the rightmost node, which is open (a left child only) or a leaf,
-    and ``(placed + 1 - o - r_open) / 2`` leaves, eoc among them.  A generic
-    leaf is none of eoc, a leaf ``R`` or a leaf K; a generic open node is not
-    K.  ``L`` fills a generic open node; gives an open ``R`` its right child,
-    becoming ``R``; opens a generic leaf, eoc, or a leaf K on either side,
-    twins that agree in every later move and statistic, so weight 2; or
-    opens the leaf ``R`` on its left (``R`` is then open) or on its right
-    (``L`` becomes ``R``).  ``L`` becomes eoc when it hangs under eoc, since a
-    filled slot never changes the minimal chain.  Filling K, or giving ``R``
-    its right child when K is ``R``, leaves K unable to receive the last
-    label, so those moves are not made.
+    ``R``, the rightmost node, which ``r`` says is open (a left child only),
+    a leaf or the leaf eoc, and ``(placed + 1 - o - (r == _R_OPEN)) / 2``
+    leaves, eoc among them.  A generic leaf is none of eoc, a leaf ``R`` or
+    a leaf K; a generic open node is not K.  ``L`` fills a generic open node;
+    gives an open ``R`` its right child, becoming ``R``; opens a generic
+    leaf, eoc, or a leaf K on either side, twins that agree in every later
+    move and statistic, so weight 2; or opens the leaf ``R`` on its left
+    (``R`` is then open, and K stays ``R`` if it was) or on its right (``L``
+    becomes ``R``, and a K that was ``R`` is now open).  ``L`` becomes eoc
+    when it hangs under eoc, since a filled slot never changes the minimal
+    chain.  Filling K, or giving ``R`` its right child when K is ``R``,
+    leaves K unable to receive the last label, so those moves are not made.
     """
-    leaves = (placed + 1 - o - r_open) // 2
-    generic_leaves = leaves - 1 - (not (r_open or eoc_is_r)) - (ks == _K_LEAF)
+    leaves = (placed + 1 - o - (r == _R_OPEN)) // 2
+    generic_leaves = leaves - 1 - (r == _R_LEAF) - (ks == _K_LEAF)
     generic_opens = o - (ks == _K_OPEN)
     moves = []
     if generic_opens:  # fill a generic open node
-        moves.append((generic_opens, (o - 1, r_open, eoc_is_r, ks), False, _K_LEAF))
-    if r_open and ks != _K_R_OPEN:  # the right child of R, the new R
-        moves.append((1, (o, False, False, ks), False, _K_R))
+        moves.append((generic_opens, (o - 1, r, ks), False, _K_LEAF))
+    if r == _R_OPEN and ks != _K_R:  # the right child of R, the new R
+        moves.append((1, (o, _R_LEAF, ks), False, _K_R))
     if generic_leaves:  # open a generic leaf
-        moves.append((2 * generic_leaves, (o + 1, r_open, eoc_is_r, ks), False, _K_LEAF))
-    if not eoc_is_r:  # open eoc, the new eoc
-        k_open = _K_OPEN if ks == _K_EOC else ks
-        moves.append((2, (o + 1, r_open, False, k_open), True, _K_EOC))
+        moves.append((2 * generic_leaves, (o + 1, r, ks), False, _K_LEAF))
+    if r != _R_EOC:  # open eoc, the new eoc
+        moves.append((2, (o + 1, r, _K_OPEN if ks == _K_EOC else ks), True, _K_EOC))
     if ks == _K_LEAF:  # open K
-        moves.append((2, (o + 1, r_open, eoc_is_r, _K_OPEN), False, None))
-    if not r_open:  # open R on its left, R stays; or on its right, the new R
-        k_was_r = ks == _K_EOC_R or ks == _K_R
-        left, right = (_K_R_OPEN, _K_OPEN) if k_was_r else (ks, ks)
-        as_left, as_right = (_K_EOC, _K_EOC_R) if eoc_is_r else (_K_LEAF, _K_R)
-        moves.append((1, (o, True, False, left), eoc_is_r, as_left))
-        moves.append((1, (o + 1, False, eoc_is_r, right), eoc_is_r, as_right))
+        moves.append((2, (o + 1, r, _K_OPEN), False, None))
+    if r != _R_OPEN:  # open R on its left, R stays; or on its right, the new R
+        under_eoc = r == _R_EOC
+        moves.append((1, (o, _R_OPEN, ks), under_eoc, _K_EOC if under_eoc else _K_LEAF))
+        moves.append((1, (o + 1, r, _K_OPEN if ks == _K_R else ks), under_eoc, _K_R))
     return moves
 
 
-def _joint_pass(bound: int) -> Iterator[JointMatrix]:
+def joint_matrices(bound: int) -> Iterator[JointMatrix]:
     """The joint matrix of every even size 2 .. *bound*, in increasing order,
     each yielded as it completes, from one pass over the labels; see
     :func:`joint_matrix_bruteforce`.
@@ -316,22 +319,24 @@ def _joint_pass(bound: int) -> Iterator[JointMatrix]:
     ``2n - 1``, and the read-off never reads such a state.  Each size from
     ``_LOG_MIN_TWO_N`` up logs its size, trees and seconds since the pass
     began at INFO on the logger ``secant_trees.distributions``, and
-    :mod:`logging` is imported only there.
+    :mod:`logging` is imported only there.  A *bound* that is not an even
+    int >= 2 raises :class:`OddSizeError` at the first step.
     """
+    _check_size(bound, 2, "bound", even=True)
     t0 = time.perf_counter()
     base = bound + 1
 
     def read_off(two_n: int) -> JointMatrix:
         rows = [[0] * (two_n - 1) for _ in range(two_n - 1)]
-        for (o, r_open, eoc_is_r, ks), cells in states.items():
-            if ks == _K_OPEN and o == 1 and r_open:
+        for (o, r, ks), cells in states.items():
+            if ks == _K_OPEN and o == 1 and r == _R_OPEN:
                 for c, v in cells.items():
                     m, k = divmod(c, base)
                     rows[m - 2][k - 1] += v
-            elif ks in (_K_EOC_R, _K_R) and o == 0 and not r_open:
+            elif ks == _K_R and o == 0 and r != _R_OPEN:
                 for c, v in cells.items():
                     m, k = divmod(c, base)
-                    rows[(two_n if eoc_is_r else m) - 2][k - 1] += v
+                    rows[(two_n if r == _R_EOC else m) - 2][k - 1] += v
         M = JointMatrix._adopt(two_n, "brute", rows)
         if two_n >= _LOG_MIN_TWO_N:
             import logging  # only where a line is written: no smaller size pays for it
@@ -342,11 +347,11 @@ def _joint_pass(bound: int) -> Iterator[JointMatrix]:
         return M
 
     # Label 1, the root: a leaf that is R and eoc, unmarked or marked as K.
-    states = {(0, False, True, _UNMARKED): {base: 1}, (0, False, True, _K_EOC_R): {base + 1: 1}}
+    states = {(0, _R_EOC, _UNMARKED): {base: 1}, (0, _R_EOC, _K_R): {base + 1: 1}}
     yield read_off(2)
     for L in range(2, bound):
         eoc_at_L = L * base
-        after: dict[tuple[int, bool, bool, int], dict[int, int]] = {}
+        after: dict[tuple[int, int, int], dict[int, int]] = {}
         for key, cells in states.items():
             for w, to, eoc_moves, role in _moves(*key, L - 1):
                 if to[0] > bound - L:
@@ -356,8 +361,8 @@ def _joint_pass(bound: int) -> Iterator[JointMatrix]:
                     if eoc_moves:
                         c = eoc_at_L + c % base
                     row[c] = row.get(c, 0) + w * v
-                if key[3] == _UNMARKED:  # the same move with L marked as K
-                    row = after.setdefault((*to[:3], role), {})
+                if key[2] == _UNMARKED:  # the same move with L marked as K
+                    row = after.setdefault((*to[:2], role), {})
                     for c, v in cells.items():
                         c = (eoc_at_L if eoc_moves else c) + L
                         row[c] = row.get(c, 0) + w * v
@@ -373,9 +378,10 @@ def joint_matrix_bruteforce(two_n: int, processes: int = 1) -> JointMatrix:
     increasing order, because removing the largest label always leaves a
     leaf.  So the count runs over the partial trees after each label, but
     groups them into states: the number ``o`` of open nodes other than the
-    rightmost node ``R``, whether ``R`` is open, whether ``R`` is eoc, and the
-    status of a marked node K, the candidate pom (see :func:`_moves`).  Each
-    state maps the labels ``m`` of eoc and ``k`` of K (``k = 0`` while
+    rightmost node ``R``, whether ``R`` is open, a leaf or the leaf eoc, and
+    the status of a marked node K, the candidate pom: unmarked, eoc, ``R``,
+    a generic leaf or an open node other than ``R`` (see :func:`_moves`).
+    Each state maps the labels ``m`` of eoc and ``k`` of K (``k = 0`` while
     unmarked) to a count.  Each move from :func:`_moves` adds its weight
     times every count of its state to the state it leads to, with ``m = L``
     when ``L`` becomes eoc.  An unmarked state also passes to the marked
@@ -390,7 +396,7 @@ def joint_matrix_bruteforce(two_n: int, processes: int = 1) -> JointMatrix:
     eoc if ``R`` was.  So the first kind gives cell ``(m, k)`` when K is that
     open node, and the second gives ``(2n if R is eoc else m, k)`` when K is
     ``R``.  No recurrence or Entringer value feeds the count.  The matrix is
-    the last of the one pass of :func:`_joint_pass`, which reads every
+    the last of the one pass of :func:`joint_matrices`, which reads every
     smaller even size off the same states on the way, and from size
     ``_LOG_MIN_TWO_N`` up logs each at INFO.
 
@@ -398,7 +404,7 @@ def joint_matrix_bruteforce(two_n: int, processes: int = 1) -> JointMatrix:
     the benchmark, which passes it.
     """
     _check_size(two_n, 2, "two_n", even=True)
-    for M in _joint_pass(two_n):
+    for M in joint_matrices(two_n):
         pass
     return M
 

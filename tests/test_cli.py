@@ -295,13 +295,19 @@ def test_series_dump_lines(capsys):
     assert out.splitlines() == ["0 1/1", "2 1/2", "4 5/24"]
 
 
-def test_series_query_errors():
+def test_series_query_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["series", "--target", "sec", "--order", "4", "--query", "9"])
     assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["series", "--target", "omega", "--order", "4", "--query", "1,2"])
-    assert exc.value.code == 2
+    for target, query, arity in (("sec", "1,2", 1), ("omega1", "1", 2), ("omega", "1,2", 3)):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["series", "--target", target, "--order", "4", "--query", query])
+        assert exc.value.code == 2
+        got = len(query.split(","))
+        assert capsys.readouterr().err.endswith(
+            f"error: target {target} takes {arity} exponents, got {got}\n"
+        )
 
 
 def test_series_negative_exponent_is_usage_error(capsys):
@@ -344,7 +350,7 @@ def _refuse_brute_force(monkeypatch):
     def refuse(bound):
         pytest.fail(f"a counter pass to 2n = {bound} before the selection was checked")
 
-    monkeypatch.setattr(cli, "_joint_pass", refuse)
+    monkeypatch.setattr(cli, "joint_matrices", refuse)
 
 
 @pytest.mark.parametrize(
@@ -412,7 +418,7 @@ def test_verify_rejects_odd_bound():
 
 def test_verify_above_the_counter_reach_fails_fast(capsys, monkeypatch):
     _refuse_brute_force(monkeypatch)
-    monkeypatch.setattr(distributions, "_joint_pass", _refuse("the joint pass"))
+    monkeypatch.setattr(distributions, "joint_matrices", _refuse("the joint pass"))
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--two-n-max", "42"])
     assert exc.value.code == 2
@@ -444,11 +450,11 @@ def test_every_check_but_bijection_passes_at_20():
 
 # Row count and sha256 of json.dumps(report.to_json_dict(), sort_keys=True)
 # with "seconds" dropped from every row, for every check at 14 and every
-# check but bijection, whose reach is 10, at 24; computed while the
-# recurrence ran two copies of its second-difference loop.
+# check but bijection, whose reach is 10, at 24 and at 40, the counter cap.
 VERIFY_REPORT_DIGESTS = {
     14: (76, "77b1a81c70abff890d5b9af9e4a678e265fdedf2d7189230c1fa750c8b321e5f"),
     24: (122, "90dadef95ab8cc437d3de5ee8a32b61d3bff4596b70cf6bbd4d6566943178614"),
+    40: (202, "af3aad12d4d692e4d5fbdcdd1746be383cc2a13369a142fb3c0a3f780e115713"),
 }
 
 
@@ -480,7 +486,7 @@ def test_matrix_hybrid_is_a_usage_error(capsys):
     ids=("golden", "known", "interior"),
 )
 def test_tables_rejects_a_count_that_breaks_the_tables_law(two_n, cell, location, monkeypatch, brute):
-    monkeypatch.setattr(cli, "_joint_pass", _corrupted(brute, two_n, *cell, 1))
+    monkeypatch.setattr(cli, "joint_matrices", _corrupted(brute, two_n, *cell, 1))
     report = run_checks(two_n, ("tables",))
     failing = [r for r in report.rows if r.failures]
     assert [r.parameter for r in failing] == [f"2n={two_n}"]
@@ -529,15 +535,14 @@ def test_verify_counts_each_size_once(monkeypatch, brute):
             sizes[M.two_n] += 1
             yield M
 
-    monkeypatch.setattr(cli, "_joint_pass", one_pass)
+    monkeypatch.setattr(cli, "joint_matrices", one_pass)
     report = run_checks(12, ("tables", "bijection"))
     assert report.overall == "pass"
     assert [r.check for r in report.rows].count("bijection") == 4
     assert passes == [12] and sizes == {two_n: 1 for two_n in range(2, 13, 2)}
     # The series checks read no counter, and gf1 and gf3 reach the series caps.
-    monkeypatch.setattr(cli, "_joint_pass", _refuse("the joint pass"))
-    for two_n_max, checks in ((12, ("pde",)), (70, ("gf3",)), (136, ("gf1",))):
-        assert run_checks(two_n_max, checks).overall == "pass"
+    monkeypatch.setattr(cli, "joint_matrices", _refuse("the joint pass"))
+    assert run_checks(12, ("pde", "gf1", "gf3")).overall == "pass"
     assert (cli.CHECKS["gf3"][1], cli.CHECKS["gf1"][1]) == (70, 136)
 
 
@@ -664,7 +669,7 @@ CORRUPTED_CELLS = {
     "cell", CORRUPTED_CELLS, ids=lambda c: f"M{c[0]}({c[1]},{c[2]}){c[3]:+d}"
 )
 def test_every_check_fails_on_a_corrupted_count(monkeypatch, brute, cell):
-    monkeypatch.setattr(cli, "_joint_pass", _corrupted(brute, *cell))
+    monkeypatch.setattr(cli, "joint_matrices", _corrupted(brute, *cell))
     report = run_checks(10, cli.ALL_CHECKS)
     assert report.overall == "fail"
     assert _first_failures(report) == CORRUPTED_CELLS[cell]
@@ -695,7 +700,7 @@ def test_gf1_and_gf3_fail_on_a_corrupted_recurrence(monkeypatch, cell):
             return _moved(A, m, k, delta) if two_n == size else A
 
     monkeypatch.setattr(cli, "RecurrenceEngine", Corrupted)
-    monkeypatch.setattr(cli, "_joint_pass", _refuse("the joint pass"))
+    monkeypatch.setattr(cli, "joint_matrices", _refuse("the joint pass"))
     report = run_checks(10, ("gf1", "gf3"))
     assert _first_failures(report) == CORRUPTED_RECURRENCE[cell]
 
@@ -823,7 +828,7 @@ SIZED_CHOICES = _sized_choices()
 # test if it runs.
 CAP_WORKERS = {
     ("enumerate", None): [(cli, "alternating_permutations"), (cli, "tree_count")],
-    ("matrix", "brute"): [(cli, "joint_matrix_bruteforce"), (distributions, "_joint_pass")],
+    ("matrix", "brute"): [(cli, "joint_matrix_bruteforce"), (distributions, "joint_matrices")],
     ("matrix", "recurrence"): [(cli, "assemble")],
     ("entringer", "brute"): [(distributions, "_ent_pass")],
     ("entringer", "rule"): [(cli, "_entringer_rows")],

@@ -453,8 +453,8 @@ def test_entringer_bruteforce_raises_on_broken_invariant(monkeypatch, n_max, bad
 def test_one_pass_gives_every_size_of_both_counters(brute):
     # Each size read off a pass to a larger bound equals the pass that ends
     # at that size, though the larger bound keeps more states.
-    assert [M.two_n for M in distributions._joint_pass(24)] == list(range(2, 25, 2))
-    for M in distributions._joint_pass(24):
+    assert [M.two_n for M in distributions.joint_matrices(24)] == list(range(2, 25, 2))
+    for M in distributions.joint_matrices(24):
         assert M.same_counts(brute(M.two_n)) and M.method == "brute"
     rows = list(distributions._ent_pass(30))
     assert rows == [ent_distribution(n) for n in range(2, 31)]

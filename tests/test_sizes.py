@@ -42,6 +42,7 @@ from secant_trees import (
     verify_map,
 )
 from secant_trees.cli import run_checks
+from secant_trees.distributions import joint_matrices
 
 # (id, call, lower bound, argument name, even); the call takes the value.
 ENTRY_POINTS = [
@@ -50,6 +51,7 @@ ENTRY_POINTS = [
     ("JointMatrix", lambda v: JointMatrix(v, "brute"), 2, "two_n", True),
     ("JointMatrix.from_json", lambda v: JointMatrix.from_json_dict({"two_n": v}), 2, "two_n", True),
     ("joint_matrix_bruteforce", joint_matrix_bruteforce, 2, "two_n", True),
+    ("joint_matrices", lambda v: next(joint_matrices(v)), 2, "bound", True),
     ("ent_distribution", ent_distribution, 2, "n", False),
     ("entringer_bruteforce", entringer_bruteforce, 2, "n_max", False),
     ("EntringerTriangle.row", lambda v: entringer_triangle(8).row(v), 2, "n", False),
