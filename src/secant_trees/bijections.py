@@ -343,8 +343,15 @@ def verify_maps(names: Sequence[str], two_n: int, counts: JointMatrix) -> list[M
     arrays, since two validated trees of one size are equal exactly when
     their ``left`` and ``right`` arrays are; its projection is computed only
     for a collision record.  A key keeps its first source as the bytes of
-    its word, a third of the memory of the tuple.
+    its word, a third of the memory of the tuple.  *names* given as one
+    string, or naming an unknown map, raises ``ValueError`` before the size
+    and *counts* are checked.
     """
+    if isinstance(names, str):
+        raise ValueError(f"names is a collection of map names, not the string {names!r}")
+    unknown = [name for name in names if name not in MAP_DOMAINS]
+    if unknown:
+        raise ValueError(f"unknown map {unknown[0]!r} (known: {', '.join(MAP_DOMAINS)})")
     _check_map_size(two_n)
     if not isinstance(counts, JointMatrix):
         raise ValueError(f"counts must be a JointMatrix, got {type(counts).__name__}")
@@ -391,8 +398,6 @@ def verify_map(name: str, two_n: int, counts: JointMatrix) -> MapReport:
     Images are validated trees, so distinct images landing in the codomain,
     as many as the codomain holds, certify that the map covers it.
     """
-    if name not in MAP_DOMAINS:
-        raise ValueError(f"unknown map {name!r} (known: {', '.join(MAP_DOMAINS)})")
     (report,) = verify_maps((name,), two_n, counts)
     return report
 

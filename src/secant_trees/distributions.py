@@ -12,8 +12,9 @@ The joint counter counts every tree through its insertion moves: a tree of
 size ``2n`` arises exactly once by inserting the labels ``1 .. 2n`` in
 increasing order, and the counter carries, from one label to the next, how
 many partial trees share each state that the later moves and the two
-statistics read.  The rightmost-label counter counts the same moves with a
-state of two fields, since it reads only the label of the rightmost node.
+statistics read.  The rightmost-label counter steps through the same move
+table, :func:`_moves`, but keeps a state of two fields, since it reads only
+the label of the rightmost node.
 Each counter is one pass over the labels up to a bound, which reads every
 smaller size off its states on the way.  No recurrence or Entringer value
 is used, and no word or tree object is built, so size 14 (199,360,981
@@ -329,11 +330,7 @@ def joint_matrices(bound: int) -> Iterator[JointMatrix]:
     def read_off(two_n: int) -> JointMatrix:
         rows = [[0] * (two_n - 1) for _ in range(two_n - 1)]
         for (o, r, ks), cells in states.items():
-            if ks == _K_OPEN and o == 1 and r == _R_OPEN:
-                for c, v in cells.items():
-                    m, k = divmod(c, base)
-                    rows[m - 2][k - 1] += v
-            elif ks == _K_R and o == 0 and r != _R_OPEN:
+            if (ks, o, r == _R_OPEN) in ((_K_OPEN, 1, True), (_K_R, 0, False)):
                 for c, v in cells.items():
                     m, k = divmod(c, base)
                     rows[(two_n if r == _R_EOC else m) - 2][k - 1] += v
@@ -427,17 +424,16 @@ def _ent_pass(n_max: int) -> Iterator[tuple[int, ...]]:
     for L in range(2, n_max + 1):
         after: dict[tuple[int, bool], list[int]] = {}
         for (o, r_open), counts in states.items():
-            leaves = (L - o - r_open) // 2 - (not r_open)  # leaves other than R
-            moves = [(o, o - 1, r_open, False), (2 * leaves, o + 1, r_open, False)]
-            if r_open:  # the right child of R, the new R
-                moves.append((1, o, False, True))
-            else:  # open R on its left, R stays; or on its right, the new R
-                moves += [(1, o, True, False), (1, o + 1, False, True)]
-            for w, to_o, to_r_open, new_r in moves:
-                if not w or to_o > n_max - L:
+            # This counter reads neither eoc nor K, so _R_EOC stands for any
+            # leaf R: from a leaf R, _moves opens the other leaves with total
+            # weight 2 * (leaves - 1) whether or not R is eoc, and gives every
+            # other move the same weight and the same (o, R open) target.
+            r = _R_OPEN if r_open else _R_EOC
+            for w, (to_o, to_r, _), _, role in _moves(o, r, _UNMARKED, L - 1):
+                if to_o > n_max - L:
                     continue
-                row = after.setdefault((to_o, to_r_open), [0] * (n_max + 1))
-                if new_r:
+                row = after.setdefault((to_o, to_r == _R_OPEN), [0] * (n_max + 1))
+                if role == _K_R:  # L becomes R
                     row[L] += w * sum(counts)
                 else:
                     for j, v in enumerate(counts):
@@ -450,21 +446,18 @@ def ent_distribution(n: int) -> tuple[int, ...]:
     """Entry j-1 counts trees of size n whose rightmost node is labelled j.
 
     Defined for every size n >= 2, odd sizes included.  Like
-    :func:`joint_matrix_bruteforce`, the count runs over the label-insertion
-    moves, but a state needs only two fields: the number ``o`` of open nodes
-    other than the rightmost node ``R``, and whether ``R`` is open.  Each
-    state holds a count for each label of ``R``.  The label ``L`` fills an
-    open node (weight ``o``); opens a leaf other than ``R`` on either side
-    (weight twice those leaves); gives an open ``R`` its right child,
-    becoming ``R``; or opens the leaf ``R`` on its left (``R`` is then open)
-    or on its right (``L`` becomes ``R``).  A state with more open nodes than
-    labels left is dropped, and the answer is the state with no open node
-    but ``R``, which is open when n is even.  No word or tree is built, and
-    no Entringer number or partial-sum rule feeds the count.  The result is
-    the last of the one pass of :func:`_ent_pass`, which reads every smaller
-    size off the same states on the way; :func:`entringer_bruteforce` takes
-    all of them, and its rows to 40 take about 4 ms (2 cores, Python
-    3.11.7).
+    :func:`joint_matrix_bruteforce`, the count steps through the
+    label-insertion moves of :func:`_moves`, but a state needs only two
+    fields: the number ``o`` of open nodes other than the rightmost node
+    ``R``, and whether ``R`` is open.  Each state holds a count for each
+    label of ``R``; a move that makes ``L`` the new ``R`` moves every count
+    to label ``L``.  A state with more open nodes than labels left is
+    dropped, and the answer is the state with no open node but ``R``, which
+    is open when n is even.  No word or tree is built, and no Entringer
+    number or partial-sum rule feeds the count.  The result is the last of
+    the one pass of :func:`_ent_pass`, which reads every smaller size off
+    the same states on the way; :func:`entringer_bruteforce` takes all of
+    them, and its rows to 40 take about 5 ms (2 cores, Python 3.11.7).
     """
     _check_size(n, 2, "n")
     for raw in _ent_pass(n):

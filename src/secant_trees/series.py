@@ -49,10 +49,6 @@ class OutOfOrderError(ValueError):
 
 def _exponents(num_vars: int, degree: int) -> Iterator[tuple[int, ...]]:
     """All exponent tuples of the given total degree, lexicographically."""
-    if num_vars == 0:
-        if degree == 0:
-            yield ()
-        return
     if num_vars == 1:
         yield (degree,)
         return
@@ -310,25 +306,12 @@ def compose_linear(
         if type(x) not in (int, Fraction):
             raise ValueError(f"not an exact number (an int or a Fraction): {x!r}")
     # A zero coefficient (every other degree of cos, sin and sec^k) adds no
-    # term, and a variable with a zero entry in the form has exponent 0 in
-    # every term, so only the exponents of the other variables are visited.
-    live = [v for v, a in enumerate(linear) if a]
-    form = [linear[v] for v in live]
-    full = [0] * len(linear)
-
-    def spread(e: tuple[int, ...]) -> tuple[int, ...]:
-        for v, x in zip(live, e):
-            full[v] = x
-        return tuple(full)
-
-    # A form with no zero entry, like the diagonal forms of sec^k, skips the
-    # call per term.
-    place = spread if len(live) < len(full) else tuple
+    # term.
     terms = (
-        (place(e), c * prod(map(pow, form, e)))
+        (e, c * prod(map(pow, linear, e)))
         for d, c in enumerate(univariate[: order + 1])
         if c
-        for e in _exponents(len(live), d)
+        for e in _exponents(len(linear), d)
     )
     return TriSeries._from_egf(len(linear), order, terms)
 

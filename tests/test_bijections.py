@@ -255,9 +255,14 @@ def test_verify_map_rejects_counts_of_another_size(brute):
 
 
 def test_verify_map_rejects_an_unknown_map(brute):
-    known = ", ".join(MAP_DOMAINS)
-    with pytest.raises(ValueError, match=rf"^unknown map 'bogus' \(known: {known}\)$"):
+    unknown = rf"^unknown map 'bogus' \(known: {', '.join(MAP_DOMAINS)}\)$"
+    with pytest.raises(ValueError, match=unknown):
         verify_map("bogus", 6, brute(6))
+    with pytest.raises(ValueError, match=unknown):
+        verify_maps(("first_row_map", "bogus"), 6, brute(6))
+    message = "^names is a collection of map names, not the string 'first_row_map'$"
+    with pytest.raises(ValueError, match=message):
+        verify_maps("first_row_map", 6, brute(6))
 
 
 def test_verify_map_rejects_counts_that_are_not_a_matrix(brute):
