@@ -15,7 +15,7 @@ from .bijections import (
     pom1_map,
     rightmost_column_map,
     tripling_map,
-    verify_map,
+    verify_maps,
 )
 from .distributions import (
     BrokenInvariantError,
@@ -71,7 +71,7 @@ __all__ = [
     "pom1_map",
     "rightmost_column_map",
     "tripling_map",
-    "verify_map",
+    "verify_maps",
     "BrokenInvariantError",
     "EntringerTriangle",
     "JointMatrix",

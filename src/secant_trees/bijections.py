@@ -22,12 +22,17 @@ grown from the tree of ``u`` when its minimal chain reaches its rightmost
 node.  The pass builds each candidate tree once, even for two maps with one
 domain, and counts the domain and the codomain against the margins of a
 joint matrix of the same size, which the caller passes in: ``verify`` runs
-all five maps in one pass per size (``verify_maps``) on the brute-force
-matrix it counted for its other checks.  ``verify_map`` runs the pass for
-one map, and ``MAP_VERIFIERS`` holds one standalone verifier per key of
-``MAP_DOMAINS``, named ``verify_<map>``, that reads the margins off the
-recurrence instead.  Each map checks its own precondition, so a stray
-candidate outside its domain raises that map's ``ValueError``.
+all five maps in one pass per size on the brute-force matrix it counted
+for its other checks.  ``verify_maps`` is the one way into the pass: it
+takes the names of the maps to run under the selection rule that verify's
+checks follow (a collection of known names, not one string, not empty,
+none named twice), and refuses a bad selection, size or matrix before any
+word is walked.  ``MAP_VERIFIERS`` holds one standalone verifier per key of
+``MAP_DOMAINS``, named ``verify_<map>``, that runs the pass for its map on
+the margins of the recurrence instead.  Images are validated trees, so
+distinct images landing in the codomain, as many as the codomain holds,
+certify that the map covers it.  Each map checks its own precondition, so
+a stray candidate outside its domain raises that map's ``ValueError``.
 Images are keyed by their child arrays and sources by their words; a
 projection is computed only for a collision record.
 """
@@ -39,7 +44,7 @@ from typing import Callable, Iterable, Sequence
 
 from .distributions import JointMatrix
 from .recurrence import assemble, tree_count
-from .trees import IncTree, _check_size, alternating_permutations, tree_from_perm
+from .trees import IncTree, _check_selection, _check_size, alternating_permutations, tree_from_perm
 
 
 def _require(cond: bool, message: str) -> None:
@@ -333,7 +338,7 @@ def _check_map_size(two_n: int) -> None:
         )
 
 
-def verify_maps(names: Sequence[str], two_n: int, counts: JointMatrix) -> list[MapReport]:
+def verify_maps(names: Iterable[str], two_n: int, counts: JointMatrix) -> list[MapReport]:
     """One report per map of *names* at size *two_n*, from one pass.
 
     The pass enumerates each down-up word ``u`` of size 2n-2 once and feeds
@@ -343,15 +348,18 @@ def verify_maps(names: Sequence[str], two_n: int, counts: JointMatrix) -> list[M
     arrays, since two validated trees of one size are equal exactly when
     their ``left`` and ``right`` arrays are; its projection is computed only
     for a collision record.  A key keeps its first source as the bytes of
-    its word, a third of the memory of the tuple.  *names* given as one
-    string, or naming an unknown map, raises ``ValueError`` before the size
-    and *counts* are checked.
+    its word, a third of the memory of the tuple.  Distinct validated
+    images in the codomain, as many as *counts* says it holds, certify
+    that a map covers it.
+
+    The checks run in this order, each before any word is walked: *names*
+    under :func:`secant_trees.trees._check_selection` (one string, no map,
+    an unknown map or a map named twice raises ``ValueError``), then the
+    size (odd or below 4 raises ``OddSizeError``, above 12 ``ValueError``),
+    then *counts* (not a ``JointMatrix``, or of another size, raises
+    ``ValueError``).
     """
-    if isinstance(names, str):
-        raise ValueError(f"names is a collection of map names, not the string {names!r}")
-    unknown = [name for name in names if name not in MAP_DOMAINS]
-    if unknown:
-        raise ValueError(f"unknown map {unknown[0]!r} (known: {', '.join(MAP_DOMAINS)})")
+    names = _check_selection(names, MAP_DOMAINS, "names", "map")
     _check_map_size(two_n)
     if not isinstance(counts, JointMatrix):
         raise ValueError(f"counts must be a JointMatrix, got {type(counts).__name__}")
@@ -391,26 +399,17 @@ def verify_maps(names: Sequence[str], two_n: int, counts: JointMatrix) -> list[M
     return reports
 
 
-def verify_map(name: str, two_n: int, counts: JointMatrix) -> MapReport:
-    """Run the map *name* over its whole domain at size *two_n* and certify
-    it against the margins of *counts*, a joint matrix of that size.
-
-    Images are validated trees, so distinct images landing in the codomain,
-    as many as the codomain holds, certify that the map covers it.
-    """
-    (report,) = verify_maps((name,), two_n, counts)
-    return report
-
-
 def _standalone(name: str) -> Callable[[int], MapReport]:
-    """``verify_<name>``: :func:`verify_map` on the recurrence's matrix of
-    the size, whose margins are all it reads, so no tree is counted.  The size
-    is checked first, so that every size the maps reject fails with the
-    verifiers' message before the matrix is assembled."""
+    """``verify_<name>``: :func:`verify_maps` for that one map on the
+    recurrence's matrix of the size, whose margins are all it reads, so no
+    tree is counted.  The size is checked first, so that every size the maps
+    reject fails with the verifiers' message before the matrix is
+    assembled."""
 
     def verifier(two_n: int) -> MapReport:
         _check_map_size(two_n)
-        return verify_map(name, two_n, assemble(two_n))
+        (report,) = verify_maps((name,), two_n, assemble(two_n))
+        return report
 
     verifier.__name__ = verifier.__qualname__ = f"verify_{name}"
     return verifier

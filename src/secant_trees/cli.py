@@ -74,7 +74,7 @@ from .series import (
     poupard_check,
     sec_series,
 )
-from .trees import _check_size, alternating_permutations, enumerate_trees
+from .trees import _check_selection, _check_size, alternating_permutations, enumerate_trees
 
 # Largest size `enumerate` takes: the largest n whose slowest mode, `--emit
 # trees`, runs in about 7 s.  With start-up, in five fresh processes each
@@ -378,25 +378,15 @@ ALL_CHECKS = tuple(CHECKS)
 
 
 def _selection(checks: Iterable[str], two_n_max: int) -> tuple[str, ...]:
-    """*checks* as a tuple; ValueError if it is a string, is empty, names an
-    unknown check or names one twice, or if *two_n_max* is above the largest
-    reach among them, so that a bad selection fails before any check runs."""
-    if isinstance(checks, str):
-        raise ValueError(f"checks is a collection of check names, not the string {checks!r}")
-    checks = tuple(checks)
-    unknown = [c for c in checks if c not in CHECKS]
-    if unknown or not checks:
-        what = f"unknown check {unknown[0]!r}" if unknown else "no check selected"
-        raise ValueError(f"{what} (known: {', '.join(ALL_CHECKS)})")
-    repeated = [c for i, c in enumerate(checks) if c in checks[:i]]
-    if repeated:
-        raise ValueError(f"check {repeated[0]!r} is selected more than once")
+    """*checks* as a tuple, under the selection rule of
+    :func:`secant_trees.trees._check_selection`; ValueError also if
+    *two_n_max* is above the largest reach among them, so that a bad
+    selection fails before any check runs."""
+    checks = _check_selection(checks, CHECKS, "checks", "check")
     reach = max(CHECKS[c][1] for c in checks)
-    if two_n_max > reach:
-        raise ValueError(
-            f"two_n_max {two_n_max} is above {reach}, the reach of the selected checks"
-        )
-    return checks
+    if two_n_max <= reach:
+        return checks
+    raise ValueError(f"two_n_max {two_n_max} is above {reach}, the reach of the selected checks")
 
 
 def run_checks(

@@ -466,10 +466,16 @@ def ent_distribution(n: int) -> tuple[int, ...]:
 
 
 class EntringerTriangle:
-    """Rows of rightmost-label counts, row n holding entries j = 1 .. n-1."""
+    """Rows of rightmost-label counts, row n holding entries j = 1 .. n-1.
+
+    The rows are keyed by exactly the ints 2 .. n_max for some n_max >= 2;
+    any other keys raise ``ValueError``.
+    """
 
     def __init__(self, rows: dict[int, tuple[int, ...]]):
-        self.rows = dict(rows)
+        rows = self.rows = dict(rows)
+        if {*map(type, rows)} != {int} or rows.keys() != {*range(2, len(rows) + 2)}:
+            raise ValueError(f"rows must be keyed by 2 .. n_max for some n_max >= 2, got {[*rows]}")
 
     def row(self, n: int) -> tuple[int, ...]:
         _check_size(n, 2, "n")

@@ -29,7 +29,7 @@ from the words of a smaller size, as the bijection domains do.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
 
 class OddSizeError(ValueError):
@@ -46,6 +46,27 @@ def _check_size(value: object, least: int, name: str, even: bool = False) -> Non
         kind = "an even int" if even else "an int"
         error = OddSizeError if even else ValueError
         raise error(f"{name} must be {kind} >= {least}, got {value!r}")
+
+
+def _check_selection(
+    selected: Iterable[str], known: Collection[str], name: str, noun: str
+) -> tuple[str, ...]:
+    """The one rule for a selection of names, such as verify's checks or the
+    maps: a collection (not a string) of names in *known*, not empty and
+    none named twice, returned as a tuple.  Anything else raises a
+    ``ValueError`` that names the argument *name* or speaks of each name as
+    a *noun*; for no name or an unknown one it also lists the known names."""
+    if isinstance(selected, str):
+        raise ValueError(f"{name} is a collection of {noun} names, not the string {selected!r}")
+    selected = tuple(selected)
+    unknown = [s for s in selected if s not in known]
+    if unknown or not selected:
+        what = f"unknown {noun} {unknown[0]!r}" if unknown else f"no {noun} selected"
+        raise ValueError(f"{what} (known: {', '.join(known)})")
+    repeated = [s for i, s in enumerate(selected) if s in selected[:i]]
+    if repeated:
+        raise ValueError(f"{noun} {repeated[0]!r} is selected more than once")
+    return selected
 
 
 class TreeError(ValueError):

@@ -16,7 +16,6 @@ from secant_trees.bijections import (
     pom1_map,
     rightmost_column_map,
     tripling_map,
-    verify_map,
     verify_maps,
 )
 from secant_trees.cli import run_checks
@@ -30,6 +29,12 @@ from secant_trees.trees import (
 )
 
 verify_tripling_map = MAP_VERIFIERS["tripling_map"]
+
+
+def _verify(name, two_n, counts):
+    """The report of the one map *name* from :func:`verify_maps`."""
+    (report,) = verify_maps((name,), two_n, counts)
+    return report
 
 
 def _stream(name, two_n):
@@ -137,12 +142,12 @@ def test_maps_verify_exhaustively(name, two_n, brute):
     report = MAP_VERIFIERS[name](two_n)
     assert report.ok, report
     assert report.domain > 0
-    assert verify_map(name, two_n, brute(two_n)) == report  # a shared count
+    assert verify_maps((name,), two_n, brute(two_n)) == [report]  # a shared count
 
 
 @pytest.mark.parametrize("name", sorted(MAP_VERIFIERS))
 def test_standalone_verifiers_count_no_tree(name, brute, monkeypatch):
-    want = {two_n: verify_map(name, two_n, brute(two_n)) for two_n in (4, 6, 8, 10)}
+    want = {two_n: _verify(name, two_n, brute(two_n)) for two_n in (4, 6, 8, 10)}
 
     def refuse(two_n):
         raise AssertionError(f"trees of size {two_n} counted")
@@ -204,7 +209,7 @@ def test_verifiers_reject_sizes_without_a_map(name, two_n):
     with pytest.raises(OddSizeError, match=message):
         MAP_VERIFIERS[name](two_n)
     with pytest.raises(OddSizeError, match=message):
-        verify_map(name, two_n, object())  # before it reads the counts
+        verify_maps((name,), two_n, object())  # before it reads the counts
 
 
 @pytest.mark.parametrize("name", sorted(MAP_VERIFIERS))
@@ -246,18 +251,18 @@ def test_stream_with_a_stray_word_raises_the_maps_error(name, monkeypatch, brute
 
     monkeypatch.setitem(MAP_DOMAINS, name, dataclasses.replace(domain, words=with_stray))
     with pytest.raises(ValueError, match=f"^{PRECONDITION_MESSAGES[name]}$"):
-        verify_map(name, 6, brute(6))
+        verify_maps((name,), 6, brute(6))
 
 
 def test_verify_map_rejects_counts_of_another_size(brute):
     with pytest.raises(ValueError, match="2n = 8"):
-        verify_map("first_row_map", 6, brute(8))
+        verify_maps(("first_row_map",), 6, brute(8))
 
 
 def test_verify_map_rejects_an_unknown_map(brute):
     unknown = rf"^unknown map 'bogus' \(known: {', '.join(MAP_DOMAINS)}\)$"
     with pytest.raises(ValueError, match=unknown):
-        verify_map("bogus", 6, brute(6))
+        verify_maps(("bogus",), 6, brute(6))
     with pytest.raises(ValueError, match=unknown):
         verify_maps(("first_row_map", "bogus"), 6, brute(6))
     message = "^names is a collection of map names, not the string 'first_row_map'$"
@@ -265,11 +270,40 @@ def test_verify_map_rejects_an_unknown_map(brute):
         verify_maps("first_row_map", 6, brute(6))
 
 
+def test_a_generator_of_names_gives_the_reports_of_the_tuple(brute):
+    names = tuple(MAP_DOMAINS)
+    reports = verify_maps((name for name in names), 8, brute(8))
+    assert reports == verify_maps(names, 8, brute(8))
+    assert [report.map for report in reports] == list(names)
+
+
+@pytest.mark.parametrize(
+    "names, two_n, message",
+    [
+        ((), 6, rf"^no map selected \(known: {', '.join(MAP_DOMAINS)}\)$"),
+        (("first_row_map",) * 2, 13, "^map 'first_row_map' is selected more than once$"),
+    ],
+    ids=("empty", "repeated"),
+)
+def test_a_selection_of_no_map_or_a_map_twice_fails_before_the_pass(
+    names, two_n, message, monkeypatch
+):
+    # The names are checked first, before the size and the counts, as the
+    # checks of `verify` are.
+    def refuse(n):
+        pytest.fail(f"the pass walked the down-up words of size {n}")
+
+    monkeypatch.setattr(bijections, "alternating_permutations", refuse)
+    with pytest.raises(ValueError, match=message) as exc:
+        verify_maps(names, two_n, object())
+    assert exc.type is ValueError
+
+
 def test_verify_map_rejects_counts_that_are_not_a_matrix(brute):
     for counts in (object(), brute(6).to_json_dict()):
         message = f"^counts must be a JointMatrix, got {type(counts).__name__}$"
         with pytest.raises(ValueError, match=message):
-            verify_map("first_row_map", 6, counts)
+            verify_maps(("first_row_map",), 6, counts)
 
 
 @pytest.mark.parametrize("two_n", (14, 16, 10**6))
@@ -288,7 +322,7 @@ def test_verifiers_refuse_a_size_above_the_cap(name, two_n, brute, monkeypatch):
         MAP_VERIFIERS[name](two_n)
     assert exc.type is ValueError
     with pytest.raises(ValueError, match=message):
-        verify_map(name, two_n, brute(14) if two_n == 14 else object())
+        verify_maps((name,), two_n, brute(14) if two_n == 14 else object())
 
 
 @pytest.mark.parametrize("name", sorted(set(MAP_VERIFIERS) - {"tripling_map"}))
@@ -298,7 +332,7 @@ def test_two_sources_with_one_image_break_injectivity(name, monkeypatch, brute):
     (first, t1), (second, t2) = _domain(name, 8)[:2]
     shared = dataclasses.replace(domain, images=lambda t: domain.images(t1 if t == t2 else t))
     monkeypatch.setitem(MAP_DOMAINS, name, shared)
-    report = verify_map(name, 8, brute(8))
+    report = _verify(name, 8, brute(8))
     (image,) = domain.images(t1)
     assert not report.injective and not report.ok
     assert report.collisions == [(first, second, image.projection())]
@@ -315,7 +349,7 @@ def test_two_sources_with_one_image_break_injectivity(name, monkeypatch, brute):
 def test_one_pass_equals_each_map_alone(brute):
     names = tuple(MAP_DOMAINS)
     for two_n in (4, 6, 8, 10):
-        alone = [verify_map(name, two_n, brute(two_n)) for name in names]
+        alone = [_verify(name, two_n, brute(two_n)) for name in names]
         assert verify_maps(names, two_n, brute(two_n)) == alone, two_n
         assert all(report.ok for report in alone), two_n
     assert [report.domain for report in alone] == [1385] * 5
@@ -327,11 +361,11 @@ def test_a_one_map_run_reads_only_its_own_stream(name, monkeypatch, brute):
     def refuse(u):
         pytest.fail(f"another map's stream ran for {name}")
 
-    want = verify_map(name, 8, brute(8))
+    want = _verify(name, 8, brute(8))
     for other, domain in list(MAP_DOMAINS.items()):
         if other != name:
             monkeypatch.setitem(MAP_DOMAINS, other, dataclasses.replace(domain, words=refuse))
-    assert verify_map(name, 8, brute(8)) == want
+    assert _verify(name, 8, brute(8)) == want
     assert MAP_VERIFIERS[name](8) == want
 
 
@@ -378,7 +412,7 @@ def test_images_of_another_domain_tree_fail_transport(name, monkeypatch, brute):
         domain, images=lambda t: domain.images(nxt[t.projection()])
     )
     monkeypatch.setitem(MAP_DOMAINS, name, shifted)
-    report = verify_map(name, 8, brute(8))
+    report = _verify(name, 8, brute(8))
     assert report.injective and report.covers_domain and report.covers_codomain
     assert report.transport_failures and not report.ok
     assert len(set(report.transport_failures)) == len(report.transport_failures)
@@ -392,7 +426,7 @@ def test_images_of_another_domain_tree_fail_transport(name, monkeypatch, brute):
 def test_tripling_images_short_of_the_column_fail():
     M = joint_matrix_bruteforce(6)
     M.set(2, 4, M.get(2, 4) + 1)  # one more tree with pom = 2n-2
-    report = verify_map("tripling_map", 6, M)
+    report = _verify("tripling_map", 6, M)
     assert report.image == 15
     assert report.covers_codomain is False and report.covers_domain is True
     assert report.injective and report.transport_ok and not report.ok
@@ -401,7 +435,7 @@ def test_tripling_images_short_of_the_column_fail():
 def test_domain_short_of_the_margin_fails():
     M = joint_matrix_bruteforce(6)
     M.set(2, 3, M.get(2, 3) + 1)  # one more tree with eoc = 2
-    report = verify_map("first_row_map", 6, M)
+    report = _verify("first_row_map", 6, M)
     assert report.domain == report.image == 5
     assert report.covers_domain is False and report.covers_codomain is True
     assert report.injective and report.transport_ok and not report.ok

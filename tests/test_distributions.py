@@ -376,6 +376,22 @@ def test_matrix_and_triangle_reprs(brute):
     assert repr(entringer_triangle(6)) == "EntringerTriangle(rows 2..6)"
 
 
+@pytest.mark.parametrize(
+    "rows",
+    ({}, {2: (1,), 4: (1, 1, 0)}, {3: (1, 1)}, {2: (1,), 3: (1, 1), 3.5: ()}, {2.0: (1,)}),
+    ids=("empty", "a gap", "no row 2", "a float", "a float equal to 2"),
+)
+def test_triangle_rows_are_keyed_by_two_to_n_max(rows):
+    message = "rows must be keyed by 2 .. n_max for some n_max >= 2, got " + str([*rows])
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        distributions.EntringerTriangle(rows)
+
+
+def test_triangle_rows_in_any_order_are_kept():
+    rows = dict(reversed(entringer_triangle(6).rows.items()))
+    assert distributions.EntringerTriangle(rows) == entringer_triangle(6)
+
+
 def test_matrix_json_huge_size_fails_before_allocating():
     blob = _blob("brute", 4)
     blob.update(two_n=10 ** 12, m_range=[2, 10 ** 12], k_range=[1, 10 ** 12 - 1])

@@ -39,7 +39,7 @@ from secant_trees import (
     sin_linear,
     tree_count,
     tripling_map,
-    verify_map,
+    verify_maps,
 )
 from secant_trees.cli import run_checks
 from secant_trees.distributions import joint_matrices
@@ -67,7 +67,8 @@ ENTRY_POINTS = [
         for f in (first_row_map, rightmost_column_map, tripling_map, pom1_map, entringer_map)
     ),
     *(
-        (f"verify_map-{name}", lambda v, name=name: verify_map(name, v, object()), 4, "two_n", True)
+        # verify_maps for the one map *name*
+        (f"verify_map-{name}", lambda v, n=name: verify_maps((n,), v, object()), 4, "two_n", True)
         for name in MAP_VERIFIERS
     ),
     *(

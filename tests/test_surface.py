@@ -51,7 +51,7 @@ PUBLIC_NAMES = [
     "tree_count",
     "tree_from_perm",
     "tripling_map",
-    "verify_map",
+    "verify_maps",
     "word_stats",
 ]
 
