@@ -20,8 +20,10 @@ two_n_max)`` that yields one ``(parameter, comparisons)`` pair per report
 row, each comparison ``(two_n, location, expected, actual)``.  Most checks
 are a law of one size, a function of ``(ctx, two_n)`` that yields
 ``(location, expected, actual)``; ``_per_size`` turns it into one row per
-size.  ``run_checks`` is the one driver: it runs each check up to the
-smaller of the bound and its reach, times each row, and keeps each
+size.  A check yields every comparison it makes, equal or not, so that
+``run_checks``, the one driver, is the one place that decides a failure: it
+runs each check up to the smaller of the bound and its reach, times each
+row, counts every comparison into the row's ``compared`` and keeps each
 comparison whose two values differ as one of that row's failures.
 
 Every check that reads the insertion-move counter reads the matrices of one
@@ -60,18 +62,18 @@ from .distributions import (
     joint_matrices,
     joint_matrix_bruteforce,
 )
-from .recurrence import RecurrenceEngine, assemble, check_symmetry, tree_count
-from .recurrence import _entringer_row, _entringer_rows
+from .recurrence import RecurrenceEngine, assemble, tree_count
+from .recurrence import _entringer_row, _entringer_rows, _mirror_pairs
 from .reference_tables import REFERENCE_JOINT, REFERENCE_TOTALS
 from .series import (
     OutOfOrderError,
+    _stencils,
     cell_to_exponents,
     omega,
     omega1,
     omega_grid_from_counts,
     omega_p,
-    pde_check,
-    poupard_check,
+    pde_residual,
     sec_series,
 )
 from .trees import _check_selection, _check_size, alternating_permutations, enumerate_trees
@@ -140,6 +142,7 @@ class CheckRow:
     parameter: str
     failures: list = field(default_factory=list)
     seconds: float = 0.0  # wall time spent producing this row
+    compared: int = 0  # comparisons the check yielded for this row
 
     @property
     def status(self) -> str:
@@ -164,6 +167,7 @@ class VerifyReport:
                     "status": r.status,
                     "first_counterexample": r.failures[0] if r.failures else None,
                     "seconds": r.seconds,
+                    "compared": r.compared,
                 }
                 for r in self.rows
             ],
@@ -175,7 +179,7 @@ class VerifyReport:
             line = f"{r.status.upper():4s} {r.check:10s} {r.parameter}"
             if r.failures:
                 line += f"  first counterexample: {r.failures[0]}"
-            lines.append(line)
+            lines.append(f"{line} ({r.compared} compared)")
         lines.append(f"overall: {self.overall}")
         return "\n".join(lines) + "\n"
 
@@ -269,7 +273,7 @@ def _r4(ctx: _VerifyContext, two_n: int) -> Iterator[tuple]:
 
 
 def _symmetry(ctx: _VerifyContext, two_n: int) -> Iterator[tuple]:
-    for cell, mirror, a, b in check_symmetry(ctx.brute(two_n)):
+    for cell, mirror, a, b in _mirror_pairs(ctx.brute(two_n)):
         yield f"{cell} vs {mirror}", a, b
 
 
@@ -341,14 +345,18 @@ def _poupard(ctx: _VerifyContext, two_n_max: int) -> Iterator[_Row]:
         if max_sum >= 0:
             grid = omega_grid_from_counts(p, max_sum, ctx.brute)
             yield f"p={p} i+j<={max_sum}", (
-                (p + sum(pos) + 5, f"(i,j)={pos}", 0, int(res)) for pos, res in poupard_check(grid)
+                (p + sum(pos) + 5, f"(i,j)={pos}", 0, res) for pos, res in _stencils(grid)
             )
 
 
 def _pde(ctx: _VerifyContext, two_n_max: int) -> Iterator[_Row]:
     for p in range(1, 5):
-        residual = pde_check(omega_p(p, 8))
-        yield f"p={p} order=8", [(None, "max residual", 0, str(residual))] if residual else []
+        residual = pde_residual(omega_p(p, 8))
+        yield f"p={p} order=8", (
+            (None, f"(i,j)=({i},{j})", 0, residual.egf_coefficient((i, j)))
+            for i in range(residual.order + 1)
+            for j in range(residual.order + 1 - i)
+        )
 
 
 # Each check's rows and its reach, the largest bound it serves: a run with a
@@ -398,11 +406,12 @@ def run_checks(
     A bound that is not an even int >= 4 raises OddSizeError, and a
     selection given as one string, an empty selection, an unknown check
     name, a repeated one or a bound above the selection's largest reach
-    raises ValueError, before any check runs.  Each row fails on every
-    comparison whose two values differ, in the order its check yields them,
-    and records the wall time spent producing it, including any brute-force
-    matrix it was the first to need.  *processes* is accepted and unused;
-    dropping it waits for a change of the benchmark, which passes it.
+    raises ValueError, before any check runs.  Each row counts every
+    comparison its check yields, fails on every one whose two values differ,
+    in the order its check yields them, and records the wall time spent
+    producing it, including any brute-force matrix it was the first to
+    need.  *processes* is accepted and unused; dropping it waits for a
+    change of the benchmark, which passes it.
     """
     _check_size(two_n_max, 4, "two_n_max", even=True)
     checks = _selection(checks, two_n_max)
@@ -417,12 +426,14 @@ def run_checks(
             if row is None:
                 break
             parameter, comparisons = row
+            comparisons = list(comparisons)
             failures = [
                 {"check": name, "two_n": two_n, "location": loc, "expected": want, "actual": got}
                 for two_n, loc, want, got in comparisons
                 if want != got
             ]
-            report.rows.append(CheckRow(name, parameter, failures, time.perf_counter() - start))
+            seconds = time.perf_counter() - start
+            report.rows.append(CheckRow(name, parameter, failures, seconds, len(comparisons)))
     return report
 
 
@@ -527,7 +538,8 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         parser.error(str(exc))
     report = run_checks(args.two_n_max, checks)
     if args.format == "json":
-        print(json.dumps(report.to_json_dict()))
+        # A counterexample from the series ring may be a Fraction; it prints as text.
+        print(json.dumps(report.to_json_dict(), default=str))
     else:
         sys.stdout.write(report.to_text())
     return 0 if report.overall == "pass" else 1

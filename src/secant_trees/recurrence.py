@@ -244,25 +244,26 @@ def _lower_rows(two_n: int, rows: list[list[int | None]], ent_row: Sequence[int]
 # -- symmetry -------------------------------------------------------------------
 
 
-def check_symmetry(M: JointMatrix) -> list[tuple[tuple[int, int], tuple[int, int], int, int]]:
-    """Violations of f(2n+1-k, 2n+1-m) = f(m, k) over the checked region.
+def _mirror_pairs(M: JointMatrix) -> Iterator[tuple[tuple[int, int], tuple[int, int], int, int]]:
+    """Every cell of the region that :func:`check_symmetry` checks, with its
+    mirror, as ((m, k), (mirror m, mirror k), value, mirror value).
 
     The region is every box cell with m - 1 <= k plus the two extra cells
-    (3, 1) and (2n, 2n-2); the mirror always lands inside the box.  Each
-    violation is ((m, k), (mirror m, mirror k), value, mirror value).
+    (3, 1) and (2n, 2n-2); the mirror (2n+1-k, 2n+1-m) always lands inside
+    the box.
     """
     two_n = M.two_n
-    bad = []
     for m in range(2, two_n + 1):
         for k in range(1, two_n):
-            if not (m - 1 <= k or (m, k) in ((3, 1), (two_n, two_n - 2))):
-                continue
-            mm, mk = two_n + 1 - k, two_n + 1 - m
-            a = M.get(m, k)
-            b = M.get(mm, mk)
-            if a != b:
-                bad.append(((m, k), (mm, mk), a, b))
-    return bad
+            if m - 1 <= k or (m, k) in ((3, 1), (two_n, two_n - 2)):
+                mm, mk = two_n + 1 - k, two_n + 1 - m
+                yield (m, k), (mm, mk), M.get(m, k), M.get(mm, mk)
+
+
+def check_symmetry(M: JointMatrix) -> list[tuple[tuple[int, int], tuple[int, int], int, int]]:
+    """Violations of f(2n+1-k, 2n+1-m) = f(m, k): the pairs of
+    :func:`_mirror_pairs` whose two values differ, in its order."""
+    return [pair for pair in _mirror_pairs(M) if pair[2] != pair[3]]
 
 
 # -- the assembled induction -------------------------------------------------------

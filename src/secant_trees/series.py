@@ -442,30 +442,30 @@ def omega_grid_from_counts(
     return entries
 
 
-def poupard_check(
+def _stencils(
     grid: Mapping[tuple[int, int], int | Fraction]
-) -> list[tuple[tuple[int, int], int | Fraction]]:
-    """Nonzero residuals of g[i,j+2] - 2 g[i+1,j+1] + g[i+2,j] + 4 g[i,j].
+) -> Iterator[tuple[tuple[int, int], int | Fraction]]:
+    """((i, j), g[i,j+2] - 2 g[i+1,j+1] + g[i+2,j] + 4 g[i,j]) at every
+    stencil position of *grid*, in sorted order.
 
     *grid* maps (i, j), i, j >= 0, to a value; its support may be triangular
     (everything with i + j bounded), and the stencil only fires where all
-    four of its cells are present.  Returns one ((i, j), residual) pair per
-    violated stencil position; an empty list certifies the Poupard property
-    on the given support.
+    four of its cells are present.
     """
-    bad = []
     for (i, j) in sorted(grid):
-        if not ((i, j + 2) in grid and (i + 1, j + 1) in grid and (i + 2, j) in grid):
-            continue
-        r = (
-            grid[i, j + 2]
-            - 2 * grid[i + 1, j + 1]
-            + grid[i + 2, j]
-            + 4 * grid[i, j]
-        )
-        if r:
-            bad.append(((i, j), r))
-    return bad
+        if (i, j + 2) in grid and (i + 1, j + 1) in grid and (i + 2, j) in grid:
+            yield (i, j), grid[i, j + 2] - 2 * grid[i + 1, j + 1] + grid[i + 2, j] + 4 * grid[i, j]
+
+
+def poupard_check(
+    grid: Mapping[tuple[int, int], int | Fraction]
+) -> list[tuple[tuple[int, int], int | Fraction]]:
+    """Nonzero residuals of g[i,j+2] - 2 g[i+1,j+1] + g[i+2,j] + 4 g[i,j]:
+    one ((i, j), residual) pair per violated position of :func:`_stencils`,
+    in its order.  An empty list certifies the Poupard property on the
+    given support.
+    """
+    return [(pos, r) for pos, r in _stencils(grid) if r]
 
 
 # -- PDE and reconstruction ---------------------------------------------------------

@@ -8,6 +8,8 @@ import re
 import sys
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
+from functools import cache
 from itertools import count
 from math import comb
 
@@ -449,24 +451,67 @@ def test_every_check_but_bijection_passes_at_20():
     }
 
 
+@cache
+def _every_check(two_n_max):
+    """The report of every check at 14, and of every check but bijection,
+    whose reach is 10, at any other bound."""
+    return run_checks(two_n_max, [c for c in cli.ALL_CHECKS if two_n_max == 14 or c != "bijection"])
+
+
 # Row count and sha256 of json.dumps(report.to_json_dict(), sort_keys=True)
 # with "seconds" dropped from every row, for every check at 14 and every
 # check but bijection, whose reach is 10, at 24 and at 40, the counter cap.
 VERIFY_REPORT_DIGESTS = {
-    14: (76, "77b1a81c70abff890d5b9af9e4a678e265fdedf2d7189230c1fa750c8b321e5f"),
-    24: (122, "90dadef95ab8cc437d3de5ee8a32b61d3bff4596b70cf6bbd4d6566943178614"),
-    40: (202, "af3aad12d4d692e4d5fbdcdd1746be383cc2a13369a142fb3c0a3f780e115713"),
+    14: (76, "42bf41b9bb2d3c71cb947f7fb352f71e8aa28d5615af8d79c2a8e4b01bbaf899"),
+    24: (122, "9648be98a0b285328dc1de60471c2e2122298606decad888a811f9aa32dd55ff"),
+    40: (202, "ed32648cd38fa0db9aef2d7266a424c61920194c5a8ac187e23f8cb1df687400"),
 }
 
 
 @pytest.mark.parametrize("two_n_max", sorted(VERIFY_REPORT_DIGESTS))
 def test_verify_report_is_pinned(two_n_max):
-    checks = [c for c in cli.ALL_CHECKS if two_n_max == 14 or c != "bijection"]
-    blob = run_checks(two_n_max, checks).to_json_dict()
+    blob = _every_check(two_n_max).to_json_dict()
     for row in blob["rows"]:
         del row["seconds"]
     digest = hashlib.sha256(json.dumps(blob, sort_keys=True).encode()).hexdigest()
     assert (len(blob["rows"]), digest) == VERIFY_REPORT_DIGESTS[two_n_max]
+
+
+# Comparisons per check in the report of every check but bijection at 40.
+COMPARED_AT_40 = {
+    "tables": 6773, "r1": 4047, "r2": 4047, "r3": 361, "r4": 361, "marginal": 400,
+    "symmetry": 5568, "crossing": 342, "borders": 2603, "gf1": 703, "gf3": 4750,
+    "poupard": 2314, "pde": 112,
+}
+
+
+def test_each_row_counts_every_comparison_its_check_yields():
+    rows = _every_check(40).rows
+    totals = Counter()
+    for r in rows:
+        totals[r.check] += r.compared
+    assert totals == COMPARED_AT_40
+    # The index ranges of r1, r2 and crossing are empty at 2n = 4; these rows
+    # go once those checks start at 2n = 6.
+    assert {(r.check, r.parameter) for r in rows if not r.compared} == {
+        ("r1", "2n=4"), ("r2", "2n=4"), ("crossing", "2n=4"),
+    }
+
+
+@pytest.mark.parametrize("bound", [4, 6, 8, 40])
+def test_symmetry_poupard_and_pde_compare_their_whole_region(bound):
+    seen = Counter()
+    for r in _every_check(bound).rows:
+        seen[r.check] += 1
+        if r.check == "symmetry":  # every cell with m - 1 <= k, and two more
+            n = int(r.parameter.removeprefix("2n=")) // 2
+            assert r.compared == (n * (2 * n - 1) + 2 if n > 1 else 1)
+        elif r.check == "poupard":  # every stencil inside i + j <= S
+            p, S = map(int, re.fullmatch(r"p=(\d) i\+j<=(\d+)", r.parameter).groups())
+            assert S == bound - 3 - p and r.compared == S * (S - 1) // 2
+        elif r.check == "pde":  # every residual coefficient of order <= 6
+            assert r.compared == 28
+    assert (seen["symmetry"], seen["poupard"], seen["pde"]) == (bound // 2, min(bound - 3, 4), 4)
 
 
 def test_matrix_hybrid_is_a_usage_error(capsys):
@@ -745,9 +790,24 @@ def test_pde_fails_on_a_series_off_the_pde(monkeypatch):
     report = run_checks(4, ("pde",))
     assert [r.status for r in report.rows] == ["fail"] * 4
     assert report.rows[0].failures == [
-        {"check": "pde", "two_n": None, "location": "max residual",
-         "expected": 0, "actual": "4"}
+        {"check": "pde", "two_n": None, "location": "(i,j)=(0,0)", "expected": 0, "actual": 4}
     ]
+
+
+def test_verify_json_prints_a_fractional_counterexample_as_text(monkeypatch, capsys):
+    real = cli.omega
+
+    def shifted(order):  # half a tree more at f_4(2,3), the coefficient at (0,0,0)
+        return real(order) + TriSeries.constant(Fraction(1, 2), 3, order)
+
+    monkeypatch.setattr(cli, "omega", shifted)
+    code, out = run(capsys, "verify", "--two-n-max", "6", "--checks", "gf3", "--format", "json")
+    blob = json.loads(out)
+    assert (code, blob["overall"]) == (1, "fail")
+    assert blob["rows"][0]["first_counterexample"] == {
+        "check": "gf3", "two_n": 4, "location": "(2,3)", "expected": 1, "actual": "3/2"
+    }
+
 
 def test_verify_report_failure_rendering():
     from secant_trees.cli import CheckRow, VerifyReport
@@ -755,13 +815,16 @@ def test_verify_report_failure_rendering():
     bad = CheckRow("tables", "2n=4", failures=[
         {"check": "tables", "two_n": 4, "location": "(2,3)",
          "expected": 1, "actual": 2},
-    ])
+    ], compared=3)
     report = VerifyReport(rows=[CheckRow("pde", "p=1 order=8"), bad])
     assert report.overall == "fail"
     text = report.to_text()
     assert "FAIL tables" in text and "overall: fail" in text
+    lines = text.splitlines()
+    assert lines[0].endswith("p=1 order=8 (0 compared)") and lines[1].endswith(" (3 compared)")
     blob = report.to_json_dict()
     assert blob["rows"][1]["first_counterexample"]["location"] == "(2,3)"
+    assert [r["compared"] for r in blob["rows"]] == [0, 3]
 
 
 # One argv per sized flag, with the value last; each with its bad values: one
