@@ -14,17 +14,22 @@ The verify suite re-derives every identity the library is built on: golden
 tables, the difference laws on cells and marginals, the counter-diagonal
 symmetry, the crossing identity, all border identities, the five bijections,
 and the generating-function routes.  Every check compares exact integers.
-``CHECKS`` is the one table of checks.  It maps each check to its rows and
-its reach, the largest bound it serves.  The rows are a function of ``(ctx,
-two_n_max)`` that yields one ``(parameter, comparisons)`` pair per report
-row, each comparison ``(two_n, location, expected, actual)``.  Most checks
-are a law of one size, a function of ``(ctx, two_n)`` that yields
-``(location, expected, actual)``; ``_per_size`` turns it into one row per
-size.  A check yields every comparison it makes, equal or not, so that
-``run_checks``, the one driver, is the one place that decides a failure: it
-runs each check up to the smaller of the bound and its reach, times each
-row, counts every comparison into the row's ``compared`` and keeps each
-comparison whose two values differ as one of that row's failures.
+``CHECKS`` is the one table of checks.  It maps each check to its rows, its
+reach, the largest bound it serves, and what it covers: each part of a
+``CAPS`` row that the check compares with a second route, keyed
+``((command, method or target), part)``, mapped to how its reach reads in
+that cap's unit (a series order is 2n - 4, an Entringer row 2n - 2).  So a
+new check states its rows, its reach and its coverage in one entry.  The
+rows are a function of ``(ctx, two_n_max)`` that yields one ``(parameter,
+comparisons)`` pair per report row, each comparison ``(two_n, location,
+expected, actual)``.  Most checks are a law of one size, a function of
+``(ctx, two_n)`` that yields ``(location, expected, actual)``; ``_per_size``
+turns it into one row per size.  A check yields every comparison it makes,
+equal or not, so that ``run_checks``, the one driver, is the one place that
+decides a failure: it runs each check up to the smaller of the bound and its
+reach, times each row, counts every comparison into the row's ``compared``
+and keeps each comparison whose two values differ as one of that row's
+failures.
 
 Every check that reads the insertion-move counter reads the matrices of one
 pass, which starts on the first read and runs up to the smaller of the
@@ -222,6 +227,34 @@ def _per_size(first: int, law: Callable[[_VerifyContext, int], Iterable[tuple]])
     return rows
 
 
+# How a bound on 2n, such as a check's reach, reads in the unit of a cap.
+
+
+def _two_n(two_n: int) -> int:
+    """2n itself: the unit of the matrix caps."""
+    return two_n
+
+
+def _golden(two_n: int) -> int:
+    """The largest size up to 2n whose interior lower cells have a second
+    route: the golden tables."""
+    return min(two_n, max(REFERENCE_JOINT))
+
+
+def _entringer_n(two_n: int) -> int:
+    """The row of the Entringer triangle at the bottom of M_2n."""
+    return two_n - 2
+
+
+# The cells of M_2n are EGF coefficients of the series of order 2n - 4.
+_SERIES_SHIFT = 4
+
+
+def _order(two_n: int) -> int:
+    """The series order at which the cells of M_2n are EGF coefficients."""
+    return two_n - _SERIES_SHIFT
+
+
 def _tables(ctx: _VerifyContext, two_n: int) -> Iterator[tuple]:
     B = ctx.brute(two_n)
     golden = REFERENCE_JOINT.get(two_n)
@@ -297,7 +330,7 @@ def _borders(ctx: _VerifyContext, two_n: int) -> Iterator[tuple]:
         yield f"rightmost column m={m}", prev_cols[m - 2], B.get(m, top)
     for m in range(2, two_n - 2):
         yield f"next to rightmost m={m}", 3 * B.get(m, top), B.get(m, top - 1)
-    ent_row = _entringer_row(two_n - 2)
+    ent_row = _entringer_row(_entringer_n(two_n))
     for k in range(2, two_n - 1):
         yield f"bottom row k={k}", ent_row[k - 2], B.get(two_n, k)
     yield "zero corner (2,1)", 0, B.get(2, 1)
@@ -317,10 +350,10 @@ def _bijection(ctx: _VerifyContext, two_n: int) -> Iterator[tuple]:
 
 
 def _gf1(ctx: _VerifyContext, two_n_max: int) -> Iterator[_Row]:
-    bound = two_n_max - 4
+    bound = _order(two_n_max)
     w1 = omega1(bound)
     yield f"i+j<={bound}", (
-        (i + j + 4, f"(i,j)=({i},{j})", want, w1.egf_coefficient((i, j)))
+        (i + j + _SERIES_SHIFT, f"(i,j)=({i},{j})", want, w1.egf_coefficient((i, j)))
         for (i, j), want in omega_grid_from_counts(1, bound, ctx.engine.assemble).items()
     )
 
@@ -328,7 +361,7 @@ def _gf1(ctx: _VerifyContext, two_n_max: int) -> Iterator[_Row]:
 def _gf3(ctx: _VerifyContext, two_n_max: int) -> Iterator[_Row]:
     # A generator, so that the series is built once per run and inside the
     # first row's timed step.
-    w3 = omega(two_n_max - 4)
+    w3 = omega(_order(two_n_max))
 
     def law(ctx: _VerifyContext, two_n: int) -> Iterator[tuple]:
         B = ctx.engine.assemble(two_n)
@@ -359,28 +392,55 @@ def _pde(ctx: _VerifyContext, two_n_max: int) -> Iterator[_Row]:
         )
 
 
-# Each check's rows and its reach, the largest bound it serves: a run with a
-# larger bound stops the check at its reach.
-CHECKS: dict[str, tuple[_Rows, int]] = {
-    "tables": (_per_size(2, _tables), COUNTER_MAX_TWO_N),
-    "r1": (_per_size(4, _r1), COUNTER_MAX_TWO_N),
-    "r2": (_per_size(4, _r2), COUNTER_MAX_TWO_N),
-    "r3": (_per_size(4, _r3), COUNTER_MAX_TWO_N),
-    "r4": (_per_size(4, _r4), COUNTER_MAX_TWO_N),
-    "marginal": (_per_size(2, _marginal), COUNTER_MAX_TWO_N),
-    "symmetry": (_per_size(2, _symmetry), COUNTER_MAX_TWO_N),
-    "crossing": (_per_size(4, _crossing), COUNTER_MAX_TWO_N),
-    "borders": (_per_size(4, _borders), COUNTER_MAX_TWO_N),
+# A part of what a row of CAPS prints, keyed ((command, method or target),
+# part), mapped to how a check's reach reads in that cap's unit.
+_Covers = dict[tuple[tuple[str, str | None], str], Callable[[int], int]]
+
+# Each check's rows; its reach, the largest bound it serves: a run with a
+# larger bound stops the check at its reach; and what it covers: each part
+# of a CAPS row that it compares with a second route.
+CHECKS: dict[str, tuple[_Rows, int, _Covers]] = {
+    "tables": (
+        _per_size(2, _tables),
+        COUNTER_MAX_TWO_N,
+        {
+            (("matrix", "brute"), "known cells and margins"): _two_n,
+            (("matrix", "brute"), "interior lower cells"): _golden,
+            (("matrix", "recurrence"), "upper cells"): _two_n,
+            (("matrix", "recurrence"), "lower border"): _two_n,
+            (("entringer", "rule"), "rows"): _entringer_n,
+        },
+    ),
+    "r1": (_per_size(4, _r1), COUNTER_MAX_TWO_N, {}),
+    "r2": (_per_size(4, _r2), COUNTER_MAX_TWO_N, {}),
+    "r3": (_per_size(4, _r3), COUNTER_MAX_TWO_N, {}),
+    "r4": (_per_size(4, _r4), COUNTER_MAX_TWO_N, {}),
+    "marginal": (_per_size(2, _marginal), COUNTER_MAX_TWO_N, {}),
+    "symmetry": (_per_size(2, _symmetry), COUNTER_MAX_TWO_N, {}),
+    "crossing": (_per_size(4, _crossing), COUNTER_MAX_TWO_N, {}),
+    "borders": (
+        _per_size(4, _borders), COUNTER_MAX_TWO_N, {(("entringer", "rule"), "rows"): _entringer_n}
+    ),
     # One pass per size runs the five maps, and it grows by about
     # E_2n / E_2n-2 per size: 0.13-0.15 s at 10 and 5.6-7.0 s at 12 (2-core
     # VM, Python 3.11.7).
-    "bijection": (_per_size(4, _bijection), 10),
-    # The ring against the recurrence, up to the series caps (the order is
-    # 2n - 4).
-    "gf1": (_gf1, CAPS["series", "omega1"][2] + 4),
-    "gf3": (_gf3, CAPS["series", "omega"][2] + 4),
-    "poupard": (_poupard, COUNTER_MAX_TWO_N),
-    "pde": (_pde, COUNTER_MAX_TWO_N),
+    "bijection": (_per_size(4, _bijection), 10, {}),
+    # The ring against the recurrence, up to the series caps.
+    "gf1": (
+        _gf1,
+        CAPS["series", "omega1"][2] + _SERIES_SHIFT,
+        {(("series", "omega1"), "coefficients"): _order},
+    ),
+    "gf3": (
+        _gf3,
+        CAPS["series", "omega"][2] + _SERIES_SHIFT,
+        {
+            (("matrix", "recurrence"), "upper cells"): _two_n,
+            (("series", "omega"), "coefficients"): _order,
+        },
+    ),
+    "poupard": (_poupard, COUNTER_MAX_TWO_N, {}),
+    "pde": (_pde, COUNTER_MAX_TWO_N, {}),
 }
 ALL_CHECKS = tuple(CHECKS)
 
@@ -418,7 +478,7 @@ def run_checks(
     ctx = _VerifyContext(min(two_n_max, COUNTER_MAX_TWO_N))
     report = VerifyReport()
     for name in checks:
-        rows, reach = CHECKS[name]
+        rows, reach, _ = CHECKS[name]
         rows = rows(ctx, min(two_n_max, reach))
         while True:
             start = time.perf_counter()
@@ -526,7 +586,7 @@ def _cmd_series(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         c = s.egf_coefficient(exps)
     except OutOfOrderError as exc:
         parser.error(str(exc))
-    print(c if c.denominator != 1 else c.numerator)
+    print(c)
     return 0
 
 

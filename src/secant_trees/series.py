@@ -62,6 +62,14 @@ def _exact(c: int | Fraction) -> int | Fraction:
     return c.numerator if c.denominator == 1 else c
 
 
+def _exact_number(x) -> int | Fraction:
+    """*x*, if it is an ``int`` (not a ``bool``) or a ``Fraction``; else
+    ValueError, so that no float, bool or string enters the ring."""
+    if type(x) not in (int, Fraction):
+        raise ValueError(f"not an exact number (an int or a Fraction): {x!r}")
+    return x
+
+
 class TriSeries:
     """A truncated power series; absent exponents mean coefficient 0.
 
@@ -78,7 +86,8 @@ class TriSeries:
         order: int,
         coeffs: Mapping[tuple[int, ...], Fraction | int] | None = None,
     ):
-        """A series from its *Taylor* coefficients."""
+        """A series from its *Taylor* coefficients, each an ``int`` or a
+        ``Fraction``."""
         if not 1 <= num_vars <= 3:
             raise ValueError(f"num_vars must be 1..3, got {num_vars}")
         _check_size(order, 0, "order")
@@ -90,7 +99,7 @@ class TriSeries:
                 raise ValueError(f"bad exponent tuple {e!r}")
             if sum(e) > order:
                 raise ValueError(f"exponent {e!r} exceeds order {order}")
-            c = _exact(Fraction(c) * prod(map(factorial, e)))
+            c = _exact(_exact_number(c) * prod(map(factorial, e)))
             if c:
                 self.coeffs[tuple(e)] = c
 
@@ -141,7 +150,7 @@ class TriSeries:
         return self + (-other)
 
     def scale(self, factor) -> "TriSeries":
-        f = _exact(Fraction(factor))
+        f = _exact(_exact_number(factor))
         return TriSeries._from_egf(
             self.num_vars, self.order, ((e, c * f) for e, c in self.coeffs.items())
         )
@@ -201,8 +210,8 @@ class TriSeries:
     def partial_derivative(self, var: int) -> "TriSeries":
         """Formal derivative with respect to variable index *var*, an index
         shift in EGF form; the truncation order drops by one."""
-        if not 0 <= var < self.num_vars:
-            raise ValueError(f"variable index {var} out of range")
+        if type(var) is not int or not 0 <= var < self.num_vars:
+            raise ValueError(f"variable index {var!r} out of range")
         if self.order == 0:
             raise OutOfOrderError("cannot differentiate an order-0 truncation")
         out = {}
@@ -303,8 +312,7 @@ def compose_linear(
     """
     _check_size(order, 0, "order")
     for x in (*linear, *univariate[: order + 1]):
-        if type(x) not in (int, Fraction):
-            raise ValueError(f"not an exact number (an int or a Fraction): {x!r}")
+        _exact_number(x)
     # A zero coefficient (every other degree of cos, sin and sec^k) adds no
     # term.
     terms = (

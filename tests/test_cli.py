@@ -19,7 +19,6 @@ from secant_trees import cli, distributions
 from secant_trees.cli import main, render_matrix_text, run_checks
 from secant_trees.distributions import JointMatrix, joint_matrix_bruteforce
 from secant_trees.recurrence import assemble, tree_count
-from secant_trees.reference_tables import REFERENCE_JOINT
 from secant_trees.series import TriSeries
 
 
@@ -950,32 +949,6 @@ def test_a_size_above_its_cap_fails_before_any_work(key, capsys, monkeypatch):
 # ---------------------------------------------------------------------- #
 
 
-def _same(reach):
-    return reach
-
-
-# Each part of what a row of cli.CAPS prints, mapped to the verify checks
-# that compare it with a second route, and to how a check's reach, a bound
-# on 2n, reads in the unit of the cap: a series order is 2n - 4, and the
-# Entringer row that `borders` and `tables` read at 2n is the bottom row of
-# M_2n, row 2n - 2.  The interior lower cells of the counter's matrix meet
-# a second route only in the golden tables of `tables`.
-SECOND_ROUTES = {
-    (("enumerate", None), "words"): ((), _same),
-    (("matrix", "brute"), "known cells and margins"): (("tables",), _same),
-    (("matrix", "brute"), "interior lower cells"): (
-        ("tables",),
-        lambda reach: min(reach, max(REFERENCE_JOINT)),
-    ),
-    (("matrix", "recurrence"), "upper cells"): (("tables", "gf3"), _same),
-    (("matrix", "recurrence"), "lower border"): (("tables",), _same),
-    (("entringer", "brute"), "rows"): ((), _same),
-    (("entringer", "rule"), "rows"): (("tables", "borders"), lambda reach: reach - 2),
-    (("series", "sec"), "coefficients"): ((), _same),
-    (("series", "omega1"), "coefficients"): (("gf1",), lambda reach: reach - 4),
-    (("series", "omega"), "coefficients"): (("gf3",), lambda reach: reach - 4),
-}
-
 # The parts that no check compares up to their cap: (cap, the reach the
 # checks cover, where the rest is compared, if anywhere).
 KNOWN_GAPS = {
@@ -1006,19 +979,35 @@ KNOWN_GAPS = {
 }
 
 
-def _covered(checks, to_cap):
-    """The largest value of a cap's flag that *checks* compare, read off
-    their reaches in ``cli.CHECKS``; 0 without a check."""
-    return max((to_cap(cli.CHECKS[c][1]) for c in checks), default=0)
+# The parts of what each row of cli.CAPS prints, so that a part whose last
+# second route goes is judged as covered to 0, not dropped.
+PARTS = {
+    (("enumerate", None), "words"),
+    (("matrix", "brute"), "known cells and margins"),
+    (("matrix", "brute"), "interior lower cells"),
+    (("matrix", "recurrence"), "upper cells"),
+    (("matrix", "recurrence"), "lower border"),
+    (("entringer", "brute"), "rows"),
+    (("entringer", "rule"), "rows"),
+    (("series", "sec"), "coefficients"),
+    (("series", "omega1"), "coefficients"),
+    (("series", "omega"), "coefficients"),
+}
 
 
 def test_every_cap_has_a_second_route_or_a_known_gap():
-    assert {key for key, _ in SECOND_ROUTES} == set(cli.CAPS)
-    assert set(KNOWN_GAPS) <= set(SECOND_ROUTES)
-    for (key, part), (checks, to_cap) in SECOND_ROUTES.items():
-        cap, covered = cli.CAPS[key][2], _covered(checks, to_cap)
-        if covered >= cap:
-            assert (key, part) not in KNOWN_GAPS, f"{key} {part}: the gap closed at {covered}"
+    # Each part that some check covers, mapped to the largest value of the
+    # cap's flag that the checks compare.
+    covered = {}
+    for _, reach, covers in cli.CHECKS.values():
+        for part, to_cap in covers.items():
+            covered[part] = max(covered.get(part, 0), to_cap(reach))
+    assert {key for key, _ in PARTS} == set(cli.CAPS)
+    assert covered.keys() | KNOWN_GAPS.keys() <= PARTS
+    for key, part in PARTS:
+        cap, upto = cli.CAPS[key][2], covered.get((key, part), 0)
+        if upto >= cap:
+            assert (key, part) not in KNOWN_GAPS, f"{key} {part}: the gap closed at {upto}"
         else:
             listed = KNOWN_GAPS.get((key, part), (None, None))[:2]
-            assert listed == (cap, covered), f"{key} {part}: cap {cap}, covered to {covered}"
+            assert listed == (cap, upto), f"{key} {part}: cap {cap}, covered to {upto}"

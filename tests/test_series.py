@@ -244,6 +244,12 @@ def test_truncate_hash_repr_and_int_scaling():
             "variable index -1 out of range",
         ),
         (
+            lambda: omega1(4).partial_derivative(True),
+            ValueError,
+            "variable index True out of range",
+        ),
+        (lambda: omega1(4).partial_derivative(1.0), ValueError, "variable index 1.0 out of range"),
+        (
             lambda: TriSeries(1, 0).partial_derivative(0),
             OutOfOrderError,
             "cannot differentiate an order-0 truncation",
@@ -309,6 +315,32 @@ def test_truncate_hash_repr_and_int_scaling():
             lambda: compose_linear([1, 0.5, 1], (1,), 2),
             ValueError,
             "not an exact number (an int or a Fraction): 0.5",
+        ),
+        (
+            lambda: TriSeries(1, 2, {(1,): 0.1}),
+            ValueError,
+            "not an exact number (an int or a Fraction): 0.1",
+        ),
+        (
+            lambda: TriSeries(1, 2, {(1,): "1/3"}),
+            ValueError,
+            "not an exact number (an int or a Fraction): '1/3'",
+        ),
+        (
+            lambda: TriSeries.constant(False, 1, 2),
+            ValueError,
+            "not an exact number (an int or a Fraction): False",
+        ),
+        (
+            lambda: sec_series(4).scale(0.25),
+            ValueError,
+            "not an exact number (an int or a Fraction): 0.25",
+        ),
+        pytest.param(
+            lambda: sec_series(4) * True,
+            ValueError,
+            "not an exact number (an int or a Fraction): True",
+            id="a bool factor",  # the message alone would repeat the id of the cos_linear case
         ),
     ],
 )
