@@ -46,6 +46,17 @@ from .distributions import JointMatrix
 from .recurrence import assemble, tree_count
 from .trees import IncTree, _check_selection, _check_size, alternating_permutations, tree_from_perm
 
+__all__ = [
+    "MAP_VERIFIERS",
+    "MapReport",
+    "entringer_map",
+    "first_row_map",
+    "pom1_map",
+    "rightmost_column_map",
+    "tripling_map",
+    "verify_maps",
+]
+
 
 def _require(cond: bool, message: str) -> None:
     if not cond:

@@ -28,7 +28,16 @@ from __future__ import annotations
 import time
 from typing import Iterable, Iterator, Sequence
 
-from .trees import OddSizeError, _check_size  # noqa: F401 (re-export)
+from .trees import OddSizeError, _check_size  # noqa: F401 (OddSizeError stays importable here)
+
+__all__ = [
+    "BrokenInvariantError",
+    "EntringerTriangle",
+    "JointMatrix",
+    "ent_distribution",
+    "entringer_bruteforce",
+    "joint_matrix_bruteforce",
+]
 
 
 class BrokenInvariantError(RuntimeError):

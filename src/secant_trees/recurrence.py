@@ -59,6 +59,15 @@ from typing import Iterable, Iterator, Sequence
 from .distributions import BrokenInvariantError, EntringerTriangle, JointMatrix
 from .trees import _check_size
 
+__all__ = [
+    "RecurrenceEngine",
+    "assemble",
+    "check_symmetry",
+    "entringer_triangle",
+    "secant_numbers",
+    "tree_count",
+]
+
 
 # -- Entringer triangle, secant numbers and column sums -------------------------
 

@@ -41,6 +41,25 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .trees import _check_size
 
+__all__ = [
+    "OutOfOrderError",
+    "TriSeries",
+    "cell_to_exponents",
+    "compose_linear",
+    "cos_linear",
+    "omega",
+    "omega1",
+    "omega_grid_from_counts",
+    "omega_p",
+    "pde_check",
+    "pde_residual",
+    "poupard_check",
+    "reconstruct_from_rows",
+    "row_series",
+    "sec_series",
+    "sin_linear",
+]
+
 
 class OutOfOrderError(ValueError):
     """A coefficient beyond the truncation order, or at a negative
@@ -239,7 +258,7 @@ class TriSeries:
         if len(e) != self.num_vars:
             raise ValueError(f"expected {self.num_vars} exponents, got {e!r}")
         if any(type(x) is not int for x in e):
-            raise TypeError(f"exponents must be ints, got {e!r}")
+            raise ValueError(f"exponents must be ints, got {e!r}")
         if min(e) < 0:
             raise OutOfOrderError(f"negative exponent in {e!r}")
         if sum(e) > self.order:

@@ -31,6 +31,18 @@ from __future__ import annotations
 
 from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
+__all__ = [
+    "IncTree",
+    "OddSizeError",
+    "StatRecord",
+    "TreeError",
+    "alternating_permutations",
+    "enumerate_trees",
+    "is_alternating",
+    "tree_from_perm",
+    "word_stats",
+]
+
 
 class OddSizeError(ValueError):
     """An even size (2n, or a bound on 2n) that is not an even int at least

@@ -214,8 +214,10 @@ def test_negative_or_non_int_exponent_is_rejected():
             lookup((-1,))
     with pytest.raises(OutOfOrderError):
         omega(4).egf_coefficient((2, -1, 1))
-    with pytest.raises(TypeError):
-        s.egf_coefficient((2.5,))
+    for lookup in (s.egf_coefficient, s.taylor_coefficient):
+        for bad in ((2.5,), (1.0,), (True,)):
+            with pytest.raises(ValueError, match=r"^exponents must be ints, got "):
+                lookup(bad)
 
 
 def test_truncate_hash_repr_and_int_scaling():
