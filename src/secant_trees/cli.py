@@ -72,7 +72,7 @@ from .recurrence import _entringer_row, _entringer_rows, _mirror_pairs
 from .reference_tables import REFERENCE_JOINT, REFERENCE_TOTALS
 from .series import (
     OutOfOrderError,
-    _stencils,
+    TriSeries,
     cell_to_exponents,
     omega,
     omega1,
@@ -349,12 +349,21 @@ def _bijection(ctx: _VerifyContext, two_n: int) -> Iterator[tuple]:
         yield report.map, _MAP_OK, _MAP_OK if report.ok else report.to_json_dict()
 
 
+def _coefficients(G: TriSeries) -> Iterator[tuple]:
+    """Every EGF coefficient of the two-variable series *G*, zeros included,
+    as ``((i, j), location, coefficient)`` in lexicographic order of (i, j):
+    the one reader of the series checks."""
+    for i in range(G.order + 1):
+        for j in range(G.order + 1 - i):
+            yield (i, j), f"(i,j)=({i},{j})", G.egf_coefficient((i, j))
+
+
 def _gf1(ctx: _VerifyContext, two_n_max: int) -> Iterator[_Row]:
     bound = _order(two_n_max)
     w1 = omega1(bound)
     yield f"i+j<={bound}", (
-        (i + j + _SERIES_SHIFT, f"(i,j)=({i},{j})", want, w1.egf_coefficient((i, j)))
-        for (i, j), want in omega_grid_from_counts(1, bound, ctx.engine.assemble).items()
+        (sum(e) + _SERIES_SHIFT, where, want, w1.egf_coefficient(e))
+        for e, where, want in _coefficients(omega_grid_from_counts(1, bound, ctx.engine.assemble))
     )
 
 
@@ -377,19 +386,17 @@ def _poupard(ctx: _VerifyContext, two_n_max: int) -> Iterator[_Row]:
         max_sum = two_n_max - 3 - p
         if max_sum >= 0:
             grid = omega_grid_from_counts(p, max_sum, ctx.brute)
+            # Each residual coefficient is one stencil; below order 2 none fits.
+            stencils = _coefficients(pde_residual(grid)) if max_sum >= 2 else ()
             yield f"p={p} i+j<={max_sum}", (
-                (p + sum(pos) + 5, f"(i,j)={pos}", 0, res) for pos, res in _stencils(grid)
+                (p + sum(e) + 5, where, 0, r) for e, where, r in stencils
             )
 
 
 def _pde(ctx: _VerifyContext, two_n_max: int) -> Iterator[_Row]:
     for p in range(1, 5):
         residual = pde_residual(omega_p(p, 8))
-        yield f"p={p} order=8", (
-            (None, f"(i,j)=({i},{j})", 0, residual.egf_coefficient((i, j)))
-            for i in range(residual.order + 1)
-            for j in range(residual.order + 1 - i)
-        )
+        yield f"p={p} order=8", ((None, where, 0, r) for _, where, r in _coefficients(residual))
 
 
 # A part of what a row of CAPS prints, keyed ((command, method or target),

@@ -477,14 +477,22 @@ def ent_distribution(n: int) -> tuple[int, ...]:
 class EntringerTriangle:
     """Rows of rightmost-label counts, row n holding entries j = 1 .. n-1.
 
-    The rows are keyed by exactly the ints 2 .. n_max for some n_max >= 2;
-    any other keys raise ``ValueError``.
+    The rows are keyed by exactly the ints 2 .. n_max for some n_max >= 2,
+    and row n is a tuple or list of n - 1 ints >= 0, kept as a tuple; any
+    other keys or rows raise ``ValueError``.
     """
 
-    def __init__(self, rows: dict[int, tuple[int, ...]]):
-        rows = self.rows = dict(rows)
+    def __init__(self, rows: dict[int, Sequence[int]]):
+        rows = dict(rows)
         if {*map(type, rows)} != {int} or rows.keys() != {*range(2, len(rows) + 2)}:
             raise ValueError(f"rows must be keyed by 2 .. n_max for some n_max >= 2, got {[*rows]}")
+        # The entries are read in C, one pass for their types and one for
+        # their sign: entringer_triangle(200) holds about 20,000.
+        for n, row in rows.items():
+            shaped = type(row) in (tuple, list) and len(row) == n - 1
+            if not shaped or {*map(type, row)} != {int} or min(row) < 0:
+                raise ValueError(f"row {n} must hold n - 1 = {n - 1} ints >= 0, got {row!r}")
+        self.rows = {n: tuple(row) for n, row in rows.items()}
 
     def row(self, n: int) -> tuple[int, ...]:
         _check_size(n, 2, "n")

@@ -6,9 +6,8 @@ is integral and a :class:`fractions.Fraction` otherwise.  They are truncated
 by *total* degree: a single ``order`` bound suffices because every
 coefficient of interest here lives at a known total degree.  Only the
 constructor, ``taylor_coefficient`` and ``dump_lines`` speak Taylor
-coefficients; the coefficient lists of ``compose_linear`` and
-``to_univariate_list`` are EGF lists.  In EGF form a product is a binomial
-convolution and a derivative is an index shift.
+coefficients; ``to_univariate_list`` is a list of EGF coefficients.  In EGF
+form a product is a binomial convolution and a derivative is an index shift.
 
 On top of the generic ring (add, multiply, invert, differentiate, compose a
 univariate series with an integer linear form) this module builds the
@@ -26,9 +25,12 @@ generating functions of the upper triangles of the joint matrices:
 
 A grid g satisfying g[i,j+2] - 2 g[i+1,j+1] + g[i+2,j] + 4 g[i,j] = 0
 everywhere is called a Poupard grid; the slicing above turns the column
-second-difference law of the joint matrices into exactly that identity, and
-``pde_residual`` checks its generating-function form
-G_xx - 2 G_xy + G_yy + 4G = 0.
+second-difference law of the joint matrices into exactly that identity.  As
+a derivative is an index shift, that stencil at (i, j) is the EGF
+coefficient (i, j) of G_xx - 2 G_xy + G_yy + 4G, so ``pde_residual`` is the
+one residual, with two inputs: a grid of counts sliced out of the matrices
+(``omega_grid_from_counts``, read by ``poupard_check``) and a built series
+(``omega_p``, read by ``pde_check``).
 """
 
 from __future__ import annotations
@@ -89,6 +91,12 @@ def _exact_number(x) -> int | Fraction:
     return x
 
 
+def _check_series(s: object, num_vars: int, what: str) -> None:
+    """ValueError unless *s* is a :class:`TriSeries` in *num_vars* variables."""
+    if not isinstance(s, TriSeries) or s.num_vars != num_vars:
+        raise ValueError(f"{what} needs a {num_vars}-variable series")
+
+
 class TriSeries:
     """A truncated power series; absent exponents mean coefficient 0.
 
@@ -142,6 +150,8 @@ class TriSeries:
     # -- ring operations -----------------------------------------------------
 
     def _check_compatible(self, other: "TriSeries") -> None:
+        if not isinstance(other, TriSeries):
+            raise ValueError(f"cannot combine a series with {other!r}")
         if self.num_vars != other.num_vars:
             raise ValueError(
                 f"cannot combine series in {self.num_vars} and {other.num_vars} variables"
@@ -318,48 +328,46 @@ class TriSeries:
 # -- trigonometric building blocks ------------------------------------------------
 
 
-def compose_linear(
-    univariate: Sequence[int | Fraction], linear: Sequence[int], order: int
-) -> TriSeries:
-    """Substitute the linear form sum(linear[v] * var_v) into a univariate
-    series given by its list of EGF coefficients.
+def compose_linear(univariate: TriSeries, linear: Sequence[int]) -> TriSeries:
+    """Substitute the linear form sum(linear[v] * var_v) into the
+    one-variable series *univariate*, keeping its order.
 
-    In closed form, the EGF coefficient at exponent e is
-    univariate[sum(e)] times the product of linear[v] ** e[v].  Every entry
-    of *linear*, and every coefficient up to *order*, must be an ``int`` (not
-    a ``bool``) or a ``Fraction``.
+    In closed form, the EGF coefficient at exponent e is the EGF
+    coefficient sum(e) of *univariate* times the product of
+    linear[v] ** e[v].  Every entry of *linear* must be an ``int`` (not a
+    ``bool``) or a ``Fraction``.
     """
-    _check_size(order, 0, "order")
-    for x in (*linear, *univariate[: order + 1]):
+    _check_series(univariate, 1, "composition")
+    for x in linear:
         _exact_number(x)
-    # A zero coefficient (every other degree of cos, sin and sec^k) adds no
-    # term.
+    # Only the nonzero coefficients are stored, so a zero one (every other
+    # degree of cos, sin and sec^k) adds no term.
     terms = (
         (e, c * prod(map(pow, linear, e)))
-        for d, c in enumerate(univariate[: order + 1])
-        if c
+        for (d,), c in univariate.coeffs.items()
         for e in _exponents(len(linear), d)
     )
-    return TriSeries._from_egf(len(linear), order, terms)
+    return TriSeries._from_egf(len(linear), univariate.order, terms)
 
 
 def cos_linear(linear: Sequence[int], order: int) -> TriSeries:
     """Series of cos(a x + b y + c z) for the integer form *linear*."""
     _check_size(order, 0, "order")
-    return compose_linear([(1, 0, -1, 0)[d % 4] for d in range(order + 1)], linear, order)
+    cos = TriSeries._from_egf(1, order, (((d,), (1, 0, -1, 0)[d % 4]) for d in range(order + 1)))
+    return compose_linear(cos, linear)
 
 
 def sin_linear(linear: Sequence[int], order: int) -> TriSeries:
     """Series of sin(a x + b y + c z) for the integer form *linear*."""
     _check_size(order, 0, "order")
-    return compose_linear([(0, 1, 0, -1)[d % 4] for d in range(order + 1)], linear, order)
+    sin = TriSeries._from_egf(1, order, (((d,), (0, 1, 0, -1)[d % 4]) for d in range(order + 1)))
+    return compose_linear(sin, linear)
 
 
 def row_series(series2: TriSeries, i: int) -> TriSeries:
     """Row *i* of a two-variable series as a univariate series in the second
     variable: its EGF coefficient j is the EGF coefficient (i, j)."""
-    if series2.num_vars != 2:
-        raise ValueError("row extraction needs a 2-variable series")
+    _check_series(series2, 2, "row extraction")
     _check_size(i, 0, "i")
     if i > series2.order:
         raise OutOfOrderError(f"row {i} beyond truncation order {series2.order}")
@@ -375,13 +383,13 @@ def _sec_power_on_diagonal(k: int, num_vars: int, order: int) -> TriSeries:
     cos_k = c
     for _ in range(k - 1):
         cos_k = cos_k * c
-    return compose_linear(cos_k.invert().to_univariate_list(), (1,) * num_vars, order)
+    return compose_linear(cos_k.invert(), (1,) * num_vars)
 
 
 def _rows_to_series(a: TriSeries, b: TriSeries, order: int) -> TriSeries:
     """A(x + y) cos 2x + B(x + y) sin 2x for univariate A and B."""
-    a_shifted = compose_linear(a.to_univariate_list(), (1, 1), order)
-    b_shifted = compose_linear(b.to_univariate_list(), (1, 1), order)
+    a_shifted = compose_linear(a, (1, 1))
+    b_shifted = compose_linear(b, (1, 1))
     return cos_linear((2, 0), order) * a_shifted + sin_linear((2, 0), order) * b_shifted
 
 
@@ -446,53 +454,38 @@ def cell_to_exponents(two_n: int, m: int, k: int) -> tuple[int, int, int]:
 # -- Poupard grids ---------------------------------------------------------------------
 
 
-def omega_grid_from_counts(
-    p: int, max_sum: int, counts: Callable[[int], "object"]
-) -> dict[tuple[int, int], int]:
-    """The grid of upper-triangle row p sliced out of joint matrices.
+def omega_grid_from_counts(p: int, max_sum: int, counts: Callable[[int], "object"]) -> TriSeries:
+    """The grid of upper-triangle row p sliced out of joint matrices, as the
+    two-variable series of order *max_sum* whose EGF coefficients are the
+    counts.
 
-    ``counts(two_n)`` must return a matrix with the ``get(m, k)`` accessor;
-    it is called once per size.  The grid maps (i, j) to 0 when i + j and p
-    share parity, else to the count f_{p+i+j+3}(p+1, p+j+2).  Covers
-    i + j <= max_sum.
+    ``counts(two_n)`` must return a matrix with the ``get(m, k)`` accessor,
+    whose values must be exact numbers; it is called once per size.  The EGF
+    coefficient (i, j) is 0 when i + j and p share parity, else the count
+    f_{p+i+j+3}(p+1, p+j+2).
     """
     _check_size(p, 1, "p")
     _check_size(max_sum, 0, "max_sum")
     counts = cache(counts)
-    entries: dict[tuple[int, int], int] = {}
-    for i in range(max_sum + 1):
-        for j in range(max_sum + 1 - i):
-            if (i + j) % 2 == p % 2:
-                entries[(i, j)] = 0
-            else:
-                entries[(i, j)] = counts(p + i + j + 3).get(p + 1, p + j + 2)
-    return entries
+    entries = (
+        ((i, j), _exact_number(counts(p + i + j + 3).get(p + 1, p + j + 2)))
+        for i in range(max_sum + 1)
+        for j in range(max_sum + 1 - i)
+        if (i + j) % 2 != p % 2
+    )
+    return TriSeries._from_egf(2, max_sum, entries)
 
 
-def _stencils(
-    grid: Mapping[tuple[int, int], int | Fraction]
-) -> Iterator[tuple[tuple[int, int], int | Fraction]]:
-    """((i, j), g[i,j+2] - 2 g[i+1,j+1] + g[i+2,j] + 4 g[i,j]) at every
-    stencil position of *grid*, in sorted order.
-
-    *grid* maps (i, j), i, j >= 0, to a value; its support may be triangular
-    (everything with i + j bounded), and the stencil only fires where all
-    four of its cells are present.
+def poupard_check(G: TriSeries) -> list[tuple[tuple[int, int], int | Fraction]]:
+    """Nonzero residuals of the stencil
+    g[i,j+2] - 2 g[i+1,j+1] + g[i+2,j] + 4 g[i,j] on the EGF coefficients
+    of the two-variable series *G*: the sorted ((i, j), residual) pairs of
+    :func:`pde_residual`.  An empty list certifies the Poupard property on
+    the support i + j <= order; below order 2 no stencil fits, and the list
+    is empty.
     """
-    for (i, j) in sorted(grid):
-        if (i, j + 2) in grid and (i + 1, j + 1) in grid and (i + 2, j) in grid:
-            yield (i, j), grid[i, j + 2] - 2 * grid[i + 1, j + 1] + grid[i + 2, j] + 4 * grid[i, j]
-
-
-def poupard_check(
-    grid: Mapping[tuple[int, int], int | Fraction]
-) -> list[tuple[tuple[int, int], int | Fraction]]:
-    """Nonzero residuals of g[i,j+2] - 2 g[i+1,j+1] + g[i+2,j] + 4 g[i,j]:
-    one ((i, j), residual) pair per violated position of :func:`_stencils`,
-    in its order.  An empty list certifies the Poupard property on the
-    given support.
-    """
-    return [(pos, r) for pos, r in _stencils(grid) if r]
+    _check_series(G, 2, "the Poupard check")
+    return sorted(pde_residual(G).coeffs.items()) if G.order >= 2 else []
 
 
 # -- PDE and reconstruction ---------------------------------------------------------
@@ -503,8 +496,7 @@ def pde_residual(G: TriSeries) -> TriSeries:
 
     The zero series certifies that G generates a Poupard grid.
     """
-    if G.num_vars != 2:
-        raise ValueError("the PDE check needs a 2-variable series")
+    _check_series(G, 2, "the PDE check")
     if G.order < 2:
         raise OutOfOrderError("need order >= 2 to form second derivatives")
     gxx = G.partial_derivative(0).partial_derivative(0)
@@ -525,8 +517,7 @@ def reconstruct_from_rows(G: TriSeries) -> TriSeries:
     PDE the rebuilt series matches G through order - 1 (one order is lost to
     the derivative); a mismatch raises :class:`ValueError`.
     """
-    if G.num_vars != 2:
-        raise ValueError("reconstruction needs a 2-variable series")
+    _check_series(G, 2, "reconstruction")
     if G.order < 1:
         raise OutOfOrderError("need order >= 1 to read the second row")
     a = row_series(G, 0)

@@ -649,7 +649,7 @@ CORRUPTED_CELLS = {
         "symmetry 2n=8": (8, "(3, 5) vs (4, 6)", 64, 63),
         "borders 2n=8": (8, "second top row k=5", 63, 64),
         "borders 2n=10": (10, "first top row k=7", 286, 285),
-        "poupard p=2 i+j<=5": (8, "(i,j)=(0, 1)", 0, 1),
+        "poupard p=2 i+j<=5": (8, "(i,j)=(0,1)", 0, 1),
     },
     (8, 5, 3, +1): {
         "tables 2n=8": (8, "(5,3)", 86, 87),
@@ -670,7 +670,7 @@ CORRUPTED_CELLS = {
         "symmetry 2n=10": (10, "(2, 5) vs (6, 9)", 286, 285),
         "borders 2n=10": (10, "first top row k=5", 285, 286),
         "bijection 2n=10": (10, "first_row_map", _MAP_FAILS, ("covers_domain",)),
-        "poupard p=1 i+j<=6": (10, "(i,j)=(2, 2)", 0, 1),
+        "poupard p=1 i+j<=6": (10, "(i,j)=(2,2)", 0, 1),
     },
     (10, 9, 1, -1): {
         "tables 2n=10": (10, "(9,1)", 61, 60),
@@ -705,7 +705,7 @@ CORRUPTED_CELLS = {
         "crossing 2n=8": (8, "k=3", 55, 56),
         "borders 2n=8": (8, "second top row k=4", 45, 46),
         "borders 2n=10": (10, "first top row k=6", 328, 327),
-        "poupard p=2 i+j<=5": (8, "(i,j)=(1, 0)", 0, 1),
+        "poupard p=2 i+j<=5": (8, "(i,j)=(1,0)", 0, 1),
     },
 }
 

@@ -392,6 +392,32 @@ def test_triangle_rows_in_any_order_are_kept():
     assert distributions.EntringerTriangle(rows) == entringer_triangle(6)
 
 
+@pytest.mark.parametrize(
+    "rows, n, row",
+    [
+        ({2: (1, 2, 3), 3: ("a",)}, 2, (1, 2, 3)),
+        ({2: (1,), 3: ("a", 1)}, 3, ("a", 1)),
+        ({2: (1,), 3: (1, 1.0)}, 3, (1, 1.0)),
+        ({2: (True,)}, 2, (True,)),
+        ({2: (-1,)}, 2, (-1,)),
+        ({2: (1,), 3: ()}, 3, ()),
+        ({2: 1}, 2, 1),
+        ({2: "1"}, 2, "1"),
+    ],
+    ids=("too long", "a str", "a float", "a bool", "negative", "empty", "an int", "a str row"),
+)
+def test_triangle_row_n_is_n_minus_one_ints(rows, n, row):
+    message = f"row {n} must hold n - 1 = {n - 1} ints >= 0, got {row!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        distributions.EntringerTriangle(rows)
+
+
+def test_triangle_rows_are_kept_as_tuples():
+    tri = distributions.EntringerTriangle({2: [1], 3: [1, 1]})
+    assert tri == entringer_triangle(3)
+    assert tri.rows == {2: (1,), 3: (1, 1)}
+
+
 def test_matrix_json_huge_size_fails_before_allocating():
     blob = _blob("brute", 4)
     blob.update(two_n=10 ** 12, m_range=[2, 10 ** 12], k_range=[1, 10 ** 12 - 1])

@@ -1,11 +1,13 @@
 """Exact series ring, trig constructors, and the generating-function routes."""
 
 import hashlib
+import random
 import re
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import factorial, prod
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -314,9 +316,19 @@ def test_truncate_hash_repr_and_int_scaling():
             "not an exact number (an int or a Fraction): 'a'",
         ),
         (
-            lambda: compose_linear([1, 0.5, 1], (1,), 2),
+            lambda: compose_linear(sec_series(2), (0.5,)),
             ValueError,
             "not an exact number (an int or a Fraction): 0.5",
+        ),
+        (
+            lambda: compose_linear(omega1(2), (1,)),
+            ValueError,
+            "composition needs a 1-variable series",
+        ),
+        (
+            lambda: omega_grid_from_counts(1, 2, lambda _: SimpleNamespace(get=lambda m, k: 1.5)),
+            ValueError,
+            "not an exact number (an int or a Fraction): 1.5",
         ),
         (
             lambda: TriSeries(1, 2, {(1,): 0.1}),
@@ -350,6 +362,25 @@ def test_series_rejects_a_bad_argument(call, error, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as exc:
         call()
     assert exc.type is error
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: sec_series(4).agrees_with(3), "cannot combine a series with 3"),
+        (lambda: row_series(3, 0), "row extraction needs a 2-variable series"),
+        (lambda: pde_residual(3), "the PDE check needs a 2-variable series"),
+        (lambda: reconstruct_from_rows(3), "reconstruction needs a 2-variable series"),
+        (lambda: poupard_check({(0, 0): 1}), "the Poupard check needs a 2-variable series"),
+        (lambda: compose_linear([1, 0, -1], (1,)), "composition needs a 1-variable series"),
+    ],
+    ids=("agrees_with", "row_series", "pde_residual", "reconstruct_from_rows", "poupard_check",
+         "compose_linear"),
+)
+def test_an_argument_that_is_not_a_series_is_rejected(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as exc:
+        call()
+    assert exc.type is ValueError
 
 
 def test_dump_format():
@@ -456,11 +487,9 @@ def test_omega_p_matches_oracle_slices(brute):
             asked[two_n] += 1
             return brute(two_n)
 
-        grid = omega_grid_from_counts(p, max_sum, counts)
+        assert wp == omega_grid_from_counts(p, max_sum, counts), p
         # each sliced size is counted once
         assert asked == Counter(s for s in range(p + 3, p + max_sum + 4) if s % 2 == 0)
-        for (i, j), want in grid.items():
-            assert wp.egf_coefficient((i, j)) == want, (p, i, j)
 
 
 def test_omega_p_spot_value(brute):
@@ -487,13 +516,39 @@ def test_row_identities():
 # ---------------------------------------------------------------------- #
 
 
+def _grid(order, egf):
+    """The two-variable series of *order* whose EGF coefficients are *egf*."""
+    return TriSeries(2, order, {e: Fraction(c, factorial(e[0]) * factorial(e[1]))
+                                for e, c in egf.items()})
+
+
 def test_poupard_stencil_example():
     grid = {(0, 0): 1, (0, 1): 0, (0, 2): 1, (1, 0): 0,
             (1, 1): 3, (2, 0): 1}
-    assert poupard_check(grid) == []  # 1 - 2*3 + 1 + 4*1 = 0
-    assert poupard_check({(i, j): 0 for i in range(4) for j in range(4)}) == []
+    assert poupard_check(_grid(2, grid)) == []  # 1 - 2*3 + 1 + 4*1 = 0
+    assert poupard_check(_grid(6, {(i, j): 0 for i in range(4) for j in range(4)})) == []
     broken = {(0, 0): 1, (0, 2): 1, (1, 1): 0, (2, 0): 1}
-    assert poupard_check(broken) == [((0, 0), 6)]
+    assert poupard_check(_grid(2, broken)) == [((0, 0), 6)]
+
+
+def test_poupard_check_is_the_stencil():
+    # The stencil written out on the EGF coefficients, at every position
+    # where its four cells lie inside i + j <= order, against the PDE
+    # residual that poupard_check reads.
+    rng = random.Random(1304)
+    for order in range(9):
+        for _ in range(6):
+            g = {
+                (i, j): rng.choice((0, 0, 0, 1, -1, 2, -3, 7))
+                for i in range(order + 1)
+                for j in range(order + 1 - i)
+            }
+            stencils = (
+                ((i, j), g[i, j + 2] - 2 * g[i + 1, j + 1] + g[i + 2, j] + 4 * g[i, j])
+                for (i, j) in sorted(g)
+                if i + j + 2 <= order
+            )
+            assert poupard_check(_grid(order, g)) == [(e, r) for e, r in stencils if r], g
 
 
 def test_poupard_grids_from_oracle(brute):
@@ -529,16 +584,22 @@ def test_reconstruct_rejects_non_solutions():
 def test_compose_linear_shifts_rows():
     # R(x + y) evaluated back on the x = 0 line returns R
     r = sec_series(5)
-    shifted = compose_linear(r.to_univariate_list(), (1, 1), 5)
+    shifted = compose_linear(r, (1, 1))
     assert row_series(shifted, 0) == r
 
 
 @pytest.mark.parametrize("linear", [(0, 2, 0), (2, 0, -2), (-3, 0), (0, 5), (1, 1, 1), (0, 0, 0)])
 def test_compose_linear_is_its_closed_form(linear):
     # Every exponent up to the order, visited or not, has EGF coefficient
-    # univariate[sum(e)] times the product of linear[v] ** e[v].
-    univariate = [Fraction(d % 5 - 2, d + 1) for d in range(9)]
-    s = compose_linear(univariate, linear, 8)
+    # egf[sum(e)] times the product of linear[v] ** e[v], and the order is
+    # the one of the univariate series.
+    egf = [Fraction(d % 5 - 2, d + 1) for d in range(9)]
+    univariate = TriSeries(1, 8, {(d,): c / factorial(d) for d, c in enumerate(egf)})
+    s = compose_linear(univariate, linear)
+    assert s.order == 8
     for e in product(range(9), repeat=len(linear)):
-        want = univariate[sum(e)] * prod(map(pow, linear, e)) if sum(e) <= 8 else 0
+        want = egf[sum(e)] * prod(map(pow, linear, e)) if sum(e) <= 8 else 0
         assert s.coeffs.get(e, 0) == want, e
+    # Two coefficients compose to an order-1 series, not to a longer one
+    # whose higher degrees would read as exact zeros.
+    assert compose_linear(TriSeries(1, 1, {(0,): 1}), linear).order == 1

@@ -18,7 +18,6 @@ from secant_trees import (
     alternating_permutations,
     assemble,
     cell_to_exponents,
-    compose_linear,
     cos_linear,
     ent_distribution,
     entringer_bruteforce,
@@ -77,7 +76,6 @@ ENTRY_POINTS = [
     ),
     ("run_checks", run_checks, 4, "two_n_max", True),
     ("TriSeries", lambda v: TriSeries(1, v), 0, "order", False),
-    ("compose_linear", lambda v: compose_linear([1], (1,), v), 0, "order", False),
     ("cos_linear", lambda v: cos_linear((1,), v), 0, "order", False),
     ("sin_linear", lambda v: sin_linear((1,), v), 0, "order", False),
     ("sec_series", sec_series, 0, "order", False),
