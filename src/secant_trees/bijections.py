@@ -20,21 +20,22 @@ each map's stream (``MAP_DOMAINS``) grows from ``u`` the words of its
 domain: the words with a forced start or end, and for eoc = 2n the words
 grown from the tree of ``u`` when its minimal chain reaches its rightmost
 node.  The pass builds each candidate tree once, even for two maps with one
-domain, and counts the domain and the codomain against the margins of a
-joint matrix of the same size, which the caller passes in: ``verify`` runs
-all five maps in one pass per size on the brute-force matrix it counted
-for its other checks.  ``verify_maps`` is the one way into the pass: it
+domain.  Every domain holds E_{2n-2} trees, the secant number
+``tree_count(2n - 2)``, and so does every codomain but the tripling's,
+which holds three times as many: the pass counts each against that number
+and reads no matrix, so ``verify`` runs all five maps in one pass per size
+without counting a tree.  ``verify_maps`` is the one way into the pass: it
 takes the names of the maps to run under the selection rule that verify's
 checks follow (a collection of known names, not one string, not empty,
-none named twice), and refuses a bad selection, size or matrix before any
-word is walked.  ``MAP_VERIFIERS`` holds one standalone verifier per key of
-``MAP_DOMAINS``, named ``verify_<map>``, that runs the pass for its map on
-the margins of the recurrence instead.  Images are validated trees, so
-distinct images landing in the codomain, as many as the codomain holds,
-certify that the map covers it.  Each map checks its own precondition, so
-a stray candidate outside its domain raises that map's ``ValueError``.
-Images are keyed by their child arrays and sources by their words; a
-projection is computed only for a collision record.
+none named twice), and refuses a bad selection or size before any word is
+walked.  ``MAP_VERIFIERS`` holds one standalone verifier per key of
+``MAP_DOMAINS``, named ``verify_<map>``, that runs the pass for its map
+alone.  Images are validated trees, so distinct images landing in the
+codomain, as many as the codomain holds, certify that the map covers it.
+Each map checks its own precondition, so a stray candidate outside its
+domain raises that map's ``ValueError``.  Images are keyed by their child
+arrays and sources by their words; a projection is computed only for a
+collision record.
 """
 
 from __future__ import annotations
@@ -42,8 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .distributions import JointMatrix
-from .recurrence import assemble, tree_count
+from .recurrence import tree_count
 from .trees import IncTree, _check_selection, _check_size, alternating_permutations, tree_from_perm
 
 __all__ = [
@@ -216,25 +216,25 @@ class MapDomain:
 
     ``words(u)`` gives the projections of the domain trees grown from one
     down-up word ``u`` of size 2n-2; over every such ``u`` each domain tree
-    comes once.  Every stream here is exact, but ``margin`` reads the size
-    of the domain off a margin of the joint matrix, and ``images`` applies
-    the map, which checks its precondition, so that a stream that misses a
-    domain tree or yields a stray word shows at run time instead of being
-    assumed away: the first as a domain short of its margin, the second as
-    the map's ``ValueError``.
+    comes once.  Each domain is a line of the joint matrix whose sum is
+    E_{2n-2}: row m = 2, column k = 1, column k = 2n-1 or row m = 2n.  Every
+    stream here is exact, but the pass counts the domain against E_{2n-2},
+    and ``images`` applies the map, which checks its precondition, so that a
+    stream that misses a domain tree or yields a stray word shows at run
+    time instead of being assumed away: the first as a domain short of
+    E_{2n-2}, the second as the map's ``ValueError``.
 
     ``transport(t, out)`` checks an image against the statistic of its
-    source ``t``.  The codomain is the images passing ``lands``, and
-    ``target`` reads its size off the same matrix; by default it is every
-    tree of size 2n-2.
+    source ``t``.  The codomain is the images passing ``lands``, and it
+    holds ``copies`` times E_{2n-2} trees: by default every tree of size
+    2n-2.
     """
 
     words: Callable[[tuple[int, ...]], Iterable[tuple[int, ...]]]
-    margin: Callable[[JointMatrix], int]
     images: Callable[[IncTree], tuple[IncTree, ...]]
     transport: Callable[[IncTree, IncTree], bool]
     lands: Callable[[IncTree], bool] = lambda out: True
-    target: Callable[[JointMatrix], int] = lambda M: tree_count(M.two_n - 2)
+    copies: int = 1
 
 
 # The candidate words follow from the map docstrings.  eoc = 2: the leaf 2
@@ -242,41 +242,35 @@ class MapDomain:
 # pom = 2n-1: node 2n-1 can only carry 2n, so it is the one-child node and the
 # word ends (2n, 2n-1).  eoc = 2n: 2n is the left child of the rightmost node,
 # which the minimal chain reaches (see _max_before_last).
-_POM_TOP = dict(
-    words=_ends_with_top_pair,
-    margin=lambda M: M.col_sums()[-1],  # column k = 2n-1
-)
 MAP_DOMAINS: dict[str, MapDomain] = {
     "first_row_map": MapDomain(
         words=_starts_with_two_one,
-        margin=lambda M: M.row_sums()[0],  # row m = 2
         images=lambda t: (first_row_map(t),),
         transport=lambda t, out: out.pom() == t.pom() - 2,
     ),
     "rightmost_column_map": MapDomain(
-        **_POM_TOP,
+        words=_ends_with_top_pair,
         images=lambda t: (rightmost_column_map(t),),
         transport=lambda t, out: out.eoc() == t.eoc(),
     ),
     # Three images each with pom = 2n-2, keeping eoc below 2n-2; as many
-    # distinct ones as column k = 2n-2 are all the trees with pom = 2n-2.
+    # distinct ones as column k = 2n-2 holds, 3 E_{2n-2}, are all the trees
+    # with pom = 2n-2.
     "tripling_map": MapDomain(
-        **_POM_TOP,
+        words=_ends_with_top_pair,
         images=tripling_map,
         transport=lambda t, out: out.pom() == out.n - 2
         and (t.eoc() >= out.n - 2 or out.eoc() == t.eoc()),
         lands=lambda out: out.pom() == out.n - 2,
-        target=lambda M: M.col_sums()[-2],  # column k = 2n-2
+        copies=3,
     ),
     "pom1_map": MapDomain(
         words=_starts_with_top_one,
-        margin=lambda M: M.col_sums()[0],  # column k = 1
         images=lambda t: (pom1_map(t),),
         transport=lambda t, out: out.eoc() == t.eoc() - 1,
     ),
     "entringer_map": MapDomain(
         words=_max_before_last,
-        margin=lambda M: M.row_sums()[-1],  # row m = 2n
         images=lambda t: (entringer_map(t),),
         transport=lambda t, out: out.ent() == t.pom() - 1,
     ),
@@ -338,18 +332,7 @@ class MapReport:
         }
 
 
-def _check_map_size(two_n: int) -> None:
-    """The size rule for *two_n*, then the cap, before anything is built."""
-    _check_size(two_n, 4, "two_n", even=True)
-    if two_n > _MAX_TWO_N:
-        raise ValueError(
-            f"two_n {two_n} is above {_MAX_TWO_N}, the largest size the maps are "
-            f"verified at: their domains at 2n = {two_n} would be built from every "
-            f"down-up word of size {two_n - 2}"
-        )
-
-
-def verify_maps(names: Iterable[str], two_n: int, counts: JointMatrix) -> list[MapReport]:
+def verify_maps(names: Iterable[str], two_n: int) -> list[MapReport]:
     """One report per map of *names* at size *two_n*, from one pass.
 
     The pass enumerates each down-up word ``u`` of size 2n-2 once and feeds
@@ -359,23 +342,23 @@ def verify_maps(names: Iterable[str], two_n: int, counts: JointMatrix) -> list[M
     arrays, since two validated trees of one size are equal exactly when
     their ``left`` and ``right`` arrays are; its projection is computed only
     for a collision record.  A key keeps its first source as the bytes of
-    its word, a third of the memory of the tuple.  Distinct validated
-    images in the codomain, as many as *counts* says it holds, certify
-    that a map covers it.
+    its word, a third of the memory of the tuple.  A domain of E_{2n-2}
+    trees, and distinct validated images in the codomain, as many as it
+    holds, certify that a map covers both.
 
     The checks run in this order, each before any word is walked: *names*
     under :func:`secant_trees.trees._check_selection` (one string, no map,
     an unknown map or a map named twice raises ``ValueError``), then the
-    size (odd or below 4 raises ``OddSizeError``, above 12 ``ValueError``),
-    then *counts* (not a ``JointMatrix``, or of another size, raises
-    ``ValueError``).
+    size (odd or below 4 raises ``OddSizeError``, above 12 ``ValueError``).
     """
     names = _check_selection(names, MAP_DOMAINS, "names", "map")
-    _check_map_size(two_n)
-    if not isinstance(counts, JointMatrix):
-        raise ValueError(f"counts must be a JointMatrix, got {type(counts).__name__}")
-    if counts.two_n != two_n:
-        raise ValueError(f"counts are for 2n = {counts.two_n}, not {two_n}")
+    _check_size(two_n, 4, "two_n", even=True)
+    if two_n > _MAX_TWO_N:
+        raise ValueError(
+            f"two_n {two_n} is above {_MAX_TWO_N}, the largest size the maps are "
+            f"verified at: their domains at 2n = {two_n} would be built from every "
+            f"down-up word of size {two_n - 2}"
+        )
     domains = [MAP_DOMAINS[name] for name in names]
     reports = [MapReport(map=name, two_n=two_n, domain=0, image=0) for name in names]
     seen: list[dict[bytes, bytes]] = [{} for _ in names]
@@ -403,23 +386,19 @@ def verify_maps(names: Iterable[str], two_n: int, counts: JointMatrix) -> list[M
                         # fail: its images come together, so it would be last.
                         if not transport(t, out) and report.transport_failures[-1:] != [word]:
                             report.transport_failures.append(word)
+    secants = tree_count(two_n - 2)
     for d, report, keys, hits in zip(domains, reports, seen, landed):
         report.image = len(keys)
-        report.covers_domain = report.domain == d.margin(counts)
-        report.covers_codomain = hits == d.target(counts)
+        report.covers_domain = report.domain == secants
+        report.covers_codomain = hits == d.copies * secants
     return reports
 
 
 def _standalone(name: str) -> Callable[[int], MapReport]:
-    """``verify_<name>``: :func:`verify_maps` for that one map on the
-    recurrence's matrix of the size, whose margins are all it reads, so no
-    tree is counted.  The size is checked first, so that every size the maps
-    reject fails with the verifiers' message before the matrix is
-    assembled."""
+    """``verify_<name>``: :func:`verify_maps` for that one map."""
 
     def verifier(two_n: int) -> MapReport:
-        _check_map_size(two_n)
-        (report,) = verify_maps((name,), two_n, assemble(two_n))
+        (report,) = verify_maps((name,), two_n)
         return report
 
     verifier.__name__ = verifier.__qualname__ = f"verify_{name}"

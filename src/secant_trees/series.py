@@ -35,11 +35,10 @@ one residual, with two inputs: a grid of counts sliced out of the matrices
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
-from functools import cache
 from math import comb, factorial, prod
 from operator import add, sub
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .trees import _check_size
 
@@ -121,8 +120,12 @@ class TriSeries:
         self.num_vars = num_vars
         self.order = order
         self.coeffs: dict[tuple[int, ...], int | Fraction] = {}
-        for e, c in (coeffs or {}).items():
-            if len(e) != num_vars or any(type(x) is not int or x < 0 for x in e):
+        coeffs = coeffs or {}
+        if not isinstance(coeffs, Mapping):
+            raise ValueError(f"coeffs must map exponent tuples to coefficients, got {coeffs!r}")
+        for e, c in coeffs.items():
+            bad = type(e) is not tuple or len(e) != num_vars
+            if bad or any(type(x) is not int or x < 0 for x in e):
                 raise ValueError(f"bad exponent tuple {e!r}")
             if sum(e) > order:
                 raise ValueError(f"exponent {e!r} exceeds order {order}")
@@ -264,7 +267,10 @@ class TriSeries:
 
     def egf_coefficient(self, exponents: Sequence[int]) -> int | Fraction:
         """Taylor coefficient times the factorial of every exponent."""
-        e = tuple(exponents)
+        try:
+            e = tuple(exponents)
+        except TypeError:
+            raise ValueError(f"exponents must be ints, got {exponents!r}") from None
         if len(e) != self.num_vars:
             raise ValueError(f"expected {self.num_vars} exponents, got {e!r}")
         if any(type(x) is not int for x in e):
@@ -276,7 +282,8 @@ class TriSeries:
         return self.coeffs.get(e, 0)
 
     def taylor_coefficient(self, exponents: Sequence[int]) -> Fraction:
-        e = tuple(exponents)
+        # A non-iterable goes on to egf_coefficient, which refuses it.
+        e = tuple(exponents) if isinstance(exponents, Iterable) else exponents
         return Fraction(self.egf_coefficient(e), prod(map(factorial, e)))
 
     def max_abs_coefficient(self) -> int | Fraction:
@@ -338,6 +345,8 @@ def compose_linear(univariate: TriSeries, linear: Sequence[int]) -> TriSeries:
     ``bool``) or a ``Fraction``.
     """
     _check_series(univariate, 1, "composition")
+    if not isinstance(linear, Sequence):
+        raise ValueError(f"the linear form must be a sequence, got {linear!r}")
     for x in linear:
         _exact_number(x)
     # Only the nonzero coefficients are stored, so a zero one (every other
@@ -460,19 +469,19 @@ def omega_grid_from_counts(p: int, max_sum: int, counts: Callable[[int], "object
     counts.
 
     ``counts(two_n)`` must return a matrix with the ``get(m, k)`` accessor,
-    whose values must be exact numbers; it is called once per size.  The EGF
-    coefficient (i, j) is 0 when i + j and p share parity, else the count
+    whose values must be exact numbers; it is called once per size, in
+    increasing order, so no matrix need be kept.  The EGF coefficient
+    (i, j) is 0 when i + j and p share parity, else the count
     f_{p+i+j+3}(p+1, p+j+2).
     """
     _check_size(p, 1, "p")
     _check_size(max_sum, 0, "max_sum")
-    counts = cache(counts)
-    entries = (
-        ((i, j), _exact_number(counts(p + i + j + 3).get(p + 1, p + j + 2)))
-        for i in range(max_sum + 1)
-        for j in range(max_sum + 1 - i)
-        if (i + j) % 2 != p % 2
-    )
+    if not callable(counts):
+        raise ValueError(f"counts must be callable, got {counts!r}")
+    entries = []
+    for s in range(1 - p % 2, max_sum + 1, 2):  # s = i + j of the other parity than p
+        M = counts(p + s + 3)
+        entries += (((s - j, j), _exact_number(M.get(p + 1, p + j + 2))) for j in range(s + 1))
     return TriSeries._from_egf(2, max_sum, entries)
 
 

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from secant_trees import bijections, distributions
+from secant_trees import bijections, cli, distributions
 from secant_trees.bijections import (
     MAP_DOMAINS,
     MAP_VERIFIERS,
@@ -19,8 +19,8 @@ from secant_trees.bijections import (
     verify_maps,
 )
 from secant_trees.cli import run_checks
-from secant_trees.distributions import OddSizeError, joint_matrix_bruteforce
-from secant_trees.recurrence import tree_count
+from secant_trees.distributions import JointMatrix, OddSizeError
+from secant_trees.recurrence import RecurrenceEngine, tree_count
 from secant_trees.trees import (
     alternating_permutations,
     enumerate_trees,
@@ -31,9 +31,9 @@ from secant_trees.trees import (
 verify_tripling_map = MAP_VERIFIERS["tripling_map"]
 
 
-def _verify(name, two_n, counts):
+def _verify(name, two_n):
     """The report of the one map *name* from :func:`verify_maps`."""
-    (report,) = verify_maps((name,), two_n, counts)
+    (report,) = verify_maps((name,), two_n)
     return report
 
 
@@ -138,24 +138,25 @@ def test_preconditions_rejected():
 
 @pytest.mark.parametrize("two_n", (4, 6, 8))
 @pytest.mark.parametrize("name", sorted(MAP_VERIFIERS))
-def test_maps_verify_exhaustively(name, two_n, brute):
+def test_maps_verify_exhaustively(name, two_n):
     report = MAP_VERIFIERS[name](two_n)
     assert report.ok, report
     assert report.domain > 0
-    assert verify_maps((name,), two_n, brute(two_n)) == [report]  # a shared count
+    assert verify_maps((name,), two_n) == [report]
 
 
 @pytest.mark.parametrize("name", sorted(MAP_VERIFIERS))
-def test_standalone_verifiers_count_no_tree(name, brute, monkeypatch):
-    want = {two_n: _verify(name, two_n, brute(two_n)) for two_n in (4, 6, 8, 10)}
+def test_standalone_verifiers_read_no_matrix(name, monkeypatch):
+    def refuse(*args):
+        raise AssertionError(f"a matrix was read: {args}")
 
-    def refuse(two_n):
-        raise AssertionError(f"trees of size {two_n} counted")
-
+    monkeypatch.setattr(distributions, "joint_matrices", refuse)
     monkeypatch.setattr(distributions, "joint_matrix_bruteforce", refuse)
-    for two_n, report in want.items():
-        assert report.ok
-        assert MAP_VERIFIERS[name](two_n) == report, two_n
+    monkeypatch.setattr(RecurrenceEngine, "assemble", refuse)
+    monkeypatch.setattr(JointMatrix, "__init__", refuse)  # nor is one built
+    monkeypatch.setattr(JointMatrix, "_adopt", refuse)
+    for two_n in (4, 6, 8, 10):
+        assert MAP_VERIFIERS[name](two_n).ok, two_n
 
 
 # Each domain from its definition, independent of the candidate streams.
@@ -209,7 +210,7 @@ def test_verifiers_reject_sizes_without_a_map(name, two_n):
     with pytest.raises(OddSizeError, match=message):
         MAP_VERIFIERS[name](two_n)
     with pytest.raises(OddSizeError, match=message):
-        verify_maps((name,), two_n, object())  # before it reads the counts
+        verify_maps((name,), two_n)
 
 
 @pytest.mark.parametrize("name", sorted(MAP_VERIFIERS))
@@ -237,7 +238,7 @@ PRECONDITION_MESSAGES = {
 
 
 @pytest.mark.parametrize("name", sorted(MAP_VERIFIERS))
-def test_stream_with_a_stray_word_raises_the_maps_error(name, monkeypatch, brute):
+def test_stream_with_a_stray_word_raises_the_maps_error(name, monkeypatch):
     # The first word of size 6 outside the domain, yielded once beside the
     # stream: the map itself refuses it, so the pass cannot drop it.
     domain = MAP_DOMAINS[name]
@@ -251,29 +252,24 @@ def test_stream_with_a_stray_word_raises_the_maps_error(name, monkeypatch, brute
 
     monkeypatch.setitem(MAP_DOMAINS, name, dataclasses.replace(domain, words=with_stray))
     with pytest.raises(ValueError, match=f"^{PRECONDITION_MESSAGES[name]}$"):
-        verify_maps((name,), 6, brute(6))
+        verify_maps((name,), 6)
 
 
-def test_verify_map_rejects_counts_of_another_size(brute):
-    with pytest.raises(ValueError, match="2n = 8"):
-        verify_maps(("first_row_map",), 6, brute(8))
-
-
-def test_verify_map_rejects_an_unknown_map(brute):
+def test_verify_map_rejects_an_unknown_map():
     unknown = rf"^unknown map 'bogus' \(known: {', '.join(MAP_DOMAINS)}\)$"
     with pytest.raises(ValueError, match=unknown):
-        verify_maps(("bogus",), 6, brute(6))
+        verify_maps(("bogus",), 6)
     with pytest.raises(ValueError, match=unknown):
-        verify_maps(("first_row_map", "bogus"), 6, brute(6))
+        verify_maps(("first_row_map", "bogus"), 6)
     message = "^names is a collection of map names, not the string 'first_row_map'$"
     with pytest.raises(ValueError, match=message):
-        verify_maps("first_row_map", 6, brute(6))
+        verify_maps("first_row_map", 6)
 
 
-def test_a_generator_of_names_gives_the_reports_of_the_tuple(brute):
+def test_a_generator_of_names_gives_the_reports_of_the_tuple():
     names = tuple(MAP_DOMAINS)
-    reports = verify_maps((name for name in names), 8, brute(8))
-    assert reports == verify_maps(names, 8, brute(8))
+    reports = verify_maps((name for name in names), 8)
+    assert reports == verify_maps(names, 8)
     assert [report.map for report in reports] == list(names)
 
 
@@ -288,32 +284,25 @@ def test_a_generator_of_names_gives_the_reports_of_the_tuple(brute):
 def test_a_selection_of_no_map_or_a_map_twice_fails_before_the_pass(
     names, two_n, message, monkeypatch
 ):
-    # The names are checked first, before the size and the counts, as the
-    # checks of `verify` are.
+    # The names are checked first, before the size, as the checks of
+    # `verify` are.
     def refuse(n):
         pytest.fail(f"the pass walked the down-up words of size {n}")
 
     monkeypatch.setattr(bijections, "alternating_permutations", refuse)
     with pytest.raises(ValueError, match=message) as exc:
-        verify_maps(names, two_n, object())
+        verify_maps(names, two_n)
     assert exc.type is ValueError
-
-
-def test_verify_map_rejects_counts_that_are_not_a_matrix(brute):
-    for counts in (object(), brute(6).to_json_dict()):
-        message = f"^counts must be a JointMatrix, got {type(counts).__name__}$"
-        with pytest.raises(ValueError, match=message):
-            verify_maps(("first_row_map",), 6, counts)
 
 
 @pytest.mark.parametrize("two_n", (14, 16, 10**6))
 @pytest.mark.parametrize("name", sorted(MAP_VERIFIERS))
-def test_verifiers_refuse_a_size_above_the_cap(name, two_n, brute, monkeypatch):
+def test_verifiers_refuse_a_size_above_the_cap(name, two_n, monkeypatch):
     def refuse(*args):
         pytest.fail("the pass started above the cap")
 
     monkeypatch.setattr(bijections, "alternating_permutations", refuse)
-    monkeypatch.setattr(bijections, "assemble", refuse)
+    monkeypatch.setattr(bijections, "tree_count", refuse)
     message = (
         f"^two_n {two_n} is above 12, the largest size the maps are verified at: their "
         f"domains at 2n = {two_n} would be built from every down-up word of size {two_n - 2}$"
@@ -322,17 +311,17 @@ def test_verifiers_refuse_a_size_above_the_cap(name, two_n, brute, monkeypatch):
         MAP_VERIFIERS[name](two_n)
     assert exc.type is ValueError
     with pytest.raises(ValueError, match=message):
-        verify_maps((name,), two_n, brute(14) if two_n == 14 else object())
+        verify_maps((name,), two_n)
 
 
 @pytest.mark.parametrize("name", sorted(set(MAP_VERIFIERS) - {"tripling_map"}))
-def test_two_sources_with_one_image_break_injectivity(name, monkeypatch, brute):
+def test_two_sources_with_one_image_break_injectivity(name, monkeypatch):
     # The second domain tree takes the image of the first.
     domain = MAP_DOMAINS[name]
     (first, t1), (second, t2) = _domain(name, 8)[:2]
     shared = dataclasses.replace(domain, images=lambda t: domain.images(t1 if t == t2 else t))
     monkeypatch.setitem(MAP_DOMAINS, name, shared)
-    report = _verify(name, 8, brute(8))
+    report = _verify(name, 8)
     (image,) = domain.images(t1)
     assert not report.injective and not report.ok
     assert report.collisions == [(first, second, image.projection())]
@@ -346,26 +335,26 @@ def test_two_sources_with_one_image_break_injectivity(name, monkeypatch, brute):
     assert [f["actual"] for f in row.failures] == [blob]
 
 
-def test_one_pass_equals_each_map_alone(brute):
+def test_one_pass_equals_each_map_alone():
     names = tuple(MAP_DOMAINS)
     for two_n in (4, 6, 8, 10):
-        alone = [_verify(name, two_n, brute(two_n)) for name in names]
-        assert verify_maps(names, two_n, brute(two_n)) == alone, two_n
+        alone = [_verify(name, two_n) for name in names]
+        assert verify_maps(names, two_n) == alone, two_n
         assert all(report.ok for report in alone), two_n
     assert [report.domain for report in alone] == [1385] * 5
     assert [report.image for report in alone] == [1385, 1385, 4155, 1385, 1385]
 
 
 @pytest.mark.parametrize("name", sorted(MAP_VERIFIERS))
-def test_a_one_map_run_reads_only_its_own_stream(name, monkeypatch, brute):
+def test_a_one_map_run_reads_only_its_own_stream(name, monkeypatch):
     def refuse(u):
         pytest.fail(f"another map's stream ran for {name}")
 
-    want = _verify(name, 8, brute(8))
+    want = _verify(name, 8)
     for other, domain in list(MAP_DOMAINS.items()):
         if other != name:
             monkeypatch.setitem(MAP_DOMAINS, other, dataclasses.replace(domain, words=refuse))
-    assert _verify(name, 8, brute(8)) == want
+    assert _verify(name, 8) == want
     assert MAP_VERIFIERS[name](8) == want
 
 
@@ -380,6 +369,15 @@ def test_verify_enumerates_each_size_once_for_all_maps(monkeypatch):
     report = run_checks(10, ("bijection",))
     assert report.overall == "pass" and len(report.rows) == 4
     assert calls == {2: 1, 4: 1, 6: 1, 8: 1}
+
+
+def test_verify_bijection_starts_no_counter_pass(monkeypatch):
+    def refuse(bound):
+        pytest.fail(f"a counter pass to 2n = {bound} started")
+
+    monkeypatch.setattr(cli, "joint_matrices", refuse)
+    report = run_checks(10, ("bijection",))
+    assert report.overall == "pass" and len(report.rows) == 4
 
 
 def test_verifiers_are_distinct_named_functions():
@@ -400,7 +398,7 @@ _SHIFTED_SOURCES_FAILING = {
 
 
 @pytest.mark.parametrize("name", sorted(MAP_VERIFIERS))
-def test_images_of_another_domain_tree_fail_transport(name, monkeypatch, brute):
+def test_images_of_another_domain_tree_fail_transport(name, monkeypatch):
     # Each tree gets the images of the next one: still a bijection onto the
     # codomain, but the statistic no longer follows its own source.  Each
     # failing source is listed once: a tripling source with three failing
@@ -412,7 +410,7 @@ def test_images_of_another_domain_tree_fail_transport(name, monkeypatch, brute):
         domain, images=lambda t: domain.images(nxt[t.projection()])
     )
     monkeypatch.setitem(MAP_DOMAINS, name, shifted)
-    report = _verify(name, 8, brute(8))
+    report = _verify(name, 8)
     assert report.injective and report.covers_domain and report.covers_codomain
     assert report.transport_failures and not report.ok
     assert len(set(report.transport_failures)) == len(report.transport_failures)
@@ -423,23 +421,19 @@ def test_images_of_another_domain_tree_fail_transport(name, monkeypatch, brute):
     assert blob["collisions"] == 0 and blob["first_collision"] is None
 
 
-def test_tripling_images_short_of_the_column_fail():
-    M = joint_matrix_bruteforce(6)
-    M.set(2, 4, M.get(2, 4) + 1)  # one more tree with pom = 2n-2
-    report = _verify("tripling_map", 6, M)
-    assert report.image == 15
+def test_tripling_images_short_of_the_column_fail(monkeypatch):
+    # The first source drops its last image: 14 distinct images, not 3 E_4.
+    domain = MAP_DOMAINS["tripling_map"]
+    first = _domain("tripling_map", 6)[0][1]
+
+    def images(t):
+        return domain.images(t)[:2] if t == first else domain.images(t)
+
+    monkeypatch.setitem(MAP_DOMAINS, "tripling_map", dataclasses.replace(domain, images=images))
+    report = _verify("tripling_map", 6)
+    assert report.domain == 5 and report.image == 14
     assert report.covers_codomain is False and report.covers_domain is True
     assert report.injective and report.transport_ok and not report.ok
-
-
-def test_domain_short_of_the_margin_fails():
-    M = joint_matrix_bruteforce(6)
-    M.set(2, 3, M.get(2, 3) + 1)  # one more tree with eoc = 2
-    report = _verify("first_row_map", 6, M)
-    assert report.domain == report.image == 5
-    assert report.covers_domain is False and report.covers_codomain is True
-    assert report.injective and report.transport_ok and not report.ok
-    assert report.to_json_dict()["covers_domain"] is False
 
 
 def test_tripling_images_triple_the_domain():

@@ -87,6 +87,11 @@ def test_marginal_identity_row_equals_shifted_column(brute):
     for two_n in (2, 4, 6, 8, 10):
         M = brute(two_n)
         assert M.row_sums() == M.col_sums()
+    # The five-map pass counts against these: row 2, column 1, column 2n-1
+    # and row 2n each hold E_{2n-2} trees, and column 2n-2 three times as many.
+    for two_n in (4, 6, 8, 10, 12):
+        cs, secant = brute(two_n).col_sums(), tree_count(two_n - 2)
+        assert cs[0] == cs[-1] == secant and cs[1] == cs[-2] == 3 * secant, two_n
 
 
 def test_structural_zeros(brute):

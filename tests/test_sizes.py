@@ -67,7 +67,7 @@ ENTRY_POINTS = [
     ),
     *(
         # verify_maps for the one map *name*
-        (f"verify_map-{name}", lambda v, n=name: verify_maps((n,), v, object()), 4, "two_n", True)
+        (f"verify_map-{name}", lambda v, n=name: verify_maps((n,), v), 4, "two_n", True)
         for name in MAP_VERIFIERS
     ),
     *(
